@@ -43,19 +43,27 @@ def _fmt(x) -> str:
     return format(float(x), ".17g")
 
 
+def _finite(a, field):
+    if not np.isfinite(a).all():
+        raise ConfigError(f"{field} must be finite (no NaN or Infinity)")
+    return a
+
+
 def _cplx(v, field):
     if isinstance(v, (int, float)):
-        return complex(v)
-    if isinstance(v, (list, tuple)) and len(v) == 2 and all(
+        z = complex(v)
+    elif isinstance(v, (list, tuple)) and len(v) == 2 and all(
             isinstance(c, (int, float)) for c in v):
-        return complex(v[0], v[1])
-    raise ConfigError(f"{field} must be a number or a [re, im] pair")
+        z = complex(v[0], v[1])
+    else:
+        raise ConfigError(f"{field} must be a number or a [re, im] pair")
+    return _finite(z, field)
 
 
 def _float(v, field, positive=False):
     if not isinstance(v, (int, float)) or isinstance(v, bool):
         raise ConfigError(f"{field} must be a number")
-    v = float(v)
+    v = _finite(float(v), field)
     if positive and v <= 0:
         raise ConfigError(f"{field} must be positive")
     return v
@@ -65,7 +73,15 @@ def _vector(v, field):
     if not isinstance(v, list) or not v or not all(
             isinstance(c, (int, float)) for c in v):
         raise ConfigError(f"{field} must be a non-empty list of numbers")
-    return np.asarray(v, dtype=float)
+    return _finite(np.asarray(v, dtype=float), field)
+
+
+def _matrix(v, field):
+    try:
+        a = np.asarray(v, dtype=float)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{field} must be a matrix of numbers") from None
+    return _finite(a, field)
 
 
 def _su2_param(params, key):
@@ -142,7 +158,7 @@ def _build_system(system, params, rng):
     if system == "rotator":
         g0 = np.eye(3)
         if "g0" in params:
-            g0 = np.asarray(params["g0"], dtype=float)
+            g0 = _matrix(params["g0"], "params.g0")
             if g0.shape != (3, 3):
                 raise ConfigError("params.g0 must be a 3x3 matrix")
         p = _vector(params["p"], "params.p") if "p" in params else rng.standard_normal(3)
@@ -231,7 +247,7 @@ def _build_system(system, params, rng):
         def field(y):
             return np.concatenate([np.zeros(n), freq])
     else:
-        A = np.asarray(params["matrix"], dtype=float)
+        A = _matrix(params["matrix"], "params.matrix")
         if A.shape != (m, m):
             raise ConfigError("params.matrix must be square and match params.phi0")
         run["matrix"] = lambda _I: A
@@ -308,7 +324,10 @@ def run_simulate(args) -> int:
     seed = doc.get("seed", 0)
     if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
         raise ConfigError("seed must be a non-negative integer")
-    oracle = bool(doc.get("oracle", False)) or args.oracle
+    oracle = doc.get("oracle", False)
+    if not isinstance(oracle, bool):
+        raise ConfigError("oracle must be a JSON boolean (true or false)")
+    oracle = oracle or args.oracle
     max_dev = args.max_dev if args.max_dev is not None else doc.get("max_dev", 1e-5)
     max_dev = _float(max_dev, "max_dev", positive=True)
     out = args.out if args.out is not None else doc.get("out")

@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .groups import (
     AlgebraElement,
@@ -21,7 +20,7 @@ from .groups import (
     SU2Element,
     exp_group,
 )
-from .mat2 import frobenius, hat3, rodrigues3
+from .mat2 import hat3, rodrigues3
 from .quadrature import rk4_integrate, simpson_rule
 
 __all__ = [
@@ -165,8 +164,11 @@ def sl2c_flat_field(F_value: float):
     F = float(F_value)
 
     def field(y):
-        rates = _sl2c_rates(*flat_to_z(y), F)
-        return z_to_flat(*rates)
+        x1, y1, x2, y2, x3, y3, x4, y4 = y.tolist()
+        r1, r2, r3, r4 = _sl2c_rates(complex(x1, y1), complex(x2, y2),
+                                     complex(x3, y3), complex(x4, y4), F)
+        return np.array([r1.real, r1.imag, r2.real, r2.imag,
+                         r3.real, r3.imag, r4.real, r4.imag])
 
     return field
 
@@ -352,21 +354,18 @@ def perturbed_flat_field(F, lam: float):
     lam = float(lam)
 
     def field(st):
-        alpha = complex(st[0], st[1])
-        nu = complex(st[2], st[3])
-        r = st[4]
-        gamma = complex(st[5], st[6])
-        u = SB2Element(r, gamma)
-        gen = legendre_map(u, _fvalue(F, r)).value - _perturbed_x(lam, r)
-        gmat = np.array([[alpha, -nu.conjugate()], [nu, alpha.conjugate()]])
-        gdot = gmat @ gen
+        a_re, a_im, n_re, n_im, r, g_re, g_im = st.tolist()
+        alpha, nu, gamma = complex(a_re, a_im), complex(n_re, n_im), complex(g_re, g_im)
+        # first column of gen = legendre_map(u, F) - X(r), entry by entry
+        c = -0.25j * _fvalue(F, r)
+        gen00 = c * complex(r * r - 1.0 / (r * r) + abs(gamma) ** 2) + 0.25j * lam * r
+        gen10 = c * (2.0 * gamma / r).conjugate()
+        # first column of g·gen, g = [[alpha, -conj(nu)], [nu, conj(alpha)]]
+        g00 = alpha * gen00 - nu.conjugate() * gen10
+        g10 = nu * gen00 + alpha.conjugate() * gen10
         gammadot = -0.5j * lam * r * gamma
-        return np.array([
-            gdot[0, 0].real, gdot[0, 0].imag,
-            gdot[1, 0].real, gdot[1, 0].imag,
-            0.0,
-            gammadot.real, gammadot.imag,
-        ])
+        return np.array([g00.real, g00.imag, g10.real, g10.imag, 0.0,
+                         gammadot.real, gammadot.imag])
 
     return field
 
@@ -380,6 +379,26 @@ def interaction_picture_flow(g0: SU2Element, data: InteractionPictureData, t: fl
         @ exp_group(AlgebraElement("su2", t * xpa))
         @ exp_group(AlgebraElement("su2", -t * data.X.value))
     )
+
+
+def _commutator_guard(mats, nodes, tol):
+    """Raise CommutativityError unless every pairwise commutator norm is <= tol.
+
+    All S² products come from one batched matmul, so each norm is the one a
+    pairwise loop computes.  The reported pair is the first worst one in
+    (i, j), i < j order; a NaN norm is never the worst, as with a pairwise
+    loop over `nrm > worst`.
+    """
+    m = np.array(mats)
+    prod = m[:, None] @ m[None]
+    comm = prod - prod.swapaxes(0, 1)
+    norms = np.sqrt(np.sum(np.abs(comm) ** 2, axis=(2, 3)))
+    iu, ju = np.triu_indices(len(m), 1)
+    upper = norms[iu, ju]
+    upper[np.isnan(upper)] = 0.0
+    k = int(np.argmax(upper))
+    if upper[k] > tol:
+        raise CommutativityError(upper[k], (nodes[iu[k]], nodes[ju[k]]))
 
 
 def commuting_quadrature_flow(g0, momentum_path, t1: float, tol=1e-9, samples=33):
@@ -399,15 +418,7 @@ def commuting_quadrature_flow(g0, momentum_path, t1: float, tol=1e-9, samples=33
     kind = vals[0].kind
     if any(v.kind != kind for v in vals):
         raise MembershipError("momentum_path must keep a fixed algebra kind")
-    mats = [hat3(v.value) if kind == "so3" else v.value for v in vals]
-    worst, pair = 0.0, (0.0, 0.0)
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            nrm = frobenius(mats[i] @ mats[j] - mats[j] @ mats[i])
-            if nrm > worst:
-                worst, pair = nrm, (nodes[i], nodes[j])
-    if worst > tol:
-        raise CommutativityError(worst, pair)
+    _commutator_guard([hat3(v.value) if kind == "so3" else v.value for v in vals], nodes, tol)
     integral = sum(w * v.value for w, v in zip(weights, vals))
     return g0 @ exp_group(AlgebraElement(kind, integral))
 
@@ -452,15 +463,10 @@ def action_angle_flow(spec, t: float) -> FlowState:
         I_t = traj.states[-1]
     nodes, weights = simpson_rule(0.0, t, samples - 1)
     mats = [np.asarray(matrix(I), dtype=float) for I in I_nodes]
-    worst, pair = 0.0, (0.0, 0.0)
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            nrm = frobenius(mats[i] @ mats[j] - mats[j] @ mats[i])
-            if nrm > worst:
-                worst, pair = nrm, (nodes[i], nodes[j])
-    if worst > tol:
-        raise CommutativityError(worst, pair)
+    _commutator_guard(mats, nodes, tol)
     integral = sum(w * m for w, m in zip(weights, mats))
+    import scipy.linalg  # only this path needs it; keeps the CLI import light
+
     phi = scipy.linalg.expm(integral) @ phi0
     return FlowState(time=t, I=I_t, phi=phi, phi_mod=np.mod(phi, 2.0 * np.pi))
 

@@ -73,14 +73,6 @@ class DriftReport:
         return f"DriftReport({body})"
 
 
-def _rk4_step(field, t, y, h):
-    k1 = np.asarray(field(y), dtype=float)
-    k2 = np.asarray(field(y + 0.5 * h * k1), dtype=float)
-    k3 = np.asarray(field(y + 0.5 * h * k2), dtype=float)
-    k4 = np.asarray(field(y + h * k3), dtype=float)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
 def rk4_integrate(field, y0, t0, t1, h) -> Trajectory:
     """Classical fixed-step RK4; the final partial step lands exactly on t1.
 
@@ -92,29 +84,28 @@ def rk4_integrate(field, y0, t0, t1, h) -> Trajectory:
     if not (t1 > t0):
         raise ValueError("t1 must exceed t0")
     y = np.array(y0, dtype=float).ravel()
-    if not np.all(np.isfinite(y)):
+    if not np.isfinite(y).all():
         raise NonFiniteStateError(t0)
-    span = t1 - t0
-    n_full = int(math.floor(span / h + 1e-12))
-    times = [t0]
-    states = [y.copy()]
-    for k in range(n_full):
-        y = _rk4_step(field, t0 + k * h, y, h)
-        t = t0 + (k + 1) * h
-        if not np.all(np.isfinite(y)):
-            raise NonFiniteStateError(t)
-        times.append(t)
-        states.append(y.copy())
+    n_full = int(math.floor((t1 - t0) / h + 1e-12))
     rest = t1 - (t0 + n_full * h)
-    if rest > 1e-12 * max(h, abs(t1)):
-        y = _rk4_step(field, t0 + n_full * h, y, rest)
-        if not np.all(np.isfinite(y)):
-            raise NonFiniteStateError(t1)
-        times.append(t1)
-        states.append(y.copy())
-    else:
-        times[-1] = t1
-    return Trajectory(np.array(times), np.array(states))
+    partial = rest > 1e-12 * max(h, abs(t1))
+    n = n_full + 1 + partial
+    times = t0 + np.arange(n) * h
+    times[-1] = t1
+    states = np.empty((n, y.size))
+    states[0] = y
+    for k in range(1, n):
+        step = h if k <= n_full else rest
+        half = 0.5 * step
+        k1 = np.asarray(field(y), dtype=float)
+        k2 = np.asarray(field(y + half * k1), dtype=float)
+        k3 = np.asarray(field(y + half * k2), dtype=float)
+        k4 = np.asarray(field(y + step * k3), dtype=float)
+        y = y + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not np.isfinite(y).all():
+            raise NonFiniteStateError(t1 if k > n_full else t0 + k * h)
+        states[k] = y
+    return Trajectory(times, states)
 
 
 def simpson_rule(t0, t1, n):

@@ -132,6 +132,42 @@ def test_simulate_config_errors(tmp_path, doc, capsys):
     assert not (tmp_path / "never.csv").exists()
 
 
+@pytest.mark.parametrize("doc, extra, field", [
+    ({"system": "rotator", "t1": math.inf}, (), "t1"),
+    ({"system": "rotator", "t1": -math.inf}, (), "t1"),
+    ({"system": "rotator", "dt": math.nan}, (), "dt"),
+    ({"system": "rotator", "max_dev": math.nan}, (), "max_dev"),
+    ({"system": "rotator", "max_dev": math.inf}, (), "max_dev"),
+    ({"system": "rotator", "t1": 0.1}, ("--oracle", "--max-dev", "nan"), "max_dev"),
+    ({"system": "rotator", "params": {"F": math.nan}}, (), "params.F"),
+    ({"system": "perturbed", "params": {"F": -math.inf}}, (), "params.F"),
+    ({"system": "perturbed", "params": {"u0": {"r": 1.0, "gamma": [math.nan, 0.0]}}},
+     (), "params.u0.gamma"),
+    ({"system": "rotator", "params": {"p": [0.0, math.inf, 1.0]}}, (), "params.p"),
+    ({"system": "rotator", "params": {"g0": [[1, 0, 0], [0, 1, 0], [0, 0, math.nan]]}},
+     (), "params.g0"),
+    ({"system": "action_angle", "params": {"I0": [1.0], "phi0": [0.0],
+                                           "matrix": [[math.inf]]}}, (), "params.matrix"),
+])
+def test_simulate_rejects_non_finite_numbers(tmp_path, doc, extra, field, capsys):
+    code, _ = run_config(tmp_path, doc, name="never.csv", extra=extra)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and field in err and "finite" in err
+    assert not (tmp_path / "never.csv").exists()
+
+
+@pytest.mark.parametrize("value", ["false", "true", 0, 1, None, [True]])
+def test_simulate_oracle_must_be_json_boolean(tmp_path, value, capsys):
+    code, _ = run_config(tmp_path, {"system": "rotator", "t1": 0.1, "oracle": value},
+                         name="never.csv")
+    assert code == 2
+    assert "oracle" in capsys.readouterr().err
+    assert not (tmp_path / "never.csv").exists()
+    code, out = run_config(tmp_path, {"system": "rotator", "t1": 0.1, "oracle": False})
+    assert code == 0 and "oracle_dev" not in out.read_text().splitlines()[0]
+
+
 def test_simulate_invalid_json(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text("{not json")

@@ -9,6 +9,8 @@ from doubleflow.dynamics import (
     CommutativityError,
     InteractionPictureData,
     SystemSpec,
+    _commutator_guard,
+    _sl2c_rates,
     action_angle_flow,
     casimir_flow,
     commuting_quadrature_flow,
@@ -41,6 +43,7 @@ from doubleflow.groups import (
     iwasawa_gu,
     random_element,
 )
+from doubleflow.mat2 import frobenius
 from doubleflow.quadrature import drift_report, rk4_integrate
 
 E12 = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
@@ -276,6 +279,45 @@ def test_perturbed_flow_matches_rk4():
     assert worst < 1e-6
 
 
+def perturbed_field_reference(F, lam, st):
+    """The perturbed rates built from group and algebra objects."""
+    alpha, nu = complex(st[0], st[1]), complex(st[2], st[3])
+    r, gamma = st[4], complex(st[5], st[6])
+    Fv = F(r) if callable(F) else F
+    gen = (legendre_map(SB2Element(r, gamma), Fv).value
+           - np.diag([-0.25j * lam * r, 0.25j * lam * r]))
+    gdot = SU2Element(alpha, nu).as_matrix() @ gen
+    gammadot = -0.5j * lam * r * gamma
+    return np.array([gdot[0, 0].real, gdot[0, 0].imag, gdot[1, 0].real, gdot[1, 0].imag,
+                     0.0, gammadot.real, gammadot.imag])
+
+
+@pytest.mark.parametrize("F", [1.3, lambda r: 1.0 + 0.5 * r * r])
+def test_perturbed_flat_field_matches_object_reference(F):
+    # The scalar transcription may differ from the 2x2 matrix product in the
+    # last bit (BLAS may fuse multiply-adds), hence 1e-15 relative to the rates.
+    rng = np.random.default_rng(31)
+    lam = 0.35
+    field = perturbed_flat_field(F, lam)
+    for _ in range(200):
+        g, u = random_element("su2", rng), random_element("sb2", rng)
+        st = flat_of_double(g.alpha, g.nu, u)
+        want = perturbed_field_reference(F, lam, st)
+        got = field(st)
+        assert np.max(np.abs(got - want)) <= 1e-15 * max(1.0, np.max(np.abs(want)))
+        assert got[4:].tobytes() == want[4:].tobytes()
+
+
+def test_sl2c_flat_field_is_bitwise_the_complex_rates():
+    rng = np.random.default_rng(32)
+    for F in (1.0, -0.7, 2.5):
+        field = sl2c_flat_field(F)
+        for _ in range(200):
+            y = rng.standard_normal(8)
+            want = z_to_flat(*_sl2c_rates(*flat_to_z(y), F))
+            assert field(y).tobytes() == want.tobytes()
+
+
 def test_rotator_flow_examples():
     g0 = np.eye(3)
     st = rotator_flow(g0, np.zeros(3), 1.0, 5.0)
@@ -382,6 +424,41 @@ def test_commuting_quadrature_rejects_twisted_path():
     assert err.value.max_norm > 1e-9
     t0, t1 = err.value.pair
     assert 0.0 <= t0 < t1 <= 3.0
+
+
+def brute_force_guard(mats, nodes):
+    worst, pair = 0.0, (0.0, 0.0)
+    for i in range(len(mats)):
+        for j in range(i + 1, len(mats)):
+            nrm = frobenius(mats[i] @ mats[j] - mats[j] @ mats[i])
+            if nrm > worst:
+                worst, pair = nrm, (nodes[i], nodes[j])
+    return worst, pair
+
+
+def test_commutator_guard_matches_brute_force_loop():
+    def twisted(s):
+        return np.array([[0.5j * math.cos(s), 0.3 * math.sin(s) + 0.1j * s],
+                         [-0.3 * math.sin(s) + 0.1j * s, -0.5j * math.cos(s)]])
+
+    nodes = np.linspace(0.0, 3.0, 33)
+    mats = [twisted(s) for s in nodes]
+    worst, pair = brute_force_guard(mats, nodes)
+    with pytest.raises(CommutativityError) as err:
+        _commutator_guard(mats, nodes, 1e-9)
+    assert err.value.max_norm == worst
+    assert err.value.pair == pair
+    _commutator_guard(mats, nodes, 1.01 * worst)   # worst norm below tol: no error
+    # ties: the first worst pair in (i, j) loop order wins
+    a, b = mats[0], mats[20]
+    tied = [a, b, a, b, a]
+    worst, pair = brute_force_guard(tied, nodes[:5])
+    assert pair == (nodes[0], nodes[1])
+    with pytest.raises(CommutativityError) as err:
+        _commutator_guard(tied, nodes[:5], 0.0)
+    assert err.value.pair == pair
+    # commuting samples (real 3x3, as in the so3 and action-angle paths)
+    _commutator_guard([k * np.eye(3) for k in range(5)], nodes[:5], 0.0)
 
 
 def test_commuting_quadrature_argument_validation():

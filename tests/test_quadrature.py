@@ -65,6 +65,58 @@ def test_rk4_nonfinite_detection():
         rk4_integrate(rotation_field, np.array([np.nan, 0.0]), 0.0, 1.0, 0.25)
 
 
+def reference_rk4(field, y0, t0, t1, h):
+    """The step-by-step RK4 driver: one stage function, list appends."""
+    def step(y, h):
+        k1 = np.asarray(field(y), dtype=float)
+        k2 = np.asarray(field(y + 0.5 * h * k1), dtype=float)
+        k3 = np.asarray(field(y + 0.5 * h * k2), dtype=float)
+        k4 = np.asarray(field(y + h * k3), dtype=float)
+        return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+    y = np.array(y0, dtype=float)
+    n_full = int(math.floor((t1 - t0) / h + 1e-12))
+    times, states = [t0], [y]
+    for k in range(n_full):
+        y = step(y, h)
+        times.append(t0 + (k + 1) * h)
+        states.append(y)
+    rest = t1 - (t0 + n_full * h)
+    if rest > 1e-12 * max(h, abs(t1)):
+        states.append(step(y, rest))
+        times.append(t1)
+    else:
+        times[-1] = t1
+    return np.array(times), np.array(states)
+
+
+def lotka_volterra(y):
+    return np.array([y[0] * (1.0 - 0.7 * y[1]), y[1] * (0.4 * y[0] - 1.1)])
+
+
+@pytest.mark.parametrize("t0, t1, h", [(0.0, 1.0, 0.25), (0.0, 1.0, 0.3),
+                                       (0.5, 3.7, 1e-2), (-1.0, 2.0, 7e-3)])
+def test_rk4_bitwise_matches_reference_loop(t0, t1, h):
+    y0 = np.array([1.3, 0.6])
+    traj = rk4_integrate(lotka_volterra, y0, t0, t1, h)
+    times, states = reference_rk4(lotka_volterra, y0, t0, t1, h)
+    assert traj.times.tobytes() == times.tobytes()
+    assert traj.states.tobytes() == states.tobytes()
+
+
+def test_rk4_nonfinite_time_on_partial_step():
+    calls = []
+
+    def late_blowup(y):
+        calls.append(None)
+        return np.array([np.inf if len(calls) > 12 else 1.0])
+
+    # three full steps of 0.3 use 12 evaluations; the partial step blows up
+    with pytest.raises(NonFiniteStateError) as err:
+        rk4_integrate(late_blowup, np.array([0.0]), 0.0, 1.0, 0.3)
+    assert err.value.time == 1.0
+
+
 def test_trajectory_validation():
     with pytest.raises(ValueError):
         Trajectory([0.0, 0.0], [[1.0], [1.0]])
