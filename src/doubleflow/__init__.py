@@ -9,8 +9,9 @@ from .dynamics import (
     CommutativityError,
     FlowState,
     InteractionPictureData,
+    SYSTEMS,
+    System,
     SystemSpec,
-    VARIANTS,
     action_angle_flow,
     casimir_flow,
     commuting_quadrature_flow,
@@ -24,7 +25,6 @@ from .dynamics import (
     perturbed_velocity,
     rotator_flow,
     run_system,
-    sl2c_vf,
 )
 from .groups import (
     AlgebraElement,
@@ -40,17 +40,12 @@ from .groups import (
 from .poisson import (
     BracketTable,
     Poly,
-    bracket_eval,
-    casimir_residual,
     get_table,
     gradient_covector,
-    hamiltonian_field,
-    jacobi_residual,
     named_function,
     point_of_element,
     poisson_point,
     random_point,
-    table_symmetry_checks,
 )
 from .quadrature import (
     DriftReport,
@@ -78,24 +73,21 @@ __all__ = [
     "SB2Element",
     "SL2Element",
     "SU2Element",
+    "SYSTEMS",
+    "System",
     "SystemSpec",
     "Trajectory",
-    "VARIANTS",
     "action_angle_flow",
-    "bracket_eval",
     "casimir_flow",
-    "casimir_residual",
     "commuting_quadrature_flow",
     "drift_report",
     "exp_group",
     "free_hamiltonian",
     "get_table",
     "gradient_covector",
-    "hamiltonian_field",
     "interaction_picture_flow",
     "iwasawa_gu",
     "iwasawa_ug",
-    "jacobi_residual",
     "legendre_invert",
     "legendre_map",
     "momenta_su2_flow",
@@ -113,7 +105,5 @@ __all__ = [
     "run_system",
     "simpson_integral",
     "simpson_rule",
-    "sl2c_vf",
-    "table_symmetry_checks",
     "__version__",
 ]

@@ -19,20 +19,14 @@ import numpy as np
 from . import dynamics as dyn
 from . import verify as ver
 from .groups import AlgebraElement, MembershipError, SB2Element, SU2Element, random_element
-from .quadrature import rk4_integrate
+from .quadrature import NonFiniteStateError, rk4_integrate
 
-__all__ = ["main", "ConfigError", "run_simulate", "run_verify", "run_legendre"]
+__all__ = ["main", "ConfigError", "MAX_ROWS", "run_simulate", "run_verify", "run_legendre"]
 
 _CONFIG_FIELDS = {"system", "params", "t1", "dt", "oracle", "max_dev", "seed", "out"}
 
-_PARAM_FIELDS = {
-    "rotator": {"g0", "p", "F"},
-    "casimir_sl2c": {"g0", "u0", "F"},
-    "momenta_su2": {"u0", "alpha", "nu", "F"},
-    "noncasimir_h": {"u0", "alpha0", "nu0"},
-    "perturbed": {"g0", "u0", "F", "lam"},
-    "action_angle": {"I0", "phi0", "freq", "matrix"},
-}
+# Largest t1 / dt: every row is held in memory until the CSV is written.
+MAX_ROWS = 1_000_000
 
 
 class ConfigError(ValueError):
@@ -84,27 +78,20 @@ def _matrix(v, field):
     return _finite(a, field)
 
 
-def _su2_param(params, key):
-    if key not in params:
-        return SU2Element.identity()
-    v = params[key]
+def _su2_param(v, field):
     if not isinstance(v, dict) or set(v) != {"alpha", "nu"}:
-        raise ConfigError(f"params.{key} must be an object with alpha and nu")
+        raise ConfigError(f"{field} must be an object with alpha and nu")
     try:
-        return SU2Element(_cplx(v["alpha"], f"params.{key}.alpha"),
-                          _cplx(v["nu"], f"params.{key}.nu"))
+        return SU2Element(_cplx(v["alpha"], f"{field}.alpha"), _cplx(v["nu"], f"{field}.nu"))
     except MembershipError as e:
-        raise ConfigError(f"params.{key}: {e}") from None
+        raise ConfigError(f"{field}: {e}") from None
 
 
-def _sb2_param(params, key, rng):
-    if key not in params:
-        return random_element("sb2", rng)
-    v = params[key]
+def _sb2_param(v, field):
     if not isinstance(v, dict) or set(v) != {"r", "gamma"}:
-        raise ConfigError(f"params.{key} must be an object with r and gamma")
-    r = _float(v["r"], f"params.{key}.r", positive=True)
-    return SB2Element(r, _cplx(v["gamma"], f"params.{key}.gamma"))
+        raise ConfigError(f"{field} must be an object with r and gamma")
+    r = _float(v["r"], f"{field}.r", positive=True)
+    return SB2Element(r, _cplx(v["gamma"], f"{field}.gamma"))
 
 
 def _momenta_param(params, akey, nkey, rng):
@@ -122,151 +109,59 @@ def _momenta_param(params, akey, nkey, rng):
     return alpha, nu
 
 
-def _complex_cols(prefix):
-    return [f"{prefix}_re", f"{prefix}_im"]
+def _vector3_param(v, field):
+    p = _vector(v, field)
+    if p.shape != (3,):
+        raise ConfigError(f"{field} must have 3 components")
+    return p
 
 
-def _build_system(system, params, rng):
-    """Return (spec, column names, row builder, oracle flat + field)."""
-    if system not in _PARAM_FIELDS:
-        raise ConfigError(f"system must be one of: {', '.join(_PARAM_FIELDS)}")
-    extra = set(params) - _PARAM_FIELDS[system]
+# How each parse kind of dyn.SYSTEMS reads a given value, and which kinds
+# are drawn from the run seed when omitted.  rotator_flow checks its g0.
+_PARSERS = {"float": _float, "su2": _su2_param, "sb2": _sb2_param, "vector3": _vector3_param,
+            "vector": _vector, "matrix": _matrix}
+_DRAWS = {"sb2": lambda rng: random_element("sb2", rng),
+          "vector3": lambda rng: rng.standard_normal(3)}
+
+
+def _parse_params(system, params, rng):
+    """Typed params of a system; omitted initial data are drawn from rng in order."""
+    if system not in dyn.SYSTEMS:
+        raise ConfigError(f"system must be one of: {', '.join(dyn.SYSTEMS)}")
+    extra = set(params) - set(dyn.SYSTEMS[system].names())
     if extra:
         raise ConfigError(f"unknown params for {system}: {', '.join(sorted(extra))}")
+    out = {}
+    for name, kind, default in dyn.SYSTEMS[system].params:
+        if kind == "momenta":
+            out.update(zip(name, _momenta_param(params, *name, rng)))
+        elif name in params:
+            out[name] = _PARSERS[kind](params[name], f"params.{name}")
+        elif kind in _DRAWS:
+            out[name] = _DRAWS[kind](rng)
+        else:
+            out[name] = default
+    if system == "action_angle":
+        _check_action_angle(out)
+    return out
 
-    if system == "casimir_sl2c":
-        g0 = _su2_param(params, "g0")
-        u0 = _sb2_param(params, "u0", rng)
-        F = _float(params.get("F", 1.0), "params.F")
-        spec = dyn.SystemSpec(system, {"g0": g0, "u0": u0, "F": F})
-        names = sum((_complex_cols(f"z{i}") for i in range(1, 5)), [])
-        names += ["H0", "det_re", "det_im"]
 
-        def flat(st):
-            m = st.g.as_matrix() @ st.u.as_matrix()
-            return dyn.z_to_flat(m[0, 0], m[0, 1], m[1, 0], m[1, 1])
-
-        def row(st):
-            y = flat(st)
-            z = dyn.flat_to_z(y)
-            det = z[0] * z[3] - z[1] * z[2]
-            h0 = 0.5 * sum(abs(c) ** 2 for c in z)
-            return list(y) + [h0, det.real, det.imag]
-
-        return spec, names, row, flat, dyn.sl2c_flat_field(F)
-
-    if system == "rotator":
-        g0 = np.eye(3)
-        if "g0" in params:
-            g0 = _matrix(params["g0"], "params.g0")
-            if g0.shape != (3, 3):
-                raise ConfigError("params.g0 must be a 3x3 matrix")
-        p = _vector(params["p"], "params.p") if "p" in params else rng.standard_normal(3)
-        if p.shape != (3,):
-            raise ConfigError("params.p must have 3 components")
-        F = _float(params.get("F", 1.0), "params.F")
-        spec = dyn.SystemSpec(system, {"g0": g0, "p": p, "F": F})
-        names = [f"g{i}{j}" for i in range(1, 4) for j in range(1, 4)]
-        names += ["p1", "p2", "p3", "p_norm"]
-
-        def flat(st):
-            return np.asarray(st.g, dtype=float).ravel()
-
-        def row(st):
-            return list(flat(st)) + list(st.p) + [float(np.linalg.norm(st.p))]
-
-        return spec, names, row, flat, dyn.rotator_flat_field(p, F)
-
-    if system == "momenta_su2":
-        u0 = _sb2_param(params, "u0", rng)
-        alpha, nu = _momenta_param(params, "alpha", "nu", rng)
-        F = _float(params.get("F", 1.0), "params.F")
-        spec = dyn.SystemSpec(system, {"u0": u0, "alpha": alpha, "nu": nu, "F": F})
-        names = ["r"] + _complex_cols("gamma") + ["h_su2_norm"]
-
-        def flat(st):
-            return np.array([st.u.r, st.u.gamma.real, st.u.gamma.imag])
-
-        def row(st):
-            return list(flat(st)) + [abs(st.alpha) ** 2 + abs(st.nu) ** 2]
-
-        return spec, names, row, flat, dyn.momenta_su2_flat_field(alpha, nu, F)
-
-    if system == "noncasimir_h":
-        u0 = _sb2_param(params, "u0", rng)
-        alpha0, nu0 = _momenta_param(params, "alpha0", "nu0", rng)
-        spec = dyn.SystemSpec(system, {"u0": u0, "alpha0": alpha0, "nu0": nu0})
-        names = _complex_cols("alpha") + _complex_cols("nu")
-        names += ["r"] + _complex_cols("gamma") + ["h_nu"]
-
-        def flat(st):
-            return np.array([st.alpha.real, st.alpha.imag, st.nu.real, st.nu.imag,
-                             st.u.r, st.u.gamma.real, st.u.gamma.imag])
-
-        def row(st):
-            return list(flat(st)) + [0.5 * abs(st.nu) ** 2]
-
-        return spec, names, row, flat, dyn.noncasimir_flat_field()
-
-    if system == "perturbed":
-        g0 = _su2_param(params, "g0")
-        u0 = _sb2_param(params, "u0", rng)
-        F = _float(params.get("F", 1.0), "params.F")
-        lam = _float(params.get("lam", 0.1), "params.lam")
-        spec = dyn.SystemSpec(system, {"g0": g0, "u0": u0, "F": F, "lam": lam})
-        names = _complex_cols("alpha") + _complex_cols("nu")
-        names += ["r"] + _complex_cols("gamma") + ["gamma_abs"]
-
-        def flat(st):
-            return np.array([st.g.alpha.real, st.g.alpha.imag,
-                             st.g.nu.real, st.g.nu.imag,
-                             st.u.r, st.u.gamma.real, st.u.gamma.imag])
-
-        def row(st):
-            return list(flat(st)) + [abs(st.u.gamma)]
-
-        return spec, names, row, flat, dyn.perturbed_flat_field(F, lam)
-
-    # action_angle: constant frequency vector or constant fiber matrix
+def _check_action_angle(p):
+    """Cross-field rules of action_angle; a fiber matrix becomes a constant A(I)."""
     for key in ("I0", "phi0"):
-        if key not in params:
+        if p[key] is None:
             raise ConfigError(f"params.{key} is required for action_angle")
-    I0 = _vector(params["I0"], "params.I0")
-    phi0 = _vector(params["phi0"], "params.phi0")
-    n, m = len(I0), len(phi0)
-    has_freq, has_matrix = "freq" in params, "matrix" in params
-    if has_freq == has_matrix:
+    if (p["freq"] is None) == (p["matrix"] is None):
         raise ConfigError("action_angle needs exactly one of params.freq, params.matrix")
-    run = {"I0": I0, "phi0": phi0}
-    if has_freq:
-        freq = _vector(params["freq"], "params.freq")
-        if len(freq) != m:
+    m = len(p["phi0"])
+    if p["freq"] is not None:
+        if len(p["freq"]) != m:
             raise ConfigError("params.freq must match params.phi0 in length")
-        run["freq"] = freq
-
-        def field(y):
-            return np.concatenate([np.zeros(n), freq])
-    else:
-        A = _matrix(params["matrix"], "params.matrix")
-        if A.shape != (m, m):
-            raise ConfigError("params.matrix must be square and match params.phi0")
-        run["matrix"] = lambda _I: A
-
-        def field(y):
-            return np.concatenate([np.zeros(n), A @ y[n:]])
-
-    spec = dyn.SystemSpec("action_angle", run)
-    names = [f"I_{k}" for k in range(1, n + 1)]
-    names += [f"phi_{k}" for k in range(1, m + 1)]
-    names += [f"phimod_{k}" for k in range(1, m + 1)]
-
-    def flat(st):
-        return np.concatenate([st.I, st.phi])
-
-    def row(st):
-        return list(st.I) + list(st.phi) + list(st.phi_mod)
-
-    return spec, names, row, flat, field
+        return
+    A = p["matrix"]
+    if A.shape != (m, m):
+        raise ConfigError("params.matrix must be square and match params.phi0")
+    p["matrix"] = lambda _I: A
 
 
 def _load_config(path):
@@ -309,6 +204,9 @@ def _write_csv(out, header, rows):
         raise
 
 
+# No numpy overflow warnings: a row or an oracle state that leaves the finite
+# floats is reported once, as a config error naming params and t.
+@np.errstate(over="ignore", invalid="ignore")
 def run_simulate(args) -> int:
     doc = _load_config(args.config)
     system = doc.get("system")
@@ -321,6 +219,8 @@ def run_simulate(args) -> int:
     dt = _float(doc.get("dt", 0.01), "dt", positive=True)
     if dt > t1:
         raise ConfigError("dt must not exceed t1")
+    if t1 / dt > MAX_ROWS:
+        raise ConfigError(f"dt is too small: t1 / dt must not exceed MAX_ROWS = {MAX_ROWS}")
     seed = doc.get("seed", 0)
     if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
         raise ConfigError("seed must be a non-negative integer")
@@ -335,30 +235,38 @@ def run_simulate(args) -> int:
         raise ConfigError("out must be a path string")
 
     rng = np.random.default_rng(seed)
-    spec, names, row, flat, field = _build_system(system, params, rng)
+    spec = dyn.SystemSpec(system, _parse_params(system, params, rng))
+    sysdef = dyn.SYSTEMS[system]
 
     n = int(math.floor(t1 / dt + 1e-9))
     times = [j * dt for j in range(n + 1)]
     try:
         states = [dyn.run_system(spec, t) for t in times]
-    except (MembershipError, ValueError) as e:
+    except (MembershipError, ValueError, OverflowError) as e:
         raise ConfigError(f"params: {e}") from None
-
-    header = ["t"] + names
-    rows = [[t] + row(st) for t, st in zip(times, states)]
+    flats = [sysdef.flat(st) for st in states]
+    header = ["t", *sysdef.columns(spec.params)]
+    rows = [[t, *y, *sysdef.extras(st, y)] for t, st, y in zip(times, states, flats)]
+    bad = next((r[0] for r in rows if not all(map(math.isfinite, r))), None)
+    if bad is not None:
+        raise ConfigError(f"params: the flow leaves the finite floats at t = {_fmt(bad)}")
 
     worst = 0.0
     if oracle:
         header.append("oracle_dev")
         substeps = max(1, int(math.ceil(dt / 1e-3 - 1e-12)))
-        y0 = flat(states[0])
         if n > 0:
-            traj = rk4_integrate(field, y0, 0.0, times[-1], dt / substeps)
+            try:
+                traj = rk4_integrate(sysdef.field(spec.params), flats[0], 0.0, times[-1],
+                                     dt / substeps)
+            except NonFiniteStateError as e:
+                raise ConfigError(f"params: the oracle leaves the finite floats "
+                                  f"at t = {_fmt(e.time)}") from None
             oracle_states = [traj.states[j * substeps] for j in range(n + 1)]
         else:
-            oracle_states = [y0]
-        for r, st, y in zip(rows, states, oracle_states):
-            dev = float(np.max(np.abs(flat(st) - y)))
+            oracle_states = [flats[0]]
+        for r, y, yo in zip(rows, flats, oracle_states):
+            dev = float(np.max(np.abs(y - yo)))
             worst = max(worst, dev)
             r.append(dev)
 
@@ -385,10 +293,8 @@ def _print_pairs(pairs):
 
 def run_legendre(args) -> int:
     if args.action == "map":
-        if args.r <= 0:
-            raise ConfigError("r must be positive")
-        u = SB2Element(args.r, _cplx(args.gamma, "gamma"))
-        v = dyn.legendre_map(u, args.f)
+        u = SB2Element(_float(args.r, "--r", positive=True), _cplx(args.gamma, "--gamma"))
+        v = dyn.legendre_map(u, _float(args.f, "--f"))
         back = dyn.legendre_invert(dyn.legendre_map(u, 1.0))
         residual = max(abs(back.r - u.r), abs(back.gamma - u.gamma))
         m = v.value
@@ -400,8 +306,9 @@ def run_legendre(args) -> int:
             ("roundtrip_residual", residual),
         ])
         return 0
-    w = _cplx(args.w, "w")
-    m = -0.5j * np.array([[args.s, w], [np.conj(w), -args.s]], dtype=complex)
+    s = _float(args.s, "--s")
+    w = _cplx(args.w, "--w")
+    m = -0.5j * np.array([[s, w], [np.conj(w), -s]], dtype=complex)
     u = dyn.legendre_invert(AlgebraElement("su2", m), unreduced=args.unreduced)
     v2 = dyn.legendre_map(u, 1.0).value
     residual = float(np.max(np.abs(v2 - m)))

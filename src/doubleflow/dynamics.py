@@ -9,6 +9,7 @@ parameters, t), so trajectory sampling is just a loop over t values.
 import cmath
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -24,13 +25,13 @@ from .mat2 import hat3, rodrigues3
 from .quadrature import rk4_integrate, simpson_rule
 
 __all__ = [
+    "System",
+    "SYSTEMS",
     "SystemSpec",
     "FlowState",
     "InteractionPictureData",
     "CommutativityError",
-    "VARIANTS",
     "free_hamiltonian",
-    "sl2c_vf",
     "legendre_map",
     "legendre_invert",
     "casimir_flow",
@@ -48,30 +49,23 @@ __all__ = [
     "momenta_su2_flat_field",
     "perturbed_flat_field",
     "rotator_flat_field",
+    "action_angle_flat_field",
     "z_to_flat",
     "flat_to_z",
 ]
 
-VARIANTS = (
-    "rotator",
-    "casimir_sl2c",
-    "momenta_su2",
-    "noncasimir_h",
-    "perturbed",
-    "action_angle",
-)
-
-
 @dataclass
 class SystemSpec:
-    """Which dynamical system to run, with its parameters."""
+    """Which dynamical system to run, with its params (SYSTEMS defaults filled in)."""
 
     variant: str
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.variant not in VARIANTS:
-            raise ValueError(f"unknown system {self.variant!r}; valid: {', '.join(VARIANTS)}")
+        system = SYSTEMS.get(self.variant)
+        if system is None:
+            raise ValueError(f"unknown system {self.variant!r}; valid: {', '.join(SYSTEMS)}")
+        self.params = {**system.defaults(), **self.params}
 
 
 @dataclass
@@ -142,11 +136,6 @@ def _sl2c_rates(z1, z2, z3, z4, F):
         c * (h0 * z3 + z2.conjugate()),
         c * (h0 * z4 - z1.conjugate()),
     )
-
-
-def sl2c_vf(a: SL2Element, F_value: float):
-    """Rates (ż1..ż4) of the free flow driven by η = F·dH0."""
-    return _sl2c_rates(a.z1, a.z2, a.z3, a.z4, float(F_value))
 
 
 def z_to_flat(z1, z2, z3, z4) -> np.ndarray:
@@ -324,13 +313,7 @@ def perturbed_flow(g0: SU2Element, u0: SB2Element, F, lam: float, t: float) -> F
     """
     lam, t = float(lam), float(t)
     Fv = _fvalue(F, u0.r)
-    x_plus_a0 = legendre_map(u0, Fv)
-    X = _perturbed_x(lam, u0.r)
-    g = (
-        g0
-        @ exp_group(AlgebraElement("su2", t * x_plus_a0.value))
-        @ exp_group(AlgebraElement("su2", -t * X))
-    )
+    g = _rotating_frame(g0, legendre_map(u0, Fv).value, _perturbed_x(lam, u0.r), t)
     gamma_t = u0.gamma * cmath.exp(-0.5j * lam * u0.r * t)
     return FlowState(time=t, g=g, u=SB2Element(u0.r, gamma_t))
 
@@ -370,15 +353,18 @@ def perturbed_flat_field(F, lam: float):
     return field
 
 
-def interaction_picture_flow(g0: SU2Element, data: InteractionPictureData, t: float) -> SU2Element:
-    """Rotating-frame solution g(t) = g0·exp(t(X+A0))·exp(-tX)."""
-    t = float(t)
-    xpa = data.X.value + data.A0.value
+def _rotating_frame(g0, x_plus_a0, X, t):
+    """g0·exp(t(X+A0))·exp(-tX) from the matrices X + A0 and X."""
     return (
         g0
-        @ exp_group(AlgebraElement("su2", t * xpa))
-        @ exp_group(AlgebraElement("su2", -t * data.X.value))
+        @ exp_group(AlgebraElement("su2", t * x_plus_a0))
+        @ exp_group(AlgebraElement("su2", -t * X))
     )
+
+
+def interaction_picture_flow(g0: SU2Element, data: InteractionPictureData, t: float) -> SU2Element:
+    """Rotating-frame solution g(t) = g0·exp(t(X+A0))·exp(-tX)."""
+    return _rotating_frame(g0, data.X.value + data.A0.value, data.X.value, float(t))
 
 
 def _commutator_guard(mats, nodes, tol):
@@ -471,22 +457,134 @@ def action_angle_flow(spec, t: float) -> FlowState:
     return FlowState(time=t, I=I_t, phi=phi, phi_mod=np.mod(phi, 2.0 * np.pi))
 
 
+def action_angle_flat_field(params):
+    """(İ, φ̇) = (0, ν) or (0, A·φ) on the flattened (I, φ) state.
+
+    ν is the constant frequency vector; A = matrix(I0) is taken as constant,
+    as `simulate` runs it (no drift).
+    """
+    n = len(params["I0"])
+    if params.get("matrix") is None:
+        nu = np.asarray(params["freq"], dtype=float)
+        return lambda y: np.concatenate([np.zeros(n), nu])
+    A = np.asarray(params["matrix"](params["I0"]), dtype=float)
+    return lambda y: np.concatenate([np.zeros(n), A @ y[n:]])
+
+
+@dataclass(frozen=True)
+class System:
+    """What `simulate`, the RK4 oracle and the tests know about one system.
+
+    params holds (name, parse kind, default) in the order that `simulate`
+    draws omitted initial data from its seed; a pair of names is the
+    (alpha, nu) of one unit momentum.  A library call takes the default
+    (None: required) instead.  flow(params, t) is the closed form; a CSV row
+    is [t, *flat(state), *extras(state, flat)] under columns(params);
+    field(params) is the RK4 oracle's rate on flat states.
+    """
+
+    params: tuple
+    flow: Callable
+    columns: Callable
+    flat: Callable
+    extras: Callable
+    field: Callable
+
+    def names(self):
+        return [n for name, _, _ in self.params
+                for n in (name if isinstance(name, tuple) else (name,))]
+
+    def defaults(self):
+        return {name: d for name, _, d in self.params if d is not None}
+
+
+def _complex_cols(*prefixes):
+    return [f"{p}_{part}" for p in prefixes for part in ("re", "im")]
+
+
+def _flat_double(alpha, nu, u):
+    return np.array([alpha.real, alpha.imag, nu.real, nu.imag, u.r, u.gamma.real, u.gamma.imag])
+
+
+def _flat_casimir(st):
+    m = st.g.as_matrix() @ st.u.as_matrix()
+    return z_to_flat(m[0, 0], m[0, 1], m[1, 0], m[1, 1])
+
+
+def _casimir_extras(y):
+    z = flat_to_z(y)
+    det = z[0] * z[3] - z[1] * z[2]
+    h0 = 0.5 * sum(abs(c) ** 2 for c in z)
+    return [h0, det.real, det.imag]
+
+
+def _action_angle_columns(p):
+    n, m = len(p["I0"]), len(p["phi0"])
+    return ([f"I_{k}" for k in range(1, n + 1)] + [f"phi_{k}" for k in range(1, m + 1)]
+            + [f"phimod_{k}" for k in range(1, m + 1)])
+
+
+_G0 = ("g0", "su2", SU2Element.identity())
+_U0 = ("u0", "sb2", SB2Element.identity())
+_F = ("F", "float", 1.0)
+
+# Flows and fields go through module-level names at call time, so a
+# function patched on this module (a tracer, a test double) is the one used.
+SYSTEMS = {
+    "rotator": System(
+        params=(("g0", "matrix", np.eye(3)), ("p", "vector3", None), _F),
+        flow=lambda p, t: rotator_flow(p["g0"], p["p"], p["F"], t),
+        columns=lambda p: [f"g{i}{j}" for i in range(1, 4) for j in range(1, 4)]
+        + ["p1", "p2", "p3", "p_norm"],
+        flat=lambda st: np.asarray(st.g, dtype=float).ravel(),
+        extras=lambda st, y: list(st.p) + [float(np.linalg.norm(st.p))],
+        field=lambda p: rotator_flat_field(p["p"], p["F"]),
+    ),
+    "casimir_sl2c": System(
+        params=(_G0, _U0, _F),
+        flow=lambda p, t: casimir_flow(p["g0"], p["u0"], p["F"], t),
+        columns=lambda p: _complex_cols("z1", "z2", "z3", "z4") + ["H0", "det_re", "det_im"],
+        flat=lambda st: _flat_casimir(st),
+        extras=lambda st, y: _casimir_extras(y),
+        field=lambda p: sl2c_flat_field(p["F"]),
+    ),
+    "momenta_su2": System(
+        params=(_U0, (("alpha", "nu"), "momenta", None), _F),
+        flow=lambda p, t: momenta_su2_flow(p["u0"], p["alpha"], p["nu"], p["F"], t),
+        columns=lambda p: ["r", *_complex_cols("gamma"), "h_su2_norm"],
+        flat=lambda st: np.array([st.u.r, st.u.gamma.real, st.u.gamma.imag]),
+        extras=lambda st, y: [abs(st.alpha) ** 2 + abs(st.nu) ** 2],
+        field=lambda p: momenta_su2_flat_field(p["alpha"], p["nu"], p["F"]),
+    ),
+    "noncasimir_h": System(
+        params=(_U0, (("alpha0", "nu0"), "momenta", None)),
+        flow=lambda p, t: noncasimir_flow(p["u0"], p["alpha0"], p["nu0"], t),
+        columns=lambda p: [*_complex_cols("alpha", "nu"), "r", *_complex_cols("gamma"), "h_nu"],
+        flat=lambda st: _flat_double(st.alpha, st.nu, st.u),
+        extras=lambda st, y: [0.5 * abs(st.nu) ** 2],
+        field=lambda p: noncasimir_flat_field(),
+    ),
+    "perturbed": System(
+        params=(_G0, _U0, _F, ("lam", "float", 0.1)),
+        flow=lambda p, t: perturbed_flow(p["g0"], p["u0"], p["F"], p["lam"], t),
+        columns=lambda p: [*_complex_cols("alpha", "nu"), "r", *_complex_cols("gamma"),
+                           "gamma_abs"],
+        flat=lambda st: _flat_double(st.g.alpha, st.g.nu, st.u),
+        extras=lambda st, y: [abs(st.u.gamma)],
+        field=lambda p: perturbed_flat_field(p["F"], p["lam"]),
+    ),
+    "action_angle": System(
+        params=(("I0", "vector", None), ("phi0", "vector", None),
+                ("freq", "vector", None), ("matrix", "matrix", None)),
+        flow=lambda p, t: action_angle_flow(p, t),
+        columns=lambda p: _action_angle_columns(p),
+        flat=lambda st: np.concatenate([st.I, st.phi]),
+        extras=lambda st, y: list(st.phi_mod),
+        field=lambda p: action_angle_flat_field(p),
+    ),
+}
+
+
 def run_system(spec: SystemSpec, t: float) -> FlowState:
-    """Dispatch a SystemSpec to its flow."""
-    p = spec.params
-    if spec.variant == "rotator":
-        return rotator_flow(p.get("g0", np.eye(3)), p["p"], p.get("F", 1.0), t)
-    if spec.variant == "casimir_sl2c":
-        return casimir_flow(p.get("g0", SU2Element.identity()), p["u0"], p.get("F", 1.0), t)
-    if spec.variant == "momenta_su2":
-        return momenta_su2_flow(p.get("u0", SB2Element.identity()),
-                                p["alpha"], p["nu"], p.get("F", 1.0), t)
-    if spec.variant == "noncasimir_h":
-        return noncasimir_flow(p.get("u0", SB2Element.identity()),
-                               p["alpha0"], p["nu0"], t)
-    if spec.variant == "perturbed":
-        return perturbed_flow(p.get("g0", SU2Element.identity()), p["u0"],
-                              p.get("F", 1.0), p.get("lam", 0.0), t)
-    if spec.variant == "action_angle":
-        return action_angle_flow(spec, t)
-    raise ValueError(f"unknown system {spec.variant!r}")
+    """The closed-form state of a SystemSpec at time t."""
+    return SYSTEMS[spec.variant].flow(spec.params, t)

@@ -11,25 +11,15 @@ import math
 import numpy as np
 
 __all__ = [
-    "mat2",
-    "identity2",
     "det2",
-    "inv2",
     "frobenius",
     "trace2",
-    "dagger",
     "sinhc",
     "expm2",
     "hat3",
     "rodrigues3",
     "check_finite",
 ]
-
-SINGULAR_TOL = 1e-14
-
-
-class SingularMatrixError(ZeroDivisionError):
-    """Raised when inverting a 2x2 matrix with |det| below the guard."""
 
 
 def check_finite(a) -> np.ndarray:
@@ -40,15 +30,6 @@ def check_finite(a) -> np.ndarray:
     return a
 
 
-def mat2(z11, z12, z21, z22) -> np.ndarray:
-    """Build a 2x2 complex matrix from row-major entries."""
-    return check_finite(np.array([[z11, z12], [z21, z22]], dtype=complex))
-
-
-def identity2() -> np.ndarray:
-    return np.eye(2, dtype=complex)
-
-
 def det2(m) -> complex:
     return complex(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
 
@@ -57,21 +38,8 @@ def trace2(m) -> complex:
     return complex(m[0, 0] + m[1, 1])
 
 
-def dagger(m) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.conj(m.T)
-
-
 def frobenius(m) -> float:
     return float(np.sqrt(np.sum(np.abs(np.asarray(m)) ** 2)))
-
-
-def inv2(m) -> np.ndarray:
-    """Closed-form 2x2 inverse via the adjugate, guarded against |det| ~ 0."""
-    d = det2(m)
-    if abs(d) <= SINGULAR_TOL:
-        raise SingularMatrixError(f"2x2 matrix is numerically singular, |det| = {abs(d):.3e}")
-    return np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]], dtype=complex) / d
 
 
 def sinhc(delta: complex) -> complex:

@@ -31,11 +31,6 @@ __all__ = [
     "random_point",
     "point_of_element",
     "gradient_covector",
-    "bracket_eval",
-    "hamiltonian_field",
-    "jacobi_residual",
-    "casimir_residual",
-    "table_symmetry_checks",
 ]
 
 CONJ_TOL = 1e-12
@@ -431,6 +426,13 @@ def _sigma_poly(p: Poly) -> Poly:
     return Poly(cs, terms)
 
 
+_SEEDS = {
+    "sl2c": _SL2C_SEEDS,
+    "su2": _SU2_SEEDS,
+    "sb2": _SB2_SEEDS,
+    "double": {**_SU2_SEEDS, **_SB2_SEEDS, **_CROSS_SEEDS},
+}
+
 _TABLES = {}
 
 
@@ -438,17 +440,9 @@ def get_table(system: str) -> BracketTable:
     """The cached bracket table for one of sl2c, su2, sb2, double."""
     table = _TABLES.get(system)
     if table is None:
-        if system == "sl2c":
-            entries = _complete_table(COORD_SYSTEMS["sl2c"], _SL2C_SEEDS)
-        elif system == "su2":
-            entries = _complete_table(COORD_SYSTEMS["su2"], _SU2_SEEDS)
-        elif system == "sb2":
-            entries = _complete_table(COORD_SYSTEMS["sb2"], _SB2_SEEDS)
-        elif system == "double":
-            cs = COORD_SYSTEMS["double"]
-            entries = _complete_table(cs, {**_SU2_SEEDS, **_SB2_SEEDS, **_CROSS_SEEDS})
-        else:
+        if system not in _SEEDS:
             raise KeyError(f"unknown bracket system {system!r}")
+        entries = _complete_table(COORD_SYSTEMS[system], _SEEDS[system])
         table = _TABLES[system] = BracketTable(system, entries)
     return table
 
@@ -550,23 +544,3 @@ def random_point(system: str, seed, on_surface=True) -> dict:
         u = random_element("sb2", rng)
         return point_of_element(g, u)
     raise KeyError(f"unknown bracket system {system!r}")
-
-
-def bracket_eval(table: BracketTable, a, b, point) -> complex:
-    return table.bracket_eval(a, b, point)
-
-
-def hamiltonian_field(table: BracketTable, eta, point):
-    return table.hamiltonian_field(eta, point)
-
-
-def jacobi_residual(table: BracketTable, a, b, c, point) -> float:
-    return table.jacobi_residual(a, b, c, point)
-
-
-def casimir_residual(table: BracketTable, fname, point) -> float:
-    return table.casimir_residual(fname, point)
-
-
-def table_symmetry_checks(table: BracketTable, point):
-    return table.table_symmetry_checks(point)

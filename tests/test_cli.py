@@ -6,7 +6,8 @@ import os
 import numpy as np
 import pytest
 
-from doubleflow.cli import main
+from doubleflow import dynamics as dyn
+from doubleflow.cli import MAX_ROWS, main
 
 
 def run_config(tmp_path, doc, name="run.csv", extra=()):
@@ -157,6 +158,47 @@ def test_simulate_rejects_non_finite_numbers(tmp_path, doc, extra, field, capsys
     assert not (tmp_path / "never.csv").exists()
 
 
+@pytest.mark.parametrize("doc, extra, field", [
+    ({"system": "rotator", "t1": 1e300, "dt": 1e-300}, (), "dt"),
+    ({"system": "rotator", "t1": 1.0, "dt": 1.0 / (MAX_ROWS + 1)}, (), "dt"),
+    ({"system": "momenta_su2", "t1": 0.1, "dt": 0.05, "params": {"F": 1e10}}, (), "params"),
+    ({"system": "action_angle", "t1": 0.1, "dt": 0.05,
+      "params": {"I0": [1.0], "phi0": [0.0], "matrix": [[1e300]]}}, (), "t = "),
+    ({"system": "action_angle", "t1": 0.1, "dt": 0.05,
+      "params": {"I0": [1.0], "phi0": [1.0], "matrix": [[1e300]]}}, ("--oracle",), "params"),
+    ({"system": "rotator", "t1": 0.1, "dt": 0.01, "params": {"F": 1e6}}, ("--oracle",), "t = "),
+])
+def test_simulate_rejects_overflowing_configs(tmp_path, doc, extra, field, capsys):
+    code, _ = run_config(tmp_path, doc, name="never.csv", extra=extra)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and field in err and "Traceback" not in err
+    assert not (tmp_path / "never.csv").exists()
+
+
+# every registered system, action_angle in both of its variants
+REGISTRY_CASES = [(name, {}) for name in dyn.SYSTEMS if name != "action_angle"] + [
+    ("action_angle", {"I0": [0.5, 1.5], "phi0": [0.1, 6.0], "freq": [1.0, -0.75]}),
+    ("action_angle", {"I0": [1.0], "phi0": [1.0, 0.5], "matrix": [[0.1, -1.0], [1.3, 0.2]]}),
+]
+
+
+@pytest.mark.parametrize("system, params", REGISTRY_CASES)
+def test_registry_system_simulates_with_oracle(tmp_path, system, params, capsys):
+    doc = {"system": system, "params": params, "t1": 0.2, "dt": 0.05, "seed": 4}
+    code, out = run_config(tmp_path, doc, extra=["--oracle"])
+    assert code == 0
+    header, rows = read_csv(out)
+    assert header == ["t", *dyn.SYSTEMS[system].columns(params), "oracle_dev"]
+    assert len(rows) == 5 and all(math.isfinite(v) for row in rows for v in row)
+    assert max(row[-1] for row in rows) < 1e-8
+    _, again = run_config(tmp_path, doc, name="again.csv", extra=["--oracle"])
+    assert again.read_bytes() == out.read_bytes()
+    code, _ = run_config(tmp_path, {**doc, "params": {**params, "bogus": 1}}, name="never.csv")
+    assert code == 2
+    assert system in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("value", ["false", "true", 0, 1, None, [True]])
 def test_simulate_oracle_must_be_json_boolean(tmp_path, value, capsys):
     code, _ = run_config(tmp_path, {"system": "rotator", "t1": 0.1, "oracle": value},
@@ -278,6 +320,21 @@ def test_legendre_invert_subcommand(capsys):
     out = dict(line.split(" = ") for line in capsys.readouterr().out.strip().split("\n"))
     assert float(out["r"]) == pytest.approx(4.0)
     assert float(out["roundtrip_residual"]) > 1e-2
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["map", "--r", "nan"], "--r"),
+    (["map", "--r", "inf"], "--r"),
+    (["map", "--r", "2", "--f", "nan"], "--f"),
+    (["map", "--r", "2", "--f=-inf"], "--f"),
+    (["invert", "--s", "nan"], "--s"),
+    (["invert", "--s", "inf"], "--s"),
+])
+def test_legendre_rejects_non_finite_flags(argv, flag, capsys):
+    assert main(["legendre", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and flag in captured.err
+    assert captured.out == ""
 
 
 def test_unknown_command_exits_two():

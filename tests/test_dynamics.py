@@ -6,7 +6,9 @@ import pytest
 import scipy.linalg
 
 from doubleflow.dynamics import (
+    SYSTEMS,
     CommutativityError,
+    FlowState,
     InteractionPictureData,
     SystemSpec,
     _commutator_guard,
@@ -30,7 +32,6 @@ from doubleflow.dynamics import (
     rotator_flow,
     run_system,
     sl2c_flat_field,
-    sl2c_vf,
     z_to_flat,
 )
 from doubleflow.groups import (
@@ -54,8 +55,7 @@ def su2_product_matrix(st):
 
 
 def flat_of_double(alpha, nu, u):
-    return np.array([alpha.real, alpha.imag, nu.real, nu.imag,
-                     u.r, u.gamma.real, u.gamma.imag])
+    return SYSTEMS["noncasimir_h"].flat(FlowState(0.0, u=u, alpha=alpha, nu=nu))
 
 
 def test_free_hamiltonian_forms():
@@ -70,12 +70,14 @@ def test_free_hamiltonian_forms():
 
 
 def test_sl2c_vf_fixed_values():
-    rates = sl2c_vf(SL2Element.identity(), 1.0)
+    a = SL2Element.identity()
+    rates = _sl2c_rates(a.z1, a.z2, a.z3, a.z4, 1.0)
     assert max(abs(r) for r in rates) == 0.0
-    rates = sl2c_vf(random_element("sl2", 0), 0.0)
+    a = random_element("sl2", 0)
+    rates = _sl2c_rates(a.z1, a.z2, a.z3, a.z4, 0.0)
     assert max(abs(r) for r in rates) == 0.0
     a = SL2Element(2.0, 0.0, 0.0, 0.5)
-    rates = sl2c_vf(a, 1.0)
+    rates = _sl2c_rates(a.z1, a.z2, a.z3, a.z4, 1.0)
     assert rates[0] == pytest.approx(-15j / 8)
 
 

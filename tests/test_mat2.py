@@ -5,16 +5,11 @@ import pytest
 import scipy.linalg
 
 from doubleflow.mat2 import (
-    SingularMatrixError,
     check_finite,
-    dagger,
     det2,
     expm2,
     frobenius,
     hat3,
-    identity2,
-    inv2,
-    mat2,
     rodrigues3,
     sinhc,
     trace2,
@@ -22,13 +17,10 @@ from doubleflow.mat2 import (
 
 
 def test_mat2_basic_ops():
-    m = mat2(1 + 2j, 3, 4j, -1)
-    assert m.shape == (2, 2)
+    m = np.array([[1 + 2j, 3], [4j, -1]], dtype=complex)
     assert det2(m) == (1 + 2j) * (-1) - 3 * 4j
     assert trace2(m) == (1 + 2j) + (-1)
-    np.testing.assert_allclose(dagger(m), np.conj(m.T))
     assert frobenius(m) == pytest.approx(math.sqrt(abs(1 + 2j) ** 2 + 9 + 16 + 1))
-    np.testing.assert_allclose(identity2(), np.eye(2))
 
 
 def test_check_finite_rejects():
@@ -37,16 +29,7 @@ def test_check_finite_rejects():
     with pytest.raises(ValueError):
         check_finite(np.array([1.0 + 1j * np.inf, 0.0]))
     with pytest.raises(ValueError):
-        mat2(np.inf, 0, 0, 1)
-
-
-def test_inv2_matches_solve_and_guards_singular():
-    for k in range(50):
-        rng = np.random.default_rng(k)
-        m = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        np.testing.assert_allclose(inv2(m) @ m, np.eye(2), atol=1e-12)
-    with pytest.raises(SingularMatrixError):
-        inv2(mat2(1, 2, 2, 4))
+        check_finite(np.array([[np.inf, 0], [0, 1]], dtype=complex))
 
 
 def test_sinhc_series_matches_direct():
@@ -77,7 +60,7 @@ def test_expm2_traceless_determinant_one():
 
 def test_expm2_nilpotent_and_zero():
     np.testing.assert_allclose(expm2(np.zeros((2, 2))), np.eye(2))
-    n = mat2(0, 3.5 - 1j, 0, 0)
+    n = np.array([[0, 3.5 - 1j], [0, 0]], dtype=complex)
     np.testing.assert_allclose(expm2(n), np.eye(2) + n)  # n^2 = 0
 
 

@@ -9,17 +9,12 @@ from doubleflow.poisson import (
     COORD_SYSTEMS,
     BracketTable,
     Poly,
-    bracket_eval,
-    casimir_residual,
     get_table,
     gradient_covector,
-    hamiltonian_field,
-    jacobi_residual,
     named_function,
     point_of_element,
     poisson_point,
     random_point,
-    table_symmetry_checks,
 )
 
 SYSTEMS = ("sl2c", "su2", "sb2", "double")
@@ -37,41 +32,41 @@ def test_tables_build_and_are_canonical():
 def test_known_values_at_points():
     tz = get_table("sl2c")
     ident = poisson_point("sl2c", {"z1": 1, "z2": 0, "z3": 0, "z4": 1})
-    assert bracket_eval(tz, "z1", "z4", ident) == 0
-    assert bracket_eval(tz, "z2", "z3", ident) == pytest.approx(1j)
-    assert bracket_eval(tz, "z1", "z1c", ident) == pytest.approx(-0.5j)
+    assert tz.bracket_eval("z1", "z4", ident) == 0
+    assert tz.bracket_eval("z2", "z3", ident) == pytest.approx(1j)
+    assert tz.bracket_eval("z1", "z1c", ident) == pytest.approx(-0.5j)
     p = poisson_point("sl2c", {"z1": 2 + 1j, "z2": 0.5, "z3": -1j, "z4": 0.5 - 0.25j})
     z1, z2 = p["z1"], p["z2"]
-    assert bracket_eval(tz, "z1", "z2", p) == pytest.approx(-0.5j * z1 * z2)
-    assert bracket_eval(tz, "z1", "z3", p) == pytest.approx(0.5j * z1 * p["z3"])
-    assert bracket_eval(tz, "z2", "z3", p) == pytest.approx(1j * z1 * p["z4"])
+    assert tz.bracket_eval("z1", "z2", p) == pytest.approx(-0.5j * z1 * z2)
+    assert tz.bracket_eval("z1", "z3", p) == pytest.approx(0.5j * z1 * p["z3"])
+    assert tz.bracket_eval("z2", "z3", p) == pytest.approx(1j * z1 * p["z4"])
     # evaluated antisymmetry through the signed lookup
-    assert bracket_eval(tz, "z2", "z1", p) == pytest.approx(0.5j * z1 * z2)
+    assert tz.bracket_eval("z2", "z1", p) == pytest.approx(0.5j * z1 * z2)
 
 
 def test_momenta_and_group_tables_values():
     ts = get_table("su2")
     p = random_point("su2", 0)
     a, n = p["alpha"], p["nu"]
-    assert bracket_eval(ts, "alpha", "nu", p) == pytest.approx(0.5j * a * n)
-    assert bracket_eval(ts, "alpha", "alphac", p) == pytest.approx(-1j * abs(n) ** 2)
-    assert bracket_eval(ts, "nu", "nuc", p) == 0
+    assert ts.bracket_eval("alpha", "nu", p) == pytest.approx(0.5j * a * n)
+    assert ts.bracket_eval("alpha", "alphac", p) == pytest.approx(-1j * abs(n) ** 2)
+    assert ts.bracket_eval("nu", "nuc", p) == 0
 
     tb = get_table("sb2")
     q = random_point("sb2", 1)
     r, g = q["r"].real, q["gamma"]
-    assert bracket_eval(tb, "gamma", "r", q) == pytest.approx(0.5j * g * r)
-    assert bracket_eval(tb, "gammac", "gamma", q) == pytest.approx(1j * (r**2 - r**-2))
+    assert tb.bracket_eval("gamma", "r", q) == pytest.approx(0.5j * g * r)
+    assert tb.bracket_eval("gammac", "gamma", q) == pytest.approx(1j * (r**2 - r**-2))
 
     td = get_table("double")
     w = random_point("double", 2)
     a, n, r, g = w["alpha"], w["nu"], w["r"].real, w["gamma"]
-    assert bracket_eval(td, "nu", "gamma", w) == pytest.approx(
+    assert td.bracket_eval("nu", "gamma", w) == pytest.approx(
         -0.25j * n * g - 1j * np.conj(a) / r)
-    assert bracket_eval(td, "alpha", "gamma", w) == pytest.approx(
+    assert td.bracket_eval("alpha", "gamma", w) == pytest.approx(
         -0.25j * a * g + 1j * np.conj(n) / r)
-    assert bracket_eval(td, "nu", "r", w) == pytest.approx(-0.25j * n * r)
-    assert bracket_eval(td, "nuc", "gamma", w) == pytest.approx(0.25j * np.conj(n) * g)
+    assert td.bracket_eval("nu", "r", w) == pytest.approx(-0.25j * n * r)
+    assert td.bracket_eval("nuc", "gamma", w) == pytest.approx(0.25j * np.conj(n) * g)
 
 
 def test_antisymmetry_and_reality_hold_exactly():
@@ -101,26 +96,26 @@ def test_jacobi_residual_sampled():
     pts = [random_point("sl2c", k, on_surface=False) for k in range(20)]
     assert t.jacobi_max_residual(pts) < 1e-10
     p = random_point("sl2c", 99)
-    assert jacobi_residual(t, "z1", "z2", "z3c", p) < 1e-12
+    assert t.jacobi_residual("z1", "z2", "z3c", p) < 1e-12
 
 
 def test_casimirs():
     tz = get_table("sl2c")
     for k in range(20):
         p = random_point("sl2c", k, on_surface=False)
-        assert casimir_residual(tz, "det", p) < 1e-12
-        assert casimir_residual(tz, "conj_det", p) < 1e-12
+        assert tz.casimir_residual("det", p) < 1e-12
+        assert tz.casimir_residual("conj_det", p) < 1e-12
     ts = get_table("su2")
     tb = get_table("sb2")
     for k in range(20):
-        assert casimir_residual(ts, "h_su2_norm", random_point("su2", k)) < 1e-12
-        assert casimir_residual(tb, "h0", random_point("sb2", k)) < 1e-12
+        assert ts.casimir_residual("h_su2_norm", random_point("su2", k)) < 1e-12
+        assert tb.casimir_residual("h0", random_point("sb2", k)) < 1e-12
 
 
 def test_inversion_symmetry():
     tz = get_table("sl2c")
     for k in range(20):
-        rep = table_symmetry_checks(tz, random_point("sl2c", k, on_surface=False))
+        rep = tz.table_symmetry_checks(random_point("sl2c", k, on_surface=False))
         assert rep["reality"] < 1e-12
         assert rep["inversion"] < 1e-12
 
@@ -142,7 +137,7 @@ def test_hamiltonian_field_matches_transcribed_rates():
     h0 = named_function("sl2c", "h0")
     for k in range(20):
         p = random_point("sl2c", k)
-        rates = hamiltonian_field(tz, gradient_covector(h0, p), p)
+        rates = tz.hamiltonian_field(gradient_covector(h0, p), p)
         z = [p[f"z{i}"] for i in range(1, 5)]
         expect = dyn._sl2c_rates(*z, 1.0)
         for i in range(4):
@@ -154,7 +149,7 @@ def test_hamiltonian_field_requires_full_covector():
     tz = get_table("sl2c")
     p = random_point("sl2c", 0)
     with pytest.raises(ValueError, match="missing covector"):
-        hamiltonian_field(tz, {"z1": 1.0}, p)
+        tz.hamiltonian_field({"z1": 1.0}, p)
 
 
 def test_double_table_reproduces_sl2c_through_product_coordinates():
