@@ -241,7 +241,8 @@ def run_simulate(args) -> int:
     n = int(math.floor(t1 / dt + 1e-9))
     times = [j * dt for j in range(n + 1)]
     try:
-        states = [dyn.run_system(spec, t) for t in times]
+        at = sysdef.flow(spec.params)
+        states = [at(t) for t in times]
     except (MembershipError, ValueError, OverflowError) as e:
         raise ConfigError(f"params: {e}") from None
     flats = [sysdef.flat(st) for st in states]
@@ -291,13 +292,31 @@ def _print_pairs(pairs):
         print(f"{k} = {_fmt(v)}")
 
 
+def _blame(flag, fn, *args):
+    """fn(*args); an arithmetic failure is a config error naming flag."""
+    try:
+        return fn(*args)
+    except (ValueError, ZeroDivisionError, OverflowError):
+        raise ConfigError(f"{flag} is out of range: the Legendre map or its round trip "
+                          "overflows or underflows") from None
+
+
+@np.errstate(over="ignore", invalid="ignore")
 def run_legendre(args) -> int:
+    # the flags join the arithmetic one at a time (--r alone, then --gamma,
+    # then --f; --s, then --w), so an overflow names the first flag causing it
     if args.action == "map":
-        u = SB2Element(_float(args.r, "--r", positive=True), _cplx(args.gamma, "--gamma"))
-        v = dyn.legendre_map(u, _float(args.f, "--f"))
-        back = dyn.legendre_invert(dyn.legendre_map(u, 1.0))
-        residual = max(abs(back.r - u.r), abs(back.gamma - u.gamma))
-        m = v.value
+        r = _float(args.r, "--r", positive=True)
+        gamma, f = _cplx(args.gamma, "--gamma"), _float(args.f, "--f")
+
+        def round_trip(g):
+            u = SB2Element(r, g)
+            back = dyn.legendre_invert(dyn.legendre_map(u, 1.0))
+            return u, max(abs(back.r - u.r), abs(back.gamma - u.gamma))
+
+        _blame("--r", round_trip, 0.0)
+        u, residual = _blame("--gamma", round_trip, gamma)
+        m = _blame("--f", dyn.legendre_map, u, f).value
         _print_pairs([
             ("v11_re", m[0, 0].real), ("v11_im", m[0, 0].imag),
             ("v12_re", m[0, 1].real), ("v12_im", m[0, 1].imag),
@@ -306,12 +325,15 @@ def run_legendre(args) -> int:
             ("roundtrip_residual", residual),
         ])
         return 0
-    s = _float(args.s, "--s")
-    w = _cplx(args.w, "--w")
-    m = -0.5j * np.array([[s, w], [np.conj(w), -s]], dtype=complex)
-    u = dyn.legendre_invert(AlgebraElement("su2", m), unreduced=args.unreduced)
-    v2 = dyn.legendre_map(u, 1.0).value
-    residual = float(np.max(np.abs(v2 - m)))
+    s, w = _float(args.s, "--s"), _cplx(args.w, "--w")
+
+    def invert(w):
+        m = -0.5j * np.array([[s, w], [np.conj(w), -s]], dtype=complex)
+        u = dyn.legendre_invert(AlgebraElement("su2", m), unreduced=args.unreduced)
+        return u, float(np.max(np.abs(dyn.legendre_map(u, 1.0).value - m)))
+
+    _blame("--s", invert, 0.0)
+    u, residual = _blame("--w", invert, w)
     _print_pairs([
         ("r", u.r),
         ("gamma_re", u.gamma.real), ("gamma_im", u.gamma.imag),

@@ -3,7 +3,10 @@
 Right-hand sides are transcribed explicitly; the poisson module's generic
 field assembly is used in tests as an independent cross-check, never here.
 Flows return FlowState snapshots and are pure functions of (initial data,
-parameters, t), so trajectory sampling is just a loop over t values.
+parameters, t).  Each system's closed form is a sampler: built once from the
+initial data and parameters, which it checks and reduces to the generator of
+the flow, then called at each t with only the t-dependent arithmetic left.
+The public *_flow functions build a sampler and call it once.
 """
 
 import cmath
@@ -20,8 +23,9 @@ from .groups import (
     SL2Element,
     SU2Element,
     exp_group,
+    exp_sb2,
 )
-from .mat2 import hat3, rodrigues3
+from .mat2 import check_finite, expm2_kernel, hat3, rodrigues3_kernel
 from .quadrature import rk4_integrate, simpson_rule
 
 __all__ = [
@@ -81,6 +85,7 @@ class FlowState:
     I: np.ndarray = None    # action variables
     phi: np.ndarray = None  # raw (real-valued) angles
     phi_mod: np.ndarray = None  # angles reduced mod 2*pi
+    p_norm: float = None    # |p|
 
 
 @dataclass
@@ -194,16 +199,57 @@ def legendre_invert(v: AlgebraElement, unreduced=False) -> SB2Element:
     return SB2Element(r, r * w)
 
 
+def _multiple_check(m):
+    """s -> None for real s, raising as check_finite(s * m) does.
+
+    s·m is finite exactly when s times the largest component of m is.
+    """
+    top = max(float(np.max(np.abs(m.real))), float(np.max(np.abs(m.imag))))
+
+    def check(s):
+        if not math.isfinite(s * top):
+            raise ValueError("non-finite matrix entry")
+
+    return check
+
+
+def _su2_exp(m):
+    """s -> exp(s·m) in SU(2), for an m whose multiples s·m are in su(2).
+
+    That holds for every real s when m + m* and tr m are exactly 0, as for a
+    legendre_map value or the perturbed X, and exp(s·m) then has the SU(2)
+    form to round-off.  Per s only finiteness is checked: that of s·m, and
+    that of the exponential by the column the element keeps.
+    """
+    check = _multiple_check(m)
+
+    def at(s):
+        check(s)
+        e = expm2_kernel(s * m)
+        alpha, nu = complex(e[0, 0]), complex(e[1, 0])
+        if not (cmath.isfinite(alpha) and cmath.isfinite(nu)):
+            raise ValueError("non-finite matrix entry")
+        return SU2Element(alpha, nu)
+
+    return at
+
+
+def _casimir_sampler(g0: SU2Element, u0: SB2Element, F):
+    exp_tl = _su2_exp(legendre_map(u0, _fvalue(F, u0.gamma, u0.r)).value)
+
+    def at(t):
+        t = float(t)
+        return FlowState(time=t, g=g0 @ exp_tl(t), u=u0)
+
+    return at
+
+
 def casimir_flow(g0: SU2Element, u0: SB2Element, F, t: float) -> FlowState:
     """Frozen-momenta flow: u stays at u0, g(t) = g0·exp(t·L_η(u0))."""
-    Fv = _fvalue(F, u0.gamma, u0.r)
-    L = legendre_map(u0, Fv)
-    g = g0 @ exp_group(AlgebraElement("su2", float(t) * L.value))
-    return FlowState(time=float(t), g=g, u=u0)
+    return _casimir_sampler(g0, u0, F)(t)
 
 
-def rotator_flow(g0, p, F, t: float) -> FlowState:
-    """Isotropic rotator: p frozen, g(t) = g0·exp(t·F(p)·hat(p))."""
+def _rotator_sampler(g0, p, F):
     g0 = np.asarray(g0, dtype=float)
     if g0.shape != (3, 3):
         raise MembershipError("g0 must be a 3x3 rotation matrix")
@@ -214,8 +260,20 @@ def rotator_flow(g0, p, F, t: float) -> FlowState:
     if defect > 1e-8:
         raise MembershipError(f"g0 fails the rotation check by {defect:.3e}")
     p = np.asarray(p, dtype=float)
-    Fv = _fvalue(F, p)
-    return FlowState(time=float(t), g=g0 @ rodrigues3(Fv * p, t), p=p.copy())
+    p_norm = float(np.linalg.norm(p))
+    fp = check_finite(_fvalue(F, p) * p)
+    k, norm = hat3(fp), float(np.linalg.norm(fp))
+
+    def at(t):
+        return FlowState(time=float(t), g=g0 @ rodrigues3_kernel(k, norm, t), p=p.copy(),
+                         p_norm=p_norm)
+
+    return at
+
+
+def rotator_flow(g0, p, F, t: float) -> FlowState:
+    """Isotropic rotator: p frozen, g(t) = g0·exp(t·F(p)·hat(p))."""
+    return _rotator_sampler(g0, p, F)(t)
 
 
 def rotator_flat_field(p, F):
@@ -236,19 +294,33 @@ def _momenta_su2_generator(alpha, nu, F) -> np.ndarray:
     return np.array([[x, y], [0.0, -x]], dtype=complex)
 
 
+def _momenta_su2_sampler(u0: SB2Element, alpha, nu, F):
+    alpha, nu = complex(alpha), complex(nu)
+    norm2 = abs(alpha) ** 2 + abs(nu) ** 2
+    if abs(norm2 - 1.0) > 1e-8:
+        raise MembershipError("(alpha, nu) must satisfy |alpha|^2 + |nu|^2 = 1")
+    # L is exactly in sb2 (zero (1,0) entry, real diagonal x, -x), and so is
+    # t·L for every real t: only its finiteness is checked per t
+    L = _momenta_su2_generator(alpha, nu, F)
+    check = _multiple_check(L)
+
+    def at(t):
+        t = float(t)
+        check(t)
+        tl = t * L
+        u = exp_sb2(complex(tl[0, 0]).real, complex(tl[0, 1])) @ u0
+        return FlowState(time=t, u=u, alpha=alpha, nu=nu)
+
+    return at
+
+
 def momenta_su2_flow(u0: SB2Element, alpha, nu, F, t: float) -> FlowState:
     """Free motion of the SB(2,C) part with frozen SU(2) momenta (α, ν).
 
     The constant generator is L = -(F/2)·[[|ν|², 2iα(Re ν - Im ν)], [0, -|ν|²]]
     and u(t) = exp(t·L)·u0.
     """
-    alpha, nu = complex(alpha), complex(nu)
-    norm2 = abs(alpha) ** 2 + abs(nu) ** 2
-    if abs(norm2 - 1.0) > 1e-8:
-        raise MembershipError("(alpha, nu) must satisfy |alpha|^2 + |nu|^2 = 1")
-    L = _momenta_su2_generator(alpha, nu, F)
-    u = exp_group(AlgebraElement("sb2", float(t) * L)) @ u0
-    return FlowState(time=float(t), u=u, alpha=alpha, nu=nu)
+    return _momenta_su2_sampler(u0, alpha, nu, F)(t)
 
 
 def momenta_su2_flat_field(alpha, nu, F):
@@ -264,6 +336,30 @@ def momenta_su2_flat_field(alpha, nu, F):
     return field
 
 
+def _noncasimir_sampler(u0: SB2Element, alpha0, nu0):
+    alpha0, nu0 = complex(alpha0), complex(nu0)
+    norm2 = abs(alpha0) ** 2 + abs(nu0) ** 2
+    if abs(norm2 - 1.0) > 1e-8:
+        raise MembershipError("(alpha0, nu0) must satisfy |alpha|^2 + |nu|^2 = 1")
+    if nu0 == 0:
+        return lambda t: FlowState(time=float(t), u=u0, alpha=alpha0, nu=nu0)
+    w = abs(nu0) ** 2
+    # the hoisted factors keep the left-to-right grouping of 0.5j * w * t,
+    # which fixes the bits of each product
+    half, quarter, mquarter = 0.5j * w, 0.25 * w, -0.25j * w
+    coef = alpha0.conjugate() * nu0.conjugate() / (u0.r * w)
+
+    def at(t):
+        t = float(t)
+        alpha_t = alpha0 * cmath.exp(half * t)
+        # 1 - e^{-iwt/2} = 2i·sin(wt/4)·e^{-iwt/4}, stable for small w·t
+        loop = 2j * math.sin(quarter * t) * cmath.exp(mquarter * t)
+        gamma_t = u0.gamma + coef * loop
+        return FlowState(time=t, u=SB2Element(u0.r, gamma_t), alpha=alpha_t, nu=nu0)
+
+    return at
+
+
 def noncasimir_flow(u0: SB2Element, alpha0, nu0, t: float) -> FlowState:
     """Exact flow of the non-Casimir 1-form η = dH, H = |ν|²/2.
 
@@ -272,19 +368,7 @@ def noncasimir_flow(u0: SB2Element, alpha0, nu0, t: float) -> FlowState:
     antiderivative of γ̇ = (i/2)·conj(α(t))·conj(ν0)/r0.  ν0 = 0 is a fixed
     point by explicit branch.
     """
-    alpha0, nu0 = complex(alpha0), complex(nu0)
-    norm2 = abs(alpha0) ** 2 + abs(nu0) ** 2
-    if abs(norm2 - 1.0) > 1e-8:
-        raise MembershipError("(alpha0, nu0) must satisfy |alpha|^2 + |nu|^2 = 1")
-    t = float(t)
-    if nu0 == 0:
-        return FlowState(time=t, u=u0, alpha=alpha0, nu=nu0)
-    w = abs(nu0) ** 2
-    alpha_t = alpha0 * cmath.exp(0.5j * w * t)
-    # 1 - e^{-iwt/2} = 2i·sin(wt/4)·e^{-iwt/4}, stable for small w·t
-    loop = 2j * math.sin(0.25 * w * t) * cmath.exp(-0.25j * w * t)
-    gamma_t = u0.gamma + alpha0.conjugate() * nu0.conjugate() / (u0.r * w) * loop
-    return FlowState(time=t, u=SB2Element(u0.r, gamma_t), alpha=alpha_t, nu=nu0)
+    return _noncasimir_sampler(u0, alpha0, nu0)(t)
 
 
 def noncasimir_flat_field():
@@ -305,17 +389,27 @@ def _perturbed_x(lam: float, r: float) -> np.ndarray:
     return np.array([[-0.25j * lam * r, 0.0], [0.0, 0.25j * lam * r]], dtype=complex)
 
 
+def _perturbed_sampler(g0: SU2Element, u0: SB2Element, F, lam):
+    lam = float(lam)
+    frame = _rotating_frame(g0, legendre_map(u0, _fvalue(F, u0.r)).value,
+                            _perturbed_x(lam, u0.r))
+    phase = -0.5j * lam * u0.r
+
+    def at(t):
+        t = float(t)
+        gamma_t = u0.gamma * cmath.exp(phase * t)
+        return FlowState(time=t, g=frame(t), u=SB2Element(u0.r, gamma_t))
+
+    return at
+
+
 def perturbed_flow(g0: SU2Element, u0: SB2Element, F, lam: float, t: float) -> FlowState:
     """Flow of η = F(r)dH0 + λdr: a phase-rotating momentum and a two-factor g.
 
     γ(t) = γ0·e^{-iλr0t/2}, r frozen; g(t) = g0·exp(t(X+A0))·exp(-tX) with
     X = diag(-(i/4)λr0, (i/4)λr0) and X + A0 the η-velocity matrix at (r0, γ0).
     """
-    lam, t = float(lam), float(t)
-    Fv = _fvalue(F, u0.r)
-    g = _rotating_frame(g0, legendre_map(u0, Fv).value, _perturbed_x(lam, u0.r), t)
-    gamma_t = u0.gamma * cmath.exp(-0.5j * lam * u0.r * t)
-    return FlowState(time=t, g=g, u=SB2Element(u0.r, gamma_t))
+    return _perturbed_sampler(g0, u0, F, lam)(t)
 
 
 def perturbed_velocity(u0: SB2Element, F, lam: float, t: float) -> np.ndarray:
@@ -353,18 +447,20 @@ def perturbed_flat_field(F, lam: float):
     return field
 
 
-def _rotating_frame(g0, x_plus_a0, X, t):
-    """g0·exp(t(X+A0))·exp(-tX) from the matrices X + A0 and X."""
-    return (
-        g0
-        @ exp_group(AlgebraElement("su2", t * x_plus_a0))
-        @ exp_group(AlgebraElement("su2", -t * X))
-    )
+def _rotating_frame(g0, x_plus_a0, X):
+    """t -> g0·exp(t(X+A0))·exp(-tX) for X + A0 and X in su(2) (see _su2_exp)."""
+    exp_xa, exp_x = _su2_exp(x_plus_a0), _su2_exp(X)
+    return lambda t: g0 @ exp_xa(t) @ exp_x(-t)
 
 
 def interaction_picture_flow(g0: SU2Element, data: InteractionPictureData, t: float) -> SU2Element:
     """Rotating-frame solution g(t) = g0·exp(t(X+A0))·exp(-tX)."""
-    return _rotating_frame(g0, data.X.value + data.A0.value, data.X.value, float(t))
+    t = float(t)
+    x_plus_a0 = data.X.value + data.A0.value
+    # X + A0 is in su(2) only to round-off: check both exponents at this t
+    AlgebraElement("su2", t * x_plus_a0)
+    AlgebraElement("su2", -t * data.X.value)
+    return _rotating_frame(g0, x_plus_a0, data.X.value)(t)
 
 
 def _commutator_guard(mats, nodes, tol):
@@ -409,6 +505,56 @@ def commuting_quadrature_flow(g0, momentum_path, t1: float, tol=1e-9, samples=33
     return g0 @ exp_group(AlgebraElement(kind, integral))
 
 
+def _action_angle_sampler(params):
+    I0 = np.asarray(params["I0"], dtype=float)
+    phi0 = np.asarray(params["phi0"], dtype=float)
+    matrix = params.get("matrix")
+    if matrix is None:
+        freq = params["freq"]
+        nu = np.asarray(freq(I0) if callable(freq) else freq, dtype=float)
+
+        def at_freq(t):
+            t = float(t)
+            phi = phi0 + nu * t
+            return FlowState(time=t, I=I0.copy(), phi=phi, phi_mod=np.mod(phi, 2.0 * np.pi))
+
+        return at_freq
+    samples = int(params.get("samples", 33))
+    if samples < 3 or samples % 2 == 0:
+        raise ValueError("samples must be an odd count >= 3")
+    tol = float(params.get("tol", 1e-9))
+    drift = params.get("drift")
+    # without a drift I stays at I0, so every sample is the one matrix A(I0)
+    mats0 = [np.asarray(matrix(I0), dtype=float)] * samples if drift is None else None
+
+    def at(t):
+        t = float(t)
+        if t < 0:
+            raise ValueError("the linear variant integrates forward time only")
+        if t == 0.0:
+            return FlowState(time=0.0, I=I0.copy(), phi=phi0.copy(),
+                             phi_mod=np.mod(phi0, 2.0 * np.pi))
+        if drift is None:
+            mats, I_t = mats0, I0.copy()
+        else:
+            substeps = 8
+            steps = (samples - 1) * substeps
+            traj = rk4_integrate(lambda y: np.asarray(drift(y), dtype=float),
+                                 I0, 0.0, t, t / steps)
+            mats = [np.asarray(matrix(traj.states[k * substeps]), dtype=float)
+                    for k in range(samples)]
+            I_t = traj.states[-1]
+        nodes, weights = simpson_rule(0.0, t, samples - 1)
+        _commutator_guard(mats, nodes, tol)
+        integral = sum(w * m for w, m in zip(weights, mats))
+        import scipy.linalg  # only this path needs it; keeps the CLI import light
+
+        phi = scipy.linalg.expm(integral) @ phi0
+        return FlowState(time=t, I=I_t, phi=phi, phi_mod=np.mod(phi, 2.0 * np.pi))
+
+    return at
+
+
 def action_angle_flow(spec, t: float) -> FlowState:
     """Action-angle dynamics, frequency or linear-fiber variant.
 
@@ -417,44 +563,7 @@ def action_angle_flow(spec, t: float) -> FlowState:
     İ = F(I) by RK4, φ(t) = exp(∫A(I(s))ds)·φ0, guarded by the same
     commutativity check as commuting_quadrature_flow.
     """
-    params = spec.params if isinstance(spec, SystemSpec) else dict(spec)
-    I0 = np.asarray(params["I0"], dtype=float)
-    phi0 = np.asarray(params["phi0"], dtype=float)
-    t = float(t)
-    matrix = params.get("matrix")
-    if matrix is None:
-        freq = params["freq"]
-        nu = np.asarray(freq(I0) if callable(freq) else freq, dtype=float)
-        phi = phi0 + nu * t
-        return FlowState(time=t, I=I0.copy(), phi=phi, phi_mod=np.mod(phi, 2.0 * np.pi))
-    if t < 0:
-        raise ValueError("the linear variant integrates forward time only")
-    samples = int(params.get("samples", 33))
-    if samples < 3 or samples % 2 == 0:
-        raise ValueError("samples must be an odd count >= 3")
-    tol = float(params.get("tol", 1e-9))
-    drift = params.get("drift")
-    if t == 0.0:
-        return FlowState(time=0.0, I=I0.copy(), phi=phi0.copy(),
-                         phi_mod=np.mod(phi0, 2.0 * np.pi))
-    if drift is None:
-        I_nodes = [I0] * samples
-        I_t = I0.copy()
-    else:
-        substeps = 8
-        steps = (samples - 1) * substeps
-        traj = rk4_integrate(lambda y: np.asarray(drift(y), dtype=float),
-                             I0, 0.0, t, t / steps)
-        I_nodes = [traj.states[k * substeps] for k in range(samples)]
-        I_t = traj.states[-1]
-    nodes, weights = simpson_rule(0.0, t, samples - 1)
-    mats = [np.asarray(matrix(I), dtype=float) for I in I_nodes]
-    _commutator_guard(mats, nodes, tol)
-    integral = sum(w * m for w, m in zip(weights, mats))
-    import scipy.linalg  # only this path needs it; keeps the CLI import light
-
-    phi = scipy.linalg.expm(integral) @ phi0
-    return FlowState(time=t, I=I_t, phi=phi, phi_mod=np.mod(phi, 2.0 * np.pi))
+    return _action_angle_sampler(spec.params if isinstance(spec, SystemSpec) else dict(spec))(t)
 
 
 def action_angle_flat_field(params):
@@ -478,8 +587,9 @@ class System:
     params holds (name, parse kind, default) in the order that `simulate`
     draws omitted initial data from its seed; a pair of names is the
     (alpha, nu) of one unit momentum.  A library call takes the default
-    (None: required) instead.  flow(params, t) is the closed form; a CSV row
-    is [t, *flat(state), *extras(state, flat)] under columns(params);
+    (None: required) instead.  flow(params) checks the params once and
+    returns the closed form's sampler at(t) -> FlowState; a CSV row is
+    [t, *flat(at(t)), *extras(at(t), flat)] under columns(params);
     field(params) is the RK4 oracle's rate on flat states.
     """
 
@@ -533,16 +643,16 @@ _F = ("F", "float", 1.0)
 SYSTEMS = {
     "rotator": System(
         params=(("g0", "matrix", np.eye(3)), ("p", "vector3", None), _F),
-        flow=lambda p, t: rotator_flow(p["g0"], p["p"], p["F"], t),
+        flow=lambda p: _rotator_sampler(p["g0"], p["p"], p["F"]),
         columns=lambda p: [f"g{i}{j}" for i in range(1, 4) for j in range(1, 4)]
         + ["p1", "p2", "p3", "p_norm"],
         flat=lambda st: np.asarray(st.g, dtype=float).ravel(),
-        extras=lambda st, y: list(st.p) + [float(np.linalg.norm(st.p))],
+        extras=lambda st, y: [*st.p, st.p_norm],
         field=lambda p: rotator_flat_field(p["p"], p["F"]),
     ),
     "casimir_sl2c": System(
         params=(_G0, _U0, _F),
-        flow=lambda p, t: casimir_flow(p["g0"], p["u0"], p["F"], t),
+        flow=lambda p: _casimir_sampler(p["g0"], p["u0"], p["F"]),
         columns=lambda p: _complex_cols("z1", "z2", "z3", "z4") + ["H0", "det_re", "det_im"],
         flat=lambda st: _flat_casimir(st),
         extras=lambda st, y: _casimir_extras(y),
@@ -550,7 +660,7 @@ SYSTEMS = {
     ),
     "momenta_su2": System(
         params=(_U0, (("alpha", "nu"), "momenta", None), _F),
-        flow=lambda p, t: momenta_su2_flow(p["u0"], p["alpha"], p["nu"], p["F"], t),
+        flow=lambda p: _momenta_su2_sampler(p["u0"], p["alpha"], p["nu"], p["F"]),
         columns=lambda p: ["r", *_complex_cols("gamma"), "h_su2_norm"],
         flat=lambda st: np.array([st.u.r, st.u.gamma.real, st.u.gamma.imag]),
         extras=lambda st, y: [abs(st.alpha) ** 2 + abs(st.nu) ** 2],
@@ -558,7 +668,7 @@ SYSTEMS = {
     ),
     "noncasimir_h": System(
         params=(_U0, (("alpha0", "nu0"), "momenta", None)),
-        flow=lambda p, t: noncasimir_flow(p["u0"], p["alpha0"], p["nu0"], t),
+        flow=lambda p: _noncasimir_sampler(p["u0"], p["alpha0"], p["nu0"]),
         columns=lambda p: [*_complex_cols("alpha", "nu"), "r", *_complex_cols("gamma"), "h_nu"],
         flat=lambda st: _flat_double(st.alpha, st.nu, st.u),
         extras=lambda st, y: [0.5 * abs(st.nu) ** 2],
@@ -566,7 +676,7 @@ SYSTEMS = {
     ),
     "perturbed": System(
         params=(_G0, _U0, _F, ("lam", "float", 0.1)),
-        flow=lambda p, t: perturbed_flow(p["g0"], p["u0"], p["F"], p["lam"], t),
+        flow=lambda p: _perturbed_sampler(p["g0"], p["u0"], p["F"], p["lam"]),
         columns=lambda p: [*_complex_cols("alpha", "nu"), "r", *_complex_cols("gamma"),
                            "gamma_abs"],
         flat=lambda st: _flat_double(st.g.alpha, st.g.nu, st.u),
@@ -576,7 +686,7 @@ SYSTEMS = {
     "action_angle": System(
         params=(("I0", "vector", None), ("phi0", "vector", None),
                 ("freq", "vector", None), ("matrix", "matrix", None)),
-        flow=lambda p, t: action_angle_flow(p, t),
+        flow=lambda p: _action_angle_sampler(p),
         columns=lambda p: _action_angle_columns(p),
         flat=lambda st: np.concatenate([st.I, st.phi]),
         extras=lambda st, y: list(st.phi_mod),
@@ -587,4 +697,4 @@ SYSTEMS = {
 
 def run_system(spec: SystemSpec, t: float) -> FlowState:
     """The closed-form state of a SystemSpec at time t."""
-    return SYSTEMS[spec.variant].flow(spec.params, t)
+    return SYSTEMS[spec.variant].flow(spec.params)(t)

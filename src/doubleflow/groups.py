@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .mat2 import check_finite, det2, expm2, rodrigues3, sinhc
+from .mat2 import check_finite, expm2, rodrigues3, sinhc
 
 __all__ = [
     "MembershipError",
@@ -22,6 +22,7 @@ __all__ = [
     "iwasawa_gu",
     "iwasawa_ug",
     "exp_group",
+    "exp_sb2",
     "random_element",
 ]
 
@@ -241,12 +242,15 @@ def exp_group(x: AlgebraElement):
     if x.kind == "su2":
         return SU2Element.from_matrix(expm2(x.value))
     if x.kind == "sb2":
-        d = complex(x.value[0, 0]).real
-        y = complex(x.value[0, 1])
-        return SB2Element(math.exp(d), y * sinhc(d))
+        return exp_sb2(complex(x.value[0, 0]).real, complex(x.value[0, 1]))
     if x.kind == "so3":
         return rodrigues3(x.value, 1.0)
     raise MembershipError(f"cannot exponentiate algebra kind {x.kind!r}")
+
+
+def exp_sb2(d: float, y: complex) -> SB2Element:
+    """exp([[d, y], [0, -d]]) = [[e^d, y*sinhc(d)], [0, e^-d]] for real d."""
+    return SB2Element(math.exp(d), y * sinhc(d))
 
 
 def _as_rng(seed) -> np.random.Generator:

@@ -2,7 +2,9 @@
 
 Everything here is closed form.  The 2x2 exponential uses the explicit
 eigenstructure of a 2x2 matrix instead of scaling-and-squaring, so group
-flows built on top of it are exact up to round-off.
+flows built on top of it are exact up to round-off.  The public kernels
+check their input and call the matching `*_kernel`, which a closed-form
+sampler calls directly on input it has checked once per call.
 """
 
 import cmath
@@ -12,12 +14,13 @@ import numpy as np
 
 __all__ = [
     "det2",
-    "frobenius",
     "trace2",
     "sinhc",
     "expm2",
+    "expm2_kernel",
     "hat3",
     "rodrigues3",
+    "rodrigues3_kernel",
     "check_finite",
 ]
 
@@ -38,10 +41,6 @@ def trace2(m) -> complex:
     return complex(m[0, 0] + m[1, 1])
 
 
-def frobenius(m) -> float:
-    return float(np.sqrt(np.sum(np.abs(np.asarray(m)) ** 2)))
-
-
 def sinhc(delta: complex) -> complex:
     """sinh(delta)/delta, with a series fallback near the removable singularity.
 
@@ -54,6 +53,11 @@ def sinhc(delta: complex) -> complex:
     return cmath.sinh(delta) / delta
 
 
+_I2 = np.eye(2)
+_I2C = np.eye(2, dtype=complex)
+_I3 = np.eye(3)
+
+
 def expm2(m) -> np.ndarray:
     """Exact exponential of a 2x2 complex matrix.
 
@@ -64,11 +68,15 @@ def expm2(m) -> np.ndarray:
 
     Total on finite input; cost is one scalar exp, cosh, sinh.
     """
-    m = check_finite(np.asarray(m, dtype=complex))
+    return expm2_kernel(check_finite(np.asarray(m, dtype=complex)))
+
+
+def expm2_kernel(m) -> np.ndarray:
+    """expm2 of a finite complex 2x2 ndarray, without the input check."""
     mu = trace2(m) / 2.0
-    n = m - mu * np.eye(2)
+    n = m - mu * _I2
     delta = cmath.sqrt(-det2(n))
-    return cmath.exp(mu) * (cmath.cosh(delta) * np.eye(2, dtype=complex) + sinhc(delta) * n)
+    return cmath.exp(mu) * (cmath.cosh(delta) * _I2C + sinhc(delta) * n)
 
 
 def hat3(p) -> np.ndarray:
@@ -90,15 +98,18 @@ def rodrigues3(p, t: float) -> np.ndarray:
     series in hat(p)*t is already exact to round-off.
     """
     p = check_finite(np.asarray(p, dtype=float))
+    return rodrigues3_kernel(hat3(p), float(np.linalg.norm(p)), t)
+
+
+def rodrigues3_kernel(k, norm: float, t: float) -> np.ndarray:
+    """rodrigues3 from k = hat3(p) and norm = |p| of a finite p, at time t."""
     if not math.isfinite(t):
         raise ValueError("non-finite time")
-    k = hat3(p)
-    theta = float(np.linalg.norm(p)) * abs(t)
-    if theta < 1e-8:
-        kt = k * t
-        return np.eye(3) + kt + 0.5 * (kt @ kt)
-    # R = I + sin(theta)/theta * (k t) + (1-cos(theta))/theta^2 * (k t)^2
+    theta = norm * abs(t)
     kt = k * t
+    if theta < 1e-8:
+        return _I3 + kt + 0.5 * (kt @ kt)
+    # R = I + sin(theta)/theta * (k t) + (1-cos(theta))/theta^2 * (k t)^2
     a = math.sin(theta) / theta
     b = (1.0 - math.cos(theta)) / (theta * theta)
-    return np.eye(3) + a * kt + b * (kt @ kt)
+    return _I3 + a * kt + b * (kt @ kt)

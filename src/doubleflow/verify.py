@@ -236,8 +236,9 @@ def suite_flows(seed, samples):
         a0 = dyn.SL2Element.from_matrix(g0.as_matrix() @ u0.as_matrix())
         y0 = dyn.z_to_flat(a0.z1, a0.z2, a0.z3, a0.z4)
         traj = rk4_integrate(dyn.sl2c_flat_field(1.0), y0, 0.0, 5.0, 1e-3)
+        at = dyn.SYSTEMS["casimir_sl2c"].flow({"g0": g0, "u0": u0, "F": 1.0})
         for t, y in zip(traj.times[::500], traj.states[::500]):
-            st = dyn.casimir_flow(g0, u0, 1.0, t)
+            st = at(t)
             am = st.g.as_matrix() @ st.u.as_matrix()
             zm = dyn.flat_to_z(y)
             dev = max(dev, float(np.max(np.abs(
@@ -246,14 +247,16 @@ def suite_flows(seed, samples):
 
     # non-Casimir exact flow vs the oracle of the bracket-derived field
     dev = 0.0
-    flat = dyn.SYSTEMS["noncasimir_h"].flat
+    noncasimir = dyn.SYSTEMS["noncasimir_h"]
+    flat = noncasimir.flat
     for _ in range(starts):
         g = random_element("su2", rng)
         u0 = random_element("sb2", rng)
         y0 = flat(dyn.FlowState(0.0, u=u0, alpha=g.alpha, nu=g.nu))
         traj = rk4_integrate(dyn.noncasimir_flat_field(), y0, 0.0, 5.0, 1e-3)
+        at = noncasimir.flow({"u0": u0, "alpha0": g.alpha, "nu0": g.nu})
         for t, y in zip(traj.times[::500], traj.states[::500]):
-            st = dyn.noncasimir_flow(u0, g.alpha, g.nu, t)
+            st = at(t)
             dev = max(dev, float(np.max(np.abs(flat(st) - y))))
     out.append(_check("noncasimir_flow_vs_oracle", dev, 1e-6, starts, seed))
 
@@ -262,19 +265,21 @@ def suite_flows(seed, samples):
     g0 = random_element("su2", rng)
     u0 = SB2Element(2.0, 1.0)
     lam, eps = 0.3, 1e-5
+    at = dyn.SYSTEMS["perturbed"].flow({"g0": g0, "u0": u0, "F": 1.0, "lam": lam})
     for t in np.linspace(0.25, 5.0, 20):
-        gp = dyn.perturbed_flow(g0, u0, 1.0, lam, t + eps).g.as_matrix()
-        gm = dyn.perturbed_flow(g0, u0, 1.0, lam, t - eps).g.as_matrix()
-        gc = dyn.perturbed_flow(g0, u0, 1.0, lam, t).g.as_matrix()
+        gp = at(t + eps).g.as_matrix()
+        gm = at(t - eps).g.as_matrix()
+        gc = at(t).g.as_matrix()
         vel = np.linalg.inv(gc) @ ((gp - gm) / (2.0 * eps))
         res = max(res, float(np.max(np.abs(vel - dyn.perturbed_velocity(u0, 1.0, lam, t)))))
     out.append(_check("perturbed_flow_ode_residual", res, 1e-6, 20, seed))
 
     # rotator: |p| exact, orthogonality, full-turn return
     ortho = 0.0
-    p = np.array([0.4, -0.3, 0.8])
+    at = dyn.SYSTEMS["rotator"].flow({"g0": np.eye(3), "p": np.array([0.4, -0.3, 0.8]),
+                                      "F": 1.0})
     for t in np.linspace(0.0, 100.0, 51):
-        g = dyn.rotator_flow(np.eye(3), p, 1.0, t).g
+        g = at(t).g
         ortho = max(ortho, float(np.max(np.abs(g.T @ g - np.eye(3)))))
     out.append(_check("rotator_orthogonality", ortho, 1e-10, 51, seed))
     g = dyn.rotator_flow(np.eye(3), (0.0, 0.0, 1.0), 1.0, 2.0 * math.pi).g

@@ -337,6 +337,51 @@ def test_legendre_rejects_non_finite_flags(argv, flag, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["map", "--r", "1e200"], "--r"),
+    (["map", "--r", "1e-200"], "--r"),
+    (["map", "--r", "2", "--f", "1e308", "--gamma", "1e300"], "--gamma"),
+    (["map", "--r", "20", "--f", "1e308"], "--f"),
+    (["invert", "--s", "1e300"], "--s"),
+    (["invert", "--s=-1e10"], "--s"),
+    (["invert", "--s", "1", "--w", "1e200"], "--w"),
+])
+def test_legendre_rejects_extreme_flags(argv, flag, capsys):
+    assert main(["legendre", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: " + flag) and captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
+# inputs a closed form rejects, when its sampler is built or at a row: exit 2
+# with one exact message, with and without the oracle
+@pytest.mark.parametrize("doc, message", [
+    ({"system": "rotator", "params": {"g0": [[1, 1, 0], [0, 1, 0], [0, 0, 1]]}},
+     "params: g0 fails the rotation check by 1.000e+00"),
+    ({"system": "momenta_su2", "params": {"alpha": [0.6, 0], "nu": [0.6, 0]}},
+     "params.alpha, params.nu must satisfy |alpha|^2 + |nu|^2 = 1"),
+    ({"system": "noncasimir_h", "params": {"alpha0": 1.0, "nu0": 1.0}},
+     "params.alpha0, params.nu0 must satisfy |alpha|^2 + |nu|^2 = 1"),
+    ({"system": "momenta_su2", "t1": 0.1, "dt": 0.05, "params": {"F": 1e10}},
+     "params: math range error"),
+    ({"system": "action_angle", "t1": 0.1, "dt": 0.05,
+      "params": {"I0": [1.0], "phi0": [0.0], "matrix": [[1e300]]}},
+     "params: the flow leaves the finite floats at t = 0.050000000000000003"),
+    ({"system": "casimir_sl2c", "t1": 10.0, "dt": 0.5, "params": {"F": 1e300}},
+     "params: non-finite matrix entry"),
+    ({"system": "perturbed", "t1": 10.0, "dt": 0.5, "params": {"F": 1e306}},
+     "params: non-finite matrix entry"),
+    ({"system": "rotator", "t1": 10.0, "dt": 0.5, "params": {"F": 1e307}},
+     "params: math domain error"),
+])
+def test_simulate_rejected_params_give_one_exact_error(tmp_path, doc, message, capsys):
+    for extra in ((), ("--oracle",)):
+        code, _ = run_config(tmp_path, doc, name="never.csv", extra=extra)
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "never.csv").exists()
+
+
 def test_unknown_command_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

@@ -12,6 +12,8 @@ from doubleflow.dynamics import (
     InteractionPictureData,
     SystemSpec,
     _commutator_guard,
+    _momenta_su2_generator,
+    _perturbed_x,
     _sl2c_rates,
     action_angle_flow,
     casimir_flow,
@@ -44,8 +46,8 @@ from doubleflow.groups import (
     iwasawa_gu,
     random_element,
 )
-from doubleflow.mat2 import frobenius
-from doubleflow.quadrature import drift_report, rk4_integrate
+from doubleflow.mat2 import rodrigues3
+from doubleflow.quadrature import drift_report, rk4_integrate, simpson_rule
 
 E12 = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 
@@ -428,6 +430,10 @@ def test_commuting_quadrature_rejects_twisted_path():
     assert 0.0 <= t0 < t1 <= 3.0
 
 
+def frobenius(m):
+    return float(np.sqrt(np.sum(np.abs(np.asarray(m)) ** 2)))
+
+
 def brute_force_guard(mats, nodes):
     worst, pair = 0.0, (0.0, 0.0)
     for i in range(len(mats)):
@@ -580,3 +586,146 @@ def test_conservation_along_oracle_with_projection():
         _, u = iwasawa_gu(SL2Element(*flat_to_z(y)))
         assert abs(u.r - u0.r) < 1e-8
         assert abs(u.gamma - u0.gamma) < 1e-8
+
+
+def reference_state(system, p, t):
+    """Per-t reference for the samplers: rebuilds the generator at every t
+    and goes through the validated AlgebraElement, exp_group, expm2 and
+    rodrigues3 path.
+    """
+    t = float(t)
+    if system == "casimir_sl2c":
+        L = legendre_map(p["u0"], p["F"]).value
+        return FlowState(t, g=p["g0"] @ exp_group(AlgebraElement("su2", t * L)), u=p["u0"])
+    if system == "rotator":
+        pv = np.asarray(p["p"], dtype=float)
+        return FlowState(t, g=np.asarray(p["g0"], dtype=float) @ rodrigues3(p["F"] * pv, t),
+                         p=pv.copy())
+    if system == "momenta_su2":
+        L = _momenta_su2_generator(p["alpha"], p["nu"], p["F"])
+        u = exp_group(AlgebraElement("sb2", t * L)) @ p["u0"]
+        return FlowState(t, u=u, alpha=p["alpha"], nu=p["nu"])
+    if system == "noncasimir_h":
+        u0, alpha0, nu0 = p["u0"], p["alpha0"], p["nu0"]
+        if nu0 == 0:
+            return FlowState(t, u=u0, alpha=alpha0, nu=nu0)
+        w = abs(nu0) ** 2
+        alpha_t = alpha0 * cmath.exp(0.5j * w * t)
+        loop = 2j * math.sin(0.25 * w * t) * cmath.exp(-0.25j * w * t)
+        gamma_t = u0.gamma + alpha0.conjugate() * nu0.conjugate() / (u0.r * w) * loop
+        return FlowState(t, u=SB2Element(u0.r, gamma_t), alpha=alpha_t, nu=nu0)
+    if system == "perturbed":
+        u0, lam = p["u0"], p["lam"]
+        X = _perturbed_x(lam, u0.r)
+        g = (p["g0"] @ exp_group(AlgebraElement("su2", t * legendre_map(u0, p["F"]).value))
+             @ exp_group(AlgebraElement("su2", -t * X)))
+        gamma_t = u0.gamma * cmath.exp(-0.5j * lam * u0.r * t)
+        return FlowState(t, g=g, u=SB2Element(u0.r, gamma_t))
+    I0, phi0 = np.asarray(p["I0"], dtype=float), np.asarray(p["phi0"], dtype=float)
+    if p.get("matrix") is None:
+        phi = phi0 + np.asarray(p["freq"], dtype=float) * t
+    elif t == 0.0:
+        phi = phi0.copy()
+    else:
+        nodes, weights = simpson_rule(0.0, t, 32)
+        mats = [np.asarray(p["matrix"](I), dtype=float) for I in [I0] * 33]
+        _commutator_guard(mats, nodes, 1e-9)
+        phi = scipy.linalg.expm(sum(w * m for w, m in zip(weights, mats))) @ phi0
+    return FlowState(t, I=I0.copy(), phi=phi, phi_mod=np.mod(phi, 2.0 * np.pi))
+
+
+def reference_row(system, p, t):
+    st = reference_state(system, p, t)
+    if system == "rotator":  # |p| from p, not from FlowState.p_norm
+        return [t, *st.g.ravel(), *st.p, float(np.linalg.norm(st.p))]
+    y = SYSTEMS[system].flat(st)
+    return [t, *y, *SYSTEMS[system].extras(st, y)]
+
+
+def sampler_params(system, seed):
+    """Seeded params, and for seed 0 plain ones: identities, real or zero entries."""
+    rng = np.random.default_rng(seed)
+    g0, u0, m = random_element("su2", rng), random_element("sb2", rng), random_element("su2", rng)
+    F, lam = float(rng.uniform(0.5, 2.0)), float(rng.uniform(0.05, 0.5))
+    if seed == 0:
+        g0, u0, m = SU2Element.identity(), SB2Element(2.0, 0.0), SU2Element(0.6, 0.8)
+    a = np.array([[0.1, -1.0, 0.2], [1.3, 0.2, 0.0], [0.0, 0.4, -0.3]])
+    return {
+        "casimir_sl2c": {"g0": g0, "u0": u0, "F": F},
+        "rotator": {"g0": rodrigues3(rng.standard_normal(3), 1.0),
+                    "p": [0.0, 0.0, 1.5] if seed == 0 else rng.standard_normal(3), "F": F},
+        "momenta_su2": {"u0": u0, "alpha": m.alpha, "nu": m.nu, "F": F},
+        "noncasimir_h": {"u0": u0, "alpha0": m.alpha, "nu0": m.nu},
+        "perturbed": {"g0": g0, "u0": u0, "F": F, "lam": lam},
+        "action_angle_freq": {"I0": [0.5, 1.5, 0.7], "phi0": rng.uniform(0.0, 6.3, 3),
+                              "freq": rng.uniform(-2.0, 2.0, 3)},
+        "action_angle_matrix": {"I0": [1.0], "phi0": [1.0, 0.5, -0.2],
+                                "matrix": lambda I: (1.0 + seed) * a},
+    }[system]
+
+
+# t = 0 and -0; 1e-9 takes the rotator's theta < 1e-8 branch and 2e-8 the
+# sinhc series (|delta| < 1e-6) of the su2 and sb2 exponentials
+SAMPLER_TIMES = [0.0, -0.0, 1e-12, 1e-9, 2e-8, 0.01, 0.37, 1.0, 2.5, 10.0, 123.4, -0.7]
+
+
+@pytest.mark.parametrize("case", ["casimir_sl2c", "rotator", "momenta_su2", "noncasimir_h",
+                                  "perturbed", "action_angle_freq", "action_angle_matrix"])
+def test_sampler_rows_match_per_row_reference_bitwise(case):
+    system = case[:12] if case.startswith("action_angle") else case
+    for seed in range(4):
+        p = sampler_params(case, seed)
+        at = SYSTEMS[system].flow(p)
+        for t in SAMPLER_TIMES:
+            if case == "action_angle_matrix" and math.copysign(1.0, t) < 0:
+                continue
+            st = at(t)
+            y = SYSTEMS[system].flat(st)
+            row = [t, *y, *SYSTEMS[system].extras(st, y)]
+            want = reference_row(system, p, t)
+            assert np.array(row).tobytes() == np.array(want).tobytes(), (case, seed, t)
+        assert takes_small_angle_branch(system, p)
+
+
+def takes_small_angle_branch(system, p):
+    """Whether the grid's tiny t reach rodrigues3's and sinhc's series branches."""
+    if system == "rotator":
+        return np.linalg.norm(p["F"] * np.asarray(p["p"])) * 1e-9 < 1e-8
+    if system in ("casimir_sl2c", "perturbed"):
+        L = legendre_map(p["u0"], p["F"]).value
+        return abs(cmath.sqrt(-np.linalg.det(2e-8 * L))) < 1e-6
+    if system == "momenta_su2":
+        return abs(2e-8 * _momenta_su2_generator(p["alpha"], p["nu"], p["F"])[0, 0]) < 1e-6
+    return True
+
+
+def test_sampler_checks_its_inputs_once_and_each_t():
+    bad_g0 = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    with pytest.raises(MembershipError, match="g0 fails the rotation check"):
+        SYSTEMS["rotator"].flow({"g0": bad_g0, "p": [0.0, 0.0, 1.0], "F": 1.0})
+    with pytest.raises(MembershipError, match="g0 fails the rotation check"):
+        rotator_flow(bad_g0, [0.0, 0.0, 1.0], 1.0, 0.5)
+    u0 = random_element("sb2", 3)
+    with pytest.raises(MembershipError):
+        SYSTEMS["momenta_su2"].flow({"u0": u0, "alpha": 1.0, "nu": 1.0, "F": 1.0})
+    with pytest.raises(MembershipError):
+        momenta_su2_flow(u0, 1.0, 1.0, 1.0, 0.5)
+    with pytest.raises(MembershipError):
+        SYSTEMS["noncasimir_h"].flow({"u0": u0, "alpha0": 0.5, "nu0": 0.5})
+    with pytest.raises(MembershipError):
+        noncasimir_flow(u0, 0.5, 0.5, 0.5)
+    # per t: a t·L that overflows, a non-finite t, an exponential that overflows
+    g0 = random_element("su2", 3)
+    for flow in (lambda t: casimir_flow(g0, u0, 1.0, t),
+                 lambda t: perturbed_flow(g0, u0, 1.0, 0.2, t),
+                 lambda t: momenta_su2_flow(u0, 0.6, 0.8j, 10.0, t)):
+        for t in (1e308, math.nan):
+            with pytest.raises(ValueError, match="non-finite matrix entry"):
+                flow(t)
+    with pytest.raises(ValueError, match="non-finite time"):
+        rotator_flow(np.eye(3), [0.0, 0.0, 1.0], 1.0, math.inf)
+    with pytest.raises(ValueError, match="non-finite matrix entry"), \
+            np.errstate(over="ignore", invalid="ignore"):
+        casimir_flow(g0, u0, 1e300, 10.0)
+    with pytest.raises(OverflowError):
+        momenta_su2_flow(u0, 0.6, 0.8j, 1e10, 0.05)

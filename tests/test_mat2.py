@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 import scipy.linalg
@@ -8,7 +6,6 @@ from doubleflow.mat2 import (
     check_finite,
     det2,
     expm2,
-    frobenius,
     hat3,
     rodrigues3,
     sinhc,
@@ -20,7 +17,6 @@ def test_mat2_basic_ops():
     m = np.array([[1 + 2j, 3], [4j, -1]], dtype=complex)
     assert det2(m) == (1 + 2j) * (-1) - 3 * 4j
     assert trace2(m) == (1 + 2j) + (-1)
-    assert frobenius(m) == pytest.approx(math.sqrt(abs(1 + 2j) ** 2 + 9 + 16 + 1))
 
 
 def test_check_finite_rejects():
