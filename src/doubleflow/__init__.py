@@ -11,7 +11,6 @@ from .dynamics import (
     InteractionPictureData,
     SYSTEMS,
     System,
-    SystemSpec,
     action_angle_flow,
     casimir_flow,
     commuting_quadrature_flow,
@@ -24,7 +23,6 @@ from .dynamics import (
     perturbed_flow,
     perturbed_velocity,
     rotator_flow,
-    run_system,
 )
 from .groups import (
     AlgebraElement,
@@ -75,7 +73,6 @@ __all__ = [
     "SU2Element",
     "SYSTEMS",
     "System",
-    "SystemSpec",
     "Trajectory",
     "action_angle_flow",
     "casimir_flow",
@@ -102,7 +99,6 @@ __all__ = [
     "rk4_integrate",
     "rotator_flow",
     "run_suite",
-    "run_system",
     "simpson_integral",
     "simpson_rule",
     "__version__",

@@ -103,9 +103,11 @@ def _momenta_param(params, akey, nkey, rng):
     else:
         g = random_element("su2", rng)
         alpha, nu = g.alpha, g.nu
-    if abs(abs(alpha) ** 2 + abs(nu) ** 2 - 1.0) > 1e-8:
+    try:
+        SU2Element(alpha, nu)  # the unit check; the flows take alpha, nu as given
+    except MembershipError:
         raise ConfigError(f"params.{akey}, params.{nkey} must satisfy "
-                          "|alpha|^2 + |nu|^2 = 1")
+                          "|alpha|^2 + |nu|^2 = 1") from None
     return alpha, nu
 
 
@@ -193,15 +195,18 @@ def _write_csv(out, header, rows):
         sys.stdout.write(text)
         return
     directory = os.path.dirname(os.path.abspath(out))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".doubleflow_", suffix=".csv")
     try:
-        with os.fdopen(fd, "w", newline="") as f:
-            f.write(text)
-        os.replace(tmp, out)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".doubleflow_", suffix=".csv")
+        try:
+            with os.fdopen(fd, "w", newline="") as f:
+                f.write(text)
+            os.replace(tmp, out)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as e:
+        raise ConfigError(f"out: cannot write {out}: {e.strerror or e}") from None
 
 
 # No numpy overflow warnings: a row or an oracle state that leaves the finite
@@ -235,18 +240,18 @@ def run_simulate(args) -> int:
         raise ConfigError("out must be a path string")
 
     rng = np.random.default_rng(seed)
-    spec = dyn.SystemSpec(system, _parse_params(system, params, rng))
+    params = _parse_params(system, params, rng)
     sysdef = dyn.SYSTEMS[system]
 
     n = int(math.floor(t1 / dt + 1e-9))
     times = [j * dt for j in range(n + 1)]
     try:
-        at = sysdef.flow(spec.params)
+        at = sysdef.flow(params)
         states = [at(t) for t in times]
-    except (MembershipError, ValueError, OverflowError) as e:
+    except (MembershipError, ValueError, OverflowError, ZeroDivisionError) as e:
         raise ConfigError(f"params: {e}") from None
     flats = [sysdef.flat(st) for st in states]
-    header = ["t", *sysdef.columns(spec.params)]
+    header = ["t", *sysdef.columns(params)]
     rows = [[t, *y, *sysdef.extras(st, y)] for t, st, y in zip(times, states, flats)]
     bad = next((r[0] for r in rows if not all(map(math.isfinite, r))), None)
     if bad is not None:
@@ -258,11 +263,13 @@ def run_simulate(args) -> int:
         substeps = max(1, int(math.ceil(dt / 1e-3 - 1e-12)))
         if n > 0:
             try:
-                traj = rk4_integrate(sysdef.field(spec.params), flats[0], 0.0, times[-1],
+                traj = rk4_integrate(sysdef.field(params), flats[0], 0.0, times[-1],
                                      dt / substeps)
             except NonFiniteStateError as e:
                 raise ConfigError(f"params: the oracle leaves the finite floats "
                                   f"at t = {_fmt(e.time)}") from None
+            except (OverflowError, ZeroDivisionError):  # in the field's float arithmetic
+                raise ConfigError("params: the oracle leaves the finite floats") from None
             oracle_states = [traj.states[j * substeps] for j in range(n + 1)]
         else:
             oracle_states = [flats[0]]
@@ -280,6 +287,8 @@ def run_simulate(args) -> int:
 
 
 def run_verify(args) -> int:
+    if args.seed < 0:
+        raise ConfigError("seed must be a non-negative integer")
     if args.samples < 1:
         raise ConfigError("samples must be a positive integer")
     doc = ver.report_doc(args.suite, args.seed, args.samples)

@@ -3,15 +3,14 @@
 Right-hand sides are transcribed explicitly; the poisson module's generic
 field assembly is used in tests as an independent cross-check, never here.
 Flows return FlowState snapshots and are pure functions of (initial data,
-parameters, t).  Each system's closed form is a sampler: built once from the
-initial data and parameters, which it checks and reduces to the generator of
-the flow, then called at each t with only the t-dependent arithmetic left.
-The public *_flow functions build a sampler and call it once.
+parameters, t).  Each system's *_flow takes the initial data and parameters,
+checks them and reduces them to the generator of the flow once, and returns
+at(t) -> FlowState, which does only the t-dependent arithmetic.
 """
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -31,7 +30,6 @@ from .quadrature import rk4_integrate, simpson_rule
 __all__ = [
     "System",
     "SYSTEMS",
-    "SystemSpec",
     "FlowState",
     "InteractionPictureData",
     "CommutativityError",
@@ -47,7 +45,6 @@ __all__ = [
     "interaction_picture_flow",
     "commuting_quadrature_flow",
     "action_angle_flow",
-    "run_system",
     "sl2c_flat_field",
     "noncasimir_flat_field",
     "momenta_su2_flat_field",
@@ -57,20 +54,6 @@ __all__ = [
     "z_to_flat",
     "flat_to_z",
 ]
-
-@dataclass
-class SystemSpec:
-    """Which dynamical system to run, with its params (SYSTEMS defaults filled in)."""
-
-    variant: str
-    params: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        system = SYSTEMS.get(self.variant)
-        if system is None:
-            raise ValueError(f"unknown system {self.variant!r}; valid: {', '.join(SYSTEMS)}")
-        self.params = {**system.defaults(), **self.params}
-
 
 @dataclass
 class FlowState:
@@ -234,7 +217,8 @@ def _su2_exp(m):
     return at
 
 
-def _casimir_sampler(g0: SU2Element, u0: SB2Element, F):
+def casimir_flow(g0: SU2Element, u0: SB2Element, F) -> Callable:
+    """Frozen-momenta flow: u stays at u0, g(t) = g0·exp(t·L_η(u0))."""
     exp_tl = _su2_exp(legendre_map(u0, _fvalue(F, u0.gamma, u0.r)).value)
 
     def at(t):
@@ -244,12 +228,8 @@ def _casimir_sampler(g0: SU2Element, u0: SB2Element, F):
     return at
 
 
-def casimir_flow(g0: SU2Element, u0: SB2Element, F, t: float) -> FlowState:
-    """Frozen-momenta flow: u stays at u0, g(t) = g0·exp(t·L_η(u0))."""
-    return _casimir_sampler(g0, u0, F)(t)
-
-
-def _rotator_sampler(g0, p, F):
+def rotator_flow(g0, p, F) -> Callable:
+    """Isotropic rotator: p frozen, g(t) = g0·exp(t·F(p)·hat(p))."""
     g0 = np.asarray(g0, dtype=float)
     if g0.shape != (3, 3):
         raise MembershipError("g0 must be a 3x3 rotation matrix")
@@ -271,11 +251,6 @@ def _rotator_sampler(g0, p, F):
     return at
 
 
-def rotator_flow(g0, p, F, t: float) -> FlowState:
-    """Isotropic rotator: p frozen, g(t) = g0·exp(t·F(p)·hat(p))."""
-    return _rotator_sampler(g0, p, F)(t)
-
-
 def rotator_flat_field(p, F):
     """ġ = g·hat(F(p)·p) on the flattened 9-real rotation matrix."""
     p = np.asarray(p, dtype=float)
@@ -294,7 +269,12 @@ def _momenta_su2_generator(alpha, nu, F) -> np.ndarray:
     return np.array([[x, y], [0.0, -x]], dtype=complex)
 
 
-def _momenta_su2_sampler(u0: SB2Element, alpha, nu, F):
+def momenta_su2_flow(u0: SB2Element, alpha, nu, F) -> Callable:
+    """Free motion of the SB(2,C) part with frozen SU(2) momenta (α, ν).
+
+    The constant generator is L = -(F/2)·[[|ν|², 2iα(Re ν - Im ν)], [0, -|ν|²]]
+    and u(t) = exp(t·L)·u0.
+    """
     alpha, nu = complex(alpha), complex(nu)
     norm2 = abs(alpha) ** 2 + abs(nu) ** 2
     if abs(norm2 - 1.0) > 1e-8:
@@ -314,15 +294,6 @@ def _momenta_su2_sampler(u0: SB2Element, alpha, nu, F):
     return at
 
 
-def momenta_su2_flow(u0: SB2Element, alpha, nu, F, t: float) -> FlowState:
-    """Free motion of the SB(2,C) part with frozen SU(2) momenta (α, ν).
-
-    The constant generator is L = -(F/2)·[[|ν|², 2iα(Re ν - Im ν)], [0, -|ν|²]]
-    and u(t) = exp(t·L)·u0.
-    """
-    return _momenta_su2_sampler(u0, alpha, nu, F)(t)
-
-
 def momenta_su2_flat_field(alpha, nu, F):
     """u̇ = L·u on the flattened (r, Re γ, Im γ) state."""
     L = _momenta_su2_generator(complex(alpha), complex(nu), F)
@@ -336,7 +307,14 @@ def momenta_su2_flat_field(alpha, nu, F):
     return field
 
 
-def _noncasimir_sampler(u0: SB2Element, alpha0, nu0):
+def noncasimir_flow(u0: SB2Element, alpha0, nu0) -> Callable:
+    """Exact flow of the non-Casimir 1-form η = dH, H = |ν|²/2.
+
+    Momenta: ν frozen, α(t) = α0·e^{i|ν0|²t/2}.  Group part: r frozen and
+    γ(t) = γ0 + (conj(α0)conj(ν0)/(r0|ν0|²))·(1 - e^{-i|ν0|²t/2}), the exact
+    antiderivative of γ̇ = (i/2)·conj(α(t))·conj(ν0)/r0.  ν0 = 0 is a fixed
+    point by explicit branch.
+    """
     alpha0, nu0 = complex(alpha0), complex(nu0)
     norm2 = abs(alpha0) ** 2 + abs(nu0) ** 2
     if abs(norm2 - 1.0) > 1e-8:
@@ -360,17 +338,6 @@ def _noncasimir_sampler(u0: SB2Element, alpha0, nu0):
     return at
 
 
-def noncasimir_flow(u0: SB2Element, alpha0, nu0, t: float) -> FlowState:
-    """Exact flow of the non-Casimir 1-form η = dH, H = |ν|²/2.
-
-    Momenta: ν frozen, α(t) = α0·e^{i|ν0|²t/2}.  Group part: r frozen and
-    γ(t) = γ0 + (conj(α0)conj(ν0)/(r0|ν0|²))·(1 - e^{-i|ν0|²t/2}), the exact
-    antiderivative of γ̇ = (i/2)·conj(α(t))·conj(ν0)/r0.  ν0 = 0 is a fixed
-    point by explicit branch.
-    """
-    return _noncasimir_sampler(u0, alpha0, nu0)(t)
-
-
 def noncasimir_flat_field():
     """Bracket-derived rates on the flattened (Re α, Im α, Re ν, Im ν, r, Re γ, Im γ)."""
 
@@ -389,7 +356,12 @@ def _perturbed_x(lam: float, r: float) -> np.ndarray:
     return np.array([[-0.25j * lam * r, 0.0], [0.0, 0.25j * lam * r]], dtype=complex)
 
 
-def _perturbed_sampler(g0: SU2Element, u0: SB2Element, F, lam):
+def perturbed_flow(g0: SU2Element, u0: SB2Element, F, lam: float) -> Callable:
+    """Flow of η = F(r)dH0 + λdr: a phase-rotating momentum and a two-factor g.
+
+    γ(t) = γ0·e^{-iλr0t/2}, r frozen; g(t) = g0·exp(t(X+A0))·exp(-tX) with
+    X = diag(-(i/4)λr0, (i/4)λr0) and X + A0 the η-velocity matrix at (r0, γ0).
+    """
     lam = float(lam)
     frame = _rotating_frame(g0, legendre_map(u0, _fvalue(F, u0.r)).value,
                             _perturbed_x(lam, u0.r))
@@ -401,15 +373,6 @@ def _perturbed_sampler(g0: SU2Element, u0: SB2Element, F, lam):
         return FlowState(time=t, g=frame(t), u=SB2Element(u0.r, gamma_t))
 
     return at
-
-
-def perturbed_flow(g0: SU2Element, u0: SB2Element, F, lam: float, t: float) -> FlowState:
-    """Flow of η = F(r)dH0 + λdr: a phase-rotating momentum and a two-factor g.
-
-    γ(t) = γ0·e^{-iλr0t/2}, r frozen; g(t) = g0·exp(t(X+A0))·exp(-tX) with
-    X = diag(-(i/4)λr0, (i/4)λr0) and X + A0 the η-velocity matrix at (r0, γ0).
-    """
-    return _perturbed_sampler(g0, u0, F, lam)(t)
 
 
 def perturbed_velocity(u0: SB2Element, F, lam: float, t: float) -> np.ndarray:
@@ -505,7 +468,14 @@ def commuting_quadrature_flow(g0, momentum_path, t1: float, tol=1e-9, samples=33
     return g0 @ exp_group(AlgebraElement(kind, integral))
 
 
-def _action_angle_sampler(params):
+def action_angle_flow(params) -> Callable:
+    """Action-angle dynamics, frequency or linear-fiber variant.
+
+    Frequency variant (params: I0, phi0, freq): I frozen, φ(t) = φ0 + ν(I)·t.
+    Linear variant (params: I0, phi0, matrix, optional drift, tol, samples):
+    İ = F(I) by RK4, φ(t) = exp(∫A(I(s))ds)·φ0, guarded by the same
+    commutativity check as commuting_quadrature_flow.
+    """
     I0 = np.asarray(params["I0"], dtype=float)
     phi0 = np.asarray(params["phi0"], dtype=float)
     matrix = params.get("matrix")
@@ -555,17 +525,6 @@ def _action_angle_sampler(params):
     return at
 
 
-def action_angle_flow(spec, t: float) -> FlowState:
-    """Action-angle dynamics, frequency or linear-fiber variant.
-
-    Frequency variant (params: I0, phi0, freq): I frozen, φ(t) = φ0 + ν(I)·t.
-    Linear variant (params: I0, phi0, matrix, optional drift, tol, samples):
-    İ = F(I) by RK4, φ(t) = exp(∫A(I(s))ds)·φ0, guarded by the same
-    commutativity check as commuting_quadrature_flow.
-    """
-    return _action_angle_sampler(spec.params if isinstance(spec, SystemSpec) else dict(spec))(t)
-
-
 def action_angle_flat_field(params):
     """(İ, φ̇) = (0, ν) or (0, A·φ) on the flattened (I, φ) state.
 
@@ -586,10 +545,10 @@ class System:
 
     params holds (name, parse kind, default) in the order that `simulate`
     draws omitted initial data from its seed; a pair of names is the
-    (alpha, nu) of one unit momentum.  A library call takes the default
-    (None: required) instead.  flow(params) checks the params once and
-    returns the closed form's sampler at(t) -> FlowState; a CSV row is
-    [t, *flat(at(t)), *extras(at(t), flat)] under columns(params);
+    (alpha, nu) of one unit momentum; an omitted name that is not drawn
+    takes the default (None: required).  flow(params) calls the system's
+    *_flow, which checks the params once and returns at(t) -> FlowState; a
+    CSV row is [t, *flat(at(t)), *extras(at(t), flat)] under columns(params);
     field(params) is the RK4 oracle's rate on flat states.
     """
 
@@ -603,9 +562,6 @@ class System:
     def names(self):
         return [n for name, _, _ in self.params
                 for n in (name if isinstance(name, tuple) else (name,))]
-
-    def defaults(self):
-        return {name: d for name, _, d in self.params if d is not None}
 
 
 def _complex_cols(*prefixes):
@@ -643,7 +599,7 @@ _F = ("F", "float", 1.0)
 SYSTEMS = {
     "rotator": System(
         params=(("g0", "matrix", np.eye(3)), ("p", "vector3", None), _F),
-        flow=lambda p: _rotator_sampler(p["g0"], p["p"], p["F"]),
+        flow=lambda p: rotator_flow(p["g0"], p["p"], p["F"]),
         columns=lambda p: [f"g{i}{j}" for i in range(1, 4) for j in range(1, 4)]
         + ["p1", "p2", "p3", "p_norm"],
         flat=lambda st: np.asarray(st.g, dtype=float).ravel(),
@@ -652,7 +608,7 @@ SYSTEMS = {
     ),
     "casimir_sl2c": System(
         params=(_G0, _U0, _F),
-        flow=lambda p: _casimir_sampler(p["g0"], p["u0"], p["F"]),
+        flow=lambda p: casimir_flow(p["g0"], p["u0"], p["F"]),
         columns=lambda p: _complex_cols("z1", "z2", "z3", "z4") + ["H0", "det_re", "det_im"],
         flat=lambda st: _flat_casimir(st),
         extras=lambda st, y: _casimir_extras(y),
@@ -660,7 +616,7 @@ SYSTEMS = {
     ),
     "momenta_su2": System(
         params=(_U0, (("alpha", "nu"), "momenta", None), _F),
-        flow=lambda p: _momenta_su2_sampler(p["u0"], p["alpha"], p["nu"], p["F"]),
+        flow=lambda p: momenta_su2_flow(p["u0"], p["alpha"], p["nu"], p["F"]),
         columns=lambda p: ["r", *_complex_cols("gamma"), "h_su2_norm"],
         flat=lambda st: np.array([st.u.r, st.u.gamma.real, st.u.gamma.imag]),
         extras=lambda st, y: [abs(st.alpha) ** 2 + abs(st.nu) ** 2],
@@ -668,7 +624,7 @@ SYSTEMS = {
     ),
     "noncasimir_h": System(
         params=(_U0, (("alpha0", "nu0"), "momenta", None)),
-        flow=lambda p: _noncasimir_sampler(p["u0"], p["alpha0"], p["nu0"]),
+        flow=lambda p: noncasimir_flow(p["u0"], p["alpha0"], p["nu0"]),
         columns=lambda p: [*_complex_cols("alpha", "nu"), "r", *_complex_cols("gamma"), "h_nu"],
         flat=lambda st: _flat_double(st.alpha, st.nu, st.u),
         extras=lambda st, y: [0.5 * abs(st.nu) ** 2],
@@ -676,7 +632,7 @@ SYSTEMS = {
     ),
     "perturbed": System(
         params=(_G0, _U0, _F, ("lam", "float", 0.1)),
-        flow=lambda p: _perturbed_sampler(p["g0"], p["u0"], p["F"], p["lam"]),
+        flow=lambda p: perturbed_flow(p["g0"], p["u0"], p["F"], p["lam"]),
         columns=lambda p: [*_complex_cols("alpha", "nu"), "r", *_complex_cols("gamma"),
                            "gamma_abs"],
         flat=lambda st: _flat_double(st.g.alpha, st.g.nu, st.u),
@@ -686,15 +642,10 @@ SYSTEMS = {
     "action_angle": System(
         params=(("I0", "vector", None), ("phi0", "vector", None),
                 ("freq", "vector", None), ("matrix", "matrix", None)),
-        flow=lambda p: _action_angle_sampler(p),
+        flow=lambda p: action_angle_flow(p),
         columns=lambda p: _action_angle_columns(p),
         flat=lambda st: np.concatenate([st.I, st.phi]),
         extras=lambda st, y: list(st.phi_mod),
         field=lambda p: action_angle_flat_field(p),
     ),
 }
-
-
-def run_system(spec: SystemSpec, t: float) -> FlowState:
-    """The closed-form state of a SystemSpec at time t."""
-    return SYSTEMS[spec.variant].flow(spec.params)(t)

@@ -52,7 +52,10 @@ class SU2Element:
     def __init__(self, alpha, nu):
         alpha = _finite_complex(alpha, "alpha")
         nu = _finite_complex(nu, "nu")
-        norm2 = abs(alpha) ** 2 + abs(nu) ** 2
+        try:
+            norm2 = abs(alpha) ** 2 + abs(nu) ** 2
+        except OverflowError:
+            norm2 = math.inf
         if abs(norm2 - 1.0) > PROJECT_TOL:
             raise MembershipError(f"|alpha|^2 + |nu|^2 = {norm2!r} is not 1")
         s = math.sqrt(norm2)

@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .groups import random_element
+from .groups import _as_rng, random_element
 
 __all__ = [
     "CoordinateSystem",
@@ -526,21 +526,17 @@ def point_of_element(x, u=None) -> dict:
     raise TypeError(f"cannot map {type(x).__name__} to a Poisson point")
 
 
+# Group element kinds drawn for a random point of each bracket system, in order.
+_POINT_KINDS = {"sl2c": ("sl2",), "su2": ("su2",), "sb2": ("sb2",), "double": ("su2", "sb2")}
+
+
 def random_point(system: str, seed, on_surface=True) -> dict:
     """Seeded sample point.  For sl2c, on_surface=False skips the det = 1
     normalization and returns a generic point of C^4."""
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    if system == "sl2c":
-        if on_surface:
-            return point_of_element(random_element("sl2", rng))
+    rng = _as_rng(seed)
+    if system == "sl2c" and not on_surface:
         z = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         return poisson_point("sl2c", {f"z{i+1}": z[i] for i in range(4)})
-    if system == "su2":
-        return point_of_element(random_element("su2", rng))
-    if system == "sb2":
-        return point_of_element(random_element("sb2", rng))
-    if system == "double":
-        g = random_element("su2", rng)
-        u = random_element("sb2", rng)
-        return point_of_element(g, u)
-    raise KeyError(f"unknown bracket system {system!r}")
+    if system not in _POINT_KINDS:
+        raise KeyError(f"unknown bracket system {system!r}")
+    return point_of_element(*(random_element(kind, rng) for kind in _POINT_KINDS[system]))

@@ -236,7 +236,7 @@ def suite_flows(seed, samples):
         a0 = dyn.SL2Element.from_matrix(g0.as_matrix() @ u0.as_matrix())
         y0 = dyn.z_to_flat(a0.z1, a0.z2, a0.z3, a0.z4)
         traj = rk4_integrate(dyn.sl2c_flat_field(1.0), y0, 0.0, 5.0, 1e-3)
-        at = dyn.SYSTEMS["casimir_sl2c"].flow({"g0": g0, "u0": u0, "F": 1.0})
+        at = dyn.casimir_flow(g0, u0, 1.0)
         for t, y in zip(traj.times[::500], traj.states[::500]):
             st = at(t)
             am = st.g.as_matrix() @ st.u.as_matrix()
@@ -247,14 +247,13 @@ def suite_flows(seed, samples):
 
     # non-Casimir exact flow vs the oracle of the bracket-derived field
     dev = 0.0
-    noncasimir = dyn.SYSTEMS["noncasimir_h"]
-    flat = noncasimir.flat
+    flat = dyn.SYSTEMS["noncasimir_h"].flat
     for _ in range(starts):
         g = random_element("su2", rng)
         u0 = random_element("sb2", rng)
         y0 = flat(dyn.FlowState(0.0, u=u0, alpha=g.alpha, nu=g.nu))
         traj = rk4_integrate(dyn.noncasimir_flat_field(), y0, 0.0, 5.0, 1e-3)
-        at = noncasimir.flow({"u0": u0, "alpha0": g.alpha, "nu0": g.nu})
+        at = dyn.noncasimir_flow(u0, g.alpha, g.nu)
         for t, y in zip(traj.times[::500], traj.states[::500]):
             st = at(t)
             dev = max(dev, float(np.max(np.abs(flat(st) - y))))
@@ -265,7 +264,7 @@ def suite_flows(seed, samples):
     g0 = random_element("su2", rng)
     u0 = SB2Element(2.0, 1.0)
     lam, eps = 0.3, 1e-5
-    at = dyn.SYSTEMS["perturbed"].flow({"g0": g0, "u0": u0, "F": 1.0, "lam": lam})
+    at = dyn.perturbed_flow(g0, u0, 1.0, lam)
     for t in np.linspace(0.25, 5.0, 20):
         gp = at(t + eps).g.as_matrix()
         gm = at(t - eps).g.as_matrix()
@@ -276,13 +275,12 @@ def suite_flows(seed, samples):
 
     # rotator: |p| exact, orthogonality, full-turn return
     ortho = 0.0
-    at = dyn.SYSTEMS["rotator"].flow({"g0": np.eye(3), "p": np.array([0.4, -0.3, 0.8]),
-                                      "F": 1.0})
+    at = dyn.rotator_flow(np.eye(3), np.array([0.4, -0.3, 0.8]), 1.0)
     for t in np.linspace(0.0, 100.0, 51):
         g = at(t).g
         ortho = max(ortho, float(np.max(np.abs(g.T @ g - np.eye(3)))))
     out.append(_check("rotator_orthogonality", ortho, 1e-10, 51, seed))
-    g = dyn.rotator_flow(np.eye(3), (0.0, 0.0, 1.0), 1.0, 2.0 * math.pi).g
+    g = dyn.rotator_flow(np.eye(3), (0.0, 0.0, 1.0), 1.0)(2.0 * math.pi).g
     out.append(_check("rotator_full_turn", float(np.max(np.abs(g - np.eye(3)))), 1e-10, 1, seed))
 
     # commutativity guard: accept a nilpotent one-line path, reject a twisted one
@@ -302,7 +300,7 @@ def suite_flows(seed, samples):
         # (~h^4/720) well below the tolerance for every seed
         got = dyn.commuting_quadrature_flow(
             SB2Element.identity(), nilpotent_path, 4.0, samples=257) @ u0
-        st = dyn.noncasimir_flow(u0, alpha, nu, 4.0)
+        st = dyn.noncasimir_flow(u0, alpha, nu)(4.0)
         accept = max(abs(got.r - st.u.r), abs(got.gamma - st.u.gamma))
     except dyn.CommutativityError:
         accept = 1.0
@@ -331,7 +329,7 @@ def suite_flows(seed, samples):
 
     # action-angle frequency flow is exactly linear in t
     st = dyn.action_angle_flow({"I0": [0.7, 1.1], "phi0": [0.2, 0.4],
-                                "freq": lambda I: 2.0 * I}, 3.0)
+                                "freq": lambda I: 2.0 * I})(3.0)
     exact = np.array([0.2, 0.4]) + 3.0 * 2.0 * np.array([0.7, 1.1])
     out.append(_check("action_angle_frequency", float(np.max(np.abs(st.phi - exact))),
                       1e-12, 1, seed))

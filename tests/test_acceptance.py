@@ -100,7 +100,7 @@ def test_4_quadrature_vs_oracle():
         traj = rk4_integrate(dyn.sl2c_flat_field(1.0),
                              dyn.z_to_flat(a0.z1, a0.z2, a0.z3, a0.z4), 0.0, 5.0, 1e-3)
         for t, y in zip(traj.times[::250], traj.states[::250]):
-            st = dyn.casimir_flow(g0, u0, 1.0, t)
+            st = dyn.casimir_flow(g0, u0, 1.0)(t)
             z = dyn.flat_to_z(y)
             worst_cas = max(worst_cas, float(np.max(np.abs(
                 st.g.as_matrix() @ st.u.as_matrix()
@@ -108,13 +108,13 @@ def test_4_quadrature_vs_oracle():
         y0 = flat(dyn.FlowState(0.0, u=u0, alpha=g0.alpha, nu=g0.nu))
         traj = rk4_integrate(dyn.noncasimir_flat_field(), y0, 0.0, 5.0, 1e-3)
         for t, y in zip(traj.times[::250], traj.states[::250]):
-            st = dyn.noncasimir_flow(u0, g0.alpha, g0.nu, t)
+            st = dyn.noncasimir_flow(u0, g0.alpha, g0.nu)(t)
             worst_non = max(worst_non, float(np.max(np.abs(flat(st) - y))))
     g0, u0, lam, eps = random_element("su2", rng), SB2Element(2.0, 1.0), 0.3, 1e-5
     for t in np.linspace(0.25, 5.0, 20):
-        gp = dyn.perturbed_flow(g0, u0, 1.0, lam, t + eps).g.as_matrix()
-        gm = dyn.perturbed_flow(g0, u0, 1.0, lam, t - eps).g.as_matrix()
-        gc = dyn.perturbed_flow(g0, u0, 1.0, lam, t).g.as_matrix()
+        gp = dyn.perturbed_flow(g0, u0, 1.0, lam)(t + eps).g.as_matrix()
+        gm = dyn.perturbed_flow(g0, u0, 1.0, lam)(t - eps).g.as_matrix()
+        gc = dyn.perturbed_flow(g0, u0, 1.0, lam)(t).g.as_matrix()
         vel = np.linalg.inv(gc) @ ((gp - gm) / (2.0 * eps))
         worst_per = max(worst_per, float(np.max(np.abs(
             vel - dyn.perturbed_velocity(u0, 1.0, lam, t)))))
@@ -146,10 +146,10 @@ def test_6_rotator():
     p = np.array([0.4, -0.3, 0.8])
     ok = True
     for t in np.linspace(0.0, 100.0, 41):
-        st = dyn.rotator_flow(np.eye(3), p, 1.0, t)
+        st = dyn.rotator_flow(np.eye(3), p, 1.0)(t)
         ok &= float(np.max(np.abs(st.g.T @ st.g - np.eye(3)))) < 1e-10
         ok &= bool(np.array_equal(st.p, p))  # |p| untouched, exactly
-    st = dyn.rotator_flow(np.eye(3), (0.0, 0.0, 1.0), 1.0, 2.0 * math.pi)
+    st = dyn.rotator_flow(np.eye(3), (0.0, 0.0, 1.0), 1.0)(2.0 * math.pi)
     back = float(np.max(np.abs(st.g - np.eye(3))))
     ok &= back < 1e-10
     report(6, f"rotator keeps p exactly, g orthogonal < 1e-10, full turn "
@@ -168,7 +168,7 @@ def test_7_commutativity_guard():
 
     try:
         got = dyn.commuting_quadrature_flow(SB2Element.identity(), ex4_path, 4.0) @ u0
-        st = dyn.noncasimir_flow(u0, g.alpha, g.nu, 4.0)
+        st = dyn.noncasimir_flow(u0, g.alpha, g.nu)(4.0)
         accepts = max(abs(got.r - st.u.r), abs(got.gamma - st.u.gamma)) < 1e-8
     except dyn.CommutativityError:
         accepts = False

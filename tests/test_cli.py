@@ -386,3 +386,32 @@ def test_unknown_command_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+# inputs that once ended in a traceback: exit 2 with one error line naming the field
+@pytest.mark.parametrize("argv, doc, field", [
+    (None, {"system": "casimir_sl2c", "params": {"u0": {"r": 1e-200, "gamma": 0}}}, "params"),
+    (None, {"system": "perturbed", "params": {"u0": {"r": 1e-200, "gamma": 0}}}, "params"),
+    (None, {"system": "casimir_sl2c", "params": {"g0": {"alpha": 1e200, "nu": 0}}},
+     "params.g0"),
+    (None, {"system": "momenta_su2", "params": {"alpha": 1e200, "nu": 0}}, "params.alpha"),
+    (None, {"system": "noncasimir_h", "params": {"alpha0": [1e200, 1e200], "nu0": 0}},
+     "params.alpha0"),
+    (None, {"system": "rotator", "t1": 0.1, "out": "{tmp}/missing/run.csv"}, "out"),
+    (None, {"system": "rotator", "t1": 0.1, "out": "{tmp}"}, "out"),
+    (["verify", "--suite", "legendre", "--seed", "-1"], None, "seed"),
+], ids=["casimir_tiny_r", "perturbed_tiny_r", "g0_huge", "momenta_huge", "noncasimir_huge",
+        "out_missing_dir", "out_is_dir", "verify_negative_seed"])
+def test_former_traceback_paths_exit_two(tmp_path, argv, doc, field, capsys):
+    if argv is None:
+        doc = {**doc, "t1": doc.get("t1", 1.0)}
+        if "out" in doc:
+            doc["out"] = doc["out"].format(tmp=tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        argv = ["simulate", "--config", str(cfg)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field}") and err.count("\n") == 1
+    assert [p for p in os.listdir(tmp_path) if p.startswith(".doubleflow_")] == []
+

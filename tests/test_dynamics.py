@@ -10,7 +10,6 @@ from doubleflow.dynamics import (
     CommutativityError,
     FlowState,
     InteractionPictureData,
-    SystemSpec,
     _commutator_guard,
     _momenta_su2_generator,
     _perturbed_x,
@@ -32,7 +31,6 @@ from doubleflow.dynamics import (
     perturbed_velocity,
     rotator_flat_field,
     rotator_flow,
-    run_system,
     sl2c_flat_field,
     z_to_flat,
 )
@@ -85,16 +83,16 @@ def test_sl2c_vf_fixed_values():
 
 def test_casimir_flow_defaults_and_fixed_points():
     g0, u0 = random_element("su2", 1), random_element("sb2", 1)
-    st = casimir_flow(g0, u0, 1.0, 0.0)
+    st = casimir_flow(g0, u0, 1.0)(0.0)
     assert st.g.alpha == pytest.approx(g0.alpha) and st.u is u0
-    st = casimir_flow(g0, SB2Element.identity(), 1.0, 7.0)
+    st = casimir_flow(g0, SB2Element.identity(), 1.0)(7.0)
     assert abs(st.g.alpha - g0.alpha) < 1e-14 and abs(st.g.nu - g0.nu) < 1e-14
 
 
 def test_casimir_flow_diagonal_example():
     u0 = SB2Element(2.0, 0.0)
     for t in (0.5, 2.0, 9.0):
-        st = casimir_flow(SU2Element.identity(), u0, 1.0, t)
+        st = casimir_flow(SU2Element.identity(), u0, 1.0)(t)
         m = st.g.as_matrix()
         assert m[0, 0] == pytest.approx(cmath.exp(-15j * t / 16))
         assert m[1, 1] == pytest.approx(cmath.exp(15j * t / 16))
@@ -110,7 +108,7 @@ def test_casimir_flow_matches_rk4_oracle():
         traj = rk4_integrate(sl2c_flat_field(1.0), z_to_flat(a0.z1, a0.z2, a0.z3, a0.z4),
                              0.0, 5.0, 1e-3)
         for t, y in zip(traj.times[::250], traj.states[::250]):
-            st = casimir_flow(g0, u0, 1.0, t)
+            st = casimir_flow(g0, u0, 1.0)(t)
             z = flat_to_z(y)
             worst = max(worst, float(np.max(np.abs(
                 su2_product_matrix(st) - np.array([[z[0], z[1]], [z[2], z[3]]])))))
@@ -120,8 +118,8 @@ def test_casimir_flow_matches_rk4_oracle():
 def test_casimir_flow_callable_conformal_factor():
     g0, u0 = random_element("su2", 2), random_element("sb2", 2)
     Fv = 1.0 / (1.0 + abs(u0.gamma) ** 2)
-    st_callable = casimir_flow(g0, u0, lambda gamma, r: 1.0 / (1.0 + abs(gamma) ** 2), 3.0)
-    st_const = casimir_flow(g0, u0, Fv, 3.0)
+    st_callable = casimir_flow(g0, u0, lambda gamma, r: 1.0 / (1.0 + abs(gamma) ** 2))(3.0)
+    st_const = casimir_flow(g0, u0, Fv)(3.0)
     np.testing.assert_allclose(st_callable.g.as_matrix(), st_const.g.as_matrix(), atol=1e-14)
 
 
@@ -167,15 +165,15 @@ def test_legendre_unreduced_inverse_round_trips():
 
 def test_momenta_su2_flow_examples():
     u0 = random_element("sb2", 3)
-    st = momenta_su2_flow(u0, 0.6, 0.8j, 0.0, 5.0)
+    st = momenta_su2_flow(u0, 0.6, 0.8j, 0.0)(5.0)
     assert st.u.r == pytest.approx(u0.r) and st.u.gamma == pytest.approx(u0.gamma)
-    st = momenta_su2_flow(SB2Element.identity(), 0.0, 1.0, 1.0, 2.0)
+    st = momenta_su2_flow(SB2Element.identity(), 0.0, 1.0, 1.0)(2.0)
     assert st.u.r == pytest.approx(math.exp(-1.0))
     assert abs(st.u.gamma) < 1e-15
-    st = momenta_su2_flow(u0, 1.0, 0.0, 1.0, 4.0)  # nu = 0 freezes u
+    st = momenta_su2_flow(u0, 1.0, 0.0, 1.0)(4.0)  # nu = 0 freezes u
     assert st.u.r == pytest.approx(u0.r) and st.u.gamma == pytest.approx(u0.gamma)
     with pytest.raises(MembershipError):
-        momenta_su2_flow(u0, 1.0, 1.0, 1.0, 1.0)
+        momenta_su2_flow(u0, 1.0, 1.0, 1.0)(1.0)
 
 
 def test_momenta_su2_flow_matches_rk4():
@@ -186,7 +184,7 @@ def test_momenta_su2_flow_matches_rk4():
                          np.array([u0.r, u0.gamma.real, u0.gamma.imag]), 0.0, 4.0, 1e-3)
     worst = 0.0
     for t, y in zip(traj.times[::200], traj.states[::200]):
-        st = momenta_su2_flow(u0, g.alpha, g.nu, 1.3, t)
+        st = momenta_su2_flow(u0, g.alpha, g.nu, 1.3)(t)
         worst = max(worst, abs(st.u.r - y[0]), abs(st.u.gamma - complex(y[1], y[2])))
     assert worst < 1e-6
     assert all(s[0] > 0 for s in traj.states)  # membership along the oracle too
@@ -201,7 +199,7 @@ def test_noncasimir_flow_against_rk4():
         y0 = flat_of_double(g.alpha, g.nu, u0)
         traj = rk4_integrate(noncasimir_flat_field(), y0, 0.0, 5.0, 1e-3)
         for t, y in zip(traj.times[::250], traj.states[::250]):
-            st = noncasimir_flow(u0, g.alpha, g.nu, t)
+            st = noncasimir_flow(u0, g.alpha, g.nu)(t)
             worst = max(worst, float(np.max(np.abs(
                 flat_of_double(st.alpha, st.nu, st.u) - y))))
     assert worst < 1e-6
@@ -212,37 +210,37 @@ def test_noncasimir_flow_invariants_and_period():
     u0 = random_element("sb2", 6)
     w = abs(g.nu) ** 2
     for t in np.linspace(0.0, 12.0, 7):
-        st = noncasimir_flow(u0, g.alpha, g.nu, t)
+        st = noncasimir_flow(u0, g.alpha, g.nu)(t)
         assert abs(abs(st.alpha) - abs(g.alpha)) < 1e-14
         assert st.nu == g.nu
         assert st.u.r == u0.r
     # the phase loop closes after t = 4*pi/|nu|^2
     period = 4.0 * math.pi / w
-    st = noncasimir_flow(u0, g.alpha, g.nu, period)
+    st = noncasimir_flow(u0, g.alpha, g.nu)(period)
     assert abs(st.alpha - g.alpha) < 1e-12
     assert abs(st.u.gamma - u0.gamma) < 1e-12
 
 
 def test_noncasimir_flow_nu_zero_branch():
     u0 = SB2Element(2.0, 1.0 - 1.0j)
-    st = noncasimir_flow(u0, 1.0, 0.0, 123.0)
+    st = noncasimir_flow(u0, 1.0, 0.0)(123.0)
     assert st.alpha == 1.0 and st.nu == 0.0
     assert st.u.r == u0.r and st.u.gamma == u0.gamma
     with pytest.raises(MembershipError):
-        noncasimir_flow(u0, 0.3, 0.0, 1.0)
+        noncasimir_flow(u0, 0.3, 0.0)(1.0)
 
 
 def test_perturbed_flow_momenta_and_reduction():
     g0, u0 = random_element("su2", 7), SB2Element(2.0, 1.0)
     lam = 0.3
     for t in (0.0, 1.5, 6.0):
-        st = perturbed_flow(g0, u0, 1.0, lam, t)
+        st = perturbed_flow(g0, u0, 1.0, lam)(t)
         assert st.u.r == u0.r
         assert abs(st.u.gamma) == pytest.approx(abs(u0.gamma))
         assert abs(st.u.gamma - u0.gamma * cmath.exp(-0.5j * lam * u0.r * t)) < 1e-14
     # lambda = 0 collapses onto the Casimir flow
-    st0 = perturbed_flow(g0, u0, 1.0, 0.0, 2.0)
-    stc = casimir_flow(g0, u0, lambda gamma, r: 1.0, 2.0)
+    st0 = perturbed_flow(g0, u0, 1.0, 0.0)(2.0)
+    stc = casimir_flow(g0, u0, lambda gamma, r: 1.0)(2.0)
     np.testing.assert_allclose(st0.g.as_matrix(), stc.g.as_matrix(), atol=1e-13)
     assert st0.u.gamma == pytest.approx(u0.gamma)
 
@@ -252,7 +250,7 @@ def test_perturbed_flow_diagonal_case():
     g0, u0, lam = random_element("su2", 8), SB2Element(1.5, 0.0), 0.4
     a0 = legendre_map(u0, 1.0).value - np.diag([-0.25j * lam * u0.r, 0.25j * lam * u0.r])
     for t in (0.5, 3.0):
-        st = perturbed_flow(g0, u0, 1.0, lam, t)
+        st = perturbed_flow(g0, u0, 1.0, lam)(t)
         expect = g0.as_matrix() @ scipy.linalg.expm(t * a0)
         np.testing.assert_allclose(st.g.as_matrix(), expect, atol=1e-13)
 
@@ -262,9 +260,9 @@ def test_perturbed_flow_ode_residual():
     g0, u0, lam, eps = random_element("su2", 9), SB2Element(2.0, 1.0), 0.3, 1e-5
     worst = 0.0
     for t in np.linspace(0.25, 5.0, 12):
-        gp = perturbed_flow(g0, u0, 1.0, lam, t + eps).g.as_matrix()
-        gm = perturbed_flow(g0, u0, 1.0, lam, t - eps).g.as_matrix()
-        gc = perturbed_flow(g0, u0, 1.0, lam, t).g.as_matrix()
+        gp = perturbed_flow(g0, u0, 1.0, lam)(t + eps).g.as_matrix()
+        gm = perturbed_flow(g0, u0, 1.0, lam)(t - eps).g.as_matrix()
+        gc = perturbed_flow(g0, u0, 1.0, lam)(t).g.as_matrix()
         vel = np.linalg.inv(gc) @ ((gp - gm) / (2.0 * eps))
         worst = max(worst, float(np.max(np.abs(vel - perturbed_velocity(u0, 1.0, lam, t)))))
     assert worst < 1e-6
@@ -277,7 +275,7 @@ def test_perturbed_flow_matches_rk4():
     traj = rk4_integrate(perturbed_flat_field(1.0, lam), y0, 0.0, 4.0, 1e-3)
     worst = 0.0
     for t, y in zip(traj.times[::200], traj.states[::200]):
-        st = perturbed_flow(g0, u0, 1.0, lam, t)
+        st = perturbed_flow(g0, u0, 1.0, lam)(t)
         worst = max(worst, float(np.max(np.abs(
             flat_of_double(st.g.alpha, st.g.nu, st.u) - y))))
     assert worst < 1e-6
@@ -324,24 +322,24 @@ def test_sl2c_flat_field_is_bitwise_the_complex_rates():
 
 def test_rotator_flow_examples():
     g0 = np.eye(3)
-    st = rotator_flow(g0, np.zeros(3), 1.0, 5.0)
+    st = rotator_flow(g0, np.zeros(3), 1.0)(5.0)
     np.testing.assert_allclose(st.g, g0)
-    st = rotator_flow(g0, (0.0, 0.0, 1.0), 1.0, 0.7)
+    st = rotator_flow(g0, (0.0, 0.0, 1.0), 1.0)(0.7)
     c, s = math.cos(0.7), math.sin(0.7)
     np.testing.assert_allclose(st.g, [[c, -s, 0], [s, c, 0], [0, 0, 1]], atol=1e-14)
-    st2 = rotator_flow(g0, (0.0, 0.0, 1.0), 2.0, 0.35)
+    st2 = rotator_flow(g0, (0.0, 0.0, 1.0), 2.0)(0.35)
     np.testing.assert_allclose(st2.g, st.g, atol=1e-14)  # F scales the angle
     with pytest.raises(MembershipError):
-        rotator_flow(np.diag([2.0, 1.0, 0.5]), (1.0, 0.0, 0.0), 1.0, 1.0)
+        rotator_flow(np.diag([2.0, 1.0, 0.5]), (1.0, 0.0, 0.0), 1.0)(1.0)
 
 
 def test_rotator_flow_orthogonality_and_period():
     p = np.array([0.4, -0.3, 0.8])
     for t in np.linspace(0.0, 100.0, 21):
-        st = rotator_flow(np.eye(3), p, 1.0, t)
+        st = rotator_flow(np.eye(3), p, 1.0)(t)
         assert np.max(np.abs(st.g.T @ st.g - np.eye(3))) < 1e-10
         np.testing.assert_array_equal(st.p, p)
-    st = rotator_flow(np.eye(3), (0.0, 0.0, 1.0), 1.0, 2.0 * math.pi)
+    st = rotator_flow(np.eye(3), (0.0, 0.0, 1.0), 1.0)(2.0 * math.pi)
     assert np.max(np.abs(st.g - np.eye(3))) < 1e-10
 
 
@@ -351,7 +349,7 @@ def test_rotator_flow_matches_rk4():
     traj = rk4_integrate(rotator_flat_field(p, 1.0), np.eye(3).ravel(), 0.0, 5.0, 1e-3)
     worst = 0.0
     for t, y in zip(traj.times[::250], traj.states[::250]):
-        st = rotator_flow(np.eye(3), p, 1.0, t)
+        st = rotator_flow(np.eye(3), p, 1.0)(t)
         worst = max(worst, float(np.max(np.abs(st.g.ravel() - y))))
     assert worst < 1e-6
 
@@ -382,7 +380,7 @@ def test_interaction_picture_matches_perturbed_factorization():
     for t in (0.5, 2.0):
         lhs = interaction_picture_flow(
             g0, InteractionPictureData(AlgebraElement("su2", X), a0), t)
-        rhs = perturbed_flow(g0, u0, 1.0, lam, t).g
+        rhs = perturbed_flow(g0, u0, 1.0, lam)(t).g
         np.testing.assert_allclose(lhs.as_matrix(), rhs.as_matrix(), atol=1e-13)
 
 
@@ -405,7 +403,7 @@ def test_commuting_quadrature_matches_noncasimir():
         return AlgebraElement("sb2", 0.5j * ac * np.conj(g.nu) * E12)
 
     got = commuting_quadrature_flow(SB2Element.identity(), path, 4.0) @ u0
-    st = noncasimir_flow(u0, g.alpha, g.nu, 4.0)
+    st = noncasimir_flow(u0, g.alpha, g.nu)(4.0)
     assert abs(got.r - st.u.r) < 1e-8
     assert abs(got.gamma - st.u.gamma) < 1e-8
 
@@ -413,7 +411,7 @@ def test_commuting_quadrature_matches_noncasimir():
 def test_commuting_quadrature_so3_matches_rotator():
     p = np.array([0.4, -0.3, 0.8])
     got = commuting_quadrature_flow(np.eye(3), lambda s: AlgebraElement("so3", p), 3.0)
-    want = rotator_flow(np.eye(3), p, 1.0, 3.0).g
+    want = rotator_flow(np.eye(3), p, 1.0)(3.0).g
     assert np.max(np.abs(got - want)) < 1e-10
 
 
@@ -487,23 +485,23 @@ def test_commuting_quadrature_argument_validation():
 
 def test_action_angle_frequency_variant():
     st = action_angle_flow({"I0": [0.7, 1.1], "phi0": [0.2, 0.4],
-                            "freq": lambda I: 2.0 * I}, 3.0)
+                            "freq": lambda I: 2.0 * I})(3.0)
     np.testing.assert_allclose(st.I, [0.7, 1.1])
     np.testing.assert_allclose(st.phi, np.array([0.2, 0.4]) + 6.0 * np.array([0.7, 1.1]))
     np.testing.assert_allclose(st.phi_mod, np.mod(st.phi, 2 * np.pi))
     assert np.all(st.phi_mod >= 0) and np.all(st.phi_mod < 2 * np.pi)
     # a constant frequency vector works without a callable
-    st = action_angle_flow({"I0": [1.0], "phi0": [0.0], "freq": [0.5]}, 4.0)
+    st = action_angle_flow({"I0": [1.0], "phi0": [0.0], "freq": [0.5]})(4.0)
     assert st.phi[0] == pytest.approx(2.0)
 
 
 def test_action_angle_constant_matrix():
     a = np.array([[0.0, -1.0], [1.0, 0.0]])
-    st = action_angle_flow({"I0": [1.0], "phi0": [1.0, 0.0], "matrix": lambda I: a}, 2.0)
+    st = action_angle_flow({"I0": [1.0], "phi0": [1.0, 0.0], "matrix": lambda I: a})(2.0)
     np.testing.assert_allclose(st.phi, scipy.linalg.expm(2.0 * a) @ [1.0, 0.0], atol=1e-12)
     # diagonal constant matrix: componentwise exponential growth
     d = np.diag([0.3, -0.2])
-    st = action_angle_flow({"I0": [1.0], "phi0": [1.0, 2.0], "matrix": lambda I: d}, 1.5)
+    st = action_angle_flow({"I0": [1.0], "phi0": [1.0, 2.0], "matrix": lambda I: d})(1.5)
     np.testing.assert_allclose(st.phi, [math.exp(0.45), 2.0 * math.exp(-0.3)], atol=1e-12)
 
 
@@ -517,7 +515,7 @@ def test_action_angle_drift_variant_closed_form():
         "drift": lambda I: -I,
     }
     for t in (0.5, 2.0):
-        st = action_angle_flow(params, t)
+        st = action_angle_flow(params)(t)
         theta = 0.8 * (1.0 - math.exp(-t))
         np.testing.assert_allclose(st.phi, [math.cos(theta), math.sin(theta)], atol=1e-8)
         assert st.I[0] == pytest.approx(0.8 * math.exp(-t), abs=1e-9)
@@ -531,37 +529,36 @@ def test_action_angle_rejects_noncommuting_family():
         "drift": lambda I: np.array([-I[0], 0.0]),
     }
     with pytest.raises(CommutativityError):
-        action_angle_flow(params, 3.0)
+        action_angle_flow(params)(3.0)
 
 
 def test_action_angle_argument_validation():
     base = {"I0": [1.0], "phi0": [0.0], "matrix": lambda I: np.zeros((1, 1))}
     with pytest.raises(ValueError):
-        action_angle_flow(base, -1.0)
+        action_angle_flow(base)(-1.0)
     with pytest.raises(ValueError):
-        action_angle_flow({**base, "samples": 4}, 1.0)
-    st = action_angle_flow(base, 0.0)
+        action_angle_flow({**base, "samples": 4})(1.0)
+    st = action_angle_flow(base)(0.0)
     assert st.phi[0] == 0.0
 
 
-def test_run_system_dispatch():
+def test_systems_flow_values():
+    # each system's flow through SYSTEMS, every param given
     g0, u0 = random_element("su2", 16), random_element("sb2", 16)
-    st = run_system(SystemSpec("casimir_sl2c", {"g0": g0, "u0": u0, "F": 1.0}), 1.0)
+    st = SYSTEMS["casimir_sl2c"].flow({"g0": g0, "u0": u0, "F": 1.0})(1.0)
     assert st.u is u0
-    st = run_system(SystemSpec("rotator", {"p": [0.0, 0.0, 1.0]}), 0.5)
+    st = SYSTEMS["rotator"].flow({"g0": np.eye(3), "p": [0.0, 0.0, 1.0], "F": 1.0})(0.5)
     assert st.g.shape == (3, 3)
-    st = run_system(SystemSpec("momenta_su2", {"alpha": 0.0, "nu": 1.0}), 1.0)
+    st = SYSTEMS["momenta_su2"].flow({"u0": SB2Element.identity(), "alpha": 0.0, "nu": 1.0,
+                                      "F": 1.0})(1.0)
     assert st.u.r == pytest.approx(math.exp(-0.5))
-    st = run_system(SystemSpec("noncasimir_h", {"u0": u0, "alpha0": g0.alpha,
-                                                "nu0": g0.nu}), 1.0)
+    st = SYSTEMS["noncasimir_h"].flow({"u0": u0, "alpha0": g0.alpha, "nu0": g0.nu})(1.0)
     assert st.u.r == u0.r
-    st = run_system(SystemSpec("perturbed", {"u0": u0, "lam": 0.1}), 1.0)
+    st = SYSTEMS["perturbed"].flow({"g0": SU2Element.identity(), "u0": u0, "F": 1.0,
+                                    "lam": 0.1})(1.0)
     assert st.u.r == u0.r
-    st = run_system(SystemSpec("action_angle", {"I0": [1.0], "phi0": [0.0],
-                                                "freq": [2.0]}), 1.5)
+    st = SYSTEMS["action_angle"].flow({"I0": [1.0], "phi0": [0.0], "freq": [2.0]})(1.5)
     assert st.phi[0] == pytest.approx(3.0)
-    with pytest.raises(ValueError):
-        SystemSpec("nonsense", {})
 
 
 def test_conservation_along_oracle_with_projection():
@@ -589,7 +586,7 @@ def test_conservation_along_oracle_with_projection():
 
 
 def reference_state(system, p, t):
-    """Per-t reference for the samplers: rebuilds the generator at every t
+    """Per-t reference for the closed-form flows: rebuilds the generator at every t
     and goes through the validated AlgebraElement, exp_group, expm2 and
     rodrigues3 path.
     """
@@ -704,28 +701,28 @@ def test_sampler_checks_its_inputs_once_and_each_t():
     with pytest.raises(MembershipError, match="g0 fails the rotation check"):
         SYSTEMS["rotator"].flow({"g0": bad_g0, "p": [0.0, 0.0, 1.0], "F": 1.0})
     with pytest.raises(MembershipError, match="g0 fails the rotation check"):
-        rotator_flow(bad_g0, [0.0, 0.0, 1.0], 1.0, 0.5)
+        rotator_flow(bad_g0, [0.0, 0.0, 1.0], 1.0)(0.5)
     u0 = random_element("sb2", 3)
     with pytest.raises(MembershipError):
         SYSTEMS["momenta_su2"].flow({"u0": u0, "alpha": 1.0, "nu": 1.0, "F": 1.0})
     with pytest.raises(MembershipError):
-        momenta_su2_flow(u0, 1.0, 1.0, 1.0, 0.5)
+        momenta_su2_flow(u0, 1.0, 1.0, 1.0)(0.5)
     with pytest.raises(MembershipError):
         SYSTEMS["noncasimir_h"].flow({"u0": u0, "alpha0": 0.5, "nu0": 0.5})
     with pytest.raises(MembershipError):
-        noncasimir_flow(u0, 0.5, 0.5, 0.5)
+        noncasimir_flow(u0, 0.5, 0.5)(0.5)
     # per t: a t·L that overflows, a non-finite t, an exponential that overflows
     g0 = random_element("su2", 3)
-    for flow in (lambda t: casimir_flow(g0, u0, 1.0, t),
-                 lambda t: perturbed_flow(g0, u0, 1.0, 0.2, t),
-                 lambda t: momenta_su2_flow(u0, 0.6, 0.8j, 10.0, t)):
+    for flow in (lambda t: casimir_flow(g0, u0, 1.0)(t),
+                 lambda t: perturbed_flow(g0, u0, 1.0, 0.2)(t),
+                 lambda t: momenta_su2_flow(u0, 0.6, 0.8j, 10.0)(t)):
         for t in (1e308, math.nan):
             with pytest.raises(ValueError, match="non-finite matrix entry"):
                 flow(t)
     with pytest.raises(ValueError, match="non-finite time"):
-        rotator_flow(np.eye(3), [0.0, 0.0, 1.0], 1.0, math.inf)
+        rotator_flow(np.eye(3), [0.0, 0.0, 1.0], 1.0)(math.inf)
     with pytest.raises(ValueError, match="non-finite matrix entry"), \
             np.errstate(over="ignore", invalid="ignore"):
-        casimir_flow(g0, u0, 1e300, 10.0)
+        casimir_flow(g0, u0, 1e300)(10.0)
     with pytest.raises(OverflowError):
-        momenta_su2_flow(u0, 0.6, 0.8j, 1e10, 0.05)
+        momenta_su2_flow(u0, 0.6, 0.8j, 1e10)(0.05)
