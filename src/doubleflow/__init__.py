@@ -51,7 +51,6 @@ from .quadrature import (
     Trajectory,
     drift_report,
     rk4_integrate,
-    simpson_integral,
     simpson_rule,
 )
 from .verify import run_suite
@@ -99,7 +98,6 @@ __all__ = [
     "rk4_integrate",
     "rotator_flow",
     "run_suite",
-    "simpson_integral",
     "simpson_rule",
     "__version__",
 ]

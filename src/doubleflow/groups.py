@@ -70,7 +70,7 @@ class SU2Element:
     def from_matrix(cls, m):
         m = check_finite(np.asarray(m, dtype=complex))
         g = cls(m[0, 0], m[1, 0])
-        if np.max(np.abs(g.as_matrix() - m)) > PROJECT_TOL:
+        if np.abs(g.as_matrix() - m).max() > PROJECT_TOL:
             raise MembershipError("matrix is not of SU(2) form")
         return g
 
@@ -117,7 +117,7 @@ class SB2Element:
         if abs(m[1, 0]) > PROJECT_TOL or abs(m[0, 0].imag) > PROJECT_TOL:
             raise MembershipError("matrix is not of SB(2,C) form")
         u = cls(m[0, 0].real, m[0, 1])
-        if np.max(np.abs(u.as_matrix() - m)) > PROJECT_TOL:
+        if np.abs(u.as_matrix() - m).max() > PROJECT_TOL:
             raise MembershipError("matrix is not of SB(2,C) form")
         return u
 
@@ -153,8 +153,8 @@ class SL2Element:
 
     @classmethod
     def from_matrix(cls, m):
-        m = check_finite(np.asarray(m, dtype=complex))
-        return cls(m[0, 0], m[0, 1], m[1, 0], m[1, 1])
+        (z1, z2), (z3, z4) = check_finite(np.asarray(m, dtype=complex)).tolist()
+        return cls(z1, z2, z3, z4)
 
     def as_matrix(self) -> np.ndarray:
         return np.array([[self.z1, self.z2], [self.z3, self.z4]], dtype=complex)
@@ -202,7 +202,7 @@ class AlgebraElement:
 
 def _algebra_defect(kind: str, m: np.ndarray) -> float:
     if kind == "su2":
-        return float(max(np.max(np.abs(m + np.conj(m.T))), abs(m[0, 0] + m[1, 1])))
+        return float(max(np.abs(m + np.conj(m.T)).max(), abs(m[0, 0] + m[1, 1])))
     if kind == "sb2":
         return float(max(abs(m[1, 0]), abs(m[0, 0] + m[1, 1]), abs(m[0, 0].imag), abs(m[1, 1].imag)))
     if kind == "sl2c":

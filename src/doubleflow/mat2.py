@@ -28,7 +28,7 @@ __all__ = [
 def check_finite(a) -> np.ndarray:
     """Return ``a`` as an ndarray, rejecting NaN/Inf entries."""
     a = np.asarray(a)
-    if not np.all(np.isfinite(a.view(np.float64) if np.iscomplexobj(a) else a)):
+    if not np.isfinite(a).all():
         raise ValueError("non-finite matrix entry")
     return a
 

@@ -10,6 +10,13 @@ once from the reality rule {conj a, conj b} = conj {a, b}, never hand-entered.
 Four systems are built: "sl2c" (z1..z4 and conjugates), "su2" (alpha, nu and
 conjugates), "sb2" (r, gamma, conj gamma), and "double" (su2 + sb2 coordinates
 with the cross entries coupling them).
+
+Polynomials are values: no method changes a Poly after it is built, so each
+one keeps its evaluation form and its partial derivatives once computed.  Each
+table likewise memoizes the polynomials that do not depend on the sample point
+(Jacobi cyclic sums, reality and inversion images, Casimir functions), and
+sampled checks only evaluate them.  The memo is bounded, because the tables and
+the coordinate triples, entries and named functions it is keyed by are fixed.
 """
 
 import itertools
@@ -86,13 +93,17 @@ class Poly:
     """Laurent polynomial with complex coefficients over one coordinate system.
 
     terms maps an exponent tuple (aligned with the system's coordinate order,
-    possibly negative on Laurent coordinates) to its coefficient.
+    possibly negative on Laurent coordinates) to its coefficient.  The
+    monomials in evaluation form and the partial derivatives are built on first
+    use and kept.
     """
 
-    __slots__ = ("cs", "terms")
+    __slots__ = ("cs", "terms", "_monomials", "_diffs")
 
     def __init__(self, cs: CoordinateSystem, terms=None):
         self.cs = cs
+        self._monomials = None
+        self._diffs = {}
         clean = {}
         for exps, c in (terms or {}).items():
             c = complex(c)
@@ -168,22 +179,33 @@ class Poly:
 
     def diff(self, name):
         """Formal partial derivative (Wirtinger derivative for complex names)."""
-        i = self.cs.index(name)
-        terms = {}
-        for e, c in self.terms.items():
-            if e[i] == 0:
-                continue
-            ne = e[:i] + (e[i] - 1,) + e[i + 1:]
-            terms[ne] = terms.get(ne, 0j) + c * e[i]
-        return Poly(self.cs, terms)
+        d = self._diffs.get(name)
+        if d is None:
+            i = self.cs.index(name)
+            terms = {}
+            for e, c in self.terms.items():
+                if e[i] == 0:
+                    continue
+                ne = e[:i] + (e[i] - 1,) + e[i + 1:]
+                terms[ne] = terms.get(ne, 0j) + c * e[i]
+            d = self._diffs[name] = Poly(self.cs, terms)
+        return d
 
     def evaluate(self, point) -> complex:
+        monomials = self._monomials
+        if monomials is None:
+            # (coeff, ((name, k), ...)) with the zero exponents dropped,
+            # factors in coordinate order
+            coords = self.cs.coords
+            monomials = self._monomials = tuple(
+                (c, tuple((name, k) for name, k in zip(coords, e) if k))
+                for e, c in self.terms.items()
+            )
         total = 0j
-        for e, c in self.terms.items():
+        for c, powers in monomials:
             v = c
-            for name, k in zip(self.cs.coords, e):
-                if k:
-                    v *= complex(point[name]) ** k
+            for name, k in powers:
+                v *= complex(point[name]) ** k
             total += v
         return total
 
@@ -271,13 +293,20 @@ _CROSS_SEEDS = {
 class BracketTable:
     """Antisymmetric table of structure functions over one coordinate system."""
 
-    __slots__ = ("system", "cs", "entries", "_jacobi_cache")
+    __slots__ = ("system", "cs", "entries", "_cache")
 
     def __init__(self, system, entries):
         self.system = system
         self.cs = COORD_SYSTEMS[system]
         self.entries = dict(entries)
-        self._jacobi_cache = {}
+        self._cache = {}
+
+    def _memo(self, key, build):
+        """The point-independent object stored under key, built on first use."""
+        value = self._cache.get(key)
+        if value is None:
+            value = self._cache[key] = build()
+        return value
 
     def entry(self, a, b) -> Poly:
         """The structure polynomial {a, b}; antisymmetry is applied on lookup."""
@@ -322,18 +351,15 @@ class BracketTable:
 
     def jacobi_poly(self, a, b, c) -> Poly:
         """{{a,b},c} + {{b,c},a} + {{c,a},b} as an exact polynomial."""
-        key = (a, b, c)
-        cached = self._jacobi_cache.get(key)
-        if cached is not None:
-            return cached
-        pa, pb, pc = (Poly.var(self.cs, x) for x in key)
-        out = (
-            self.poly_bracket(self.poly_bracket(pa, pb), pc)
-            + self.poly_bracket(self.poly_bracket(pb, pc), pa)
-            + self.poly_bracket(self.poly_bracket(pc, pa), pb)
-        )
-        self._jacobi_cache[key] = out
-        return out
+        def build():
+            pa, pb, pc = (Poly.var(self.cs, x) for x in (a, b, c))
+            return (
+                self.poly_bracket(self.poly_bracket(pa, pb), pc)
+                + self.poly_bracket(self.poly_bracket(pb, pc), pa)
+                + self.poly_bracket(self.poly_bracket(pc, pa), pb)
+            )
+
+        return self._memo(("jacobi", a, b, c), build)
 
     def jacobi_residual(self, a, b, c, point) -> float:
         return abs(self.jacobi_poly(a, b, c).evaluate(point))
@@ -351,28 +377,36 @@ class BracketTable:
 
     def casimir_residual(self, fname, point) -> float:
         """max_a |{f, a}|(p) for the named function, via η = df."""
-        f = named_function(self.system, fname)
+        f = self._memo(("function", fname), lambda: named_function(self.system, fname))
         rates = self.hamiltonian_field(gradient_covector(f, point), point)
         return max(abs(v) for v in rates.values())
 
     def table_symmetry_checks(self, point):
         """Residuals of the reality rule and (on sl2c) the inversion symmetry."""
         reality = 0.0
-        for (a, b), t in self.entries.items():
-            lhs = t.conj().evaluate(point)
-            rhs = self.entry(self.cs.conj[a], self.cs.conj[b]).evaluate(point)
-            reality = max(reality, abs(lhs - rhs))
+        for lhs, rhs in self._memo("reality", self._reality_pairs):
+            reality = max(reality, abs(lhs.evaluate(point) - rhs.evaluate(point)))
         report = {"reality": reality}
         if self.system == "sl2c":
             inversion = 0.0
-            for a, b in itertools.combinations(self.cs.coords, 2):
-                sa, na = _SIGMA[a]
-                sb, nb = _SIGMA[b]
-                lhs = _sigma_poly(self.entry(a, b)).evaluate(point)
-                rhs = sa * sb * self.entry(na, nb).evaluate(point)
-                inversion = max(inversion, abs(lhs - rhs))
+            for lhs, sign, rhs in self._memo("inversion", self._inversion_triples):
+                inversion = max(inversion, abs(lhs.evaluate(point) - sign * rhs.evaluate(point)))
             report["inversion"] = inversion
         return report
+
+    def _reality_pairs(self):
+        """(conj {a,b}, {conj a, conj b}) for every stored entry."""
+        conj = self.cs.conj
+        return [(t.conj(), self.entry(conj[a], conj[b])) for (a, b), t in self.entries.items()]
+
+    def _inversion_triples(self):
+        """(σ{a,b}, s_a·s_b, {σa, σb}) for every coordinate pair, σ the inversion."""
+        out = []
+        for a, b in itertools.combinations(self.cs.coords, 2):
+            sa, na = _SIGMA[a]
+            sb, nb = _SIGMA[b]
+            out.append((_sigma_poly(self.entry(a, b)), sa * sb, self.entry(na, nb)))
+        return out
 
     def to_json(self) -> str:
         doc = {"system": self.system, "entries": []}

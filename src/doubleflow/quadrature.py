@@ -16,7 +16,6 @@ __all__ = [
     "NonFiniteStateError",
     "rk4_integrate",
     "simpson_rule",
-    "simpson_integral",
     "drift_report",
 ]
 
@@ -119,18 +118,6 @@ def simpson_rule(t0, t1, n):
     weights[1::2] = 4.0
     weights[0] = weights[-1] = 1.0
     return nodes, weights * (h / 3.0)
-
-
-def simpson_integral(f, t0, t1, n):
-    """Composite Simpson integral of a scalar-, vector- or matrix-valued f."""
-    nodes, weights = simpson_rule(t0, t1, n)
-    total = None
-    for s, w in zip(nodes, weights):
-        v = w * np.asarray(f(s))
-        total = v if total is None else total + v
-    if total.ndim == 0:
-        return total[()]
-    return total
 
 
 def drift_report(traj: Trajectory, invariants) -> DriftReport:

@@ -20,12 +20,35 @@ def test_mat2_basic_ops():
 
 
 def test_check_finite_rejects():
-    with pytest.raises(ValueError):
-        check_finite(np.array([1.0, np.nan]))
-    with pytest.raises(ValueError):
-        check_finite(np.array([1.0 + 1j * np.inf, 0.0]))
-    with pytest.raises(ValueError):
-        check_finite(np.array([[np.inf, 0], [0, 1]], dtype=complex))
+    bad = (
+        np.array([1.0, np.nan]),
+        np.array([[np.inf, 0], [0, 1]], dtype=complex),
+        np.array([complex(np.nan, 0.0), 1.0]),
+        np.array([complex(-np.inf, 0.0), 1.0]),
+        # only the imaginary part is non-finite
+        np.array([[1.0, complex(0.0, np.nan)], [0.0, 1.0]]),
+        np.array([complex(2.0, np.inf), 1.0]),
+        np.array(np.nan),
+        np.array(complex(0.0, np.inf)),
+        [[1.0, 0.0], [0.0, np.inf]],
+    )
+    for a in bad:
+        with pytest.raises(ValueError, match="^non-finite matrix entry$"):
+            check_finite(a)
+
+
+def test_check_finite_returns_finite_input_as_ndarray():
+    a = check_finite([[1.0, 2.0], [3.0, 4.0]])
+    assert isinstance(a, np.ndarray) and a.shape == (2, 2)
+    assert a.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+    z = check_finite([complex(1.0, -2.0)])
+    assert isinstance(z, np.ndarray) and z.dtype == complex
+    m = np.array([[1.0, 2j], [0.5, 1.0]])
+    assert check_finite(m) is m
+    # 0-d and transposed complex input is checked, not refused for its layout
+    assert check_finite(np.array(3.0)).shape == ()
+    assert check_finite(np.array(1.0 + 2j)).shape == ()
+    assert check_finite(m.T).tolist() == m.T.tolist()
 
 
 def test_sinhc_series_matches_direct():

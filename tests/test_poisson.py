@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from doubleflow import dynamics as dyn
+from doubleflow import poisson, verify
 from doubleflow.groups import random_element
 from doubleflow.poisson import (
+    _SIGMA,
     COORD_SYSTEMS,
     BracketTable,
     Poly,
@@ -15,6 +17,7 @@ from doubleflow.poisson import (
     point_of_element,
     poisson_point,
     random_point,
+    _sigma_poly,
 )
 
 SYSTEMS = ("sl2c", "su2", "sb2", "double")
@@ -154,14 +157,7 @@ def test_hamiltonian_field_requires_full_covector():
 
 def test_double_table_reproduces_sl2c_through_product_coordinates():
     td, tz = get_table("double"), get_table("sl2c")
-    cs = td.cs
-    zp = {
-        "z1": Poly.from_monomials(cs, [(1, {"alpha": 1, "r": 1})]),
-        "z2": Poly.from_monomials(cs, [(1, {"alpha": 1, "gamma": 1}), (-1, {"nuc": 1, "r": -1})]),
-        "z3": Poly.from_monomials(cs, [(1, {"nu": 1, "r": 1})]),
-        "z4": Poly.from_monomials(cs, [(1, {"nu": 1, "gamma": 1}), (1, {"alphac": 1, "r": -1})]),
-    }
-    zp.update({k + "c": v.conj() for k, v in list(zp.items())})
+    zp = _zpolys(td.cs)
     for k in range(10):
         p = random_point("double", k)
         zvals = {name: poly.evaluate(p) for name, poly in zp.items()}
@@ -251,3 +247,126 @@ def test_json_round_trip_is_bit_exact():
         assert set(t2.entries) == set(t.entries)
         for key, poly in t.entries.items():
             assert t2.entries[key].terms == poly.terms
+
+
+# Reference forms of the memoized code paths.  They rebuild every polynomial
+# at every point and evaluate by visiting each exponent, zeros included; the
+# memoized forms must give the same bits, not merely close values.
+
+def _ref_evaluate(poly, point):
+    total = 0j
+    for e, c in poly.terms.items():
+        v = c
+        for name, k in zip(poly.cs.coords, e):
+            if k:
+                v *= complex(point[name]) ** k
+        total += v
+    return total
+
+
+def _ref_symmetry_checks(t, point):
+    reality = 0.0
+    for (a, b), e in t.entries.items():
+        lhs = _ref_evaluate(e.conj(), point)
+        rhs = _ref_evaluate(t.entry(t.cs.conj[a], t.cs.conj[b]), point)
+        reality = max(reality, abs(lhs - rhs))
+    report = {"reality": reality}
+    if t.system == "sl2c":
+        inversion = 0.0
+        for a, b in itertools.combinations(t.cs.coords, 2):
+            sa, na = _SIGMA[a]
+            sb, nb = _SIGMA[b]
+            lhs = _ref_evaluate(_sigma_poly(t.entry(a, b)), point)
+            rhs = sa * sb * _ref_evaluate(t.entry(na, nb), point)
+            inversion = max(inversion, abs(lhs - rhs))
+        report["inversion"] = inversion
+    return report
+
+
+def _ref_casimir_residual(t, fname, point):
+    f = named_function(t.system, fname)
+    eta = {c: _ref_evaluate(f.diff(c), point) for c in t.cs.coords}
+    rates = {c: 0j for c in t.cs.coords}
+    for (a, b), e in t.entries.items():
+        v = _ref_evaluate(e, point)
+        rates[a] += v * complex(eta[b])
+        rates[b] -= v * complex(eta[a])
+    return max(abs(v) for v in rates.values())
+
+
+def _zpolys(cs):
+    """z1..z4 and conjugates of a = g*u as polynomials in the double coordinates."""
+    zp = {
+        "z1": Poly.from_monomials(cs, [(1, {"alpha": 1, "r": 1})]),
+        "z2": Poly.from_monomials(cs, [(1, {"alpha": 1, "gamma": 1}), (-1, {"nuc": 1, "r": -1})]),
+        "z3": Poly.from_monomials(cs, [(1, {"nu": 1, "r": 1})]),
+        "z4": Poly.from_monomials(cs, [(1, {"nu": 1, "gamma": 1}), (1, {"alphac": 1, "r": -1})]),
+    }
+    zp.update({k + "c": v.conj() for k, v in list(zp.items())})
+    return zp
+
+
+def _points(name, n=50):
+    if name == "sl2c":
+        return [random_point("sl2c", k, on_surface=k % 2 == 0) for k in range(n)]
+    return [random_point(name, k) for k in range(n)]
+
+
+def test_compiled_evaluate_is_bit_identical_to_reference():
+    for name in SYSTEMS:
+        t = get_table(name)
+        polys = list(t.entries.values())
+        polys += [t.jacobi_poly(a, b, c) for a, b, c in itertools.combinations(t.cs.coords, 3)]
+        if name in ("sb2", "double"):
+            # the Laurent entries: negative powers of r
+            assert any(k < 0 for p in polys for e in p.terms for k in e)
+        if name == "double":
+            zp = _zpolys(t.cs)
+            polys += list(zp.values())
+            polys += [t.poly_bracket(zp[a], zp[b]) for a, b in itertools.combinations(zp, 2)]
+        for point in _points(name):
+            for poly in polys:
+                assert poly.evaluate(point) == _ref_evaluate(poly, point)
+
+
+def test_memoized_symmetry_checks_are_bit_identical_to_reference():
+    for name in SYSTEMS:
+        t = get_table(name)
+        for point in _points(name):
+            assert t.table_symmetry_checks(point) == _ref_symmetry_checks(t, point)
+
+
+def test_memoized_casimir_residual_is_bit_identical_to_reference():
+    for name, fname in (("sl2c", "det"), ("sl2c", "conj_det"), ("su2", "h_su2_norm"),
+                        ("sb2", "h0")):
+        t = get_table(name)
+        for point in _points(name):
+            assert t.casimir_residual(fname, point) == _ref_casimir_residual(t, fname, point)
+
+
+def test_hoisted_product_coordinates_check_matches_per_point_recomputation():
+    seed, samples = 5, 20
+    rng = np.random.default_rng(seed)
+    # the suite's draw order: sl2c, generic sl2c, su2 and sb2 points come first
+    for name, on_surface in (("sl2c", True), ("sl2c", False), ("su2", True), ("sb2", True)):
+        for _ in range(samples):
+            random_point(name, rng, on_surface=on_surface)
+    pts = [random_point("double", rng) for _ in range(samples)]
+    td, tz = get_table("double"), get_table("sl2c")
+    worst = 0.0
+    for p in pts:
+        zp = _zpolys(td.cs)
+        zvals = {k: _ref_evaluate(v, p) for k, v in zp.items()}
+        for a, b in itertools.combinations(tz.cs.coords, 2):
+            lhs = _ref_evaluate(td.poly_bracket(zp[a], zp[b]), p)
+            worst = max(worst, abs(lhs - _ref_evaluate(tz.entry(a, b), zvals)))
+    checks = {c.name: c for c in verify.suite_brackets(seed, samples)}
+    assert checks["product_coordinates_consistency"].residual == worst
+
+
+def test_brackets_report_is_the_same_with_cold_and_warm_caches(monkeypatch):
+    monkeypatch.setattr(poisson, "_TABLES", {})
+    cold = verify.report_doc("brackets", 3, 30)
+    warm = verify.report_doc("brackets", 3, 30)
+    assert poisson._TABLES
+    assert cold == warm

@@ -9,7 +9,6 @@ from doubleflow.quadrature import (
     Trajectory,
     drift_report,
     rk4_integrate,
-    simpson_integral,
     simpson_rule,
 )
 
@@ -136,24 +135,23 @@ def test_simpson_rule_weights():
         simpson_rule(0.0, 1.0, 0)
 
 
+def _simpson(f, t0, t1, n):
+    nodes, weights = simpson_rule(t0, t1, n)
+    return sum(w * f(s) for s, w in zip(nodes, weights))
+
+
 def test_simpson_exact_for_cubics():
-    val = simpson_integral(lambda s: 4.0 * s**3 - 3.0 * s**2 + 2.0 * s - 1.0, 0.0, 2.0, 2)
+    val = _simpson(lambda s: 4.0 * s**3 - 3.0 * s**2 + 2.0 * s - 1.0, 0.0, 2.0, 2)
     exact = 2.0**4 - 2.0**3 + 2.0**2 - 2.0
     assert val == pytest.approx(exact, abs=1e-14)
 
 
 def test_simpson_converges_on_smooth_integrand():
     # composite error ~ (b - a) h^4 / 180, halving h gains ~16x
-    coarse = abs(simpson_integral(math.sin, 0.0, math.pi, 8) - 2.0)
-    fine = abs(simpson_integral(math.sin, 0.0, math.pi, 16) - 2.0)
+    coarse = abs(_simpson(math.sin, 0.0, math.pi, 8) - 2.0)
+    fine = abs(_simpson(math.sin, 0.0, math.pi, 16) - 2.0)
     assert fine < coarse / 10.0
     assert fine < 1e-4
-
-
-def test_simpson_matrix_valued():
-    a = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    val = simpson_integral(lambda s: a * math.exp(s), 0.0, 1.0, 64)
-    np.testing.assert_allclose(val, a * (math.e - 1.0), atol=1e-9)
 
 
 def test_drift_report_tracks_conserved_radius():
