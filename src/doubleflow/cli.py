@@ -8,6 +8,7 @@ deviation above --max-dev.
 """
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -188,8 +189,10 @@ def _load_config(path):
 
 
 def _write_csv(out, header, rows):
+    # one %-format per row; "%.17g" % x is the string _fmt(x) gives
+    row_format = ",".join(["%.17g"] * len(header))
     lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+    lines.extend(row_format % tuple(row) for row in rows)
     text = "\n".join(lines) + "\n"
     if out is None:
         sys.stdout.write(text)
@@ -363,6 +366,7 @@ def _complex_arg(text):
     raise argparse.ArgumentTypeError(f"expected RE or RE,IM, got {text!r}")
 
 
+@functools.cache  # built on the first main() call, then reused in the process
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="doubleflow",
@@ -388,13 +392,13 @@ def _build_parser():
     legsub = leg.add_subparsers(dest="action", required=True)
     lmap = legsub.add_parser("map", help="(r, gamma) to the velocity matrix")
     lmap.add_argument("--r", type=float, required=True)
-    lmap.add_argument("--gamma", type=_complex_arg, default=[0.0, 0.0],
+    lmap.add_argument("--gamma", type=_complex_arg, default=(0.0, 0.0),
                       metavar="RE[,IM]")
     lmap.add_argument("--f", type=float, default=1.0,
                       help="conformal factor F (default 1)")
     linv = legsub.add_parser("invert", help="(s, w) data back to (r, gamma)")
     linv.add_argument("--s", type=float, required=True)
-    linv.add_argument("--w", type=_complex_arg, default=[0.0, 0.0],
+    linv.add_argument("--w", type=_complex_arg, default=(0.0, 0.0),
                       metavar="RE[,IM]")
     linv.add_argument("--unreduced", action="store_true",
                       help="use the unreduced inverse formula (documented mismatch)")
@@ -402,8 +406,7 @@ def _build_parser():
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         if args.command == "simulate":
             return run_simulate(args)

@@ -141,11 +141,10 @@ def sl2c_flat_field(F_value: float):
     F = float(F_value)
 
     def field(y):
-        x1, y1, x2, y2, x3, y3, x4, y4 = y.tolist()
+        x1, y1, x2, y2, x3, y3, x4, y4 = y
         r1, r2, r3, r4 = _sl2c_rates(complex(x1, y1), complex(x2, y2),
                                      complex(x3, y3), complex(x4, y4), F)
-        return np.array([r1.real, r1.imag, r2.real, r2.imag,
-                         r3.real, r3.imag, r4.real, r4.imag])
+        return (r1.real, r1.imag, r2.real, r2.imag, r3.real, r3.imag, r4.real, r4.imag)
 
     return field
 
@@ -257,7 +256,7 @@ def rotator_flat_field(p, F):
     k = hat3(_fvalue(F, p) * p)
 
     def field(y):
-        return (y.reshape(3, 3) @ k).ravel()
+        return (np.array(y).reshape(3, 3) @ k).ravel().tolist()
 
     return field
 
@@ -302,7 +301,7 @@ def momenta_su2_flat_field(alpha, nu, F):
     def field(st):
         r, gamma = st[0], complex(st[1], st[2])
         gdot = x * gamma + y / r
-        return np.array([x * r, gdot.real, gdot.imag])
+        return [float(x * r), float(gdot.real), float(gdot.imag)]
 
     return field
 
@@ -342,12 +341,11 @@ def noncasimir_flat_field():
     """Bracket-derived rates on the flattened (Re α, Im α, Re ν, Im ν, r, Re γ, Im γ)."""
 
     def field(st):
-        alpha = complex(st[0], st[1])
-        nu = complex(st[2], st[3])
-        r = st[4]
+        a_re, a_im, n_re, n_im, r, _, _ = st
+        alpha, nu = complex(a_re, a_im), complex(n_re, n_im)
         adot = 0.5j * abs(nu) ** 2 * alpha
         gdot = 0.5j * alpha.conjugate() * nu.conjugate() / r
-        return np.array([adot.real, adot.imag, 0.0, 0.0, 0.0, gdot.real, gdot.imag])
+        return (adot.real, adot.imag, 0.0, 0.0, 0.0, gdot.real, gdot.imag)
 
     return field
 
@@ -394,7 +392,7 @@ def perturbed_flat_field(F, lam: float):
     lam = float(lam)
 
     def field(st):
-        a_re, a_im, n_re, n_im, r, g_re, g_im = st.tolist()
+        a_re, a_im, n_re, n_im, r, g_re, g_im = st
         alpha, nu, gamma = complex(a_re, a_im), complex(n_re, n_im), complex(g_re, g_im)
         # first column of gen = legendre_map(u, F) - X(r), entry by entry
         c = -0.25j * _fvalue(F, r)
@@ -404,8 +402,7 @@ def perturbed_flat_field(F, lam: float):
         g00 = alpha * gen00 - nu.conjugate() * gen10
         g10 = nu * gen00 + alpha.conjugate() * gen10
         gammadot = -0.5j * lam * r * gamma
-        return np.array([g00.real, g00.imag, g10.real, g10.imag, 0.0,
-                         gammadot.real, gammadot.imag])
+        return (g00.real, g00.imag, g10.real, g10.imag, 0.0, gammadot.real, gammadot.imag)
 
     return field
 
@@ -509,7 +506,7 @@ def action_angle_flow(params) -> Callable:
         else:
             substeps = 8
             steps = (samples - 1) * substeps
-            traj = rk4_integrate(lambda y: np.asarray(drift(y), dtype=float),
+            traj = rk4_integrate(lambda y: np.asarray(drift(np.array(y)), dtype=float).tolist(),
                                  I0, 0.0, t, t / steps)
             mats = [np.asarray(matrix(traj.states[k * substeps]), dtype=float)
                     for k in range(samples)]
@@ -533,10 +530,10 @@ def action_angle_flat_field(params):
     """
     n = len(params["I0"])
     if params.get("matrix") is None:
-        nu = np.asarray(params["freq"], dtype=float)
-        return lambda y: np.concatenate([np.zeros(n), nu])
+        rate = np.concatenate([np.zeros(n), np.asarray(params["freq"], dtype=float)]).tolist()
+        return lambda y: rate
     A = np.asarray(params["matrix"](params["I0"]), dtype=float)
-    return lambda y: np.concatenate([np.zeros(n), A @ y[n:]])
+    return lambda y: [0.0] * n + (A @ np.array(y[n:])).tolist()
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,12 @@ Fixed-step classical RK4 on flat real coordinate vectors, composite Simpson
 quadrature, and conserved-quantity drift reporting.  Nothing in here knows
 about groups or brackets; that ignorance is what makes the oracle independent
 of the closed-form flows it checks.
+
+RK4 keeps its state as a list of Python floats.  A field receives that list
+and returns a sequence of as many floats (a length mismatch is a ValueError).
+Every stage and update sum is the float-for-float equivalent of its numpy
+array form, so the states have the bits of array arithmetic without paying
+numpy's dispatch on 3- to 9-element vectors.
 """
 
 import math
@@ -75,8 +81,12 @@ class DriftReport:
 def rk4_integrate(field, y0, t0, t1, h) -> Trajectory:
     """Classical fixed-step RK4; the final partial step lands exactly on t1.
 
-    field maps a flat real state to its rate and must not depend on time.
-    Raises NonFiniteStateError the first time a state stops being finite.
+    field maps a flat real state, passed as a list of Python floats, to its
+    rate, a sequence of as many floats; it must not depend on time.  The
+    stage and update sums run float by float in the order of their array
+    form, y + (h/2)·k1, ..., y + (h/6)·(k1 + 2·k2 + 2·k3 + k4), so each state
+    has the bits numpy's elementwise arithmetic gives.  Raises
+    NonFiniteStateError the first time a state stops being finite.
     """
     if not (h > 0):
         raise ValueError("h must be positive")
@@ -93,15 +103,18 @@ def rk4_integrate(field, y0, t0, t1, h) -> Trajectory:
     times[-1] = t1
     states = np.empty((n, y.size))
     states[0] = y
+    y = y.tolist()
     for k in range(1, n):
         step = h if k <= n_full else rest
         half = 0.5 * step
-        k1 = np.asarray(field(y), dtype=float)
-        k2 = np.asarray(field(y + half * k1), dtype=float)
-        k3 = np.asarray(field(y + half * k2), dtype=float)
-        k4 = np.asarray(field(y + step * k3), dtype=float)
-        y = y + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.isfinite(y).all():
+        k1 = field(y)
+        k2 = field([a + half * b for a, b in zip(y, k1, strict=True)])
+        k3 = field([a + half * b for a, b in zip(y, k2, strict=True)])
+        k4 = field([a + step * b for a, b in zip(y, k3, strict=True)])
+        c = step / 6.0
+        y = [a + c * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+             for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4, strict=True)]
+        if not all(map(math.isfinite, y)):
             raise NonFiniteStateError(t1 if k > n_full else t0 + k * h)
         states[k] = y
     return Trajectory(times, states)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from doubleflow import dynamics as dyn
-from doubleflow.cli import MAX_ROWS, main
+from doubleflow.cli import MAX_ROWS, _write_csv, main
 
 
 def run_config(tmp_path, doc, name="run.csv", extra=()):
@@ -84,6 +84,16 @@ def test_simulate_stdin_and_stdout(tmp_path, monkeypatch, capsys):
     lines = text.strip().split("\n")
     assert lines[0].startswith("t,g11,")
     assert len(lines) == 4
+
+
+def test_csv_values_format_as_17_significant_digits(capsys):
+    row = [-0.0, 5e-324, 1.7976931348623157e308, np.float64(0.1), 3, 2**60 + 1, math.pi]
+    _write_csv(None, [f"c{i}" for i in range(len(row))], [row, row[::-1]])
+    lines = capsys.readouterr().out.split("\n")
+    assert lines[1] == ",".join(format(float(x), ".17g") for x in row)
+    assert lines[2] == ",".join(format(float(x), ".17g") for x in row[::-1])
+    assert lines[1].split(",")[:5] == ["-0", "4.9406564584124654e-324",
+                                       "1.7976931348623157e+308", "0.10000000000000001", "3"]
 
 
 def test_simulate_flag_overrides_config_out(tmp_path):

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from doubleflow import dynamics as dyn
+from doubleflow.cli import _parse_params
 from doubleflow.quadrature import (
     DriftReport,
     NonFiniteStateError,
@@ -51,6 +53,10 @@ def test_rk4_rejects_bad_arguments():
         rk4_integrate(rotation_field, y0, 0.0, 1.0, 0.0)
     with pytest.raises(ValueError):
         rk4_integrate(rotation_field, y0, 1.0, 1.0, 0.1)
+    # a rate of another length than the state
+    for rate in ([1.0], [1.0, 0.0, 0.0]):
+        with pytest.raises(ValueError):
+            rk4_integrate(lambda y: rate, y0, 0.0, 1.0, 0.25)
 
 
 def test_rk4_nonfinite_detection():
@@ -101,6 +107,44 @@ def test_rk4_bitwise_matches_reference_loop(t0, t1, h):
     times, states = reference_rk4(lotka_volterra, y0, t0, t1, h)
     assert traj.times.tobytes() == times.tobytes()
     assert traj.states.tobytes() == states.tobytes()
+
+
+# simulate's params for every SYSTEMS entry: omitted initial data are drawn
+# from the seed; action_angle runs by freq and by matrix
+ORACLE_CASES = [(name, {}) for name in dyn.SYSTEMS if name != "action_angle"] + [
+    ("action_angle", {"I0": [1.0, 2.0], "phi0": [0.1, 0.2], "freq": [0.3, -1.7]}),
+    ("action_angle", {"I0": [1.0], "phi0": [0.1, 0.2], "matrix": [[0.1, -0.4], [0.4, 0.1]]}),
+]
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("system, given", ORACLE_CASES,
+                         ids=[name + "".join(f"-{k}" for k in ("freq", "matrix") if k in given)
+                              for name, given in ORACLE_CASES])
+def test_rk4_on_system_fields_bitwise_matches_array_loop(system, given, seed):
+    sysdef = dyn.SYSTEMS[system]
+    params = _parse_params(system, given, np.random.default_rng(seed))
+    field = sysdef.field(params)
+    y0 = sysdef.flat(sysdef.flow(params)(0.0))
+    # 0.8 / 3e-3 leaves a partial last step
+    traj = rk4_integrate(field, y0, 0.0, 0.8, 3e-3)
+    times, states = reference_rk4(lambda y: np.asarray(field(y)), y0, 0.0, 0.8, 3e-3)
+    assert traj.times.tobytes() == times.tobytes()
+    assert traj.states.tobytes() == states.tobytes()
+
+
+def test_rk4_nonfinite_time_when_a_stage_sum_overflows():
+    # the rate stays finite; the state overflows in the update sum of the
+    # fourth step (1.79e308 + 4 * 2.5e305 > DBL_MAX)
+    def push(y):
+        return [1e306]
+
+    with pytest.raises(NonFiniteStateError) as err:
+        rk4_integrate(push, [1.79e308], 0.0, 2.0, 0.25)
+    with np.errstate(over="ignore"):
+        times, states = reference_rk4(push, np.array([1.79e308]), 0.0, 2.0, 0.25)
+    first_bad = np.flatnonzero(~np.isfinite(states[:, 0]))[0]
+    assert err.value.time == times[first_bad] == 1.0
 
 
 def test_rk4_nonfinite_time_on_partial_step():
