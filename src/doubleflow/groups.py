@@ -76,16 +76,16 @@ class SU2Element:
 
     def as_matrix(self) -> np.ndarray:
         return np.array(
-            [[self.alpha, -np.conj(self.nu)], [self.nu, np.conj(self.alpha)]],
+            [[self.alpha, -self.nu.conjugate()], [self.nu, self.alpha.conjugate()]],
             dtype=complex,
         )
 
     def inverse(self) -> "SU2Element":
-        return SU2Element(np.conj(self.alpha), -self.nu)
+        return SU2Element(self.alpha.conjugate(), -self.nu)
 
     def __matmul__(self, other: "SU2Element") -> "SU2Element":
-        a = self.alpha * other.alpha - np.conj(self.nu) * other.nu
-        n = self.nu * other.alpha + np.conj(self.alpha) * other.nu
+        a = self.alpha * other.alpha - self.nu.conjugate() * other.nu
+        n = self.nu * other.alpha + self.alpha.conjugate() * other.nu
         return SU2Element(a, n)
 
     def membership_defect(self) -> float:
@@ -140,7 +140,7 @@ class SL2Element:
     __slots__ = ("z1", "z2", "z3", "z4")
 
     def __init__(self, z1, z2, z3, z4):
-        z = [_finite_complex(v, f"z{i}") for i, v in enumerate((z1, z2, z3, z4), start=1)]
+        z = list(map(_finite_complex, (z1, z2, z3, z4), ("z1", "z2", "z3", "z4")))
         d = z[0] * z[3] - z[1] * z[2]
         if abs(d - 1.0) > PROJECT_TOL:
             raise MembershipError(f"det = {d!r} is not 1")
@@ -219,7 +219,7 @@ def iwasawa_gu(a: SL2Element):
     """
     s = 1.0 / math.sqrt(abs(a.z1) ** 2 + abs(a.z3) ** 2)
     g = SU2Element(s * a.z1, s * a.z3)
-    u = SB2Element(1.0 / s, s * (np.conj(a.z1) * a.z2 + np.conj(a.z3) * a.z4))
+    u = SB2Element(1.0 / s, s * (a.z1.conjugate() * a.z2 + a.z3.conjugate() * a.z4))
     return g, u
 
 
@@ -231,8 +231,8 @@ def iwasawa_ug(a: SL2Element):
         g = [[t*conj(z4), -t*conj(z3)], [t*z3, t*z4]]
     """
     t = 1.0 / math.sqrt(abs(a.z3) ** 2 + abs(a.z4) ** 2)
-    u = SB2Element(t, t * (a.z1 * np.conj(a.z3) + a.z2 * np.conj(a.z4)))
-    g = SU2Element(t * np.conj(a.z4), t * a.z3)
+    u = SB2Element(t, t * (a.z1 * a.z3.conjugate() + a.z2 * a.z4.conjugate()))
+    g = SU2Element(t * a.z4.conjugate(), t * a.z3)
     return u, g
 
 

@@ -7,9 +7,10 @@ identity are exact.  Each complex coordinate and its conjugate are independent
 indices (Wirtinger convention); the conjugate half of every table is generated
 once from the reality rule {conj a, conj b} = conj {a, b}, never hand-entered.
 
-Four systems are built: "sl2c" (z1..z4 and conjugates), "su2" (alpha, nu and
-conjugates), "sb2" (r, gamma, conj gamma), and "double" (su2 + sb2 coordinates
-with the cross entries coupling them).
+Four systems are declared, one CoordinateSystem record each: "sl2c" (z1..z4
+and conjugates), "su2" (alpha, nu and conjugates), "sb2" (r, gamma, conj
+gamma), and "double", built from the su2 and sb2 records plus the cross
+entries coupling them.
 
 Polynomials are values: no method changes a Poly after it is built, so each
 one keeps its evaluation form and its partial derivatives once computed.  Each
@@ -25,7 +26,7 @@ import math
 
 import numpy as np
 
-from .groups import _as_rng, random_element
+from .groups import SB2Element, SL2Element, SU2Element, _as_rng, random_element
 
 __all__ = [
     "CoordinateSystem",
@@ -44,15 +45,27 @@ CONJ_TOL = 1e-12
 
 
 class CoordinateSystem:
-    """Ordered coordinate names, conjugation pairing, Laurent-allowed names."""
+    """The one declaration of a bracket system.
 
-    __slots__ = ("name", "coords", "conj", "laurent", "_index")
+    Ordered coordinate names, their conjugation pairing, and the Laurent
+    names (negative powers allowed; real and positive at a point).  seeds
+    maps coordinate pairs to the monomials of their seed brackets, which
+    get_table closes under the reality rule; functions maps observable names
+    to monomial lists; kinds are the group elements a random point is drawn
+    from; sigma is the inversion map name -> (sign, image), or None.
+    """
 
-    def __init__(self, name, coords, conj, laurent=()):
+    __slots__ = ("name", "coords", "conj", "laurent", "seeds", "functions", "kinds", "sigma", "_index")
+
+    def __init__(self, name, coords, conj, laurent=(), *, seeds, functions, kinds, sigma=None):
         self.name = name
         self.coords = tuple(coords)
         self.conj = dict(conj)
         self.laurent = frozenset(laurent)
+        self.seeds = seeds
+        self.functions = functions
+        self.kinds = tuple(kinds)
+        self.sigma = sigma
         self._index = {c: i for i, c in enumerate(self.coords)}
 
     def index(self, coord: str) -> int:
@@ -69,24 +82,101 @@ def _pairs(*bases):
         m[b + "c"] = b
     return m
 
-_SU2_CONJ = _pairs("alpha", "nu")
-_SB2_CONJ = {"r": "r", **_pairs("gamma")}
 
-COORD_SYSTEMS = {
-    "sl2c": CoordinateSystem(
-        "sl2c",
-        ("z1", "z2", "z3", "z4", "z1c", "z2c", "z3c", "z4c"),
-        _pairs("z1", "z2", "z3", "z4"),
-    ),
-    "su2": CoordinateSystem("su2", ("alpha", "nu", "alphac", "nuc"), _SU2_CONJ),
-    "sb2": CoordinateSystem("sb2", ("r", "gamma", "gammac"), _SB2_CONJ, laurent=("r",)),
-    "double": CoordinateSystem(
-        "double",
-        ("alpha", "nu", "alphac", "nuc", "r", "gamma", "gammac"),
-        {**_SU2_CONJ, **_SB2_CONJ},
-        laurent=("r",),
-    ),
+_I2 = 0.5j
+
+# Inversion a -> a^(-1) on SL(2,C): z1 <-> z4, z2 -> -z2, z3 -> -z3.
+_SIGMA = {
+    "z1": (1, "z4"), "z4": (1, "z1"), "z2": (-1, "z2"), "z3": (-1, "z3"),
+    "z1c": (1, "z4c"), "z4c": (1, "z1c"), "z2c": (-1, "z2c"), "z3c": (-1, "z3c"),
 }
+
+_SL2C = CoordinateSystem(
+    "sl2c",
+    ("z1", "z2", "z3", "z4", "z1c", "z2c", "z3c", "z4c"),
+    _pairs("z1", "z2", "z3", "z4"),
+    seeds={
+        ("z1", "z2"): [(-_I2, {"z1": 1, "z2": 1})],
+        ("z1", "z3"): [(+_I2, {"z1": 1, "z3": 1})],
+        ("z1", "z4"): [],
+        ("z2", "z3"): [(1j, {"z1": 1, "z4": 1})],
+        ("z2", "z4"): [(+_I2, {"z2": 1, "z4": 1})],
+        ("z3", "z4"): [(-_I2, {"z3": 1, "z4": 1})],
+        ("z1", "z1c"): [(-_I2, {"z1": 1, "z1c": 1}), (-1j, {"z3": 1, "z3c": 1})],
+        ("z2", "z2c"): [(-_I2, {"z2": 1, "z2c": 1}), (-1j, {"z1": 1, "z1c": 1}),
+                        (-1j, {"z4": 1, "z4c": 1})],
+        ("z3", "z3c"): [(-_I2, {"z3": 1, "z3c": 1})],
+        ("z4", "z4c"): [(-_I2, {"z4": 1, "z4c": 1}), (-1j, {"z3": 1, "z3c": 1})],
+        ("z1", "z2c"): [(-1j, {"z3": 1, "z4c": 1})],
+        ("z1", "z3c"): [],
+        ("z1", "z4c"): [(+_I2, {"z1": 1, "z4c": 1})],
+        ("z2", "z3c"): [(+_I2, {"z2": 1, "z3c": 1})],
+        ("z2", "z4c"): [(-1j, {"z1": 1, "z3c": 1})],
+        ("z3", "z4c"): [],
+    },
+    functions={
+        "det": [(1, {"z1": 1, "z4": 1}), (-1, {"z2": 1, "z3": 1})],
+        "conj_det": [(1, {"z1c": 1, "z4c": 1}), (-1, {"z2c": 1, "z3c": 1})],
+        "h0": [(0.5, {f"z{i}": 1, f"z{i}c": 1}) for i in range(1, 5)],
+    },
+    kinds=("sl2",),
+    sigma=_SIGMA,
+)
+
+_SU2 = CoordinateSystem(
+    "su2",
+    ("alpha", "nu", "alphac", "nuc"),
+    _pairs("alpha", "nu"),
+    seeds={
+        ("alpha", "alphac"): [(-1j, {"nu": 1, "nuc": 1})],
+        ("nu", "nuc"): [],
+        ("alpha", "nu"): [(+_I2, {"alpha": 1, "nu": 1})],
+        ("alphac", "nuc"): [(-_I2, {"alphac": 1, "nuc": 1})],
+        ("alpha", "nuc"): [(+_I2, {"alpha": 1, "nuc": 1})],
+        ("alphac", "nu"): [(-_I2, {"alphac": 1, "nu": 1})],
+    },
+    functions={
+        "h_su2_norm": [(1, {"alpha": 1, "alphac": 1}), (1, {"nu": 1, "nuc": 1})],
+        "h_nu": [(0.5, {"nu": 1, "nuc": 1})],
+    },
+    kinds=("su2",),
+)
+
+_SB2 = CoordinateSystem(
+    "sb2",
+    ("r", "gamma", "gammac"),
+    {"r": "r", **_pairs("gamma")},
+    laurent=("r",),
+    seeds={
+        ("gamma", "r"): [(+_I2, {"gamma": 1, "r": 1})],
+        ("gammac", "gamma"): [(1j, {"r": 2}), (-1j, {"r": -2})],
+    },
+    functions={"h0": [(0.5, {"gamma": 1, "gammac": 1}), (0.5, {"r": 2}), (0.5, {"r": -2})]},
+    kinds=("sb2",),
+)
+
+# The brackets between the su2 and the sb2 coordinates of the double group.
+_CROSS_SEEDS = {
+    ("nu", "gamma"): [(-0.25j, {"nu": 1, "gamma": 1}), (-1j, {"alphac": 1, "r": -1})],
+    ("alpha", "gamma"): [(-0.25j, {"alpha": 1, "gamma": 1}), (1j, {"nuc": 1, "r": -1})],
+    ("nuc", "gamma"): [(0.25j, {"nuc": 1, "gamma": 1})],
+    ("alphac", "gamma"): [(0.25j, {"alphac": 1, "gamma": 1})],
+    ("nu", "r"): [(-0.25j, {"nu": 1, "r": 1})],
+    ("alpha", "r"): [(-0.25j, {"alpha": 1, "r": 1})],
+}
+
+# SU(2)·SB(2,C): both factors' coordinates, seeds and functions, plus the cross seeds.
+_DOUBLE = CoordinateSystem(
+    "double",
+    _SU2.coords + _SB2.coords,
+    {**_SU2.conj, **_SB2.conj},
+    laurent=_SU2.laurent | _SB2.laurent,
+    seeds={**_SU2.seeds, **_SB2.seeds, **_CROSS_SEEDS},
+    functions={**_SU2.functions, **_SB2.functions},
+    kinds=_SU2.kinds + _SB2.kinds,
+)
+
+COORD_SYSTEMS = {cs.name: cs for cs in (_SL2C, _SU2, _SB2, _DOUBLE)}
 
 
 class Poly:
@@ -115,20 +205,6 @@ class Poly:
                 else:
                     clean[exps] = acc
         self.terms = clean
-
-    @classmethod
-    def zero(cls, cs):
-        return cls(cs)
-
-    @classmethod
-    def const(cls, cs, c):
-        return cls(cs, {(0,) * len(cs.coords): c})
-
-    @classmethod
-    def var(cls, cs, name):
-        e = [0] * len(cs.coords)
-        e[cs.index(name)] = 1
-        return cls(cs, {tuple(e): 1.0})
 
     @classmethod
     def from_monomials(cls, cs, monomials):
@@ -225,11 +301,11 @@ def _canonical(cs, a, b, poly):
     return b, a, -poly
 
 
-def _complete_table(cs, seeds):
-    """Close seed entries under the reality rule, with consistency checks."""
+def _complete_table(cs):
+    """Close the seed entries under the reality rule, with consistency checks."""
     entries = {}
     pending = []
-    for (a, b), monomials in seeds.items():
+    for (a, b), monomials in cs.seeds.items():
         if a == b:
             raise ValueError(f"diagonal seed ({a},{a}) is forbidden")
         pending.append(_canonical(cs, a, b, Poly.from_monomials(cs, monomials)))
@@ -243,51 +319,6 @@ def _complete_table(cs, seeds):
         entries[key] = poly
         pending.append(_canonical(cs, cs.conj[a], cs.conj[b], poly.conj()))
     return {k: v for k, v in entries.items() if not v.is_zero()}
-
-
-_I2 = 0.5j
-
-_SL2C_SEEDS = {
-    ("z1", "z2"): [(-_I2, {"z1": 1, "z2": 1})],
-    ("z1", "z3"): [(+_I2, {"z1": 1, "z3": 1})],
-    ("z1", "z4"): [],
-    ("z2", "z3"): [(1j, {"z1": 1, "z4": 1})],
-    ("z2", "z4"): [(+_I2, {"z2": 1, "z4": 1})],
-    ("z3", "z4"): [(-_I2, {"z3": 1, "z4": 1})],
-    ("z1", "z1c"): [(-_I2, {"z1": 1, "z1c": 1}), (-1j, {"z3": 1, "z3c": 1})],
-    ("z2", "z2c"): [(-_I2, {"z2": 1, "z2c": 1}), (-1j, {"z1": 1, "z1c": 1}), (-1j, {"z4": 1, "z4c": 1})],
-    ("z3", "z3c"): [(-_I2, {"z3": 1, "z3c": 1})],
-    ("z4", "z4c"): [(-_I2, {"z4": 1, "z4c": 1}), (-1j, {"z3": 1, "z3c": 1})],
-    ("z1", "z2c"): [(-1j, {"z3": 1, "z4c": 1})],
-    ("z1", "z3c"): [],
-    ("z1", "z4c"): [(+_I2, {"z1": 1, "z4c": 1})],
-    ("z2", "z3c"): [(+_I2, {"z2": 1, "z3c": 1})],
-    ("z2", "z4c"): [(-1j, {"z1": 1, "z3c": 1})],
-    ("z3", "z4c"): [],
-}
-
-_SU2_SEEDS = {
-    ("alpha", "alphac"): [(-1j, {"nu": 1, "nuc": 1})],
-    ("nu", "nuc"): [],
-    ("alpha", "nu"): [(+_I2, {"alpha": 1, "nu": 1})],
-    ("alphac", "nuc"): [(-_I2, {"alphac": 1, "nuc": 1})],
-    ("alpha", "nuc"): [(+_I2, {"alpha": 1, "nuc": 1})],
-    ("alphac", "nu"): [(-_I2, {"alphac": 1, "nu": 1})],
-}
-
-_SB2_SEEDS = {
-    ("gamma", "r"): [(+_I2, {"gamma": 1, "r": 1})],
-    ("gammac", "gamma"): [(1j, {"r": 2}), (-1j, {"r": -2})],
-}
-
-_CROSS_SEEDS = {
-    ("nu", "gamma"): [(-0.25j, {"nu": 1, "gamma": 1}), (-1j, {"alphac": 1, "r": -1})],
-    ("alpha", "gamma"): [(-0.25j, {"alpha": 1, "gamma": 1}), (1j, {"nuc": 1, "r": -1})],
-    ("nuc", "gamma"): [(0.25j, {"nuc": 1, "gamma": 1})],
-    ("alphac", "gamma"): [(0.25j, {"alphac": 1, "gamma": 1})],
-    ("nu", "r"): [(-0.25j, {"nu": 1, "r": 1})],
-    ("alpha", "r"): [(-0.25j, {"alpha": 1, "r": 1})],
-}
 
 
 class BracketTable:
@@ -312,18 +343,18 @@ class BracketTable:
         """The structure polynomial {a, b}; antisymmetry is applied on lookup."""
         ia, ib = self.cs.index(a), self.cs.index(b)
         if ia == ib:
-            return Poly.zero(self.cs)
+            return Poly(self.cs)
         if ia < ib:
-            return self.entries.get((a, b), Poly.zero(self.cs))
+            return self.entries.get((a, b), Poly(self.cs))
         p = self.entries.get((b, a))
-        return -p if p is not None else Poly.zero(self.cs)
+        return -p if p is not None else Poly(self.cs)
 
     def bracket_eval(self, a, b, point) -> complex:
         return self.entry(a, b).evaluate(point)
 
     def poly_bracket(self, f: Poly, g: Poly) -> Poly:
         """{f, g} by the Leibniz rule, exact in the coefficients."""
-        out = Poly.zero(self.cs)
+        out = Poly(self.cs)
         for (a, b), t in self.entries.items():
             fa, gb = f.diff(a), g.diff(b)
             fb, ga = f.diff(b), g.diff(a)
@@ -352,7 +383,7 @@ class BracketTable:
     def jacobi_poly(self, a, b, c) -> Poly:
         """{{a,b},c} + {{b,c},a} + {{c,a},b} as an exact polynomial."""
         def build():
-            pa, pb, pc = (Poly.var(self.cs, x) for x in (a, b, c))
+            pa, pb, pc = (Poly.from_monomials(self.cs, [(1, {x: 1})]) for x in (a, b, c))
             return (
                 self.poly_bracket(self.poly_bracket(pa, pb), pc)
                 + self.poly_bracket(self.poly_bracket(pb, pc), pa)
@@ -387,7 +418,7 @@ class BracketTable:
         for lhs, rhs in self._memo("reality", self._reality_pairs):
             reality = max(reality, abs(lhs.evaluate(point) - rhs.evaluate(point)))
         report = {"reality": reality}
-        if self.system == "sl2c":
+        if self.cs.sigma is not None:
             inversion = 0.0
             for lhs, sign, rhs in self._memo("inversion", self._inversion_triples):
                 inversion = max(inversion, abs(lhs.evaluate(point) - sign * rhs.evaluate(point)))
@@ -401,10 +432,11 @@ class BracketTable:
 
     def _inversion_triples(self):
         """(σ{a,b}, s_a·s_b, {σa, σb}) for every coordinate pair, σ the inversion."""
+        sigma = self.cs.sigma
         out = []
         for a, b in itertools.combinations(self.cs.coords, 2):
-            sa, na = _SIGMA[a]
-            sb, nb = _SIGMA[b]
+            sa, na = sigma[a]
+            sb, nb = sigma[b]
             out.append((_sigma_poly(self.entry(a, b)), sa * sb, self.entry(na, nb)))
         return out
 
@@ -436,17 +468,10 @@ class BracketTable:
         return f"BracketTable({self.system!r}, {len(self.entries)} entries)"
 
 
-# Inversion a -> a^(-1) on SL(2,C): z1 <-> z4, z2 -> -z2, z3 -> -z3.
-_SIGMA = {
-    "z1": (1, "z4"), "z4": (1, "z1"), "z2": (-1, "z2"), "z3": (-1, "z3"),
-    "z1c": (1, "z4c"), "z4c": (1, "z1c"), "z2c": (-1, "z2c"), "z3c": (-1, "z3c"),
-}
-
-
 def _sigma_poly(p: Poly) -> Poly:
     cs = p.cs
-    perm = [cs.index(_SIGMA[name][1]) for name in cs.coords]
-    signs = [_SIGMA[name][0] for name in cs.coords]
+    perm = [cs.index(cs.sigma[name][1]) for name in cs.coords]
+    signs = [cs.sigma[name][0] for name in cs.coords]
     terms = {}
     for e, c in p.terms.items():
         ne = [0] * len(e)
@@ -460,13 +485,6 @@ def _sigma_poly(p: Poly) -> Poly:
     return Poly(cs, terms)
 
 
-_SEEDS = {
-    "sl2c": _SL2C_SEEDS,
-    "su2": _SU2_SEEDS,
-    "sb2": _SB2_SEEDS,
-    "double": {**_SU2_SEEDS, **_SB2_SEEDS, **_CROSS_SEEDS},
-}
-
 _TABLES = {}
 
 
@@ -474,38 +492,18 @@ def get_table(system: str) -> BracketTable:
     """The cached bracket table for one of sl2c, su2, sb2, double."""
     table = _TABLES.get(system)
     if table is None:
-        if system not in _SEEDS:
+        if system not in COORD_SYSTEMS:
             raise KeyError(f"unknown bracket system {system!r}")
-        entries = _complete_table(COORD_SYSTEMS[system], _SEEDS[system])
-        table = _TABLES[system] = BracketTable(system, entries)
+        table = _TABLES[system] = BracketTable(system, _complete_table(COORD_SYSTEMS[system]))
     return table
 
 
 def named_function(system: str, name: str) -> Poly:
     """Named polynomial observables used in Casimir and conservation checks."""
     cs = COORD_SYSTEMS[system]
-    if system == "sl2c":
-        if name == "det":
-            return Poly.from_monomials(cs, [(1, {"z1": 1, "z4": 1}), (-1, {"z2": 1, "z3": 1})])
-        if name == "conj_det":
-            return named_function(system, "det").conj()
-        if name == "h0":
-            return Poly.from_monomials(
-                cs, [(0.5, {f"z{i}": 1, f"z{i}c": 1}) for i in range(1, 5)]
-            )
-    if system in ("su2", "double"):
-        if name == "h_su2_norm":
-            return Poly.from_monomials(
-                cs, [(1, {"alpha": 1, "alphac": 1}), (1, {"nu": 1, "nuc": 1})]
-            )
-        if name == "h_nu":
-            return Poly.from_monomials(cs, [(0.5, {"nu": 1, "nuc": 1})])
-    if system in ("sb2", "double"):
-        if name == "h0":
-            return Poly.from_monomials(
-                cs, [(0.5, {"gamma": 1, "gammac": 1}), (0.5, {"r": 2}), (0.5, {"r": -2})]
-            )
-    raise KeyError(f"unknown function {name!r} for system {system!r}")
+    if name not in cs.functions:
+        raise KeyError(f"unknown function {name!r} for system {system!r}")
+    return Poly.from_monomials(cs, cs.functions[name])
 
 
 def gradient_covector(f: Poly, point):
@@ -535,42 +533,39 @@ def poisson_point(system: str, values) -> dict:
         partner = cs.conj[name]
         if abs(point[partner] - point[name].conjugate()) > CONJ_TOL:
             raise ValueError(f"conjugate mismatch between {name} and {partner}")
-    if "r" in cs._index:
-        r = point["r"]
-        if abs(r.imag) > CONJ_TOL or r.real <= 0:
-            raise ValueError("r must be real and positive")
-        point["r"] = complex(r.real, 0.0)
+    for name in cs.laurent:
+        v = point[name]
+        if abs(v.imag) > CONJ_TOL or v.real <= 0:
+            raise ValueError(f"{name} must be real and positive")
+        point[name] = complex(v.real, 0.0)
     return point
 
 
-def point_of_element(x, u=None) -> dict:
-    """Coordinates of a group element (or an SU2, SB2 pair) as a point dict."""
-    from .groups import SL2Element, SU2Element, SB2Element
-
-    if isinstance(x, SL2Element):
-        return poisson_point("sl2c", {"z1": x.z1, "z2": x.z2, "z3": x.z3, "z4": x.z4})
-    if isinstance(x, SU2Element) and u is None:
-        return poisson_point("su2", {"alpha": x.alpha, "nu": x.nu})
-    if isinstance(x, SB2Element):
-        return poisson_point("sb2", {"r": x.r, "gamma": x.gamma})
-    if isinstance(x, SU2Element):
-        return poisson_point(
-            "double", {"alpha": x.alpha, "nu": x.nu, "r": u.r, "gamma": u.gamma}
-        )
-    raise TypeError(f"cannot map {type(x).__name__} to a Poisson point")
-
-
-# Group element kinds drawn for a random point of each bracket system, in order.
-_POINT_KINDS = {"sl2c": ("sl2",), "su2": ("su2",), "sb2": ("sb2",), "double": ("su2", "sb2")}
+def point_of_element(*elements) -> dict:
+    """Coordinates of an SL2, SU2 or SB2 element, or of an (SU2, SB2) pair, as a point dict."""
+    match elements:
+        case (SL2Element() as a,):
+            return poisson_point("sl2c", {"z1": a.z1, "z2": a.z2, "z3": a.z3, "z4": a.z4})
+        case (SU2Element() as g,):
+            return poisson_point("su2", {"alpha": g.alpha, "nu": g.nu})
+        case (SB2Element() as u,):
+            return poisson_point("sb2", {"r": u.r, "gamma": u.gamma})
+        case (SU2Element() as g, SB2Element() as u):
+            return poisson_point("double", {"alpha": g.alpha, "nu": g.nu, "r": u.r, "gamma": u.gamma})
+    names = ", ".join(type(x).__name__ for x in elements)
+    raise TypeError(f"cannot map ({names}) to a Poisson point")
 
 
 def random_point(system: str, seed, on_surface=True) -> dict:
     """Seeded sample point.  For sl2c, on_surface=False skips the det = 1
-    normalization and returns a generic point of C^4."""
-    rng = _as_rng(seed)
-    if system == "sl2c" and not on_surface:
-        z = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        return poisson_point("sl2c", {f"z{i+1}": z[i] for i in range(4)})
-    if system not in _POINT_KINDS:
+    normalization and returns a generic point of C^4; other systems have
+    only on-surface points."""
+    if system not in COORD_SYSTEMS:
         raise KeyError(f"unknown bracket system {system!r}")
-    return point_of_element(*(random_element(kind, rng) for kind in _POINT_KINDS[system]))
+    rng = _as_rng(seed)
+    if on_surface:
+        return point_of_element(*(random_element(kind, rng) for kind in COORD_SYSTEMS[system].kinds))
+    if system != "sl2c":
+        raise ValueError(f"on_surface=False is defined only for sl2c, not {system!r}")
+    z = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    return poisson_point("sl2c", {f"z{i+1}": z[i] for i in range(4)})

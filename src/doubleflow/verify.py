@@ -46,7 +46,7 @@ def _check(name, residual, tolerance, samples, seed) -> CheckResult:
 
 def suite_brackets(seed, samples):
     out = []
-    tables = {name: poi.get_table(name) for name in ("sl2c", "su2", "sb2", "double")}
+    tables = {name: poi.get_table(name) for name in poi.COORD_SYSTEMS}
 
     # coefficient-level structure: antisymmetry and reality, no sampling involved
     anti = real = 0.0

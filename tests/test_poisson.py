@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import numpy as np
@@ -128,7 +129,7 @@ def test_poly_bracket_is_bilinear_and_leibniz():
     cs = tz.cs
     f = named_function("sl2c", "h0")
     g = named_function("sl2c", "det")
-    h = Poly.var(cs, "z2") * Poly.var(cs, "z3c") + Poly.const(cs, 2.0)
+    h = Poly.from_monomials(cs, [(1, {"z2": 1, "z3c": 1}), (2.0, {})])
     lin = tz.poly_bracket(f + h * 3.0, g) - (tz.poly_bracket(f, g) + tz.poly_bracket(h, g) * 3.0)
     assert lin.max_coeff() < 1e-12
     leib = tz.poly_bracket(f * h, g) - (f * tz.poly_bracket(h, g) + h * tz.poly_bracket(f, g))
@@ -370,3 +371,92 @@ def test_brackets_report_is_the_same_with_cold_and_warm_caches(monkeypatch):
     warm = verify.report_doc("brackets", 3, 30)
     assert poisson._TABLES
     assert cold == warm
+
+
+# sha256 of get_table(name).to_json() as the tables were first pinned; the
+# completion uses coefficient arithmetic only, so the digests hold on any CPU.
+TABLE_SHA256 = {
+    "sl2c": "a8900bae3978036dc475e3dae15e671ca62127254f6f785b6352c91f09aaf088",
+    "su2": "9b2fec552dbda61021ad22e26a32b1809c5b0b4255b6c9e30635344d260313f9",
+    "sb2": "3f0dc1a5ecb10173ac111c203899d27d9f82a73b4ff4aee1895611af2a01825e",
+    "double": "33710d17bb9efc02e987f5bdc0f661a53d7e543c8ba27760a334fd45c919c610",
+}
+
+# Every (system, name) that named_function accepts: (exponents, real coefficient)
+# in term order; every imaginary part is +0.0.
+NAMED_TERMS = {
+    ("sl2c", "det"): [((1, 0, 0, 1, 0, 0, 0, 0), 1.0), ((0, 1, 1, 0, 0, 0, 0, 0), -1.0)],
+    ("sl2c", "conj_det"): [((0, 0, 0, 0, 1, 0, 0, 1), 1.0), ((0, 0, 0, 0, 0, 1, 1, 0), -1.0)],
+    ("sl2c", "h0"): [((1, 0, 0, 0, 1, 0, 0, 0), 0.5), ((0, 1, 0, 0, 0, 1, 0, 0), 0.5),
+                     ((0, 0, 1, 0, 0, 0, 1, 0), 0.5), ((0, 0, 0, 1, 0, 0, 0, 1), 0.5)],
+    ("su2", "h_su2_norm"): [((1, 0, 1, 0), 1.0), ((0, 1, 0, 1), 1.0)],
+    ("su2", "h_nu"): [((0, 1, 0, 1), 0.5)],
+    ("sb2", "h0"): [((0, 1, 1), 0.5), ((2, 0, 0), 0.5), ((-2, 0, 0), 0.5)],
+    ("double", "h_su2_norm"): [((1, 0, 1, 0, 0, 0, 0), 1.0), ((0, 1, 0, 1, 0, 0, 0), 1.0)],
+    ("double", "h_nu"): [((0, 1, 0, 1, 0, 0, 0), 0.5)],
+    ("double", "h0"): [((0, 0, 0, 0, 0, 1, 1), 0.5), ((0, 0, 0, 0, 2, 0, 0), 0.5),
+                       ((0, 0, 0, 0, -2, 0, 0), 0.5)],
+}
+
+
+def _bits(poly):
+    """Terms in order, each coefficient as the exact hex of its two parts."""
+    return [(e, c.real.hex(), c.imag.hex()) for e, c in poly.terms.items()]
+
+
+def test_completed_tables_are_pinned():
+    for name in SYSTEMS:
+        digest = hashlib.sha256(get_table(name).to_json().encode()).hexdigest()
+        assert digest == TABLE_SHA256[name], name
+
+
+def test_named_functions_keep_their_terms_and_bits():
+    for (system, name), terms in NAMED_TERMS.items():
+        expected = [(e, c.hex(), (0.0).hex()) for e, c in terms]
+        assert _bits(named_function(system, name)) == expected, (system, name)
+    accepted = {(system, name) for system in SYSTEMS for name in COORD_SYSTEMS[system].functions}
+    assert accepted == set(NAMED_TERMS)
+
+
+@pytest.mark.parametrize("system, name", [
+    ("su2", "h0"), ("sl2c", "h_nu"), ("sb2", "h_nu"), ("su2", "det"), ("double", "conj_det"),
+])
+def test_named_function_rejects_names_of_other_systems(system, name):
+    with pytest.raises(KeyError, match=f"unknown function {name!r} for system {system!r}"):
+        named_function(system, name)
+
+
+def test_conj_det_is_det_conjugated_term_for_term():
+    assert _bits(named_function("sl2c", "conj_det")) == _bits(named_function("sl2c", "det").conj())
+
+
+@pytest.mark.parametrize("factor", ["su2", "sb2"])
+def test_double_table_restricted_to_a_factor_is_that_factor_table(factor):
+    double, sub = get_table("double"), get_table(factor)
+    restricted = {}
+    for (a, b), poly in double.entries.items():
+        if a in sub.cs.coords and b in sub.cs.coords:
+            terms = []
+            for e, c in poly.terms.items():
+                powers = dict(zip(double.cs.coords, e))
+                assert all(powers[n] == 0 for n in double.cs.coords if n not in sub.cs.coords)
+                terms.append((tuple(powers[n] for n in sub.cs.coords), c.real.hex(), c.imag.hex()))
+            restricted[(a, b)] = terms
+    assert list(restricted.items()) == [(key, _bits(poly)) for key, poly in sub.entries.items()]
+
+
+@pytest.mark.parametrize("kinds, names", [
+    (("sb2", "su2"), "SB2Element, SU2Element"),
+    (("sl2", "sb2"), "SL2Element, SB2Element"),
+    (("su2", "su2"), "SU2Element, SU2Element"),
+])
+def test_point_of_element_rejects_other_argument_shapes(kinds, names):
+    elements = [random_element(kind, k) for k, kind in enumerate(kinds)]
+    with pytest.raises(TypeError, match=rf"\({names}\)"):
+        point_of_element(*elements)
+
+
+@pytest.mark.parametrize("system", ["su2", "sb2", "double"])
+def test_random_point_off_surface_is_only_for_sl2c(system):
+    with pytest.raises(ValueError, match="only for sl2c"):
+        random_point(system, 0, on_surface=False)
