@@ -44,39 +44,49 @@ def _finite(a, field):
     return a
 
 
+def _number(v):
+    """float(v) for a JSON number (int or float, not bool), else None.
+
+    An int beyond the floats becomes inf, which _finite then rejects.
+    """
+    if not isinstance(v, (int, float)) or isinstance(v, bool):
+        return None
+    try:
+        return float(v)
+    except OverflowError:
+        return math.inf
+
+
 def _cplx(v, field):
-    if isinstance(v, (int, float)):
-        z = complex(v)
-    elif isinstance(v, (list, tuple)) and len(v) == 2 and all(
-            isinstance(c, (int, float)) for c in v):
-        z = complex(v[0], v[1])
-    else:
+    parts = [_number(c) for c in (v if isinstance(v, (list, tuple)) and len(v) == 2 else [v])]
+    if None in parts:
         raise ConfigError(f"{field} must be a number or a [re, im] pair")
-    return _finite(z, field)
+    return _finite(complex(*parts), field)
 
 
 def _float(v, field, positive=False):
-    if not isinstance(v, (int, float)) or isinstance(v, bool):
+    v = _number(v)
+    if v is None:
         raise ConfigError(f"{field} must be a number")
-    v = _finite(float(v), field)
+    v = _finite(v, field)
     if positive and v <= 0:
         raise ConfigError(f"{field} must be positive")
     return v
 
 
 def _vector(v, field):
-    if not isinstance(v, list) or not v or not all(
-            isinstance(c, (int, float)) for c in v):
+    xs = [_number(c) for c in v] if isinstance(v, list) else []
+    if not xs or None in xs:
         raise ConfigError(f"{field} must be a non-empty list of numbers")
-    return _finite(np.asarray(v, dtype=float), field)
+    return _finite(np.asarray(xs), field)
 
 
 def _matrix(v, field):
-    try:
-        a = np.asarray(v, dtype=float)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{field} must be a matrix of numbers") from None
-    return _finite(a, field)
+    rows = ([_vector(row, f"{field}[{i}]") for i, row in enumerate(v)]
+            if isinstance(v, list) else [])
+    if not rows or any(len(row) != len(rows[0]) for row in rows):
+        raise ConfigError(f"{field} must be a non-empty list of equal-length rows")
+    return np.array(rows)
 
 
 def _su2_param(v, field):
@@ -150,7 +160,7 @@ def _parse_params(system, params, rng):
 
 
 def _check_action_angle(p):
-    """Cross-field rules of action_angle; a fiber matrix becomes a constant A(I)."""
+    """Cross-field rules of action_angle."""
     for key in ("I0", "phi0"):
         if p[key] is None:
             raise ConfigError(f"params.{key} is required for action_angle")
@@ -161,10 +171,8 @@ def _check_action_angle(p):
         if len(p["freq"]) != m:
             raise ConfigError("params.freq must match params.phi0 in length")
         return
-    A = p["matrix"]
-    if A.shape != (m, m):
+    if p["matrix"].shape != (m, m):
         raise ConfigError("params.matrix must be square and match params.phi0")
-    p["matrix"] = lambda _I: A
 
 
 def _load_config(path):

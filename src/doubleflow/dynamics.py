@@ -25,7 +25,7 @@ from .groups import (
     exp_sb2,
 )
 from .mat2 import check_finite, expm2_kernel, hat3, rodrigues3_kernel
-from .quadrature import rk4_integrate, simpson_rule
+from .quadrature import simpson_rule
 
 __all__ = [
     "System",
@@ -443,13 +443,17 @@ def _commutator_guard(mats, nodes, tol):
         raise CommutativityError(upper[k], (nodes[iu[k]], nodes[ju[k]]))
 
 
-def commuting_quadrature_flow(g0, momentum_path, t1: float, tol=1e-9, samples=33):
+# Largest pairwise commutator norm commuting_quadrature_flow accepts.
+_COMMUTATOR_TOL = 1e-9
+
+
+def commuting_quadrature_flow(g0, momentum_path, t1: float, samples=33):
     """g0·exp(∫₀^t1 L(s) ds) after verifying the sampled velocities commute.
 
     momentum_path maps s to an AlgebraElement of a fixed kind; the pairwise
-    commutator Frobenius norms of the samples must stay below tol, otherwise a
-    CommutativityError with the worst pair is raised.  The integral uses the
-    composite Simpson rule on the same sample nodes.
+    commutator Frobenius norms of the samples must stay below _COMMUTATOR_TOL,
+    otherwise a CommutativityError with the worst pair is raised.  The
+    integral uses the composite Simpson rule on the same sample nodes.
     """
     samples = int(samples)
     if samples < 3 or samples % 2 == 0:
@@ -460,25 +464,27 @@ def commuting_quadrature_flow(g0, momentum_path, t1: float, tol=1e-9, samples=33
     kind = vals[0].kind
     if any(v.kind != kind for v in vals):
         raise MembershipError("momentum_path must keep a fixed algebra kind")
-    _commutator_guard([hat3(v.value) if kind == "so3" else v.value for v in vals], nodes, tol)
+    _commutator_guard([hat3(v.value) if kind == "so3" else v.value for v in vals], nodes,
+                      _COMMUTATOR_TOL)
     integral = sum(w * v.value for w, v in zip(weights, vals))
     return g0 @ exp_group(AlgebraElement(kind, integral))
 
 
-def action_angle_flow(params) -> Callable:
-    """Action-angle dynamics, frequency or linear-fiber variant.
+def action_angle_flow(I0, phi0, freq=None, matrix=None) -> Callable:
+    """Action-angle dynamics with I frozen at I0: exactly one of freq, matrix.
 
-    Frequency variant (params: I0, phi0, freq): I frozen, φ(t) = φ0 + ν(I)·t.
-    Linear variant (params: I0, phi0, matrix, optional drift, tol, samples):
-    İ = F(I) by RK4, φ(t) = exp(∫A(I(s))ds)·φ0, guarded by the same
-    commutativity check as commuting_quadrature_flow.
+    Frequency variant: φ(t) = φ0 + ν·t for the constant vector ν = freq.
+    Fiber variant, t >= 0 only: φ(t) = exp(∫₀ᵗ A ds)·φ0 for the constant
+    matrix A = matrix, the integral by composite Simpson on 33 nodes.  No
+    commutator guard runs: the 33 samples are one matrix, so every pairwise
+    commutator is exactly 0 and the one-term Magnus exponential is exact.
     """
-    I0 = np.asarray(params["I0"], dtype=float)
-    phi0 = np.asarray(params["phi0"], dtype=float)
-    matrix = params.get("matrix")
+    if (freq is None) == (matrix is None):
+        raise ValueError("action_angle_flow needs exactly one of freq, matrix")
+    I0 = np.asarray(I0, dtype=float)
+    phi0 = np.asarray(phi0, dtype=float)
     if matrix is None:
-        freq = params["freq"]
-        nu = np.asarray(freq(I0) if callable(freq) else freq, dtype=float)
+        nu = np.asarray(freq, dtype=float)
 
         def at_freq(t):
             t = float(t)
@@ -486,53 +492,32 @@ def action_angle_flow(params) -> Callable:
             return FlowState(time=t, I=I0.copy(), phi=phi, phi_mod=np.mod(phi, 2.0 * np.pi))
 
         return at_freq
-    samples = int(params.get("samples", 33))
-    if samples < 3 or samples % 2 == 0:
-        raise ValueError("samples must be an odd count >= 3")
-    tol = float(params.get("tol", 1e-9))
-    drift = params.get("drift")
-    # without a drift I stays at I0, so every sample is the one matrix A(I0)
-    mats0 = [np.asarray(matrix(I0), dtype=float)] * samples if drift is None else None
+    A = np.asarray(matrix, dtype=float)
 
     def at(t):
         t = float(t)
         if t < 0:
-            raise ValueError("the linear variant integrates forward time only")
+            raise ValueError("the fiber variant integrates forward time only")
         if t == 0.0:
             return FlowState(time=0.0, I=I0.copy(), phi=phi0.copy(),
                              phi_mod=np.mod(phi0, 2.0 * np.pi))
-        if drift is None:
-            mats, I_t = mats0, I0.copy()
-        else:
-            substeps = 8
-            steps = (samples - 1) * substeps
-            traj = rk4_integrate(lambda y: np.asarray(drift(np.array(y)), dtype=float).tolist(),
-                                 I0, 0.0, t, t / steps)
-            mats = [np.asarray(matrix(traj.states[k * substeps]), dtype=float)
-                    for k in range(samples)]
-            I_t = traj.states[-1]
-        nodes, weights = simpson_rule(0.0, t, samples - 1)
-        _commutator_guard(mats, nodes, tol)
-        integral = sum(w * m for w, m in zip(weights, mats))
+        _, weights = simpson_rule(0.0, t, 32)
+        integral = sum(w * A for w in weights)
         import scipy.linalg  # only this path needs it; keeps the CLI import light
 
         phi = scipy.linalg.expm(integral) @ phi0
-        return FlowState(time=t, I=I_t, phi=phi, phi_mod=np.mod(phi, 2.0 * np.pi))
+        return FlowState(time=t, I=I0.copy(), phi=phi, phi_mod=np.mod(phi, 2.0 * np.pi))
 
     return at
 
 
-def action_angle_flat_field(params):
-    """(İ, φ̇) = (0, ν) or (0, A·φ) on the flattened (I, φ) state.
-
-    ν is the constant frequency vector; A = matrix(I0) is taken as constant,
-    as `simulate` runs it (no drift).
-    """
-    n = len(params["I0"])
-    if params.get("matrix") is None:
-        rate = np.concatenate([np.zeros(n), np.asarray(params["freq"], dtype=float)]).tolist()
+def action_angle_flat_field(I0, freq=None, matrix=None):
+    """(İ, φ̇) = (0, ν) or (0, A·φ) on the flattened (I, φ) state."""
+    n = len(I0)
+    if matrix is None:
+        rate = np.concatenate([np.zeros(n), np.asarray(freq, dtype=float)]).tolist()
         return lambda y: rate
-    A = np.asarray(params["matrix"](params["I0"]), dtype=float)
+    A = np.asarray(matrix, dtype=float)
     return lambda y: [0.0] * n + (A @ np.array(y[n:])).tolist()
 
 
@@ -639,10 +624,10 @@ SYSTEMS = {
     "action_angle": System(
         params=(("I0", "vector", None), ("phi0", "vector", None),
                 ("freq", "vector", None), ("matrix", "matrix", None)),
-        flow=lambda p: action_angle_flow(p),
+        flow=lambda p: action_angle_flow(p["I0"], p["phi0"], p["freq"], p["matrix"]),
         columns=lambda p: _action_angle_columns(p),
         flat=lambda st: np.concatenate([st.I, st.phi]),
         extras=lambda st, y: list(st.phi_mod),
-        field=lambda p: action_angle_flat_field(p),
+        field=lambda p: action_angle_flat_field(p["I0"], p["freq"], p["matrix"]),
     ),
 }

@@ -329,8 +329,7 @@ def suite_flows(seed, samples):
                       float(np.max(np.abs(lhs.as_matrix() - rhs.as_matrix()))), 1e-12, 1, seed))
 
     # action-angle frequency flow is exactly linear in t
-    st = dyn.action_angle_flow({"I0": [0.7, 1.1], "phi0": [0.2, 0.4],
-                                "freq": lambda I: 2.0 * I})(3.0)
+    st = dyn.action_angle_flow([0.7, 1.1], [0.2, 0.4], freq=2.0 * np.array([0.7, 1.1]))(3.0)
     exact = np.array([0.2, 0.4]) + 3.0 * 2.0 * np.array([0.7, 1.1])
     out.append(_check("action_angle_frequency", float(np.max(np.abs(st.phi - exact))),
                       1e-12, 1, seed))

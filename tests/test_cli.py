@@ -2,10 +2,13 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import doubleflow
 from doubleflow import dynamics as dyn
 from doubleflow.cli import MAX_ROWS, _write_csv, main
 
@@ -114,32 +117,48 @@ def test_simulate_no_temp_files_left(tmp_path):
     assert leftovers == []
 
 
-@pytest.mark.parametrize("doc", [
-    {"system": "nosuch"},
-    {"system": "rotator", "t1": -1.0},
-    {"system": "rotator", "dt": 0.0},
-    {"system": "rotator", "t1": 1.0, "dt": 2.0},
-    {"system": "rotator", "seed": -1},
-    {"system": "rotator", "bogus": True},
-    {"system": "rotator", "params": {"q": 1}},
-    {"system": "rotator", "params": {"g0": [[1, 0], [0, 1]]}},
-    {"system": "casimir_sl2c", "params": {"u0": {"r": -2.0, "gamma": 0}}},
-    {"system": "casimir_sl2c", "params": {"u0": {"r": 1.0}}},
-    {"system": "momenta_su2", "params": {"alpha": [1, 0], "nu": [1, 0]}},
-    {"system": "momenta_su2", "params": {"alpha": [1, 0]}},
-    {"system": "action_angle", "params": {"I0": [1.0]}},
-    {"system": "action_angle", "params": {"I0": [1.0], "phi0": [0.0]}},
-    {"system": "action_angle", "params": {"I0": [1.0], "phi0": [0.0],
-                                          "freq": [1.0], "matrix": [[0.0]]}},
-    {"system": "action_angle", "params": {"I0": [1.0], "phi0": [0.0, 1.0],
-                                          "freq": [1.0]}},
-    {"system": "action_angle", "params": {"I0": [1.0], "phi0": [0.0],
-                                          "matrix": [[0.0, 1.0]]}},
-])
-def test_simulate_config_errors(tmp_path, doc, capsys):
+# (config, the field its error message names)
+CONFIG_ERRORS = [
+    ({"system": "nosuch"}, "system"),
+    ({"system": "rotator", "t1": -1.0}, "t1"),
+    ({"system": "rotator", "dt": 0.0}, "dt"),
+    ({"system": "rotator", "t1": 1.0, "dt": 2.0}, "dt"),
+    ({"system": "rotator", "seed": -1}, "seed"),
+    ({"system": "rotator", "bogus": True}, "bogus"),
+    ({"system": "rotator", "params": {"q": 1}}, "q"),
+    ({"system": "rotator", "params": {"g0": [[1, 0], [0, 1]]}}, "g0"),
+    ({"system": "casimir_sl2c", "params": {"u0": {"r": -2.0, "gamma": 0}}}, "params.u0.r"),
+    ({"system": "casimir_sl2c", "params": {"u0": {"r": 1.0}}}, "params.u0"),
+    ({"system": "momenta_su2", "params": {"alpha": [1, 0], "nu": [1, 0]}}, "params.alpha"),
+    ({"system": "momenta_su2", "params": {"alpha": [1, 0]}}, "params.nu"),
+    ({"system": "action_angle", "params": {"I0": [1.0]}}, "params.phi0"),
+    ({"system": "action_angle", "params": {"I0": [1.0], "phi0": [0.0]}}, "params.freq"),
+    ({"system": "action_angle", "params": {"I0": [1.0], "phi0": [0.0],
+                                           "freq": [1.0], "matrix": [[0.0]]}}, "params.matrix"),
+    ({"system": "action_angle", "params": {"I0": [1.0], "phi0": [0.0, 1.0],
+                                           "freq": [1.0]}}, "params.freq"),
+    ({"system": "action_angle", "params": {"I0": [1.0], "phi0": [0.0],
+                                           "matrix": [[0.0, 1.0]]}}, "params.matrix"),
+    # numeric fields take JSON numbers only: no strings, no booleans
+    ({"system": "action_angle", "params": {"I0": [1.0], "phi0": [0.0],
+                                           "matrix": [["0.5"]]}}, "params.matrix"),
+    ({"system": "rotator", "params": {"g0": [[1, 0, 0], [0, 1, 0], [0, 0, "1"]]}},
+     "params.g0"),
+    ({"system": "action_angle", "params": {"I0": [True], "phi0": [0.0], "freq": [1.0]}},
+     "params.I0"),
+    ({"system": "momenta_su2", "params": {"alpha": True, "nu": 0}}, "params.alpha"),
+    ({"system": "perturbed", "params": {"u0": {"r": 1.0, "gamma": [True, 0.0]}}},
+     "params.u0.gamma"),
+]
+
+
+@pytest.mark.parametrize("doc, field", CONFIG_ERRORS,
+                         ids=[f"doc{i}" for i in range(len(CONFIG_ERRORS))])
+def test_simulate_config_errors(tmp_path, doc, field, capsys):
     code, _ = run_config(tmp_path, doc, name="never.csv")
     assert code == 2
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and field in err
     assert not (tmp_path / "never.csv").exists()
 
 
@@ -159,6 +178,12 @@ def test_simulate_config_errors(tmp_path, doc, capsys):
      (), "params.g0"),
     ({"system": "action_angle", "params": {"I0": [1.0], "phi0": [0.0],
                                            "matrix": [[math.inf]]}}, (), "params.matrix"),
+    # JSON integers beyond the floats
+    ({"system": "rotator", "params": {"F": 10**400}}, (), "params.F"),
+    ({"system": "rotator", "params": {"p": [0.0, -10**400, 1.0]}}, (), "params.p"),
+    ({"system": "action_angle", "params": {"I0": [1.0], "phi0": [0.0],
+                                           "matrix": [[10**400]]}}, (), "params.matrix"),
+    ({"system": "momenta_su2", "params": {"alpha": [10**400, 0], "nu": 0}}, (), "params.alpha"),
 ])
 def test_simulate_rejects_non_finite_numbers(tmp_path, doc, extra, field, capsys):
     code, _ = run_config(tmp_path, doc, name="never.csv", extra=extra)
@@ -425,3 +450,25 @@ def test_former_traceback_paths_exit_two(tmp_path, argv, doc, field, capsys):
     assert err.startswith(f"error: {field}") and err.count("\n") == 1
     assert [p for p in os.listdir(tmp_path) if p.startswith(".doubleflow_")] == []
 
+
+
+def test_import_and_freq_simulate_leave_scipy_unloaded(tmp_path):
+    # only the fiber-matrix path of action_angle imports scipy
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"system": "action_angle", "t1": 0.1, "dt": 0.05,
+                               "params": {"I0": [1.0], "phi0": [0.0], "freq": [1.0]}}))
+    script = (
+        "import sys\n"
+        "import doubleflow, doubleflow.cli\n"
+        "assert 'scipy' not in sys.modules, 'import'\n"
+        f"code = doubleflow.cli.main(['simulate', '--config', {str(cfg)!r}, "
+        f"'--out', {str(tmp_path / 'run.csv')!r}])\n"
+        "assert code == 0, code\n"
+        "assert 'scipy' not in sys.modules, 'simulate'\n"
+    )
+    src = os.path.dirname(os.path.dirname(doubleflow.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

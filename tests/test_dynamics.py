@@ -463,8 +463,17 @@ def test_commutator_guard_matches_brute_force_loop():
     with pytest.raises(CommutativityError) as err:
         _commutator_guard(tied, nodes[:5], 0.0)
     assert err.value.pair == pair
-    # commuting samples (real 3x3, as in the so3 and action-angle paths)
+    # commuting samples (real 3x3, as in the so3 path)
     _commutator_guard([k * np.eye(3) for k in range(5)], nodes[:5], 0.0)
+    # 33 copies of one real matrix, as a constant action-angle fiber matrix
+    # gives: every commutator is exactly 0 (or NaN past overflow) at any scale,
+    # so action_angle_flow skips the guard
+    rng = np.random.default_rng(9)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for dim in (1, 2, 3):
+            for scale in np.logspace(-300, 200, 50):
+                for _ in range(16):
+                    _commutator_guard([scale * rng.standard_normal((dim, dim))] * 33, nodes, 0.0)
 
 
 def test_commuting_quadrature_argument_validation():
@@ -484,62 +493,33 @@ def test_commuting_quadrature_argument_validation():
 
 
 def test_action_angle_frequency_variant():
-    st = action_angle_flow({"I0": [0.7, 1.1], "phi0": [0.2, 0.4],
-                            "freq": lambda I: 2.0 * I})(3.0)
+    st = action_angle_flow([0.7, 1.1], [0.2, 0.4], freq=2.0 * np.array([0.7, 1.1]))(3.0)
     np.testing.assert_allclose(st.I, [0.7, 1.1])
     np.testing.assert_allclose(st.phi, np.array([0.2, 0.4]) + 6.0 * np.array([0.7, 1.1]))
     np.testing.assert_allclose(st.phi_mod, np.mod(st.phi, 2 * np.pi))
     assert np.all(st.phi_mod >= 0) and np.all(st.phi_mod < 2 * np.pi)
-    # a constant frequency vector works without a callable
-    st = action_angle_flow({"I0": [1.0], "phi0": [0.0], "freq": [0.5]})(4.0)
+    st = action_angle_flow([1.0], [0.0], [0.5])(4.0)
     assert st.phi[0] == pytest.approx(2.0)
 
 
 def test_action_angle_constant_matrix():
     a = np.array([[0.0, -1.0], [1.0, 0.0]])
-    st = action_angle_flow({"I0": [1.0], "phi0": [1.0, 0.0], "matrix": lambda I: a})(2.0)
+    st = action_angle_flow([1.0], [1.0, 0.0], matrix=a)(2.0)
     np.testing.assert_allclose(st.phi, scipy.linalg.expm(2.0 * a) @ [1.0, 0.0], atol=1e-12)
     # diagonal constant matrix: componentwise exponential growth
     d = np.diag([0.3, -0.2])
-    st = action_angle_flow({"I0": [1.0], "phi0": [1.0, 2.0], "matrix": lambda I: d})(1.5)
+    st = action_angle_flow([1.0], [1.0, 2.0], matrix=d)(1.5)
     np.testing.assert_allclose(st.phi, [math.exp(0.45), 2.0 * math.exp(-0.3)], atol=1e-12)
 
 
-def test_action_angle_drift_variant_closed_form():
-    # I' = -I, A(I) = I[0]*J: phi rotates by angle I0*(1 - e^-t)
-    j = np.array([[0.0, -1.0], [1.0, 0.0]])
-    params = {
-        "I0": [0.8],
-        "phi0": [1.0, 0.0],
-        "matrix": lambda I: I[0] * j,
-        "drift": lambda I: -I,
-    }
-    for t in (0.5, 2.0):
-        st = action_angle_flow(params)(t)
-        theta = 0.8 * (1.0 - math.exp(-t))
-        np.testing.assert_allclose(st.phi, [math.cos(theta), math.sin(theta)], atol=1e-8)
-        assert st.I[0] == pytest.approx(0.8 * math.exp(-t), abs=1e-9)
-
-
-def test_action_angle_rejects_noncommuting_family():
-    params = {
-        "I0": [1.0, 2.0],
-        "phi0": [1.0, 0.0],
-        "matrix": lambda I: np.array([[0.0, -I[0]], [I[1], 0.0]]),
-        "drift": lambda I: np.array([-I[0], 0.0]),
-    }
-    with pytest.raises(CommutativityError):
-        action_angle_flow(params)(3.0)
-
-
 def test_action_angle_argument_validation():
-    base = {"I0": [1.0], "phi0": [0.0], "matrix": lambda I: np.zeros((1, 1))}
+    at = action_angle_flow([1.0], [0.0], matrix=np.zeros((1, 1)))
     with pytest.raises(ValueError):
-        action_angle_flow(base)(-1.0)
-    with pytest.raises(ValueError):
-        action_angle_flow({**base, "samples": 4})(1.0)
-    st = action_angle_flow(base)(0.0)
-    assert st.phi[0] == 0.0
+        at(-1.0)
+    assert at(0.0).phi[0] == 0.0
+    for freq, matrix in ((None, None), ([1.0], np.zeros((1, 1)))):
+        with pytest.raises(ValueError, match="exactly one of freq, matrix"):
+            action_angle_flow([1.0], [0.0], freq, matrix)
 
 
 def test_systems_flow_values():
@@ -557,7 +537,8 @@ def test_systems_flow_values():
     st = SYSTEMS["perturbed"].flow({"g0": SU2Element.identity(), "u0": u0, "F": 1.0,
                                     "lam": 0.1})(1.0)
     assert st.u.r == u0.r
-    st = SYSTEMS["action_angle"].flow({"I0": [1.0], "phi0": [0.0], "freq": [2.0]})(1.5)
+    st = SYSTEMS["action_angle"].flow({"I0": [1.0], "phi0": [0.0], "freq": [2.0],
+                                       "matrix": None})(1.5)
     assert st.phi[0] == pytest.approx(3.0)
 
 
@@ -624,9 +605,8 @@ def reference_state(system, p, t):
     elif t == 0.0:
         phi = phi0.copy()
     else:
-        nodes, weights = simpson_rule(0.0, t, 32)
-        mats = [np.asarray(p["matrix"](I), dtype=float) for I in [I0] * 33]
-        _commutator_guard(mats, nodes, 1e-9)
+        _, weights = simpson_rule(0.0, t, 32)
+        mats = [np.asarray(p["matrix"], dtype=float)] * 33
         phi = scipy.linalg.expm(sum(w * m for w, m in zip(weights, mats))) @ phi0
     return FlowState(t, I=I0.copy(), phi=phi, phi_mod=np.mod(phi, 2.0 * np.pi))
 
@@ -655,9 +635,9 @@ def sampler_params(system, seed):
         "noncasimir_h": {"u0": u0, "alpha0": m.alpha, "nu0": m.nu},
         "perturbed": {"g0": g0, "u0": u0, "F": F, "lam": lam},
         "action_angle_freq": {"I0": [0.5, 1.5, 0.7], "phi0": rng.uniform(0.0, 6.3, 3),
-                              "freq": rng.uniform(-2.0, 2.0, 3)},
-        "action_angle_matrix": {"I0": [1.0], "phi0": [1.0, 0.5, -0.2],
-                                "matrix": lambda I: (1.0 + seed) * a},
+                              "freq": rng.uniform(-2.0, 2.0, 3), "matrix": None},
+        "action_angle_matrix": {"I0": [1.0], "phi0": [1.0, 0.5, -0.2], "freq": None,
+                                "matrix": (1.0 + seed) * a},
     }[system]
 
 
