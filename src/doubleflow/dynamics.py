@@ -16,6 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .groups import (
+    PROJECT_TOL,
     AlgebraElement,
     MembershipError,
     SB2Element,
@@ -106,12 +107,6 @@ def free_hamiltonian(x) -> float:
         return 0.5 * (abs(x.z1) ** 2 + abs(x.z2) ** 2 + abs(x.z3) ** 2 + abs(x.z4) ** 2)
     if isinstance(x, SB2Element):
         return 0.5 * (abs(x.gamma) ** 2 + x.r ** 2 + x.r ** -2)
-    if isinstance(x, dict):
-        if "z1" in x:
-            return 0.5 * sum(abs(complex(x[f"z{i}"])) ** 2 for i in range(1, 5))
-        if "r" in x:
-            r = complex(x["r"]).real
-            return 0.5 * (abs(complex(x["gamma"])) ** 2 + r ** 2 + r ** -2)
     raise TypeError(f"no free Hamiltonian for {type(x).__name__}")
 
 
@@ -236,7 +231,7 @@ def rotator_flow(g0, p, F) -> Callable:
         float(np.max(np.abs(g0.T @ g0 - np.eye(3)))),
         abs(float(np.linalg.det(g0)) - 1.0),
     )
-    if defect > 1e-8:
+    if defect > PROJECT_TOL:
         raise MembershipError(f"g0 fails the rotation check by {defect:.3e}")
     p = np.asarray(p, dtype=float)
     p_norm = float(np.linalg.norm(p))
@@ -274,10 +269,8 @@ def momenta_su2_flow(u0: SB2Element, alpha, nu, F) -> Callable:
     The constant generator is L = -(F/2)·[[|ν|², 2iα(Re ν - Im ν)], [0, -|ν|²]]
     and u(t) = exp(t·L)·u0.
     """
+    SU2Element(alpha, nu)  # the unit check; the flow keeps alpha, nu as given
     alpha, nu = complex(alpha), complex(nu)
-    norm2 = abs(alpha) ** 2 + abs(nu) ** 2
-    if abs(norm2 - 1.0) > 1e-8:
-        raise MembershipError("(alpha, nu) must satisfy |alpha|^2 + |nu|^2 = 1")
     # L is exactly in sb2 (zero (1,0) entry, real diagonal x, -x), and so is
     # t·L for every real t: only its finiteness is checked per t
     L = _momenta_su2_generator(alpha, nu, F)
@@ -314,10 +307,8 @@ def noncasimir_flow(u0: SB2Element, alpha0, nu0) -> Callable:
     antiderivative of γ̇ = (i/2)·conj(α(t))·conj(ν0)/r0.  ν0 = 0 is a fixed
     point by explicit branch.
     """
+    SU2Element(alpha0, nu0)  # the unit check; the flow keeps alpha0, nu0 as given
     alpha0, nu0 = complex(alpha0), complex(nu0)
-    norm2 = abs(alpha0) ** 2 + abs(nu0) ** 2
-    if abs(norm2 - 1.0) > 1e-8:
-        raise MembershipError("(alpha0, nu0) must satisfy |alpha|^2 + |nu|^2 = 1")
     if nu0 == 0:
         return lambda t: FlowState(time=float(t), u=u0, alpha=alpha0, nu=nu0)
     w = abs(nu0) ** 2
@@ -478,37 +469,42 @@ def action_angle_flow(I0, phi0, freq=None, matrix=None) -> Callable:
     matrix A = matrix, the integral by composite Simpson on 33 nodes.  No
     commutator guard runs: the 33 samples are one matrix, so every pairwise
     commutator is exactly 0 and the one-term Magnus exponential is exact.
+    I0, phi0 must be finite and 1-D, freq finite of shape (m,), matrix finite
+    of shape (m, m), m = len(phi0); else a ValueError names the argument.
     """
     if (freq is None) == (matrix is None):
         raise ValueError("action_angle_flow needs exactly one of freq, matrix")
-    I0 = np.asarray(I0, dtype=float)
-    phi0 = np.asarray(phi0, dtype=float)
-    if matrix is None:
-        nu = np.asarray(freq, dtype=float)
-
-        def at_freq(t):
-            t = float(t)
-            phi = phi0 + nu * t
-            return FlowState(time=t, I=I0.copy(), phi=phi, phi_mod=np.mod(phi, 2.0 * np.pi))
-
-        return at_freq
-    A = np.asarray(matrix, dtype=float)
+    I0, phi0 = _finite_array(I0, "I0"), _finite_array(phi0, "phi0")
+    m = len(phi0)
+    nu = None if freq is None else _finite_array(freq, "freq", (m,))
+    A = None if matrix is None else _finite_array(matrix, "matrix", (m, m))
 
     def at(t):
         t = float(t)
-        if t < 0:
+        if A is None:
+            phi = phi0 + nu * t
+        elif t < 0:
             raise ValueError("the fiber variant integrates forward time only")
-        if t == 0.0:
-            return FlowState(time=0.0, I=I0.copy(), phi=phi0.copy(),
-                             phi_mod=np.mod(phi0, 2.0 * np.pi))
-        _, weights = simpson_rule(0.0, t, 32)
-        integral = sum(w * A for w in weights)
-        import scipy.linalg  # only this path needs it; keeps the CLI import light
-
-        phi = scipy.linalg.expm(integral) @ phi0
+        elif t == 0.0:
+            phi = phi0.copy()
+        else:
+            _, weights = simpson_rule(0.0, t, 32)
+            import scipy.linalg  # only this path needs it; keeps the CLI import light
+            phi = scipy.linalg.expm(sum(w * A for w in weights)) @ phi0
         return FlowState(time=t, I=I0.copy(), phi=phi, phi_mod=np.mod(phi, 2.0 * np.pi))
 
     return at
+
+
+def _finite_array(a, name, shape=None) -> np.ndarray:
+    """a as a finite float array of the shape given (default: 1-D); else a ValueError naming it."""
+    try:
+        a = np.asarray(a, dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be an array of numbers") from None
+    if a.shape != (shape or (a.size,)) or not np.isfinite(a).all():
+        raise ValueError(f"{name} must be finite and of shape {shape or '(n,)'}")
+    return a
 
 
 def action_angle_flat_field(I0, freq=None, matrix=None):
@@ -528,9 +524,10 @@ class System:
     params holds (name, parse kind, default) in the order that `simulate`
     draws omitted initial data from its seed; a pair of names is the
     (alpha, nu) of one unit momentum; an omitted name that is not drawn
-    takes the default (None: required).  flow(params) calls the system's
-    *_flow, which checks the params once and returns at(t) -> FlowState; a
-    CSV row is [t, *flat(at(t)), *extras(at(t), flat)] under columns(params);
+    takes its default, None too (only the CLI's action_angle check requires
+    names: I0 and phi0).  flow(params) calls the system's *_flow, which
+    checks the params once and returns at(t) -> FlowState; a CSV row is
+    [t, *flat(at(t)), *extras(at(t), flat)] under columns(params);
     field(params) is the RK4 oracle's rate on flat states.
     """
 

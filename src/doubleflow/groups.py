@@ -26,10 +26,8 @@ __all__ = [
     "random_element",
 ]
 
-# Constructors repair violations up to this size; membership checks use
-# the tighter MEMBER_TOL.
+# Constructors repair violations up to this size and reject larger ones.
 PROJECT_TOL = 1e-8
-MEMBER_TOL = 1e-10
 ALGEBRA_TOL = 1e-12
 
 

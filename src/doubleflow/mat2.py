@@ -13,8 +13,6 @@ import math
 import numpy as np
 
 __all__ = [
-    "det2",
-    "trace2",
     "sinhc",
     "expm2",
     "expm2_kernel",
@@ -31,14 +29,6 @@ def check_finite(a) -> np.ndarray:
     if not np.isfinite(a).all():
         raise ValueError("non-finite matrix entry")
     return a
-
-
-def det2(m) -> complex:
-    return complex(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
-
-
-def trace2(m) -> complex:
-    return complex(m[0, 0] + m[1, 1])
 
 
 def sinhc(delta: complex) -> complex:
@@ -73,9 +63,9 @@ def expm2(m) -> np.ndarray:
 
 def expm2_kernel(m) -> np.ndarray:
     """expm2 of a finite complex 2x2 ndarray, without the input check."""
-    mu = trace2(m) / 2.0
+    mu = complex(m[0, 0] + m[1, 1]) / 2.0
     n = m - mu * _I2
-    delta = cmath.sqrt(-det2(n))
+    delta = cmath.sqrt(-complex(n[0, 0] * n[1, 1] - n[0, 1] * n[1, 0]))
     return cmath.exp(mu) * (cmath.cosh(delta) * _I2C + sinhc(delta) * n)
 
 

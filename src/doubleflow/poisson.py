@@ -244,13 +244,17 @@ class Poly:
 
     def conj(self):
         """Complex conjugate: conjugate coefficients, swap conjugate-pair names."""
-        perm = [self.cs.index(self.cs.conj[name]) for name in self.cs.coords]
+        return self._relabel(self.cs.conj, lambda e, c: c.conjugate())
+
+    def _relabel(self, image, coeff):
+        """Each name's exponent moved to image[name]; a term's coefficient becomes coeff(e, c)."""
+        perm = [self.cs.index(image[name]) for name in self.cs.coords]
         terms = {}
         for e, c in self.terms.items():
             ne = [0] * len(e)
             for i, k in enumerate(e):
                 ne[perm[i]] = k
-            terms[tuple(ne)] = terms.get(tuple(ne), 0j) + c.conjugate()
+            terms[tuple(ne)] = terms.get(tuple(ne), 0j) + coeff(e, c)
         return Poly(self.cs, terms)
 
     def diff(self, name):
@@ -469,20 +473,11 @@ class BracketTable:
 
 
 def _sigma_poly(p: Poly) -> Poly:
-    cs = p.cs
-    perm = [cs.index(cs.sigma[name][1]) for name in cs.coords]
-    signs = [cs.sigma[name][0] for name in cs.coords]
-    terms = {}
-    for e, c in p.terms.items():
-        ne = [0] * len(e)
-        s = 1
-        for i, k in enumerate(e):
-            ne[perm[i]] = k
-            if k % 2 and signs[i] < 0:
-                s = -s
-        ne = tuple(ne)
-        terms[ne] = terms.get(ne, 0j) + s * c
-    return Poly(cs, terms)
+    """σp: names to their inversion images; each odd power of a sign -1 name flips the term."""
+    sigma = p.cs.sigma
+    flips = [sigma[name][0] < 0 for name in p.cs.coords]
+    return p._relabel({name: im for name, (_, im) in sigma.items()},
+                      lambda e, c: (-1) ** sum(k % 2 for k, f in zip(e, flips) if f) * c)
 
 
 _TABLES = {}

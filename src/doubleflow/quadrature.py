@@ -85,9 +85,12 @@ def rk4_integrate(field, y0, t0, t1, h) -> Trajectory:
     rate, a sequence of as many floats; it must not depend on time.  The
     stage and update sums run float by float in the order of their array
     form, y + (h/2)·k1, ..., y + (h/6)·(k1 + 2·k2 + 2·k3 + k4), so each state
-    has the bits numpy's elementwise arithmetic gives.  Raises
+    has the bits numpy's elementwise arithmetic gives.  The trajectory
+    starts at t0 and ends at t1 after at least one step.  Raises
     NonFiniteStateError the first time a state stops being finite.
     """
+    if not all(map(math.isfinite, (t0, t1, h))):
+        raise ValueError("t0, t1 and h must be finite")
     if not (h > 0):
         raise ValueError("h must be positive")
     if not (t1 > t0):
@@ -97,7 +100,8 @@ def rk4_integrate(field, y0, t0, t1, h) -> Trajectory:
         raise NonFiniteStateError(t0)
     n_full = int(math.floor((t1 - t0) / h + 1e-12))
     rest = t1 - (t0 + n_full * h)
-    partial = rest > 1e-12 * max(h, abs(t1))
+    # a rest within round-off of the times is no step, unless no full step fits
+    partial = n_full == 0 or rest > 1e-12 * max(abs(t0), abs(t1))
     n = n_full + 1 + partial
     times = t0 + np.arange(n) * h
     times[-1] = t1

@@ -26,7 +26,14 @@ from .quadrature import drift_report, rk4_integrate
 
 __all__ = ["CheckResult", "SUITES", "run_suite", "report_doc"]
 
-SUITES = ("brackets", "decompositions", "legendre", "flows", "all")
+# Entries call the suites by module name, so a patched suite is the one used.
+_SUITES = {
+    "brackets": lambda seed, samples: suite_brackets(seed, samples),
+    "decompositions": lambda seed, samples: suite_decompositions(seed, samples),
+    "legendre": lambda seed, samples: suite_legendre(seed, samples),
+    "flows": lambda seed, samples: suite_flows(seed, samples),
+}
+SUITES = (*_SUITES, "all")
 
 
 @dataclass
@@ -170,13 +177,14 @@ def suite_decompositions(seed, samples):
         a = random_element("sl2", rng)
         am = a.as_matrix()
         g, u = iwasawa_gu(a)
-        rec_gu = max(rec_gu, float(np.abs(g.as_matrix() @ u.as_matrix() - am).max()))
+        gu = g.as_matrix() @ u.as_matrix()
+        rec_gu = max(rec_gu, float(np.abs(gu - am).max()))
         member = max(member, g.membership_defect(), abs(a.membership_defect()))
         u2, g2 = iwasawa_ug(a)
         rec_ug = max(rec_ug, float(np.abs(u2.as_matrix() @ g2.as_matrix() - am).max()))
         member = max(member, g2.membership_defect())
         # uniqueness: refactorizing the product returns the factors
-        g3, u3 = iwasawa_gu(dyn.SL2Element.from_matrix(g.as_matrix() @ u.as_matrix()))
+        g3, u3 = iwasawa_gu(dyn.SL2Element.from_matrix(gu))
         uniq = max(uniq, abs(g3.alpha - g.alpha), abs(g3.nu - g.nu),
                    abs(u3.r - u.r), abs(u3.gamma - u.gamma))
     return [
@@ -350,19 +358,10 @@ def suite_flows(seed, samples):
 
 def run_suite(suite, seed, samples):
     if suite == "all":
-        out = []
-        for s in ("brackets", "decompositions", "legendre", "flows"):
-            out.extend(run_suite(s, seed, samples))
-        return out
-    if suite == "brackets":
-        return suite_brackets(seed, samples)
-    if suite == "decompositions":
-        return suite_decompositions(seed, samples)
-    if suite == "legendre":
-        return suite_legendre(seed, samples)
-    if suite == "flows":
-        return suite_flows(seed, samples)
-    raise KeyError(f"unknown suite {suite!r}; valid: {', '.join(SUITES)}")
+        return [c for run in _SUITES.values() for c in run(seed, samples)]
+    if suite not in _SUITES:
+        raise KeyError(f"unknown suite {suite!r}; valid: {', '.join(SUITES)}")
+    return _SUITES[suite](seed, samples)
 
 
 def report_doc(suite, seed, samples):

@@ -10,6 +10,7 @@ import pytest
 
 import doubleflow
 from doubleflow import dynamics as dyn
+from doubleflow import verify as ver
 from doubleflow.cli import MAX_ROWS, _write_csv, main
 
 
@@ -334,6 +335,19 @@ def test_verify_bad_arguments(capsys):
         main(["verify", "--suite", "nonsense"])
     assert exc.value.code == 2
     assert main(["verify", "--suite", "legendre", "--samples", "0"]) == 2
+
+
+def test_run_suite_dispatches_through_the_module_names(monkeypatch):
+    # suites patched on the module (as a tracer does) are the ones run
+    names = ("brackets", "decompositions", "legendre", "flows")
+    for name in names:
+        monkeypatch.setattr(ver, f"suite_{name}", lambda seed, samples, name=name: [name])
+    assert ver.SUITES == (*names, "all")
+    assert ver.run_suite("legendre", 3, 4) == ["legendre"]
+    assert ver.run_suite("all", 3, 4) == list(names)
+    with pytest.raises(KeyError, match="unknown suite 'nope'; valid: brackets, "
+                                       "decompositions, legendre, flows, all"):
+        ver.run_suite("nope", 3, 4)
 
 
 def test_legendre_map_subcommand(capsys):

@@ -63,8 +63,6 @@ def test_free_hamiltonian_forms():
     assert free_hamiltonian(a) == pytest.approx(0.5 * (4 + 0.25 + 0.25))
     u = SB2Element(2.0, 1j)
     assert free_hamiltonian(u) == pytest.approx(0.5 * (1 + 4 + 0.25))
-    assert free_hamiltonian({"z1": 1, "z2": 0, "z3": 0, "z4": 1}) == pytest.approx(1.0)
-    assert free_hamiltonian({"r": 2.0, "gamma": 1j}) == pytest.approx(free_hamiltonian(u))
     with pytest.raises(TypeError):
         free_hamiltonian([1, 2, 3])
 
@@ -522,6 +520,31 @@ def test_action_angle_argument_validation():
             action_angle_flow([1.0], [0.0], freq, matrix)
 
 
+# (id, args, kwargs): each breaks one rule on the argument the id starts with
+ACTION_ANGLE_BAD = [
+    ("freq-shorter-than-phi0", ([1.0], [0.0, 1.0]), {"freq": [1.0]}),
+    ("freq-nan", ([1.0], [0.0]), {"freq": [math.nan]}),
+    ("freq-2d", ([1.0], [0.0]), {"freq": [[1.0]]}),
+    ("matrix-wrong-size", ([1.0], [0.0, 1.0]), {"matrix": np.eye(3)}),
+    ("matrix-1d", ([1.0], [0.0]), {"matrix": [1.0]}),
+    ("matrix-inf", ([1.0], [0.0]), {"matrix": [[math.inf]]}),
+    ("I0-nan", ([math.nan], [0.0]), {"freq": [1.0]}),
+    ("I0-2d", ([[1.0]], [0.0]), {"freq": [1.0]}),
+    ("phi0-scalar", ([1.0], 0.0), {"freq": [1.0]}),
+    ("phi0-inf", ([1.0], [0.0, math.inf]), {"freq": [1.0, 1.0]}),
+    ("phi0-ragged", ([1.0], [[0.0], [1.0, 2.0]]), {"freq": [1.0]}),
+]
+
+
+@pytest.mark.parametrize("case, args, kwargs", ACTION_ANGLE_BAD,
+                         ids=[case for case, _, _ in ACTION_ANGLE_BAD])
+def test_action_angle_flow_checks_inputs_when_built(case, args, kwargs):
+    # at the parent these spread one frequency over two angles, returned NaN
+    # rows, or failed only at the first t > 0
+    with pytest.raises(ValueError, match=f"^{case.split('-')[0]} must be"):
+        action_angle_flow(*args, **kwargs)
+
+
 def test_systems_flow_values():
     # each system's flow through SYSTEMS, every param given
     g0, u0 = random_element("su2", 16), random_element("sb2", 16)
@@ -691,6 +714,15 @@ def test_sampler_checks_its_inputs_once_and_each_t():
         SYSTEMS["noncasimir_h"].flow({"u0": u0, "alpha0": 0.5, "nu0": 0.5})
     with pytest.raises(MembershipError):
         noncasimir_flow(u0, 0.5, 0.5)(0.5)
+    # the SU2Element unit check, when the flow is built: a NaN alpha (rows
+    # of NaN alpha, or a "non-finite gamma" at the first row, before), and a
+    # pair whose squares overflow (an OverflowError before)
+    for build in (lambda: noncasimir_flow(u0, math.nan, 0.0),
+                  lambda: noncasimir_flow(u0, math.nan, 0.5),
+                  lambda: momenta_su2_flow(u0, 1e200, 0.0, 1.0),
+                  lambda: momenta_su2_flow(u0, 0.6, complex(0.0, math.inf), 1.0)):
+        with pytest.raises(MembershipError):
+            build()
     # per t: a t·L that overflows, a non-finite t, an exponential that overflows
     g0 = random_element("su2", 3)
     for flow in (lambda t: casimir_flow(g0, u0, 1.0)(t),

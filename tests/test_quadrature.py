@@ -59,6 +59,27 @@ def test_rk4_rejects_bad_arguments():
             rk4_integrate(lambda y: rate, y0, 0.0, 1.0, 0.25)
 
 
+def test_rk4_grid_starts_at_t0_and_steps_at_least_once():
+    y0 = [1.0, 0.0]
+    # h far beyond t1 - t0: one step of t1 - t0 (the t0 row was dropped)
+    _, ref_states = reference_rk4(rotation_field, np.array(y0), 0.0, 1.0, 1.0)
+    for h in (1.5, 2e12, 1e300):
+        traj = rk4_integrate(rotation_field, y0, 0.0, 1.0, h)
+        assert traj.times.tolist() == [0.0, 1.0]
+        assert traj.states.tobytes() == ref_states.tobytes()
+    # an interval within the round-off of its times still takes its one step
+    t1 = 1.0 + 2**-52
+    traj = rk4_integrate(rotation_field, y0, 1.0, t1, 0.1)
+    assert traj.times.tolist() == [1.0, t1]
+    assert traj.states[0].tolist() == y0 and traj.states[1][1] > 0.0
+    # non-finite times or step (a RuntimeWarning or an OverflowError before)
+    inf = math.inf
+    for t0, t1, h in ((0.0, 1.0, inf), (-inf, 1.0, 0.1), (0.0, inf, 0.1),
+                      (0.0, 1.0, math.nan), (math.nan, 1.0, 0.1)):
+        with pytest.raises(ValueError, match="must be finite"):
+            rk4_integrate(rotation_field, y0, t0, t1, h)
+
+
 def test_rk4_nonfinite_detection():
     def blowup(y):
         return np.array([np.inf])
