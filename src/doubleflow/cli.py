@@ -26,7 +26,8 @@ __all__ = ["main", "ConfigError", "MAX_ROWS", "run_simulate", "run_verify", "run
 
 _CONFIG_FIELDS = {"system", "params", "t1", "dt", "oracle", "max_dev", "seed", "out"}
 
-# Largest t1 / dt: every row is held in memory until the CSV is written.
+# Largest t1 / dt, since every row is held in memory until the CSV is written,
+# and largest RK4 step count of --oracle, whose states are held the same way.
 MAX_ROWS = 1_000_000
 
 
@@ -249,12 +250,17 @@ def run_simulate(args) -> int:
     out = args.out if args.out is not None else doc.get("out")
     if out is not None and not isinstance(out, str):
         raise ConfigError("out must be a path string")
+    n = int(math.floor(t1 / dt + 1e-9))
+    # RK4 steps per row, at most 1e-3 long; the min keeps a huge dt from overflowing
+    substeps = max(1, math.ceil(min(dt / 1e-3 - 1e-12, MAX_ROWS + 1)))
+    if oracle and n * substeps > MAX_ROWS:
+        raise ConfigError(f"t1 is too large for the oracle: its (t1 / dt) * ceil(dt / 1e-3) "
+                          f"RK4 steps must not exceed MAX_ROWS = {MAX_ROWS}")
 
     rng = np.random.default_rng(seed)
     params = _parse_params(system, params, rng)
     sysdef = dyn.SYSTEMS[system]
 
-    n = int(math.floor(t1 / dt + 1e-9))
     times = [j * dt for j in range(n + 1)]
     try:
         at = sysdef.flow(params)
@@ -271,7 +277,6 @@ def run_simulate(args) -> int:
     worst = 0.0
     if oracle:
         header.append("oracle_dev")
-        substeps = max(1, int(math.ceil(dt / 1e-3 - 1e-12)))
         if n > 0:
             try:
                 traj = rk4_integrate(sysdef.field(params), flats[0], 0.0, times[-1],
@@ -281,12 +286,12 @@ def run_simulate(args) -> int:
                                   f"at t = {_fmt(e.time)}") from None
             except (OverflowError, ZeroDivisionError):  # in the field's float arithmetic
                 raise ConfigError("params: the oracle leaves the finite floats") from None
-            oracle_states = [traj.states[j * substeps] for j in range(n + 1)]
+            oracle_states = traj.states[:n * substeps + 1:substeps]
         else:
-            oracle_states = [flats[0]]
-        for r, y, yo in zip(rows, flats, oracle_states):
-            dev = float(np.max(np.abs(y - yo)))
-            worst = max(worst, dev)
+            oracle_states = flats[:1]
+        devs = np.max(np.abs(np.array(flats) - oracle_states), axis=1).tolist()
+        worst = max(devs)
+        for r, dev in zip(rows, devs):
             r.append(dev)
 
     _write_csv(out, header, rows)

@@ -176,12 +176,12 @@ def legendre_invert(v: AlgebraElement, unreduced=False) -> SB2Element:
     return SB2Element(r, r * w)
 
 
-def _multiple_check(m):
-    """s -> None for real s, raising as check_finite(s * m) does.
+def _multiple_check(*entries):
+    """s -> None for real s, raising as check_finite(s * m) does for m's complex entries.
 
     s·m is finite exactly when s times the largest component of m is.
     """
-    top = max(float(np.max(np.abs(m.real))), float(np.max(np.abs(m.imag))))
+    top = max(math.inf if math.isnan(x) else abs(x) for z in entries for x in (z.real, z.imag))
 
     def check(s):
         if not math.isfinite(s * top):
@@ -198,12 +198,13 @@ def _su2_exp(m):
     form to round-off.  Per s only finiteness is checked: that of s·m, and
     that of the exponential by the column the element keeps.
     """
-    check = _multiple_check(m)
+    (m00, m01), (m10, m11) = m.tolist()
+    check = _multiple_check(m00, m01, m10, m11)
 
     def at(s):
         check(s)
-        e = expm2_kernel(s * m)
-        alpha, nu = complex(e[0, 0]), complex(e[1, 0])
+        s = complex(s)  # as numpy promotes a float times a complex array
+        alpha, _, nu, _ = expm2_kernel(s * m00, s * m01, s * m10, s * m11)
         if not (cmath.isfinite(alpha) and cmath.isfinite(nu)):
             raise ValueError("non-finite matrix entry")
         return SU2Element(alpha, nu)
@@ -273,14 +274,14 @@ def momenta_su2_flow(u0: SB2Element, alpha, nu, F) -> Callable:
     alpha, nu = complex(alpha), complex(nu)
     # L is exactly in sb2 (zero (1,0) entry, real diagonal x, -x), and so is
     # t·L for every real t: only its finiteness is checked per t
-    L = _momenta_su2_generator(alpha, nu, F)
-    check = _multiple_check(L)
+    (l00, l01), (l10, l11) = _momenta_su2_generator(alpha, nu, F).tolist()
+    check = _multiple_check(l00, l01, l10, l11)
 
     def at(t):
         t = float(t)
         check(t)
-        tl = t * L
-        u = exp_sb2(complex(tl[0, 0]).real, complex(tl[0, 1])) @ u0
+        ct = complex(t)  # as numpy promotes a float times a complex array
+        u = exp_sb2((ct * l00).real, ct * l01) @ u0
         return FlowState(time=t, u=u, alpha=alpha, nu=nu)
 
     return at
@@ -527,8 +528,8 @@ class System:
     takes its default, None too (only the CLI's action_angle check requires
     names: I0 and phi0).  flow(params) calls the system's *_flow, which
     checks the params once and returns at(t) -> FlowState; a CSV row is
-    [t, *flat(at(t)), *extras(at(t), flat)] under columns(params);
-    field(params) is the RK4 oracle's rate on flat states.
+    [t, *flat(at(t)), *extras(at(t), flat)] under columns(params), flat a
+    list of floats; field(params) is the RK4 oracle's rate on flat states.
     """
 
     params: tuple
@@ -548,19 +549,13 @@ def _complex_cols(*prefixes):
 
 
 def _flat_double(alpha, nu, u):
-    return np.array([alpha.real, alpha.imag, nu.real, nu.imag, u.r, u.gamma.real, u.gamma.imag])
-
-
-def _flat_casimir(st):
-    m = st.g.as_matrix() @ st.u.as_matrix()
-    return z_to_flat(m[0, 0], m[0, 1], m[1, 0], m[1, 1])
+    return [alpha.real, alpha.imag, nu.real, nu.imag, u.r, u.gamma.real, u.gamma.imag]
 
 
 def _casimir_extras(y):
-    z = flat_to_z(y)
-    det = z[0] * z[3] - z[1] * z[2]
-    h0 = 0.5 * sum(abs(c) ** 2 for c in z)
-    return [h0, det.real, det.imag]
+    z1, z2, z3, z4 = flat_to_z(y)
+    det = z1 * z4 - z2 * z3
+    return [0.5 * (abs(z1) ** 2 + abs(z2) ** 2 + abs(z3) ** 2 + abs(z4) ** 2), det.real, det.imag]
 
 
 def _action_angle_columns(p):
@@ -581,7 +576,7 @@ SYSTEMS = {
         flow=lambda p: rotator_flow(p["g0"], p["p"], p["F"]),
         columns=lambda p: [f"g{i}{j}" for i in range(1, 4) for j in range(1, 4)]
         + ["p1", "p2", "p3", "p_norm"],
-        flat=lambda st: np.asarray(st.g, dtype=float).ravel(),
+        flat=lambda st: st.g.ravel().tolist(),
         extras=lambda st, y: [*st.p, st.p_norm],
         field=lambda p: rotator_flat_field(p["p"], p["F"]),
     ),
@@ -589,7 +584,7 @@ SYSTEMS = {
         params=(_G0, _U0, _F),
         flow=lambda p: casimir_flow(p["g0"], p["u0"], p["F"]),
         columns=lambda p: _complex_cols("z1", "z2", "z3", "z4") + ["H0", "det_re", "det_im"],
-        flat=lambda st: _flat_casimir(st),
+        flat=lambda st: (st.g.as_matrix() @ st.u.as_matrix()).ravel().view(float).tolist(),
         extras=lambda st, y: _casimir_extras(y),
         field=lambda p: sl2c_flat_field(p["F"]),
     ),
@@ -597,7 +592,7 @@ SYSTEMS = {
         params=(_U0, (("alpha", "nu"), "momenta", None), _F),
         flow=lambda p: momenta_su2_flow(p["u0"], p["alpha"], p["nu"], p["F"]),
         columns=lambda p: ["r", *_complex_cols("gamma"), "h_su2_norm"],
-        flat=lambda st: np.array([st.u.r, st.u.gamma.real, st.u.gamma.imag]),
+        flat=lambda st: [st.u.r, st.u.gamma.real, st.u.gamma.imag],
         extras=lambda st, y: [abs(st.alpha) ** 2 + abs(st.nu) ** 2],
         field=lambda p: momenta_su2_flat_field(p["alpha"], p["nu"], p["F"]),
     ),
@@ -623,7 +618,7 @@ SYSTEMS = {
                 ("freq", "vector", None), ("matrix", "matrix", None)),
         flow=lambda p: action_angle_flow(p["I0"], p["phi0"], p["freq"], p["matrix"]),
         columns=lambda p: _action_angle_columns(p),
-        flat=lambda st: np.concatenate([st.I, st.phi]),
+        flat=lambda st: np.concatenate([st.I, st.phi]).tolist(),
         extras=lambda st, y: list(st.phi_mod),
         field=lambda p: action_angle_flat_field(p["I0"], p["freq"], p["matrix"]),
     ),

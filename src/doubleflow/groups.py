@@ -42,14 +42,26 @@ def _finite_complex(z, name) -> complex:
     return z
 
 
+def _trusted(cls, *parts):
+    """cls(*parts) for parts already known to be finite Python complex numbers.
+
+    Only the finiteness checks are skipped: the membership test and the
+    normalization are the constructor's, so the element has the same bits.
+    """
+    x = object.__new__(cls)
+    x._set(*parts)
+    return x
+
+
 class SU2Element:
     """Unitary factor, as a matrix [[alpha, -conj(nu)], [nu, conj(alpha)]]."""
 
     __slots__ = ("alpha", "nu")
 
     def __init__(self, alpha, nu):
-        alpha = _finite_complex(alpha, "alpha")
-        nu = _finite_complex(nu, "nu")
+        self._set(_finite_complex(alpha, "alpha"), _finite_complex(nu, "nu"))
+
+    def _set(self, alpha, nu):
         try:
             norm2 = abs(alpha) ** 2 + abs(nu) ** 2
         except OverflowError:
@@ -79,12 +91,12 @@ class SU2Element:
         )
 
     def inverse(self) -> "SU2Element":
-        return SU2Element(self.alpha.conjugate(), -self.nu)
+        return _trusted(SU2Element, self.alpha.conjugate(), -self.nu)
 
     def __matmul__(self, other: "SU2Element") -> "SU2Element":
         a = self.alpha * other.alpha - self.nu.conjugate() * other.nu
         n = self.nu * other.alpha + self.alpha.conjugate() * other.nu
-        return SU2Element(a, n)
+        return _trusted(SU2Element, a, n)
 
     def membership_defect(self) -> float:
         return abs(abs(self.alpha) ** 2 + abs(self.nu) ** 2 - 1.0)
@@ -138,12 +150,14 @@ class SL2Element:
     __slots__ = ("z1", "z2", "z3", "z4")
 
     def __init__(self, z1, z2, z3, z4):
-        z = list(map(_finite_complex, (z1, z2, z3, z4), ("z1", "z2", "z3", "z4")))
-        d = z[0] * z[3] - z[1] * z[2]
+        self._set(*map(_finite_complex, (z1, z2, z3, z4), ("z1", "z2", "z3", "z4")))
+
+    def _set(self, z1, z2, z3, z4):
+        d = z1 * z4 - z2 * z3
         if abs(d - 1.0) > PROJECT_TOL:
             raise MembershipError(f"det = {d!r} is not 1")
         s = cmath.sqrt(d)
-        self.z1, self.z2, self.z3, self.z4 = (v / s for v in z)
+        self.z1, self.z2, self.z3, self.z4 = z1 / s, z2 / s, z3 / s, z4 / s
 
     @classmethod
     def identity(cls):
@@ -158,7 +172,7 @@ class SL2Element:
         return np.array([[self.z1, self.z2], [self.z3, self.z4]], dtype=complex)
 
     def inverse(self) -> "SL2Element":
-        return SL2Element(self.z4, -self.z2, -self.z3, self.z1)
+        return _trusted(SL2Element, self.z4, -self.z2, -self.z3, self.z1)
 
     def __matmul__(self, other: "SL2Element") -> "SL2Element":
         return SL2Element.from_matrix(self.as_matrix() @ other.as_matrix())
@@ -216,7 +230,7 @@ def iwasawa_gu(a: SL2Element):
         u = [[1/s, s*(conj(z1)*z2 + conj(z3)*z4)], [0, s]]
     """
     s = 1.0 / math.sqrt(abs(a.z1) ** 2 + abs(a.z3) ** 2)
-    g = SU2Element(s * a.z1, s * a.z3)
+    g = _trusted(SU2Element, s * a.z1, s * a.z3)
     u = SB2Element(1.0 / s, s * (a.z1.conjugate() * a.z2 + a.z3.conjugate() * a.z4))
     return g, u
 
@@ -230,7 +244,7 @@ def iwasawa_ug(a: SL2Element):
     """
     t = 1.0 / math.sqrt(abs(a.z3) ** 2 + abs(a.z4) ** 2)
     u = SB2Element(t, t * (a.z1 * a.z3.conjugate() + a.z2 * a.z4.conjugate()))
-    g = SU2Element(t * a.z4.conjugate(), t * a.z3)
+    g = _trusted(SU2Element, t * a.z4.conjugate(), t * a.z3)
     return u, g
 
 
@@ -271,7 +285,7 @@ def random_element(kind: str, seed):
     if kind == "su2":
         v = rng.standard_normal(4)
         v = v / np.linalg.norm(v)
-        return SU2Element(complex(v[0], v[1]), complex(v[2], v[3]))
+        return _trusted(SU2Element, complex(v[0], v[1]), complex(v[2], v[3]))
     if kind == "sb2":
         r = math.exp(0.5 * rng.standard_normal())
         gamma = complex(rng.standard_normal(), rng.standard_normal()) / math.sqrt(2.0)
@@ -279,5 +293,5 @@ def random_element(kind: str, seed):
     if kind in ("sl2", "sl2c"):
         g = random_element("su2", rng)
         u = random_element("sb2", rng)
-        return SL2Element.from_matrix(g.as_matrix() @ u.as_matrix())
+        return _trusted(SL2Element, *(g.as_matrix() @ u.as_matrix()).ravel().tolist())
     raise MembershipError(f"unknown group kind {kind!r}")

@@ -5,6 +5,9 @@ eigenstructure of a 2x2 matrix instead of scaling-and-squaring, so group
 flows built on top of it are exact up to round-off.  The public kernels
 check their input and call the matching `*_kernel`, which a closed-form
 sampler calls directly on input it has checked once per call.
+`expm2_kernel` takes and returns the four entries as Python complex scalars,
+each product complex x complex as numpy's elementwise arithmetic takes it,
+so on su(2) input every entry has the bits of the array formula.
 """
 
 import cmath
@@ -43,8 +46,7 @@ def sinhc(delta: complex) -> complex:
     return cmath.sinh(delta) / delta
 
 
-_I2 = np.eye(2)
-_I2C = np.eye(2, dtype=complex)
+_ONE, _ZERO = complex(1.0, 0.0), complex(0.0, 0.0)
 _I3 = np.eye(3)
 
 
@@ -58,15 +60,18 @@ def expm2(m) -> np.ndarray:
 
     Total on finite input; cost is one scalar exp, cosh, sinh.
     """
-    return expm2_kernel(check_finite(np.asarray(m, dtype=complex)))
+    (a, b), (c, d) = check_finite(np.asarray(m, dtype=complex)).tolist()
+    return np.array(expm2_kernel(a, b, c, d)).reshape(2, 2)
 
 
-def expm2_kernel(m) -> np.ndarray:
-    """expm2 of a finite complex 2x2 ndarray, without the input check."""
-    mu = complex(m[0, 0] + m[1, 1]) / 2.0
-    n = m - mu * _I2
-    delta = cmath.sqrt(-complex(n[0, 0] * n[1, 1] - n[0, 1] * n[1, 0]))
-    return cmath.exp(mu) * (cmath.cosh(delta) * _I2C + sinhc(delta) * n)
+def expm2_kernel(m00, m01, m10, m11):
+    """expm2 on the finite complex entries of a 2x2 matrix, row by row, unchecked."""
+    mu = (m00 + m11) / 2.0
+    n00, n01, n10, n11 = m00 - mu * _ONE, m01 - mu * _ZERO, m10 - mu * _ZERO, m11 - mu * _ONE
+    delta = cmath.sqrt(-(n00 * n11 - n01 * n10))
+    e, ch, sh = cmath.exp(mu), cmath.cosh(delta), sinhc(delta)
+    return (e * (ch * _ONE + sh * n00), e * (ch * _ZERO + sh * n01),
+            e * (ch * _ZERO + sh * n10), e * (ch * _ONE + sh * n11))
 
 
 def hat3(p) -> np.ndarray:

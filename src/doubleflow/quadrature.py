@@ -95,6 +95,8 @@ def rk4_integrate(field, y0, t0, t1, h) -> Trajectory:
         raise ValueError("h must be positive")
     if not (t1 > t0):
         raise ValueError("t1 must exceed t0")
+    if not math.isfinite((t1 - t0) / h):
+        raise ValueError("the step count (t1 - t0) / h overflows the floats")
     y = np.array(y0, dtype=float).ravel()
     if not np.isfinite(y).all():
         raise NonFiniteStateError(t0)

@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import io
 import json
 import math
@@ -9,6 +11,7 @@ import numpy as np
 import pytest
 
 import doubleflow
+from doubleflow import cli
 from doubleflow import dynamics as dyn
 from doubleflow import verify as ver
 from doubleflow.cli import MAX_ROWS, _write_csv, main
@@ -71,6 +74,39 @@ def test_simulate_reproducible_bytes(tmp_path):
     _, out2 = run_config(tmp_path, doc, name="b.csv")
     assert out1.read_bytes() == out2.read_bytes()
     assert b"\r" not in out1.read_bytes()
+
+
+# sha256 of the CSV bytes of three systems whose rows and oracle call no BLAS
+# routine, so their bytes do not depend on the CPU's OpenBLAS kernel (the same
+# under OPENBLAS_CORETYPE Haswell, Sandybridge and SkylakeX).  Every initial
+# value is given, since drawing an SU(2) element takes a BLAS norm.  casimir_sl2c
+# and rotator are left out: their rows go through numpy's 2x2 and 3x3 matmuls.
+PINNED_CSV = [
+    ({"system": "momenta_su2", "params": {"u0": {"r": 1.3, "gamma": [0.25, -0.4]},
+                                          "alpha": [0.36, 0.48], "nu": [0.64, -0.48],
+                                          "F": 0.7}, "t1": 2.0, "dt": 0.01},
+     "1176a99cc8cc5f3fe7e01c8bc060ffc84d36fc6188b9a7db03222d23706c2885",
+     "47044ff33884bdf2e38ac04e0c1c94b604c104ed3af9059b3ec0056149ca2a90"),
+    ({"system": "noncasimir_h", "params": {"u0": {"r": 0.8, "gamma": [-0.5, 0.1]},
+                                           "alpha0": [0.6, 0.0], "nu0": [0.0, 0.8]},
+      "t1": 2.0, "dt": 0.01},
+     "fc0f77e9d1b2470c2cf1e333c69187b0e86168ae01e0533ab4ef071480508da6",
+     "30e6a246094a63c8d6d66afdb7be788ae655b6f0f7eafb4eb2a397989457b588"),
+    ({"system": "perturbed", "params": {"g0": {"alpha": [0.6, 0.0], "nu": [0.0, 0.8]},
+                                        "u0": {"r": 1.7, "gamma": [0.3, 0.9]}, "lam": 0.3},
+      "t1": 2.0, "dt": 0.01},
+     "618d6a6c2316b68f9205c9aa7e307d95d25786853bb66a3914ee5fb18af085a4",
+     "3245b72937a688301763eb456b84344653b96d6c33e089748704e86b708aef1c"),
+]
+
+
+@pytest.mark.parametrize("doc, plain, with_oracle", PINNED_CSV,
+                         ids=[doc["system"] for doc, _, _ in PINNED_CSV])
+def test_simulate_csv_bytes_are_pinned(tmp_path, doc, plain, with_oracle):
+    _, out = run_config(tmp_path, doc)
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == plain
+    _, out = run_config(tmp_path, doc, name="oracle.csv", extra=["--oracle"])
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == with_oracle
 
 
 def test_simulate_different_seeds_differ(tmp_path):
@@ -210,6 +246,32 @@ def test_simulate_rejects_overflowing_configs(tmp_path, doc, extra, field, capsy
     err = capsys.readouterr().err
     assert err.startswith("error: ") and field in err and "Traceback" not in err
     assert not (tmp_path / "never.csv").exists()
+
+
+def test_simulate_caps_oracle_steps_before_building_anything(tmp_path, monkeypatch, capsys):
+    # 1e6 rows of 1000 RK4 steps each would ask for a 1e9-row state array: the
+    # cap must fire before a row or an oracle state exists, so neither may run
+    class Reached(Exception):
+        pass
+
+    def reached(*args):
+        raise Reached
+
+    monkeypatch.setattr(cli, "rk4_integrate", reached)
+    rotator = dyn.SYSTEMS["rotator"]
+    monkeypatch.setitem(dyn.SYSTEMS, "rotator", dataclasses.replace(rotator, flow=reached))
+    doc = {"system": "rotator", "t1": 1e6, "dt": 1, "oracle": True}
+    # dt / 1e-3 overflows the floats in the second config
+    for huge in ({}, {"t1": 1e307, "dt": 1e306}):
+        code, _ = run_config(tmp_path, {**doc, **huge}, name="never.csv")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: t1 ") and "dt" in err and f"MAX_ROWS = {MAX_ROWS}" in err
+        assert err.count("\n") == 1 and not (tmp_path / "never.csv").exists()
+    # exactly MAX_ROWS steps (1000 rows of 1000) pass the cap and reach the oracle
+    monkeypatch.setitem(dyn.SYSTEMS, "rotator", rotator)
+    with pytest.raises(Reached):
+        run_config(tmp_path, {**doc, "t1": MAX_ROWS * 1e-3}, name="never.csv")
 
 
 # every registered system, action_angle in both of its variants

@@ -1,10 +1,15 @@
+import cmath
+
 import numpy as np
 import pytest
 import scipy.linalg
 
+from doubleflow.dynamics import _perturbed_x, legendre_map
+from doubleflow.groups import AlgebraElement, SU2Element, exp_group, random_element
 from doubleflow.mat2 import (
     check_finite,
     expm2,
+    expm2_kernel,
     hat3,
     rodrigues3,
     sinhc,
@@ -73,6 +78,58 @@ def test_expm2_nilpotent_and_zero():
     np.testing.assert_allclose(expm2(np.zeros((2, 2))), np.eye(2))
     n = np.array([[0, 3.5 - 1j], [0, 0]], dtype=complex)
     np.testing.assert_allclose(expm2(n), np.eye(2) + n)  # n^2 = 0
+
+
+def expm2_array_reference(m):
+    """The 2x2 exponential as elementwise numpy arithmetic on the complex array m."""
+    mu = complex(m[0, 0] + m[1, 1]) / 2.0
+    n = m - mu * np.eye(2)
+    delta = cmath.sqrt(-complex(n[0, 0] * n[1, 1] - n[0, 1] * n[1, 0]))
+    return cmath.exp(mu) * (cmath.cosh(delta) * np.eye(2, dtype=complex) + sinhc(delta) * n)
+
+
+def assert_kernel_bits(m):
+    """expm2_kernel on m's entries, and expm2 on m, have the reference's bytes (so ±0 too)."""
+    want = expm2_array_reference(m).tobytes()
+    assert np.array(expm2_kernel(*m.ravel().tolist())).tobytes() == want, m
+    assert expm2(m).tobytes() == want, m
+
+
+def test_expm2_kernel_bitwise_matches_array_formula_on_su2_multiples():
+    """Every s·m a closed-form row exponentiates, for s·m as the row forms it.
+
+    m ranges over legendre_map generators, which the perturbed X + A0 is one
+    of, and the perturbed X; the row multiplies each entry by complex(s), as
+    numpy promotes s.
+    """
+    rng = np.random.default_rng(20)
+    for k in range(20_000):
+        u = random_element("sb2", rng)
+        F, lam = rng.uniform(-3.0, 3.0), rng.uniform(-2.0, 2.0)
+        gens = [legendre_map(u, F).value]
+        if k % 10 == 0:
+            gens.append(_perturbed_x(lam, u.r))
+        for m in gens:
+            for s in ([rng.uniform(-50.0, 50.0)] if k % 50 else [0.0, -0.0, 1e-9, -2e-8]):
+                sm = s * m
+                row = [complex(s) * z for z in m.ravel().tolist()]
+                assert np.array(row).tobytes() == sm.ravel().tobytes()
+                assert_kernel_bits(sm)
+
+
+def test_exp_group_su2_bitwise_matches_array_formula():
+    # general su2 elements [[i·a, b], [-conj(b), -i·a]], zero entries included
+    rng = np.random.default_rng(21)
+    for k in range(2_000):
+        a, b = rng.standard_normal(), complex(*rng.standard_normal(2))
+        if k % 4 == 0:
+            a, b = (0.0, b) if k % 8 else (a, 0j)
+        x = AlgebraElement("su2", rng.uniform(-5.0, 5.0) * np.array(
+            [[1j * a, b], [-b.conjugate(), -1j * a]]))
+        got = exp_group(x)
+        want = SU2Element.from_matrix(expm2_array_reference(x.value))
+        assert np.array([got.alpha, got.nu]).tobytes() == np.array([want.alpha, want.nu]).tobytes()
+        assert_kernel_bits(x.value)
 
 
 def test_hat3_cross_product():

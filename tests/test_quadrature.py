@@ -59,6 +59,13 @@ def test_rk4_rejects_bad_arguments():
             rk4_integrate(lambda y: rate, y0, 0.0, 1.0, 0.25)
 
 
+def test_rk4_step_count_overflow_is_a_value_error():
+    # (t1 - t0) / h, and t1 - t0 itself, overflow to inf before any grid exists
+    for t0, t1, h in ((0.0, 1e308, 1e-308), (-1e308, 1e308, 1.0)):
+        with pytest.raises(ValueError, match="step count"):
+            rk4_integrate(lambda y: [0.0], [1.0], t0, t1, h)
+
+
 def test_rk4_grid_starts_at_t0_and_steps_at_least_once():
     y0 = [1.0, 0.0]
     # h far beyond t1 - t0: one step of t1 - t0 (the t0 row was dropped)
