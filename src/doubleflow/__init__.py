@@ -8,7 +8,6 @@ fixed-step RK4 oracle.
 from .dynamics import (
     CommutativityError,
     FlowState,
-    InteractionPictureData,
     SYSTEMS,
     System,
     action_angle_flow,
@@ -63,7 +62,6 @@ __all__ = [
     "CommutativityError",
     "DriftReport",
     "FlowState",
-    "InteractionPictureData",
     "MembershipError",
     "NonFiniteStateError",
     "Poly",

@@ -22,13 +22,17 @@ from . import verify as ver
 from .groups import AlgebraElement, MembershipError, SB2Element, SU2Element, random_element
 from .quadrature import NonFiniteStateError, rk4_integrate
 
-__all__ = ["main", "ConfigError", "MAX_ROWS", "run_simulate", "run_verify", "run_legendre"]
+__all__ = ["main", "ConfigError", "MAX_ROWS", "MAX_SAMPLES", "run_simulate", "run_verify",
+           "run_legendre"]
 
 _CONFIG_FIELDS = {"system", "params", "t1", "dt", "oracle", "max_dev", "seed", "out"}
 
 # Largest t1 / dt, since every row is held in memory until the CSV is written,
 # and largest RK4 step count of --oracle, whose states are held the same way.
 MAX_ROWS = 1_000_000
+# Largest verify --samples: the brackets suite holds five lists of that many
+# points, about 2.5 KB per sample.
+MAX_SAMPLES = 100_000
 
 
 class ConfigError(ValueError):
@@ -123,16 +127,11 @@ def _momenta_param(params, akey, nkey, rng):
     return alpha, nu
 
 
-def _vector3_param(v, field):
-    p = _vector(v, field)
-    if p.shape != (3,):
-        raise ConfigError(f"{field} must have 3 components")
-    return p
-
-
 # How each parse kind of dyn.SYSTEMS reads a given value, and which kinds
-# are drawn from the run seed when omitted.  rotator_flow checks its g0.
-_PARSERS = {"float": _float, "su2": _su2_param, "sb2": _sb2_param, "vector3": _vector3_param,
+# are drawn from the run seed when omitted.  A parser checks only the JSON
+# types and finiteness; each domain rule (a rotation g0, a 3-vector p, the
+# action_angle shapes) is checked once, by the flow that takes the value.
+_PARSERS = {"float": _float, "su2": _su2_param, "sb2": _sb2_param, "vector3": _vector,
             "vector": _vector, "matrix": _matrix}
 _DRAWS = {"sb2": lambda rng: random_element("sb2", rng),
           "vector3": lambda rng: rng.standard_normal(3)}
@@ -153,27 +152,11 @@ def _parse_params(system, params, rng):
             out[name] = _PARSERS[kind](params[name], f"params.{name}")
         elif kind in _DRAWS:
             out[name] = _DRAWS[kind](rng)
+        elif default is dyn.REQUIRED:
+            raise ConfigError(f"params.{name} is required for {system}")
         else:
             out[name] = default
-    if system == "action_angle":
-        _check_action_angle(out)
     return out
-
-
-def _check_action_angle(p):
-    """Cross-field rules of action_angle."""
-    for key in ("I0", "phi0"):
-        if p[key] is None:
-            raise ConfigError(f"params.{key} is required for action_angle")
-    if (p["freq"] is None) == (p["matrix"] is None):
-        raise ConfigError("action_angle needs exactly one of params.freq, params.matrix")
-    m = len(p["phi0"])
-    if p["freq"] is not None:
-        if len(p["freq"]) != m:
-            raise ConfigError("params.freq must match params.phi0 in length")
-        return
-    if p["matrix"].shape != (m, m):
-        raise ConfigError("params.matrix must be square and match params.phi0")
 
 
 def _load_config(path):
@@ -221,6 +204,10 @@ def _write_csv(out, header, rows):
         raise ConfigError(f"out: cannot write {out}: {e.strerror or e}") from None
 
 
+# What a flow raises for params it rejects, when it is built or at a row's t.
+_REJECTED = (MembershipError, ValueError, OverflowError, ZeroDivisionError)
+
+
 # No numpy overflow warnings: a row or an oracle state that leaves the finite
 # floats is reported once, as a config error naming params and t.
 @np.errstate(over="ignore", invalid="ignore")
@@ -264,12 +251,18 @@ def run_simulate(args) -> int:
     times = [j * dt for j in range(n + 1)]
     try:
         at = sysdef.flow(params)
-        states = [at(t) for t in times]
-    except (MembershipError, ValueError, OverflowError, ZeroDivisionError) as e:
+    except _REJECTED as e:
         raise ConfigError(f"params: {e}") from None
-    flats = [sysdef.flat(st) for st in states]
     header = ["t", *sysdef.columns(params)]
-    rows = [[t, *y, *sysdef.extras(st, y)] for t, st, y in zip(times, states, flats)]
+    flats, rows = [], []
+    try:
+        for t in times:
+            st = at(t)
+            y = sysdef.flat(st)
+            flats.append(y)
+            rows.append([t, *y, *sysdef.extras(st, y)])
+    except _REJECTED as e:
+        raise ConfigError(f"params: {e} at t = {_fmt(t)}") from None
     bad = next((r[0] for r in rows if not all(map(math.isfinite, r))), None)
     if bad is not None:
         raise ConfigError(f"params: the flow leaves the finite floats at t = {_fmt(bad)}")
@@ -277,19 +270,14 @@ def run_simulate(args) -> int:
     worst = 0.0
     if oracle:
         header.append("oracle_dev")
-        if n > 0:
-            try:
-                traj = rk4_integrate(sysdef.field(params), flats[0], 0.0, times[-1],
-                                     dt / substeps)
-            except NonFiniteStateError as e:
-                raise ConfigError(f"params: the oracle leaves the finite floats "
-                                  f"at t = {_fmt(e.time)}") from None
-            except (OverflowError, ZeroDivisionError):  # in the field's float arithmetic
-                raise ConfigError("params: the oracle leaves the finite floats") from None
-            oracle_states = traj.states[:n * substeps + 1:substeps]
-        else:
-            oracle_states = flats[:1]
-        devs = np.max(np.abs(np.array(flats) - oracle_states), axis=1).tolist()
+        try:
+            traj = rk4_integrate(sysdef.field(params), flats[0], 0.0, times[-1],
+                                 dt / substeps)
+        except NonFiniteStateError as e:
+            raise ConfigError(f"params: the oracle leaves the finite floats "
+                              f"at t = {_fmt(e.time)}") from None
+        devs = np.max(np.abs(np.array(flats) - traj.states[:n * substeps + 1:substeps]),
+                      axis=1).tolist()
         worst = max(devs)
         for r, dev in zip(rows, devs):
             r.append(dev)
@@ -307,6 +295,8 @@ def run_verify(args) -> int:
         raise ConfigError("seed must be a non-negative integer")
     if args.samples < 1:
         raise ConfigError("samples must be a positive integer")
+    if args.samples > MAX_SAMPLES:
+        raise ConfigError(f"samples must not exceed MAX_SAMPLES = {MAX_SAMPLES}")
     doc = ver.report_doc(args.suite, args.seed, args.samples)
     sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return 0 if doc["all_pass"] else 1

@@ -32,7 +32,7 @@ __all__ = [
     "System",
     "SYSTEMS",
     "FlowState",
-    "InteractionPictureData",
+    "REQUIRED",
     "CommutativityError",
     "free_hamiltonian",
     "legendre_map",
@@ -70,19 +70,6 @@ class FlowState:
     phi: np.ndarray = None  # raw (real-valued) angles
     phi_mod: np.ndarray = None  # angles reduced mod 2*pi
     p_norm: float = None    # |p|
-
-
-@dataclass
-class InteractionPictureData:
-    """Constant generators X, A0 of the rotating-frame solution."""
-
-    X: AlgebraElement
-    A0: AlgebraElement
-
-    def __post_init__(self):
-        for name, x in (("X", self.X), ("A0", self.A0)):
-            if not isinstance(x, AlgebraElement) or x.kind != "su2":
-                raise MembershipError(f"{name} must be an su2 AlgebraElement")
 
 
 class CommutativityError(RuntimeError):
@@ -234,7 +221,7 @@ def rotator_flow(g0, p, F) -> Callable:
     )
     if defect > PROJECT_TOL:
         raise MembershipError(f"g0 fails the rotation check by {defect:.3e}")
-    p = np.asarray(p, dtype=float)
+    p = _finite_array(p, "p", (3,))
     p_norm = float(np.linalg.norm(p))
     fp = check_finite(_fvalue(F, p) * p)
     k, norm = hat3(fp), float(np.linalg.norm(fp))
@@ -248,7 +235,7 @@ def rotator_flow(g0, p, F) -> Callable:
 
 def rotator_flat_field(p, F):
     """ġ = g·hat(F(p)·p) on the flattened 9-real rotation matrix."""
-    p = np.asarray(p, dtype=float)
+    p = _finite_array(p, "p", (3,))
     k = hat3(_fvalue(F, p) * p)
 
     def field(y):
@@ -405,14 +392,22 @@ def _rotating_frame(g0, x_plus_a0, X):
     return lambda t: g0 @ exp_xa(t) @ exp_x(-t)
 
 
-def interaction_picture_flow(g0: SU2Element, data: InteractionPictureData, t: float) -> SU2Element:
-    """Rotating-frame solution g(t) = g0·exp(t(X+A0))·exp(-tX)."""
-    t = float(t)
-    x_plus_a0 = data.X.value + data.A0.value
-    # X + A0 is in su(2) only to round-off: check both exponents at this t
-    AlgebraElement("su2", t * x_plus_a0)
-    AlgebraElement("su2", -t * data.X.value)
-    return _rotating_frame(g0, x_plus_a0, data.X.value)(t)
+def interaction_picture_flow(g0: SU2Element, X: AlgebraElement, A0: AlgebraElement) -> Callable:
+    """Rotating-frame solution g(t) = g0·exp(t(X+A0))·exp(-tX) for constant X, A0 in su(2)."""
+    for name, x in (("X", X), ("A0", A0)):
+        if not isinstance(x, AlgebraElement) or x.kind != "su2":
+            raise MembershipError(f"{name} must be an su2 AlgebraElement")
+    x_plus_a0 = X.value + A0.value
+    frame = _rotating_frame(g0, x_plus_a0, X.value)
+
+    def at(t):
+        t = float(t)
+        # X + A0 is in su(2) only to round-off: check both exponents at this t
+        AlgebraElement("su2", t * x_plus_a0)
+        AlgebraElement("su2", -t * X.value)
+        return frame(t)
+
+    return at
 
 
 def _commutator_guard(mats, nodes, tol):
@@ -518,6 +513,10 @@ def action_angle_flat_field(I0, freq=None, matrix=None):
     return lambda y: [0.0] * n + (A @ np.array(y[n:])).tolist()
 
 
+# The default of a System param that a run must give.
+REQUIRED = object()
+
+
 @dataclass(frozen=True)
 class System:
     """What `simulate`, the RK4 oracle and the tests know about one system.
@@ -525,11 +524,12 @@ class System:
     params holds (name, parse kind, default) in the order that `simulate`
     draws omitted initial data from its seed; a pair of names is the
     (alpha, nu) of one unit momentum; an omitted name that is not drawn
-    takes its default, None too (only the CLI's action_angle check requires
-    names: I0 and phi0).  flow(params) calls the system's *_flow, which
-    checks the params once and returns at(t) -> FlowState; a CSV row is
-    [t, *flat(at(t)), *extras(at(t), flat)] under columns(params), flat a
-    list of floats; field(params) is the RK4 oracle's rate on flat states.
+    takes its default, None too, and one whose default is REQUIRED is a
+    config error.  flow(params) calls the system's *_flow, which checks
+    every domain rule of the params once and returns at(t) -> FlowState;
+    a CSV row is [t, *flat(at(t)), *extras(at(t), flat)] under
+    columns(params), flat a list of floats; field(params) is the RK4
+    oracle's rate on flat states.
     """
 
     params: tuple
@@ -614,7 +614,7 @@ SYSTEMS = {
         field=lambda p: perturbed_flat_field(p["F"], p["lam"]),
     ),
     "action_angle": System(
-        params=(("I0", "vector", None), ("phi0", "vector", None),
+        params=(("I0", "vector", REQUIRED), ("phi0", "vector", REQUIRED),
                 ("freq", "vector", None), ("matrix", "matrix", None)),
         flow=lambda p: action_angle_flow(p["I0"], p["phi0"], p["freq"], p["matrix"]),
         columns=lambda p: _action_angle_columns(p),

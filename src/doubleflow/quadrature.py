@@ -87,7 +87,9 @@ def rk4_integrate(field, y0, t0, t1, h) -> Trajectory:
     form, y + (h/2)·k1, ..., y + (h/6)·(k1 + 2·k2 + 2·k3 + k4), so each state
     has the bits numpy's elementwise arithmetic gives.  The trajectory
     starts at t0 and ends at t1 after at least one step.  Raises
-    NonFiniteStateError the first time a state stops being finite.
+    NonFiniteStateError, with the time of the step's end, the first time a
+    state stops being finite or the field raises OverflowError or
+    ZeroDivisionError.
     """
     if not all(map(math.isfinite, (t0, t1, h))):
         raise ValueError("t0, t1 and h must be finite")
@@ -110,18 +112,25 @@ def rk4_integrate(field, y0, t0, t1, h) -> Trajectory:
     states = np.empty((n, y.size))
     states[0] = y
     y = y.tolist()
+
+    def failed_at(k):
+        return NonFiniteStateError(t1 if k > n_full else t0 + k * h)
+
     for k in range(1, n):
         step = h if k <= n_full else rest
         half = 0.5 * step
-        k1 = field(y)
-        k2 = field([a + half * b for a, b in zip(y, k1, strict=True)])
-        k3 = field([a + half * b for a, b in zip(y, k2, strict=True)])
-        k4 = field([a + step * b for a, b in zip(y, k3, strict=True)])
+        try:
+            k1 = field(y)
+            k2 = field([a + half * b for a, b in zip(y, k1, strict=True)])
+            k3 = field([a + half * b for a, b in zip(y, k2, strict=True)])
+            k4 = field([a + step * b for a, b in zip(y, k3, strict=True)])
+        except (OverflowError, ZeroDivisionError) as e:  # in the field's float arithmetic
+            raise failed_at(k) from e
         c = step / 6.0
         y = [a + c * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
              for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4, strict=True)]
         if not all(map(math.isfinite, y)):
-            raise NonFiniteStateError(t1 if k > n_full else t0 + k * h)
+            raise failed_at(k)
         states[k] = y
     return Trajectory(times, states)
 

@@ -331,7 +331,7 @@ def suite_flows(seed, samples):
     x = AlgebraElement("su2", np.array([[0.25j, 0.0], [0.0, -0.25j]]))
     a0 = AlgebraElement("su2", np.array([[-0.7j, 0.0], [0.0, 0.7j]]))
     g0 = random_element("su2", rng)
-    lhs = dyn.interaction_picture_flow(g0, dyn.InteractionPictureData(x, a0), 2.0)
+    lhs = dyn.interaction_picture_flow(g0, x, a0)(2.0)
     rhs = g0 @ exp_group(AlgebraElement("su2", 2.0 * a0.value))
     out.append(_check("interaction_picture_commuting",
                       float(np.max(np.abs(lhs.as_matrix() - rhs.as_matrix()))), 1e-12, 1, seed))

@@ -154,7 +154,7 @@ def test_simulate_no_temp_files_left(tmp_path):
     assert leftovers == []
 
 
-# (config, the field its error message names)
+# (config, the field its error message names, or the whole message)
 CONFIG_ERRORS = [
     ({"system": "nosuch"}, "system"),
     ({"system": "rotator", "t1": -1.0}, "t1"),
@@ -169,13 +169,17 @@ CONFIG_ERRORS = [
     ({"system": "momenta_su2", "params": {"alpha": [1, 0], "nu": [1, 0]}}, "params.alpha"),
     ({"system": "momenta_su2", "params": {"alpha": [1, 0]}}, "params.nu"),
     ({"system": "action_angle", "params": {"I0": [1.0]}}, "params.phi0"),
-    ({"system": "action_angle", "params": {"I0": [1.0], "phi0": [0.0]}}, "params.freq"),
+    ({"system": "action_angle", "params": {"I0": [1.0], "phi0": [0.0]}},
+     "params: action_angle_flow needs exactly one of freq, matrix"),
     ({"system": "action_angle", "params": {"I0": [1.0], "phi0": [0.0],
-                                           "freq": [1.0], "matrix": [[0.0]]}}, "params.matrix"),
+                                           "freq": [1.0], "matrix": [[0.0]]}},
+     "params: action_angle_flow needs exactly one of freq, matrix"),
     ({"system": "action_angle", "params": {"I0": [1.0], "phi0": [0.0, 1.0],
-                                           "freq": [1.0]}}, "params.freq"),
+                                           "freq": [1.0]}},
+     "params: freq must be finite and of shape (2,)"),
     ({"system": "action_angle", "params": {"I0": [1.0], "phi0": [0.0],
-                                           "matrix": [[0.0, 1.0]]}}, "params.matrix"),
+                                           "matrix": [[0.0, 1.0]]}},
+     "params: matrix must be finite and of shape (1, 1)"),
     # numeric fields take JSON numbers only: no strings, no booleans
     ({"system": "action_angle", "params": {"I0": [1.0], "phi0": [0.0],
                                            "matrix": [["0.5"]]}}, "params.matrix"),
@@ -196,6 +200,8 @@ def test_simulate_config_errors(tmp_path, doc, field, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and field in err
+    if " " in field:  # a whole message
+        assert err == f"error: {field}\n"
     assert not (tmp_path / "never.csv").exists()
 
 
@@ -399,6 +405,24 @@ def test_verify_bad_arguments(capsys):
     assert main(["verify", "--suite", "legendre", "--samples", "0"]) == 2
 
 
+def test_verify_caps_samples_before_any_work(monkeypatch, capsys):
+    # the brackets suite holds about 2.5 KB per sample: the cap fires before
+    # report_doc, so the large case never runs
+    reached = []
+
+    def report_doc(suite, seed, samples):
+        reached.append(samples)
+        return {"all_pass": True}
+
+    monkeypatch.setattr(ver, "report_doc", report_doc)
+    argv = ["verify", "--suite", "brackets", "--samples"]
+    assert main([*argv, str(cli.MAX_SAMPLES + 1)]) == 2
+    assert capsys.readouterr().err == (f"error: samples must not exceed "
+                                       f"MAX_SAMPLES = {cli.MAX_SAMPLES}\n")
+    assert main([*argv, str(cli.MAX_SAMPLES)]) == 0
+    assert reached == [cli.MAX_SAMPLES]
+
+
 def test_run_suite_dispatches_through_the_module_names(monkeypatch):
     # suites patched on the module (as a tracer does) are the ones run
     names = ("brackets", "decompositions", "legendre", "flows")
@@ -474,16 +498,21 @@ def test_legendre_rejects_extreme_flags(argv, flag, capsys):
     ({"system": "noncasimir_h", "params": {"alpha0": 1.0, "nu0": 1.0}},
      "params.alpha0, params.nu0 must satisfy |alpha|^2 + |nu|^2 = 1"),
     ({"system": "momenta_su2", "t1": 0.1, "dt": 0.05, "params": {"F": 1e10}},
-     "params: math range error"),
+     "params: math range error at t = 0.050000000000000003"),
     ({"system": "action_angle", "t1": 0.1, "dt": 0.05,
       "params": {"I0": [1.0], "phi0": [0.0], "matrix": [[1e300]]}},
      "params: the flow leaves the finite floats at t = 0.050000000000000003"),
     ({"system": "casimir_sl2c", "t1": 10.0, "dt": 0.5, "params": {"F": 1e300}},
-     "params: non-finite matrix entry"),
+     "params: non-finite matrix entry at t = 0.5"),
     ({"system": "perturbed", "t1": 10.0, "dt": 0.5, "params": {"F": 1e306}},
-     "params: non-finite matrix entry"),
+     "params: non-finite matrix entry at t = 0.5"),
     ({"system": "rotator", "t1": 10.0, "dt": 0.5, "params": {"F": 1e307}},
-     "params: math domain error"),
+     "params: math domain error at t = 0.5"),
+    # rotator_flow's 3-vector rule
+    ({"system": "rotator", "params": {"p": [1.0, 2.0]}},
+     "params: p must be finite and of shape (3,)"),
+    ({"system": "rotator", "params": {"p": [1.0, 2.0, 3.0, 4.0]}},
+     "params: p must be finite and of shape (3,)"),
 ])
 def test_simulate_rejected_params_give_one_exact_error(tmp_path, doc, message, capsys):
     for extra in ((), ("--oracle",)):
@@ -491,6 +520,21 @@ def test_simulate_rejected_params_give_one_exact_error(tmp_path, doc, message, c
         assert code == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "never.csv").exists()
+
+
+@pytest.mark.parametrize("F", [1e3, 1e5, 1e6, 1e8])
+def test_simulate_oracle_failure_names_its_t(tmp_path, F, capsys):
+    # the field's arithmetic overflows (an OverflowError in Python floats) at
+    # F = 1e5 and 1e8, and the state leaves the floats at F = 1e3 and 1e6:
+    # either way in the second RK4 step
+    doc = {"system": "casimir_sl2c", "t1": 0.01, "dt": 0.01,
+           "params": {"u0": {"r": 3.0, "gamma": [2.0, 1.0]}, "F": F}}
+    assert run_config(tmp_path, doc, name="plain.csv")[0] == 0
+    code, _ = run_config(tmp_path, doc, name="never.csv", extra=("--oracle",))
+    assert code == 2
+    assert capsys.readouterr().err == ("error: params: the oracle leaves the finite floats "
+                                       "at t = 0.002\n")
+    assert not (tmp_path / "never.csv").exists()
 
 
 def test_unknown_command_exits_two():

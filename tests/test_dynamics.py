@@ -9,7 +9,6 @@ from doubleflow.dynamics import (
     SYSTEMS,
     CommutativityError,
     FlowState,
-    InteractionPictureData,
     _commutator_guard,
     _momenta_su2_generator,
     _perturbed_x,
@@ -331,6 +330,14 @@ def test_rotator_flow_examples():
         rotator_flow(np.diag([2.0, 1.0, 0.5]), (1.0, 0.0, 0.0), 1.0)(1.0)
 
 
+@pytest.mark.parametrize("p", [[1.0, 2.0], [1.0, 2.0, 3.0, 4.0], [[1.0, 2.0, 3.0]]])
+def test_rotator_takes_p_as_a_3_vector(p):
+    # a 4-vector p once gave a g 0.022 off orthogonal, and a 2-vector an IndexError
+    for build in (lambda: rotator_flow(np.eye(3), p, 1.0), lambda: rotator_flat_field(p, 1.0)):
+        with pytest.raises(ValueError, match=r"^p must be finite and of shape \(3,\)$"):
+            build()
+
+
 def test_rotator_flow_orthogonality_and_period():
     p = np.array([0.4, -0.3, 0.8])
     for t in np.linspace(0.0, 100.0, 21):
@@ -356,30 +363,33 @@ def test_interaction_picture_examples():
     g0 = random_element("su2", 12)
     a0 = AlgebraElement("su2", np.array([[0.6j, 0.2 + 0.1j], [-0.2 + 0.1j, -0.6j]]))
     x0 = AlgebraElement("su2", np.zeros((2, 2)))
-    lhs = interaction_picture_flow(g0, InteractionPictureData(x0, a0), 2.0)
+    lhs = interaction_picture_flow(g0, x0, a0)(2.0)
     rhs = g0 @ exp_group(AlgebraElement("su2", 2.0 * a0.value))
     np.testing.assert_allclose(lhs.as_matrix(), rhs.as_matrix(), atol=1e-13)
     x = AlgebraElement("su2", np.diag([0.4j, -0.4j]))
-    lhs = interaction_picture_flow(g0, InteractionPictureData(x, x0), 3.0)
+    lhs = interaction_picture_flow(g0, x, x0)(3.0)
     np.testing.assert_allclose(lhs.as_matrix(), g0.as_matrix(), atol=1e-13)
     # commuting X and A0 collapse to a single exponential
     a_diag = AlgebraElement("su2", np.diag([-0.7j, 0.7j]))
-    lhs = interaction_picture_flow(g0, InteractionPictureData(x, a_diag), 2.5)
+    lhs = interaction_picture_flow(g0, x, a_diag)(2.5)
     rhs = g0 @ exp_group(AlgebraElement("su2", 2.5 * a_diag.value))
     np.testing.assert_allclose(lhs.as_matrix(), rhs.as_matrix(), atol=1e-12)
-    with pytest.raises(MembershipError):
-        InteractionPictureData(x, AlgebraElement("sb2", np.array([[0.1, 0], [0, -0.1]])))
+    # the generators are checked when the flow is built
+    sb2 = AlgebraElement("sb2", np.array([[0.1, 0], [0, -0.1]]))
+    with pytest.raises(MembershipError, match="^A0 must be an su2 AlgebraElement"):
+        interaction_picture_flow(g0, x, sb2)
+    with pytest.raises(MembershipError, match="^X must be an su2 AlgebraElement"):
+        interaction_picture_flow(g0, x.value, a0)
 
 
 def test_interaction_picture_matches_perturbed_factorization():
     g0, u0, lam = random_element("su2", 13), SB2Element(2.0, 1.0 - 0.5j), 0.2
     X = np.diag([-0.25j * lam * u0.r, 0.25j * lam * u0.r])
     a0 = AlgebraElement("su2", legendre_map(u0, 1.0).value - X)
+    at = interaction_picture_flow(g0, AlgebraElement("su2", X), a0)
     for t in (0.5, 2.0):
-        lhs = interaction_picture_flow(
-            g0, InteractionPictureData(AlgebraElement("su2", X), a0), t)
         rhs = perturbed_flow(g0, u0, 1.0, lam)(t).g
-        np.testing.assert_allclose(lhs.as_matrix(), rhs.as_matrix(), atol=1e-13)
+        np.testing.assert_allclose(at(t).as_matrix(), rhs.as_matrix(), atol=1e-13)
 
 
 def test_commuting_quadrature_constant_path():

@@ -37,7 +37,7 @@ PARAM_KINDS = {
     "su2": st.one_of(UNIT.map(lambda an: {"alpha": an[0], "nu": an[1]}),
                      st.fixed_dictionaries({"alpha": typed(COMPLEX), "nu": typed(COMPLEX)})),
     "sb2": st.fixed_dictionaries({"r": typed(POSITIVE), "gamma": typed(COMPLEX)}),
-    "vector3": st.lists(NUMBER, min_size=3, max_size=3),
+    "vector3": st.lists(NUMBER, min_size=2, max_size=4),
     "vector": st.lists(NUMBER, min_size=1, max_size=2),
     "matrix": st.lists(st.lists(NUMBER, min_size=1, max_size=2), min_size=1, max_size=2),
 }

@@ -188,6 +188,23 @@ def test_rk4_nonfinite_time_on_partial_step():
     assert err.value.time == 1.0
 
 
+@pytest.mark.parametrize("error", [OverflowError, ZeroDivisionError])
+def test_rk4_field_arithmetic_error_is_nonfinite_at_its_step(error):
+    # evaluations 9 to 12 are the stages of the third step
+    calls = []
+
+    def fails_on_tenth(y):
+        calls.append(None)
+        if len(calls) == 10:
+            raise error("in the field")
+        return [1.0]
+
+    with pytest.raises(NonFiniteStateError) as err:
+        rk4_integrate(fails_on_tenth, [0.0], 0.0, 1.0, 0.25)
+    assert err.value.time == 0.75
+    assert isinstance(err.value.__cause__, error)
+
+
 def test_trajectory_validation():
     with pytest.raises(ValueError):
         Trajectory([0.0, 0.0], [[1.0], [1.0]])
