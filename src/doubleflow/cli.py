@@ -19,7 +19,7 @@ import numpy as np
 
 from . import dynamics as dyn
 from . import verify as ver
-from .groups import AlgebraElement, MembershipError, SB2Element, SU2Element, random_element
+from .groups import AlgebraElement, MembershipError, SB2Element, SU2Element
 from .quadrature import NonFiniteStateError, rk4_integrate
 
 __all__ = ["main", "ConfigError", "MAX_ROWS", "MAX_SAMPLES", "run_simulate", "run_verify",
@@ -110,15 +110,11 @@ def _sb2_param(v, field):
     return SB2Element(r, _cplx(v["gamma"], f"{field}.gamma"))
 
 
-def _momenta_param(params, akey, nkey, rng):
-    if akey in params or nkey in params:
-        if akey not in params or nkey not in params:
-            raise ConfigError(f"params.{akey} and params.{nkey} must be given together")
-        alpha = _cplx(params[akey], f"params.{akey}")
-        nu = _cplx(params[nkey], f"params.{nkey}")
-    else:
-        g = random_element("su2", rng)
-        alpha, nu = g.alpha, g.nu
+def _momenta_param(params, akey, nkey):
+    if akey not in params or nkey not in params:
+        raise ConfigError(f"params.{akey} and params.{nkey} must be given together")
+    alpha = _cplx(params[akey], f"params.{akey}")
+    nu = _cplx(params[nkey], f"params.{nkey}")
     try:
         SU2Element(alpha, nu)  # the unit check; the flows take alpha, nu as given
     except MembershipError:
@@ -127,18 +123,16 @@ def _momenta_param(params, akey, nkey, rng):
     return alpha, nu
 
 
-# How each parse kind of dyn.SYSTEMS reads a given value, and which kinds
-# are drawn from the run seed when omitted.  A parser checks only the JSON
-# types and finiteness; each domain rule (a rotation g0, a 3-vector p, the
+# How each parse kind of dyn.SYSTEMS reads a given value; a "momenta" pair
+# is read by _momenta_param.  A parser checks only the JSON types and
+# finiteness; each domain rule (a rotation g0, a 3-vector p, the
 # action_angle shapes) is checked once, by the flow that takes the value.
-_PARSERS = {"float": _float, "su2": _su2_param, "sb2": _sb2_param, "vector3": _vector,
-            "vector": _vector, "matrix": _matrix}
-_DRAWS = {"sb2": lambda rng: random_element("sb2", rng),
-          "vector3": lambda rng: rng.standard_normal(3)}
+_PARSERS = {"float": _float, "su2": _su2_param, "sb2": _sb2_param, "vector": _vector,
+            "matrix": _matrix}
 
 
 def _parse_params(system, params, rng):
-    """Typed params of a system; omitted initial data are drawn from rng in order."""
+    """Typed params of a system; an omitted one whose default is a draw is drawn from rng."""
     if system not in dyn.SYSTEMS:
         raise ConfigError(f"system must be one of: {', '.join(dyn.SYSTEMS)}")
     extra = set(params) - set(dyn.SYSTEMS[system].names())
@@ -147,15 +141,14 @@ def _parse_params(system, params, rng):
     out = {}
     for name, kind, default in dyn.SYSTEMS[system].params:
         if kind == "momenta":
-            out.update(zip(name, _momenta_param(params, *name, rng)))
+            out.update(zip(name, default(rng) if params.keys().isdisjoint(name)
+                           else _momenta_param(params, *name)))
         elif name in params:
             out[name] = _PARSERS[kind](params[name], f"params.{name}")
-        elif kind in _DRAWS:
-            out[name] = _DRAWS[kind](rng)
         elif default is dyn.REQUIRED:
             raise ConfigError(f"params.{name} is required for {system}")
         else:
-            out[name] = default
+            out[name] = default(rng) if callable(default) else default
     return out
 
 
@@ -259,13 +252,13 @@ def run_simulate(args) -> int:
         for t in times:
             st = at(t)
             y = sysdef.flat(st)
+            row = [t, *y, *sysdef.extras(st, y)]
+            if not all(map(math.isfinite, row)):
+                raise ValueError("the flow leaves the finite floats")
             flats.append(y)
-            rows.append([t, *y, *sysdef.extras(st, y)])
+            rows.append(row)
     except _REJECTED as e:
         raise ConfigError(f"params: {e} at t = {_fmt(t)}") from None
-    bad = next((r[0] for r in rows if not all(map(math.isfinite, r))), None)
-    if bad is not None:
-        raise ConfigError(f"params: the flow leaves the finite floats at t = {_fmt(bad)}")
 
     worst = 0.0
     if oracle:

@@ -24,8 +24,9 @@ from .groups import (
     SU2Element,
     exp_group,
     exp_sb2,
+    random_element,
 )
-from .mat2 import check_finite, expm2_kernel, hat3, rodrigues3_kernel
+from .mat2 import expm2_kernel, hat3, rodrigues3_kernel
 from .quadrature import simpson_rule
 
 __all__ = [
@@ -82,10 +83,6 @@ class CommutativityError(RuntimeError):
         )
         self.max_norm = float(max_norm)
         self.pair = (float(pair[0]), float(pair[1]))
-
-
-def _fvalue(F, *args) -> float:
-    return float(F(*args)) if callable(F) else float(F)
 
 
 def free_hamiltonian(x) -> float:
@@ -200,8 +197,8 @@ def _su2_exp(m):
 
 
 def casimir_flow(g0: SU2Element, u0: SB2Element, F) -> Callable:
-    """Frozen-momenta flow: u stays at u0, g(t) = g0·exp(t·L_η(u0))."""
-    exp_tl = _su2_exp(legendre_map(u0, _fvalue(F, u0.gamma, u0.r)).value)
+    """Frozen-momenta flow: u stays at u0, g(t) = g0·exp(t·L_η(u0)), η = F·dH0."""
+    exp_tl = _su2_exp(legendre_map(u0, F).value)
 
     def at(t):
         t = float(t)
@@ -211,7 +208,11 @@ def casimir_flow(g0: SU2Element, u0: SB2Element, F) -> Callable:
 
 
 def rotator_flow(g0, p, F) -> Callable:
-    """Isotropic rotator: p frozen, g(t) = g0·exp(t·F(p)·hat(p))."""
+    """Isotropic rotator: p frozen, g(t) = g0·exp(t·F·hat(p)).
+
+    |p| and |F·p| are square roots of |p|² and |F·p|², so a ValueError names p
+    unless p = 0 or |p|² is a normal float, and F unless |F·p|² is finite.
+    """
     g0 = np.asarray(g0, dtype=float)
     if g0.shape != (3, 3):
         raise MembershipError("g0 must be a 3x3 rotation matrix")
@@ -221,10 +222,15 @@ def rotator_flow(g0, p, F) -> Callable:
     )
     if defect > PROJECT_TOL:
         raise MembershipError(f"g0 fails the rotation check by {defect:.3e}")
-    p = _finite_array(p, "p", (3,))
-    p_norm = float(np.linalg.norm(p))
-    fp = check_finite(_fvalue(F, p) * p)
-    k, norm = hat3(fp), float(np.linalg.norm(fp))
+    p, F = _finite_array(p, "p", (3,)), float(F)
+    with np.errstate(over="ignore", invalid="ignore"):
+        fp = F * p
+        p_sq, norm = float(p.dot(p)), float(np.linalg.norm(fp))
+    if p.any() and not np.finfo(float).tiny <= p_sq < math.inf:
+        raise ValueError("p must be 0 or have |p|^2 in the normal floats")
+    if not math.isfinite(norm):
+        raise ValueError("F must be finite and keep |F p|^2 finite")
+    p_norm, k = math.sqrt(p_sq), hat3(fp)
 
     def at(t):
         return FlowState(time=float(t), g=g0 @ rodrigues3_kernel(k, norm, t), p=p.copy(),
@@ -234,9 +240,8 @@ def rotator_flow(g0, p, F) -> Callable:
 
 
 def rotator_flat_field(p, F):
-    """ġ = g·hat(F(p)·p) on the flattened 9-real rotation matrix."""
-    p = _finite_array(p, "p", (3,))
-    k = hat3(_fvalue(F, p) * p)
+    """ġ = g·hat(F·p) on the flattened 9-real rotation matrix."""
+    k = hat3(float(F) * _finite_array(p, "p", (3,)))
 
     def field(y):
         return (np.array(y).reshape(3, 3) @ k).ravel().tolist()
@@ -245,9 +250,9 @@ def rotator_flat_field(p, F):
 
 
 def _momenta_su2_generator(alpha, nu, F) -> np.ndarray:
-    Fv = _fvalue(F, alpha, nu)
-    x = -0.5 * Fv * abs(nu) ** 2
-    y = -1j * Fv * alpha * (nu.real - nu.imag)
+    F = float(F)
+    x = -0.5 * F * abs(nu) ** 2
+    y = -1j * F * alpha * (nu.real - nu.imag)
     return np.array([[x, y], [0.0, -x]], dtype=complex)
 
 
@@ -334,14 +339,13 @@ def _perturbed_x(lam: float, r: float) -> np.ndarray:
 
 
 def perturbed_flow(g0: SU2Element, u0: SB2Element, F, lam: float) -> Callable:
-    """Flow of η = F(r)dH0 + λdr: a phase-rotating momentum and a two-factor g.
+    """Flow of η = F·dH0 + λdr: a phase-rotating momentum and a two-factor g.
 
     γ(t) = γ0·e^{-iλr0t/2}, r frozen; g(t) = g0·exp(t(X+A0))·exp(-tX) with
     X = diag(-(i/4)λr0, (i/4)λr0) and X + A0 the η-velocity matrix at (r0, γ0).
     """
     lam = float(lam)
-    frame = _rotating_frame(g0, legendre_map(u0, _fvalue(F, u0.r)).value,
-                            _perturbed_x(lam, u0.r))
+    frame = _rotating_frame(g0, legendre_map(u0, F).value, _perturbed_x(lam, u0.r))
     phase = -0.5j * lam * u0.r
 
     def at(t):
@@ -353,11 +357,12 @@ def perturbed_flow(g0: SU2Element, u0: SB2Element, F, lam: float) -> Callable:
 
 
 def perturbed_velocity(u0: SB2Element, F, lam: float, t: float) -> np.ndarray:
-    """The generator g⁻¹ġ(t) = exp(tX)·A0·exp(-tX) of the perturbed flow."""
+    """The generator g⁻¹ġ(t) = exp(tX)·A0·exp(-tX) of the perturbed flow; t·λ·r finite."""
     lam, t = float(lam), float(t)
-    Fv = _fvalue(F, u0.r)
+    if not math.isfinite(t * lam * u0.r):
+        raise ValueError("t * lam * r must be finite")
     X = _perturbed_x(lam, u0.r)
-    A0 = legendre_map(u0, Fv).value - X
+    A0 = legendre_map(u0, F).value - X
     ex = np.diag(np.exp(np.diag(t * X)))
     return ex @ A0 @ np.diag(np.exp(np.diag(-t * X)))
 
@@ -368,13 +373,12 @@ def perturbed_flat_field(F, lam: float):
     The g-part follows ġ = g·(L_F(u) - X(r)), the momenta follow ṙ = 0,
     γ̇ = -(i/2)λrγ; this is the system the closed form integrates.
     """
-    lam = float(lam)
+    lam, c = float(lam), -0.25j * float(F)
 
     def field(st):
         a_re, a_im, n_re, n_im, r, g_re, g_im = st
         alpha, nu, gamma = complex(a_re, a_im), complex(n_re, n_im), complex(g_re, g_im)
         # first column of gen = legendre_map(u, F) - X(r), entry by entry
-        c = -0.25j * _fvalue(F, r)
         gen00 = c * complex(r * r - 1.0 / (r * r) + abs(gamma) ** 2) + 0.25j * lam * r
         gen10 = c * (2.0 * gamma / r).conjugate()
         # first column of g·gen, g = [[alpha, -conj(nu)], [nu, conj(alpha)]]
@@ -437,10 +441,11 @@ _COMMUTATOR_TOL = 1e-9
 def commuting_quadrature_flow(g0, momentum_path, t1: float, samples=33):
     """g0·exp(∫₀^t1 L(s) ds) after verifying the sampled velocities commute.
 
-    momentum_path maps s to an AlgebraElement of a fixed kind; the pairwise
-    commutator Frobenius norms of the samples must stay below _COMMUTATOR_TOL,
-    otherwise a CommutativityError with the worst pair is raised.  The
-    integral uses the composite Simpson rule on the same sample nodes.
+    momentum_path maps s to an su2 or sb2 AlgebraElement of a fixed kind, g0
+    is in the matching group; the pairwise commutator Frobenius norms of the
+    samples must stay below _COMMUTATOR_TOL, otherwise a CommutativityError
+    with the worst pair is raised.  The integral uses the composite Simpson
+    rule on the same sample nodes.
     """
     samples = int(samples)
     if samples < 3 or samples % 2 == 0:
@@ -451,8 +456,7 @@ def commuting_quadrature_flow(g0, momentum_path, t1: float, samples=33):
     kind = vals[0].kind
     if any(v.kind != kind for v in vals):
         raise MembershipError("momentum_path must keep a fixed algebra kind")
-    _commutator_guard([hat3(v.value) if kind == "so3" else v.value for v in vals], nodes,
-                      _COMMUTATOR_TOL)
+    _commutator_guard([v.value for v in vals], nodes, _COMMUTATOR_TOL)
     integral = sum(w * v.value for w, v in zip(weights, vals))
     return g0 @ exp_group(AlgebraElement(kind, integral))
 
@@ -467,6 +471,8 @@ def action_angle_flow(I0, phi0, freq=None, matrix=None) -> Callable:
     commutator is exactly 0 and the one-term Magnus exponential is exact.
     I0, phi0 must be finite and 1-D, freq finite of shape (m,), matrix finite
     of shape (m, m), m = len(phi0); else a ValueError names the argument.
+    A φ(t) past the finite floats is a ValueError; in the frequency variant
+    only a t past the bound max|φ0| + max|ν|·|t| of every |φ_k(t)| tests φ.
     """
     if (freq is None) == (matrix is None):
         raise ValueError("action_angle_flow needs exactly one of freq, matrix")
@@ -474,11 +480,15 @@ def action_angle_flow(I0, phi0, freq=None, matrix=None) -> Callable:
     m = len(phi0)
     nu = None if freq is None else _finite_array(freq, "freq", (m,))
     A = None if matrix is None else _finite_array(matrix, "matrix", (m, m))
+    if A is None:
+        phi_top, nu_top = (float(np.abs(x).max(initial=0.0)) for x in (phi0, nu))
 
     def at(t):
         t = float(t)
         if A is None:
             phi = phi0 + nu * t
+            if not math.isfinite(phi_top + nu_top * abs(t)) and not np.isfinite(phi).all():
+                raise ValueError("the flow leaves the finite floats")
         elif t < 0:
             raise ValueError("the fiber variant integrates forward time only")
         elif t == 0.0:
@@ -487,6 +497,8 @@ def action_angle_flow(I0, phi0, freq=None, matrix=None) -> Callable:
             _, weights = simpson_rule(0.0, t, 32)
             import scipy.linalg  # only this path needs it; keeps the CLI import light
             phi = scipy.linalg.expm(sum(w * A for w in weights)) @ phi0
+            if not np.isfinite(phi).all():
+                raise ValueError("the flow leaves the finite floats")
         return FlowState(time=t, I=I0.copy(), phi=phi, phi_mod=np.mod(phi, 2.0 * np.pi))
 
     return at
@@ -521,11 +533,11 @@ REQUIRED = object()
 class System:
     """What `simulate`, the RK4 oracle and the tests know about one system.
 
-    params holds (name, parse kind, default) in the order that `simulate`
-    draws omitted initial data from its seed; a pair of names is the
-    (alpha, nu) of one unit momentum; an omitted name that is not drawn
-    takes its default, None too, and one whose default is REQUIRED is a
-    config error.  flow(params) calls the system's *_flow, which checks
+    params holds (name, parse kind, default); a pair of names is the
+    (alpha, nu) of one unit momentum.  An omitted name takes its default,
+    None too: a callable default is a draw, called with the run's rng in
+    the order of params, and a REQUIRED one is a config error.
+    flow(params) calls the system's *_flow, which checks
     every domain rule of the params once and returns at(t) -> FlowState;
     a CSV row is [t, *flat(at(t)), *extras(at(t), flat)] under
     columns(params), flat a list of floats; field(params) is the RK4
@@ -564,15 +576,21 @@ def _action_angle_columns(p):
             + [f"phimod_{k}" for k in range(1, m + 1)])
 
 
+def _unit_pair(rng):
+    g = random_element("su2", rng)
+    return g.alpha, g.nu
+
+
 _G0 = ("g0", "su2", SU2Element.identity())
-_U0 = ("u0", "sb2", SB2Element.identity())
+_U0 = ("u0", "sb2", lambda rng: random_element("sb2", rng))
 _F = ("F", "float", 1.0)
 
 # Flows and fields go through module-level names at call time, so a
 # function patched on this module (a tracer, a test double) is the one used.
 SYSTEMS = {
     "rotator": System(
-        params=(("g0", "matrix", np.eye(3)), ("p", "vector3", None), _F),
+        params=(("g0", "matrix", np.eye(3)), ("p", "vector", lambda rng: rng.standard_normal(3)),
+                _F),
         flow=lambda p: rotator_flow(p["g0"], p["p"], p["F"]),
         columns=lambda p: [f"g{i}{j}" for i in range(1, 4) for j in range(1, 4)]
         + ["p1", "p2", "p3", "p_norm"],
@@ -589,7 +607,7 @@ SYSTEMS = {
         field=lambda p: sl2c_flat_field(p["F"]),
     ),
     "momenta_su2": System(
-        params=(_U0, (("alpha", "nu"), "momenta", None), _F),
+        params=(_U0, (("alpha", "nu"), "momenta", _unit_pair), _F),
         flow=lambda p: momenta_su2_flow(p["u0"], p["alpha"], p["nu"], p["F"]),
         columns=lambda p: ["r", *_complex_cols("gamma"), "h_su2_norm"],
         flat=lambda st: [st.u.r, st.u.gamma.real, st.u.gamma.imag],
@@ -597,7 +615,7 @@ SYSTEMS = {
         field=lambda p: momenta_su2_flat_field(p["alpha"], p["nu"], p["F"]),
     ),
     "noncasimir_h": System(
-        params=(_U0, (("alpha0", "nu0"), "momenta", None)),
+        params=(_U0, (("alpha0", "nu0"), "momenta", _unit_pair)),
         flow=lambda p: noncasimir_flow(p["u0"], p["alpha0"], p["nu0"]),
         columns=lambda p: [*_complex_cols("alpha", "nu"), "r", *_complex_cols("gamma"), "h_nu"],
         flat=lambda st: _flat_double(st.alpha, st.nu, st.u),

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .mat2 import check_finite, expm2, rodrigues3, sinhc
+from .mat2 import check_finite, expm2, sinhc
 
 __all__ = [
     "MembershipError",
@@ -188,23 +188,22 @@ class AlgebraElement:
     """A Lie algebra element tagged by the subalgebra it lives in.
 
     kind "su2": traceless anti-Hermitian 2x2; "sb2": upper-triangular with
-    real trace-free diagonal; "sl2c": traceless 2x2; "so3": a 3-vector.
+    real trace-free diagonal.  These are the two halves of sl(2,C) that
+    exp_group maps onto SU(2) and SB(2,C); the rotator's so(3) generator is
+    rotator_flow's own.
     """
 
     __slots__ = ("kind", "value")
 
     def __init__(self, kind: str, value):
-        if kind == "so3":
-            value = check_finite(np.asarray(value, dtype=float))
-            if value.shape != (3,):
-                raise MembershipError("so3 element must be a 3-vector")
-        else:
-            value = check_finite(np.asarray(value, dtype=complex))
-            if value.shape != (2, 2):
-                raise MembershipError(f"{kind} element must be a 2x2 matrix")
-            defect = _algebra_defect(kind, value)
-            if defect > ALGEBRA_TOL:
-                raise MembershipError(f"matrix fails the {kind} check by {defect:.3e}")
+        if kind not in ("su2", "sb2"):
+            raise MembershipError(f"unknown algebra kind {kind!r}")
+        value = check_finite(np.asarray(value, dtype=complex))
+        if value.shape != (2, 2):
+            raise MembershipError(f"{kind} element must be a 2x2 matrix")
+        defect = _algebra_defect(kind, value)
+        if defect > ALGEBRA_TOL:
+            raise MembershipError(f"matrix fails the {kind} check by {defect:.3e}")
         self.kind = kind
         self.value = value
 
@@ -215,11 +214,7 @@ class AlgebraElement:
 def _algebra_defect(kind: str, m: np.ndarray) -> float:
     if kind == "su2":
         return float(max(np.abs(m + np.conj(m.T)).max(), abs(m[0, 0] + m[1, 1])))
-    if kind == "sb2":
-        return float(max(abs(m[1, 0]), abs(m[0, 0] + m[1, 1]), abs(m[0, 0].imag), abs(m[1, 1].imag)))
-    if kind == "sl2c":
-        return float(abs(m[0, 0] + m[1, 1]))
-    raise MembershipError(f"unknown algebra kind {kind!r}")
+    return float(max(abs(m[1, 0]), abs(m[0, 0] + m[1, 1]), abs(m[0, 0].imag), abs(m[1, 1].imag)))
 
 
 def iwasawa_gu(a: SL2Element):
@@ -249,18 +244,14 @@ def iwasawa_ug(a: SL2Element):
 
 
 def exp_group(x: AlgebraElement):
-    """Exponentiate onto the matching subgroup.
+    """Exponentiate onto the matching subgroup, SU(2) or SB(2,C).
 
     su2 goes through the closed-form 2x2 exponential; sb2 has the explicit
-    triangular exponential [[e^x, y*sinhc(x)], [0, e^-x]]; so3 is Rodrigues.
+    triangular exponential [[e^x, y*sinhc(x)], [0, e^-x]].
     """
     if x.kind == "su2":
         return SU2Element.from_matrix(expm2(x.value))
-    if x.kind == "sb2":
-        return exp_sb2(complex(x.value[0, 0]).real, complex(x.value[0, 1]))
-    if x.kind == "so3":
-        return rodrigues3(x.value, 1.0)
-    raise MembershipError(f"cannot exponentiate algebra kind {x.kind!r}")
+    return exp_sb2(complex(x.value[0, 0]).real, complex(x.value[0, 1]))
 
 
 def exp_sb2(d: float, y: complex) -> SB2Element:
@@ -275,7 +266,7 @@ def _as_rng(seed) -> np.random.Generator:
 
 
 def random_element(kind: str, seed):
-    """Seeded random group element.
+    """Seeded random group element of kind "su2", "sb2" or "sl2c".
 
     SU(2) is sampled uniformly (normalized 4-component Gaussian), SB(2,C)
     with log-normal r (sigma = 0.5) and complex-Gaussian gamma, SL(2,C) as
@@ -290,7 +281,7 @@ def random_element(kind: str, seed):
         r = math.exp(0.5 * rng.standard_normal())
         gamma = complex(rng.standard_normal(), rng.standard_normal()) / math.sqrt(2.0)
         return SB2Element(r, gamma)
-    if kind in ("sl2", "sl2c"):
+    if kind == "sl2c":
         g = random_element("su2", rng)
         u = random_element("sb2", rng)
         return _trusted(SL2Element, *(g.as_matrix() @ u.as_matrix()).ravel().tolist())

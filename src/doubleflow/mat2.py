@@ -2,9 +2,9 @@
 
 Everything here is closed form.  The 2x2 exponential uses the explicit
 eigenstructure of a 2x2 matrix instead of scaling-and-squaring, so group
-flows built on top of it are exact up to round-off.  The public kernels
-check their input and call the matching `*_kernel`, which a closed-form
-sampler calls directly on input it has checked once per call.
+flows built on top of it are exact up to round-off.  `expm2` checks its
+input and calls `expm2_kernel`, which a closed-form sampler calls directly on
+input it has checked once, as the rotator's does with `rodrigues3_kernel`.
 `expm2_kernel` takes and returns the four entries as Python complex scalars,
 each product complex x complex as numpy's elementwise arithmetic takes it,
 so on su(2) input every entry has the bits of the array formula.
@@ -20,7 +20,6 @@ __all__ = [
     "expm2",
     "expm2_kernel",
     "hat3",
-    "rodrigues3",
     "rodrigues3_kernel",
     "check_finite",
 ]
@@ -86,21 +85,16 @@ def hat3(p) -> np.ndarray:
     )
 
 
-def rodrigues3(p, t: float) -> np.ndarray:
-    """Rotation by angle |p|*t about the axis p/|p|.
-
-    Uses the axis-angle closed form; below |p|*t = 1e-8 the second-order
-    series in hat(p)*t is already exact to round-off.
-    """
-    p = check_finite(np.asarray(p, dtype=float))
-    return rodrigues3_kernel(hat3(p), float(np.linalg.norm(p)), t)
-
-
 def rodrigues3_kernel(k, norm: float, t: float) -> np.ndarray:
-    """rodrigues3 from k = hat3(p) and norm = |p| of a finite p, at time t."""
-    if not math.isfinite(t):
-        raise ValueError("non-finite time")
+    """Rotation exp(t·k) by angle |p|·t about p/|p|, from k = hat3(p) and norm = |p|.
+
+    Axis-angle closed form; below |p|·t = 1e-8 the second-order series in k·t
+    is exact to round-off.  theta² bounds the entries of (k·t)², so a theta²
+    past the floats (or a non-finite t) is a ValueError.
+    """
     theta = norm * abs(t)
+    if not math.isfinite(theta * theta):
+        raise ValueError("the flow leaves the finite floats")
     kt = k * t
     if theta < 1e-8:
         return _I3 + kt + 0.5 * (kt @ kt)

@@ -119,7 +119,7 @@ _SL2C = CoordinateSystem(
         "conj_det": [(1, {"z1c": 1, "z4c": 1}), (-1, {"z2c": 1, "z3c": 1})],
         "h0": [(0.5, {f"z{i}": 1, f"z{i}c": 1}) for i in range(1, 5)],
     },
-    kinds=("sl2",),
+    kinds=("sl2c",),
     sigma=_SIGMA,
 )
 

@@ -140,6 +140,8 @@ def simpson_rule(t0, t1, n):
     n = int(n)
     if n < 2 or n % 2:
         raise ValueError("Simpson rule needs an even panel count >= 2")
+    if not math.isfinite(t1 - t0):
+        raise ValueError("t0, t1 and t1 - t0 must be finite")
     nodes = np.linspace(t0, t1, n + 1)
     h = (t1 - t0) / n
     weights = np.full(n + 1, 2.0)

@@ -174,7 +174,7 @@ def suite_decompositions(seed, samples):
     rng = np.random.default_rng(seed)
     rec_gu = rec_ug = member = uniq = 0.0
     for _ in range(samples):
-        a = random_element("sl2", rng)
+        a = random_element("sl2c", rng)
         am = a.as_matrix()
         g, u = iwasawa_gu(a)
         gu = g.as_matrix() @ u.as_matrix()
@@ -226,7 +226,7 @@ def suite_flows(seed, samples):
     # conservation along the RK4 oracle of the free flow
     drift = 0.0
     for _ in range(starts):
-        a0 = random_element("sl2", rng)
+        a0 = random_element("sl2c", rng)
         y0 = dyn.z_to_flat(a0.z1, a0.z2, a0.z3, a0.z4)
         traj = rk4_integrate(dyn.sl2c_flat_field(1.0), y0, 0.0, 5.0, 1e-3)
         rep = drift_report(traj, {

@@ -56,7 +56,7 @@ def test_1_bracket_structure():
 def test_2_decompositions():
     worst = 0.0
     for k in range(1000):
-        a = random_element("sl2", SEED + k)
+        a = random_element("sl2c", SEED + k)
         g, u = iwasawa_gu(a)
         worst = max(worst, float(np.max(np.abs(
             g.as_matrix() @ u.as_matrix() - a.as_matrix()))))
@@ -73,7 +73,7 @@ def test_3_conservation():
     worst = 0.0
     rng = np.random.default_rng(SEED)
     for _ in range(20):
-        a0 = random_element("sl2", rng)
+        a0 = random_element("sl2c", rng)
         traj = rk4_integrate(dyn.sl2c_flat_field(1.0),
                              dyn.z_to_flat(a0.z1, a0.z2, a0.z3, a0.z4),
                              0.0, 10.0, 1e-3)

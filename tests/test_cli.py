@@ -507,12 +507,17 @@ def test_legendre_rejects_extreme_flags(argv, flag, capsys):
     ({"system": "perturbed", "t1": 10.0, "dt": 0.5, "params": {"F": 1e306}},
      "params: non-finite matrix entry at t = 0.5"),
     ({"system": "rotator", "t1": 10.0, "dt": 0.5, "params": {"F": 1e307}},
-     "params: math domain error at t = 0.5"),
+     "params: F must be finite and keep |F p|^2 finite"),
     # rotator_flow's 3-vector rule
     ({"system": "rotator", "params": {"p": [1.0, 2.0]}},
      "params: p must be finite and of shape (3,)"),
     ({"system": "rotator", "params": {"p": [1.0, 2.0, 3.0, 4.0]}},
      "params: p must be finite and of shape (3,)"),
+    # |p|^2 past the normal floats: p_norm read 0 (exit 0), or inf
+    ({"system": "rotator", "params": {"p": [1e-200, 0, 0], "F": 1e300}},
+     "params: p must be 0 or have |p|^2 in the normal floats"),
+    ({"system": "rotator", "params": {"p": [1e200, 1e200, 1e200]}},
+     "params: p must be 0 or have |p|^2 in the normal floats"),
 ])
 def test_simulate_rejected_params_give_one_exact_error(tmp_path, doc, message, capsys):
     for extra in ((), ("--oracle",)):
@@ -520,6 +525,21 @@ def test_simulate_rejected_params_give_one_exact_error(tmp_path, doc, message, c
         assert code == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "never.csv").exists()
+
+
+def test_simulate_names_the_first_non_finite_row(tmp_path, monkeypatch, capsys):
+    # a flow whose row at t = 0 is NaN and whose next row raises: the NaN row
+    # is the one named, as each row is checked when it is built
+    def at(t):
+        if t > 0:
+            raise ValueError("a later row")
+        return dyn.FlowState(t, g=np.full((3, 3), math.nan), p=np.zeros(3), p_norm=0.0)
+
+    rotator = dataclasses.replace(dyn.SYSTEMS["rotator"], flow=lambda p: at)
+    monkeypatch.setitem(dyn.SYSTEMS, "rotator", rotator)
+    code, _ = run_config(tmp_path, {"system": "rotator", "t1": 1.0, "dt": 0.5}, name="never.csv")
+    assert code == 2
+    assert capsys.readouterr().err == "error: params: the flow leaves the finite floats at t = 0\n"
 
 
 @pytest.mark.parametrize("F", [1e3, 1e5, 1e6, 1e8])

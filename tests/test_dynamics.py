@@ -43,7 +43,7 @@ from doubleflow.groups import (
     iwasawa_gu,
     random_element,
 )
-from doubleflow.mat2 import rodrigues3
+from doubleflow.mat2 import hat3, rodrigues3_kernel
 from doubleflow.quadrature import drift_report, rk4_integrate, simpson_rule
 
 E12 = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
@@ -70,7 +70,7 @@ def test_sl2c_vf_fixed_values():
     a = SL2Element.identity()
     rates = _sl2c_rates(a.z1, a.z2, a.z3, a.z4, 1.0)
     assert max(abs(r) for r in rates) == 0.0
-    a = random_element("sl2", 0)
+    a = random_element("sl2c", 0)
     rates = _sl2c_rates(a.z1, a.z2, a.z3, a.z4, 0.0)
     assert max(abs(r) for r in rates) == 0.0
     a = SL2Element(2.0, 0.0, 0.0, 0.5)
@@ -110,14 +110,6 @@ def test_casimir_flow_matches_rk4_oracle():
             worst = max(worst, float(np.max(np.abs(
                 su2_product_matrix(st) - np.array([[z[0], z[1]], [z[2], z[3]]])))))
     assert worst < 1e-6
-
-
-def test_casimir_flow_callable_conformal_factor():
-    g0, u0 = random_element("su2", 2), random_element("sb2", 2)
-    Fv = 1.0 / (1.0 + abs(u0.gamma) ** 2)
-    st_callable = casimir_flow(g0, u0, lambda gamma, r: 1.0 / (1.0 + abs(gamma) ** 2))(3.0)
-    st_const = casimir_flow(g0, u0, Fv)(3.0)
-    np.testing.assert_allclose(st_callable.g.as_matrix(), st_const.g.as_matrix(), atol=1e-14)
 
 
 def test_legendre_map_fixed_values():
@@ -237,7 +229,7 @@ def test_perturbed_flow_momenta_and_reduction():
         assert abs(st.u.gamma - u0.gamma * cmath.exp(-0.5j * lam * u0.r * t)) < 1e-14
     # lambda = 0 collapses onto the Casimir flow
     st0 = perturbed_flow(g0, u0, 1.0, 0.0)(2.0)
-    stc = casimir_flow(g0, u0, lambda gamma, r: 1.0)(2.0)
+    stc = casimir_flow(g0, u0, 1.0)(2.0)
     np.testing.assert_allclose(st0.g.as_matrix(), stc.g.as_matrix(), atol=1e-13)
     assert st0.u.gamma == pytest.approx(u0.gamma)
 
@@ -282,8 +274,7 @@ def perturbed_field_reference(F, lam, st):
     """The perturbed rates built from group and algebra objects."""
     alpha, nu = complex(st[0], st[1]), complex(st[2], st[3])
     r, gamma = st[4], complex(st[5], st[6])
-    Fv = F(r) if callable(F) else F
-    gen = (legendre_map(SB2Element(r, gamma), Fv).value
+    gen = (legendre_map(SB2Element(r, gamma), F).value
            - np.diag([-0.25j * lam * r, 0.25j * lam * r]))
     gdot = SU2Element(alpha, nu).as_matrix() @ gen
     gammadot = -0.5j * lam * r * gamma
@@ -291,7 +282,7 @@ def perturbed_field_reference(F, lam, st):
                      0.0, gammadot.real, gammadot.imag])
 
 
-@pytest.mark.parametrize("F", [1.3, lambda r: 1.0 + 0.5 * r * r])
+@pytest.mark.parametrize("F", [1.3, -0.7])
 def test_perturbed_flat_field_matches_object_reference(F):
     # The scalar transcription may differ from the 2x2 matrix product in the
     # last bit (BLAS may fuse multiply-adds), hence 1e-15 relative to the rates.
@@ -336,6 +327,32 @@ def test_rotator_takes_p_as_a_3_vector(p):
     for build in (lambda: rotator_flow(np.eye(3), p, 1.0), lambda: rotator_flat_field(p, 1.0)):
         with pytest.raises(ValueError, match=r"^p must be finite and of shape \(3,\)$"):
             build()
+
+
+# forms of input that no caller uses are gone: F as a callable, the "so3"
+# and "sl2c" algebra kinds, and "sl2" as a second name of SL(2,C)
+@pytest.mark.parametrize("build, error, match", [
+    (lambda f: casimir_flow(SU2Element.identity(), SB2Element(2.0, 1.0), f), TypeError, None),
+    (lambda f: rotator_flow(np.eye(3), [0.0, 0.0, 1.0], f), TypeError, None),
+    (lambda f: rotator_flat_field([0.0, 0.0, 1.0], f), TypeError, None),
+    (lambda f: momenta_su2_flow(SB2Element(2.0, 1.0), 0.6, 0.8j, f), TypeError, None),
+    (lambda f: momenta_su2_flat_field(0.6, 0.8j, f), TypeError, None),
+    (lambda f: perturbed_flow(SU2Element.identity(), SB2Element(2.0, 1.0), f, 0.1),
+     TypeError, None),
+    (lambda f: perturbed_velocity(SB2Element(2.0, 1.0), f, 0.1, 1.0), TypeError, None),
+    (lambda f: perturbed_flat_field(f, 0.1), TypeError, None),
+    (lambda f: sl2c_flat_field(f), TypeError, None),
+    (lambda f: AlgebraElement("so3", [1.0, 2.0, 3.0]), MembershipError,
+     "^unknown algebra kind 'so3'$"),
+    (lambda f: AlgebraElement("sl2c", np.diag([1.0, -1.0])), MembershipError,
+     "^unknown algebra kind 'sl2c'$"),
+    (lambda f: random_element("sl2", 0), MembershipError, "^unknown group kind 'sl2'$"),
+], ids=["casimir_flow", "rotator_flow", "rotator_flat_field", "momenta_su2_flow",
+        "momenta_su2_flat_field", "perturbed_flow", "perturbed_velocity",
+        "perturbed_flat_field", "sl2c_flat_field", "so3", "sl2c", "sl2"])
+def test_removed_input_forms_are_rejected(build, error, match):
+    with pytest.raises(error, match=match):
+        build(lambda *args: 1.0)
 
 
 def test_rotator_flow_orthogonality_and_period():
@@ -416,13 +433,6 @@ def test_commuting_quadrature_matches_noncasimir():
     assert abs(got.gamma - st.u.gamma) < 1e-8
 
 
-def test_commuting_quadrature_so3_matches_rotator():
-    p = np.array([0.4, -0.3, 0.8])
-    got = commuting_quadrature_flow(np.eye(3), lambda s: AlgebraElement("so3", p), 3.0)
-    want = rotator_flow(np.eye(3), p, 1.0)(3.0).g
-    assert np.max(np.abs(got - want)) < 1e-10
-
-
 def test_commuting_quadrature_rejects_twisted_path():
     def twisted(s):
         m = np.array([[0.5j * math.cos(s), 0.3 * math.sin(s)],
@@ -471,7 +481,7 @@ def test_commutator_guard_matches_brute_force_loop():
     with pytest.raises(CommutativityError) as err:
         _commutator_guard(tied, nodes[:5], 0.0)
     assert err.value.pair == pair
-    # commuting samples (real 3x3, as in the so3 path)
+    # commuting samples (real 3x3)
     _commutator_guard([k * np.eye(3) for k in range(5)], nodes[:5], 0.0)
     # 33 copies of one real matrix, as a constant action-angle fiber matrix
     # gives: every commutator is exactly 0 (or NaN past overflow) at any scale,
@@ -578,7 +588,7 @@ def test_systems_flow_values():
 def test_conservation_along_oracle_with_projection():
     # H0 and det drift below 1e-8, and the projected momenta stay frozen
     rng = np.random.default_rng(17)
-    a0 = random_element("sl2", rng)
+    a0 = random_element("sl2c", rng)
     traj = rk4_integrate(sl2c_flat_field(1.0), z_to_flat(a0.z1, a0.z2, a0.z3, a0.z4),
                          0.0, 10.0, 1e-3)
 
@@ -601,8 +611,8 @@ def test_conservation_along_oracle_with_projection():
 
 def reference_state(system, p, t):
     """Per-t reference for the closed-form flows: rebuilds the generator at every t
-    and goes through the validated AlgebraElement, exp_group, expm2 and
-    rodrigues3 path.
+    and goes through the validated AlgebraElement, exp_group and expm2 path,
+    and for the rotator through rodrigues3_kernel on hat3(F·p) and |F·p|.
     """
     t = float(t)
     if system == "casimir_sl2c":
@@ -610,8 +620,9 @@ def reference_state(system, p, t):
         return FlowState(t, g=p["g0"] @ exp_group(AlgebraElement("su2", t * L)), u=p["u0"])
     if system == "rotator":
         pv = np.asarray(p["p"], dtype=float)
-        return FlowState(t, g=np.asarray(p["g0"], dtype=float) @ rodrigues3(p["F"] * pv, t),
-                         p=pv.copy())
+        fp = p["F"] * pv
+        g = np.asarray(p["g0"], dtype=float) @ rodrigues3_kernel(hat3(fp), np.linalg.norm(fp), t)
+        return FlowState(t, g=g, p=pv.copy())
     if system == "momenta_su2":
         L = _momenta_su2_generator(p["alpha"], p["nu"], p["F"])
         u = exp_group(AlgebraElement("sb2", t * L)) @ p["u0"]
@@ -652,6 +663,10 @@ def reference_row(system, p, t):
     return [t, *y, *SYSTEMS[system].extras(st, y)]
 
 
+def rotation(p):
+    return rodrigues3_kernel(hat3(p), float(np.linalg.norm(p)), 1.0)
+
+
 def sampler_params(system, seed):
     """Seeded params, and for seed 0 plain ones: identities, real or zero entries."""
     rng = np.random.default_rng(seed)
@@ -662,7 +677,7 @@ def sampler_params(system, seed):
     a = np.array([[0.1, -1.0, 0.2], [1.3, 0.2, 0.0], [0.0, 0.4, -0.3]])
     return {
         "casimir_sl2c": {"g0": g0, "u0": u0, "F": F},
-        "rotator": {"g0": rodrigues3(rng.standard_normal(3), 1.0),
+        "rotator": {"g0": rotation(rng.standard_normal(3)),
                     "p": [0.0, 0.0, 1.5] if seed == 0 else rng.standard_normal(3), "F": F},
         "momenta_su2": {"u0": u0, "alpha": m.alpha, "nu": m.nu, "F": F},
         "noncasimir_h": {"u0": u0, "alpha0": m.alpha, "nu0": m.nu},
@@ -697,8 +712,28 @@ def test_sampler_rows_match_per_row_reference_bitwise(case):
         assert takes_small_angle_branch(system, p)
 
 
+@pytest.mark.parametrize("case", ["casimir_sl2c", "rotator", "momenta_su2", "noncasimir_h",
+                                  "perturbed", "action_angle_freq", "action_angle_matrix"])
+def test_sampler_rows_at_extreme_t_are_finite_or_raise(case):
+    # a row past the floats raises rather than returning inf or NaN (the
+    # rotator at +-1e308, action_angle at NaN and +-inf, and the fiber matrix
+    # at 1e308, once did); numpy's warnings are off, as in `simulate`
+    system = case[:12] if case.startswith("action_angle") else case
+    for seed in range(4):
+        at = SYSTEMS[system].flow(sampler_params(case, seed))
+        for t in (math.nan, math.inf, -math.inf, 1e308, -1e308):
+            try:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    st = at(t)
+                    y = SYSTEMS[system].flat(st)
+                    row = [t, *y, *SYSTEMS[system].extras(st, y)]
+            except (MembershipError, ValueError, OverflowError, ZeroDivisionError):
+                continue
+            assert all(map(math.isfinite, row)), (case, seed, t)
+
+
 def takes_small_angle_branch(system, p):
-    """Whether the grid's tiny t reach rodrigues3's and sinhc's series branches."""
+    """Whether the grid's tiny t reach rodrigues3_kernel's and sinhc's series branches."""
     if system == "rotator":
         return np.linalg.norm(p["F"] * np.asarray(p["p"])) * 1e-9 < 1e-8
     if system in ("casimir_sl2c", "perturbed"):
@@ -733,6 +768,15 @@ def test_sampler_checks_its_inputs_once_and_each_t():
                   lambda: momenta_su2_flow(u0, 0.6, complex(0.0, math.inf), 1.0)):
         with pytest.raises(MembershipError):
             build()
+    # the rotator's p and F when the flow is built: |p|^2 past the normal
+    # floats made p_norm 0 (p1 = 1e-200) or inf, and |F p|^2 past the floats
+    # an inf rotation rate; p = 0 stays valid
+    for p, F, name in (([1e-200, 0.0, 0.0], 1e300, "p"), ([1e-160, 0.0, 0.0], 1.0, "p"),
+                       ([1e200] * 3, 1.0, "p"), ([1.0, 0.0, 0.0], 1e300, "F"),
+                       ([0.0, 0.0, 1.0], math.nan, "F"), ([0.0] * 3, math.inf, "F")):
+        with pytest.raises(ValueError, match=f"^{name} must "):
+            rotator_flow(np.eye(3), p, F)
+    assert rotator_flow(np.eye(3), [0.0] * 3, 1e300)(2.0).p_norm == 0.0
     # per t: a t·L that overflows, a non-finite t, an exponential that overflows
     g0 = random_element("su2", 3)
     for flow in (lambda t: casimir_flow(g0, u0, 1.0)(t),
@@ -741,8 +785,28 @@ def test_sampler_checks_its_inputs_once_and_each_t():
         for t in (1e308, math.nan):
             with pytest.raises(ValueError, match="non-finite matrix entry"):
                 flow(t)
-    with pytest.raises(ValueError, match="non-finite time"):
-        rotator_flow(np.eye(3), [0.0, 0.0, 1.0], 1.0)(math.inf)
+    # the rotator's angle, the frequency variant's bound on phi, the fiber
+    # variant's phi after expm; the generator's exponents and Simpson's ends
+    rotator = rotator_flow(np.eye(3), [0.0, 0.0, 1.0], 1.0)
+    freq = action_angle_flow([1.0], [0.5], freq=[2.0])
+    fiber = action_angle_flow([1.0], [0.5], matrix=[[0.3]])
+    for flow, ts in ((rotator, (math.inf, -math.inf, math.nan, 1e308, -1e308)),
+                     (freq, (math.inf, -math.inf, math.nan)),
+                     (fiber, (1e308,))):
+        for t in ts:
+            with pytest.raises(ValueError, match="^the flow leaves the finite floats$"), \
+                    np.errstate(over="ignore", invalid="ignore"):
+                flow(t)
+    # past the frequency variant's bound, a finite phi is still a row
+    assert action_angle_flow([1.0], [1e308], freq=[-1e308])(1.0).phi.tolist() == [0.0]
+    for t in (math.inf, math.nan):
+        with pytest.raises(ValueError, match=r"^t0, t1 and t1 - t0 must be finite$"):
+            fiber(t)
+    with pytest.raises(ValueError, match=r"^t0, t1 and t1 - t0 must be finite$"):
+        simpson_rule(0.0, math.nan, 2)
+    for t in (math.nan, math.inf, 1e308):
+        with pytest.raises(ValueError, match=r"^t \* lam \* r must be finite$"):
+            perturbed_velocity(u0, 1.0, 1e10 if t == 1e308 else 0.1, t)
     with pytest.raises(ValueError, match="non-finite matrix entry"), \
             np.errstate(over="ignore", invalid="ignore"):
         casimir_flow(g0, u0, 1e300)(10.0)

@@ -37,7 +37,6 @@ PARAM_KINDS = {
     "su2": st.one_of(UNIT.map(lambda an: {"alpha": an[0], "nu": an[1]}),
                      st.fixed_dictionaries({"alpha": typed(COMPLEX), "nu": typed(COMPLEX)})),
     "sb2": st.fixed_dictionaries({"r": typed(POSITIVE), "gamma": typed(COMPLEX)}),
-    "vector3": st.lists(NUMBER, min_size=2, max_size=4),
     "vector": st.lists(NUMBER, min_size=1, max_size=2),
     "matrix": st.lists(st.lists(NUMBER, min_size=1, max_size=2), min_size=1, max_size=2),
 }
@@ -49,6 +48,8 @@ def params_of(system):
     for name, kind, _ in dyn.SYSTEMS[system].params:
         if kind == "momenta":  # a unit pair, as drawn, or two free numbers
             optional[name] = st.one_of(UNIT, st.tuples(typed(COMPLEX), typed(COMPLEX)))
+        elif name == "p":  # the rotator's p: 3-vectors, and the 2- and 4-vectors it rejects
+            optional[name] = typed(st.lists(NUMBER, min_size=2, max_size=4))
         else:
             optional[name] = typed(PARAM_KINDS[kind])
     subset = st.fixed_dictionaries({}, optional=optional).map(

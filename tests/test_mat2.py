@@ -11,9 +11,15 @@ from doubleflow.mat2 import (
     expm2,
     expm2_kernel,
     hat3,
-    rodrigues3,
+    rodrigues3_kernel,
     sinhc,
 )
+
+
+def rodrigues3(p, t):
+    """The rotation by angle |p|·t about p/|p|, as the rotator's flow forms it."""
+    p = np.asarray(p, dtype=float)
+    return rodrigues3_kernel(hat3(p), float(np.linalg.norm(p)), t)
 
 
 def test_check_finite_rejects():

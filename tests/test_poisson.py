@@ -221,7 +221,7 @@ def test_point_of_element_round_trip():
     u = random_element("sb2", 4)
     p = point_of_element(g, u)
     assert p["alpha"] == g.alpha and p["gamma"] == u.gamma and p["r"] == u.r
-    a = random_element("sl2", 4)
+    a = random_element("sl2c", 4)
     q = point_of_element(a)
     assert q["z1"] == a.z1 and q["z4c"] == np.conj(a.z4)
 
@@ -447,7 +447,7 @@ def test_double_table_restricted_to_a_factor_is_that_factor_table(factor):
 
 @pytest.mark.parametrize("kinds, names", [
     (("sb2", "su2"), "SB2Element, SU2Element"),
-    (("sl2", "sb2"), "SL2Element, SB2Element"),
+    (("sl2c", "sb2"), "SL2Element, SB2Element"),
     (("su2", "su2"), "SU2Element, SU2Element"),
 ])
 def test_point_of_element_rejects_other_argument_shapes(kinds, names):
