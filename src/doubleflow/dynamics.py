@@ -6,6 +6,10 @@ Flows return FlowState snapshots and are pure functions of (initial data,
 parameters, t).  Each system's *_flow takes the initial data and parameters,
 checks them and reduces them to the generator of the flow once, and returns
 at(t) -> FlowState, which does only the t-dependent arithmetic.
+
+The SU(2) rows exponentiate with groups.expm2_kernel on Python complex
+scalars; the rotator's rows with rodrigues3_kernel, the axis-angle closed
+form of exp(t·hat3(p)), whose inputs rotator_flow checks once.
 """
 
 import cmath
@@ -22,11 +26,12 @@ from .groups import (
     SB2Element,
     SL2Element,
     SU2Element,
+    _trusted,
     exp_group,
     exp_sb2,
+    expm2_kernel,
     random_element,
 )
-from .mat2 import expm2_kernel, hat3, rodrigues3_kernel
 from .quadrature import simpson_rule
 
 __all__ = [
@@ -133,9 +138,10 @@ def legendre_map(u: SB2Element, F_value: float) -> AlgebraElement:
     r, g = u.r, u.gamma
     d = r * r - 1.0 / (r * r) + abs(g) ** 2
     off = 2.0 * g / r
-    m = (-0.25j * float(F_value)) * np.array(
-        [[d, off], [off.conjugate(), -d]], dtype=complex
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # AlgebraElement rejects inf and NaN
+        m = (-0.25j * float(F_value)) * np.array(
+            [[d, off], [off.conjugate(), -d]], dtype=complex
+        )
     return AlgebraElement("su2", m)
 
 
@@ -191,7 +197,7 @@ def _su2_exp(m):
         alpha, _, nu, _ = expm2_kernel(s * m00, s * m01, s * m10, s * m11)
         if not (cmath.isfinite(alpha) and cmath.isfinite(nu)):
             raise ValueError("non-finite matrix entry")
-        return SU2Element(alpha, nu)
+        return _trusted(SU2Element, alpha, nu)
 
     return at
 
@@ -205,6 +211,40 @@ def casimir_flow(g0: SU2Element, u0: SB2Element, F) -> Callable:
         return FlowState(time=t, g=g0 @ exp_tl(t), u=u0)
 
     return at
+
+
+def hat3(p) -> np.ndarray:
+    """3-vector to skew-symmetric matrix, hat(p) q = p x q."""
+    p = np.asarray(p, dtype=float)
+    return np.array(
+        [
+            [0.0, -p[2], p[1]],
+            [p[2], 0.0, -p[0]],
+            [-p[1], p[0], 0.0],
+        ]
+    )
+
+
+_I3 = np.eye(3)
+
+
+def rodrigues3_kernel(k, norm: float, t: float) -> np.ndarray:
+    """Rotation exp(t·k) by angle |p|·t about p/|p|, from k = hat3(p) and norm = |p|.
+
+    Axis-angle closed form; below |p|·t = 1e-8 the second-order series in k·t
+    is exact to round-off.  theta² bounds the entries of (k·t)², so a theta²
+    past the floats (or a non-finite t) is a ValueError.
+    """
+    theta = norm * abs(t)
+    if not math.isfinite(theta * theta):
+        raise ValueError("the flow leaves the finite floats")
+    kt = k * t
+    if theta < 1e-8:
+        return _I3 + kt + 0.5 * (kt @ kt)
+    # R = I + sin(theta)/theta * (k t) + (1-cos(theta))/theta^2 * (k t)^2
+    a = math.sin(theta) / theta
+    b = (1.0 - math.cos(theta)) / (theta * theta)
+    return _I3 + a * kt + b * (kt @ kt)
 
 
 def rotator_flow(g0, p, F) -> Callable:
@@ -486,7 +526,8 @@ def action_angle_flow(I0, phi0, freq=None, matrix=None) -> Callable:
     def at(t):
         t = float(t)
         if A is None:
-            phi = phi0 + nu * t
+            with np.errstate(over="ignore", invalid="ignore"):  # a non-finite phi raises below
+                phi = phi0 + nu * t
             if not math.isfinite(phi_top + nu_top * abs(t)) and not np.isfinite(phi).all():
                 raise ValueError("the flow leaves the finite floats")
         elif t < 0:
@@ -496,7 +537,8 @@ def action_angle_flow(I0, phi0, freq=None, matrix=None) -> Callable:
         else:
             _, weights = simpson_rule(0.0, t, 32)
             import scipy.linalg  # only this path needs it; keeps the CLI import light
-            phi = scipy.linalg.expm(sum(w * A for w in weights)) @ phi0
+            with np.errstate(over="ignore", invalid="ignore"):  # a non-finite phi raises below
+                phi = scipy.linalg.expm(sum(w * A for w in weights)) @ phi0
             if not np.isfinite(phi).all():
                 raise ValueError("the flow leaves the finite floats")
         return FlowState(time=t, I=I0.copy(), phi=phi, phi_mod=np.mod(phi, 2.0 * np.pi))

@@ -4,14 +4,20 @@ Elements store minimal coordinates (alpha, nu) / (r, gamma) / (z1..z4) rather
 than raw matrices, so membership invariants are checkable and small drift is
 renormalizable.  Constructors project inputs that violate the invariant by at
 most ``PROJECT_TOL`` and reject anything worse.
+
+The exponentials are closed form.  The 2x2 one, `expm2_kernel`, uses the
+explicit eigenstructure of a 2x2 matrix instead of scaling-and-squaring, so
+group flows built on it are exact up to round-off.  It takes and returns the
+four entries as Python complex scalars, each product complex x complex as
+numpy's elementwise arithmetic takes it, so on su(2) input every entry has the
+bits of the array formula; a closed-form sampler calls it directly on input it
+has checked once.
 """
 
 import cmath
 import math
 
 import numpy as np
-
-from .mat2 import check_finite, expm2, sinhc
 
 __all__ = [
     "MembershipError",
@@ -33,6 +39,14 @@ ALGEBRA_TOL = 1e-12
 
 class MembershipError(ValueError):
     """Input does not satisfy (or nearly satisfy) a group/algebra invariant."""
+
+
+def check_finite(a) -> np.ndarray:
+    """Return ``a`` as an ndarray, rejecting NaN/Inf entries."""
+    a = np.asarray(a)
+    if not np.isfinite(a).all():
+        raise ValueError("non-finite matrix entry")
+    return a
 
 
 def _finite_complex(z, name) -> complex:
@@ -243,14 +257,50 @@ def iwasawa_ug(a: SL2Element):
     return u, g
 
 
+def sinhc(delta: complex) -> complex:
+    """sinh(delta)/delta, with a series fallback near the removable singularity.
+
+    For |delta| < 1e-6 the truncated series 1 + d^2/6 + d^4/120 is exact to
+    round-off, avoiding the 0/0.
+    """
+    if abs(delta) < 1e-6:
+        d2 = delta * delta
+        return 1.0 + d2 / 6.0 + d2 * d2 / 120.0
+    return cmath.sinh(delta) / delta
+
+
+_ONE, _ZERO = complex(1.0, 0.0), complex(0.0, 0.0)
+
+
+def expm2_kernel(m00, m01, m10, m11):
+    """Exact exponential of a 2x2 complex matrix, from and to its entries row by row.
+
+    Splitting m = mu*I + n with mu = tr(m)/2 and n traceless, n^2 = delta^2*I
+    where delta^2 = -det(n), so
+
+        exp(m) = e^mu * (cosh(delta)*I + sinhc(delta)*n).
+
+    Unchecked: the caller passes finite entries.  Cost is one scalar exp,
+    cosh, sinh.
+    """
+    mu = (m00 + m11) / 2.0
+    n00, n01, n10, n11 = m00 - mu * _ONE, m01 - mu * _ZERO, m10 - mu * _ZERO, m11 - mu * _ONE
+    delta = cmath.sqrt(-(n00 * n11 - n01 * n10))
+    e, ch, sh = cmath.exp(mu), cmath.cosh(delta), sinhc(delta)
+    return (e * (ch * _ONE + sh * n00), e * (ch * _ZERO + sh * n01),
+            e * (ch * _ZERO + sh * n10), e * (ch * _ONE + sh * n11))
+
+
 def exp_group(x: AlgebraElement):
     """Exponentiate onto the matching subgroup, SU(2) or SB(2,C).
 
-    su2 goes through the closed-form 2x2 exponential; sb2 has the explicit
-    triangular exponential [[e^x, y*sinhc(x)], [0, e^-x]].
+    su2 goes through the closed-form 2x2 exponential of x's (checked)
+    entries; sb2 has the explicit triangular exponential
+    [[e^x, y*sinhc(x)], [0, e^-x]].
     """
     if x.kind == "su2":
-        return SU2Element.from_matrix(expm2(x.value))
+        exp = expm2_kernel(*x.value.ravel().tolist())
+        return SU2Element.from_matrix(np.array(exp).reshape(2, 2))
     return exp_sb2(complex(x.value[0, 0]).real, complex(x.value[0, 1]))
 
 

@@ -398,6 +398,44 @@ def test_verify_reproducible(capsys):
     assert capsys.readouterr().out == first
 
 
+# sha256 of the `verify --suite legendre` JSON at (seed, samples); the suite
+# calls no BLAS routine, so the bytes are the same under OPENBLAS_CORETYPE
+# Haswell, Sandybridge and SkylakeX
+PINNED_VERIFY_LEGENDRE = [
+    (0, 20, "e7ee6da3c312fc6528a614f2e845d1fef8d0ceef326fba49885c1933a1b03b94"),
+    (7, 100, "4ea786f958484d62ca132294b9f9b65924c4b4daf85d616ee8140281c4729169"),
+    (12345, 50, "0b199af44a6077484915db60d128080ebea67f79cc709819f6f9b9b86f1a31c2"),
+]
+
+
+@pytest.mark.parametrize("seed, samples, digest", PINNED_VERIFY_LEGENDRE)
+def test_verify_legendre_json_bytes_are_pinned(seed, samples, digest, capsys):
+    assert main(["verify", "--suite", "legendre", "--seed", str(seed),
+                 "--samples", str(samples)]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def test_verify_h0_invariant_does_not_depend_on_sum(monkeypatch):
+    # Python 3.12's sum() adds floats with compensation, 3.10's and 3.11's in
+    # order; H0 is the casimir row's explicit four-term sum under either
+    class Captured(Exception):
+        pass
+
+    invariants = {}
+
+    def capture(traj, inv):
+        invariants.update(inv)
+        raise Captured
+
+    monkeypatch.setattr(ver, "drift_report", capture)
+    monkeypatch.setattr(ver, "sum", math.fsum, raising=False)
+    with pytest.raises(Captured):
+        ver.suite_flows(0, 20)
+    # 1 + 1e-16 + 1e-16 is 1.0 added in order and 1.0000000000000002 by fsum
+    y = [1.0, 0.0, 1e-8, 0.0, 1e-8, 0.0, 0.0, 0.0]
+    assert invariants["H0"](y) == dyn._casimir_extras(y)[0] == 0.5
+
+
 def test_verify_bad_arguments(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--suite", "nonsense"])

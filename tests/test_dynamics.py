@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from doubleflow import groups
 from doubleflow.dynamics import (
     SYSTEMS,
     CommutativityError,
@@ -18,6 +19,7 @@ from doubleflow.dynamics import (
     commuting_quadrature_flow,
     flat_to_z,
     free_hamiltonian,
+    hat3,
     interaction_picture_flow,
     legendre_invert,
     legendre_map,
@@ -28,6 +30,7 @@ from doubleflow.dynamics import (
     perturbed_flat_field,
     perturbed_flow,
     perturbed_velocity,
+    rodrigues3_kernel,
     rotator_flat_field,
     rotator_flow,
     sl2c_flat_field,
@@ -43,7 +46,6 @@ from doubleflow.groups import (
     iwasawa_gu,
     random_element,
 )
-from doubleflow.mat2 import hat3, rodrigues3_kernel
 from doubleflow.quadrature import drift_report, rk4_integrate, simpson_rule
 
 E12 = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
@@ -611,7 +613,7 @@ def test_conservation_along_oracle_with_projection():
 
 def reference_state(system, p, t):
     """Per-t reference for the closed-form flows: rebuilds the generator at every t
-    and goes through the validated AlgebraElement, exp_group and expm2 path,
+    and goes through the validated AlgebraElement and exp_group path,
     and for the rotator through rodrigues3_kernel on hat3(F·p) and |F·p|.
     """
     t = float(t)
@@ -717,19 +719,48 @@ def test_sampler_rows_match_per_row_reference_bitwise(case):
 def test_sampler_rows_at_extreme_t_are_finite_or_raise(case):
     # a row past the floats raises rather than returning inf or NaN (the
     # rotator at +-1e308, action_angle at NaN and +-inf, and the fiber matrix
-    # at 1e308, once did); numpy's warnings are off, as in `simulate`
+    # at 1e308, once did), and with no numpy warning first
     system = case[:12] if case.startswith("action_angle") else case
     for seed in range(4):
         at = SYSTEMS[system].flow(sampler_params(case, seed))
         for t in (math.nan, math.inf, -math.inf, 1e308, -1e308):
             try:
-                with np.errstate(over="ignore", invalid="ignore"):
-                    st = at(t)
-                    y = SYSTEMS[system].flat(st)
-                    row = [t, *y, *SYSTEMS[system].extras(st, y)]
+                st = at(t)
+                y = SYSTEMS[system].flat(st)
+                row = [t, *y, *SYSTEMS[system].extras(st, y)]
             except (MembershipError, ValueError, OverflowError, ZeroDivisionError):
                 continue
             assert all(map(math.isfinite, row)), (case, seed, t)
+
+
+# warnings are errors in this suite, so a numpy RuntimeWarning raised ahead of
+# the ValueError fails these (each of them once did)
+@pytest.mark.parametrize("call, match", [
+    (lambda: action_angle_flow([1.0], [0.5], matrix=[[0.3]])(1e308), "finite floats"),
+    (lambda: action_angle_flow([1.0], [0.5, 0.1], freq=[0.0, 1.0])(math.inf), "finite floats"),
+    (lambda: legendre_map(SB2Element(1e200, 0.0), 1.0), "non-finite matrix entry"),
+    (lambda: casimir_flow(SU2Element.identity(), SB2Element(1e200, 0.0), 1.0),
+     "non-finite matrix entry"),
+    (lambda: legendre_map(SB2Element(1e10, 0.0), 1e308), "non-finite matrix entry"),
+], ids=["fiber_t_1e308", "freq_zero_entry_t_inf", "legendre_r_1e200", "casimir_r_1e200",
+        "legendre_F_1e308"])
+def test_non_finite_results_raise_without_a_numpy_warning(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
+def test_su2_rows_check_the_exponential_once(monkeypatch):
+    # at(t) checks alpha and nu of exp(t·L) finite itself; building the
+    # element must not check them again
+    checked = []
+    finite_complex = groups._finite_complex
+    monkeypatch.setattr(groups, "_finite_complex",
+                        lambda z, name: checked.append(name) or finite_complex(z, name))
+    at = casimir_flow(SU2Element.identity(), SB2Element(1.3, 0.2 - 0.4j), 0.7)
+    checked.clear()
+    st = at(0.5)
+    assert checked == []
+    assert abs(abs(st.g.alpha) ** 2 + abs(st.g.nu) ** 2 - 1.0) < 1e-15
 
 
 def takes_small_angle_branch(system, p):

@@ -1,19 +1,27 @@
+"""The closed-form matrix kernels: groups' 2x2 exponential, sinhc and array
+finiteness check, and the rotator's hat3 and rodrigues3_kernel in dynamics."""
+
 import cmath
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from doubleflow.dynamics import _perturbed_x, legendre_map
-from doubleflow.groups import AlgebraElement, SU2Element, exp_group, random_element
-from doubleflow.mat2 import (
+from doubleflow.dynamics import _perturbed_x, hat3, legendre_map, rodrigues3_kernel
+from doubleflow.groups import (
+    AlgebraElement,
+    SU2Element,
     check_finite,
-    expm2,
+    exp_group,
     expm2_kernel,
-    hat3,
-    rodrigues3_kernel,
+    random_element,
     sinhc,
 )
+
+
+def exp2x2(m):
+    """expm2_kernel on the entries of the 2x2 matrix m, as a 2x2 array."""
+    return np.array(expm2_kernel(*np.asarray(m, dtype=complex).ravel().tolist())).reshape(2, 2)
 
 
 def rodrigues3(p, t):
@@ -67,7 +75,7 @@ def test_expm2_matches_scipy():
     for k in range(100):
         rng = np.random.default_rng(k)
         m = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        worst = max(worst, float(np.max(np.abs(expm2(m) - scipy.linalg.expm(m)))))
+        worst = max(worst, float(np.max(np.abs(exp2x2(m) - scipy.linalg.expm(m)))))
     assert worst < 1e-12
 
 
@@ -77,13 +85,13 @@ def test_expm2_traceless_determinant_one():
         rng = np.random.default_rng(1000 + k)
         a, b, c = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         m = np.array([[a, b], [c, -a]])
-        assert abs(np.linalg.det(expm2(m)) - 1.0) < 1e-12
+        assert abs(np.linalg.det(exp2x2(m)) - 1.0) < 1e-12
 
 
 def test_expm2_nilpotent_and_zero():
-    np.testing.assert_allclose(expm2(np.zeros((2, 2))), np.eye(2))
+    np.testing.assert_allclose(exp2x2(np.zeros((2, 2))), np.eye(2))
     n = np.array([[0, 3.5 - 1j], [0, 0]], dtype=complex)
-    np.testing.assert_allclose(expm2(n), np.eye(2) + n)  # n^2 = 0
+    np.testing.assert_allclose(exp2x2(n), np.eye(2) + n)  # n^2 = 0
 
 
 def expm2_array_reference(m):
@@ -95,10 +103,9 @@ def expm2_array_reference(m):
 
 
 def assert_kernel_bits(m):
-    """expm2_kernel on m's entries, and expm2 on m, have the reference's bytes (so ±0 too)."""
+    """expm2_kernel on m's entries has the reference's bytes (so ±0 too)."""
     want = expm2_array_reference(m).tobytes()
-    assert np.array(expm2_kernel(*m.ravel().tolist())).tobytes() == want, m
-    assert expm2(m).tobytes() == want, m
+    assert exp2x2(m).tobytes() == want, m
 
 
 def test_expm2_kernel_bitwise_matches_array_formula_on_su2_multiples():
