@@ -2,100 +2,18 @@
 
 Quadratic Poisson bracket tables, Iwasawa factorizations, Legendre maps, and
 closed-form quadrature flows, each cross-checked against an independent
-fixed-step RK4 oracle.
+fixed-step RK4 oracle.  The package exports the `__all__` of each module
+below; `cli` stays out, so importing the package loads neither it nor scipy.
 """
 
-from .dynamics import (
-    CommutativityError,
-    FlowState,
-    SYSTEMS,
-    System,
-    action_angle_flow,
-    casimir_flow,
-    commuting_quadrature_flow,
-    free_hamiltonian,
-    interaction_picture_flow,
-    legendre_invert,
-    legendre_map,
-    momenta_su2_flow,
-    noncasimir_flow,
-    perturbed_flow,
-    perturbed_velocity,
-    rotator_flow,
-)
-from .groups import (
-    AlgebraElement,
-    MembershipError,
-    SB2Element,
-    SL2Element,
-    SU2Element,
-    exp_group,
-    iwasawa_gu,
-    iwasawa_ug,
-    random_element,
-)
-from .poisson import (
-    BracketTable,
-    Poly,
-    get_table,
-    gradient_covector,
-    named_function,
-    point_of_element,
-    poisson_point,
-    random_point,
-)
-from .quadrature import (
-    DriftReport,
-    NonFiniteStateError,
-    Trajectory,
-    drift_report,
-    rk4_integrate,
-    simpson_rule,
-)
-from .verify import run_suite
+from . import dynamics, groups, poisson, quadrature, verify
+from .dynamics import *  # noqa: F403
+from .groups import *  # noqa: F403
+from .poisson import *  # noqa: F403
+from .quadrature import *  # noqa: F403
+from .verify import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AlgebraElement",
-    "BracketTable",
-    "CommutativityError",
-    "DriftReport",
-    "FlowState",
-    "MembershipError",
-    "NonFiniteStateError",
-    "Poly",
-    "SB2Element",
-    "SL2Element",
-    "SU2Element",
-    "SYSTEMS",
-    "System",
-    "Trajectory",
-    "action_angle_flow",
-    "casimir_flow",
-    "commuting_quadrature_flow",
-    "drift_report",
-    "exp_group",
-    "free_hamiltonian",
-    "get_table",
-    "gradient_covector",
-    "interaction_picture_flow",
-    "iwasawa_gu",
-    "iwasawa_ug",
-    "legendre_invert",
-    "legendre_map",
-    "momenta_su2_flow",
-    "named_function",
-    "noncasimir_flow",
-    "perturbed_flow",
-    "perturbed_velocity",
-    "point_of_element",
-    "poisson_point",
-    "random_element",
-    "random_point",
-    "rk4_integrate",
-    "rotator_flow",
-    "run_suite",
-    "simpson_rule",
-    "__version__",
-]
+__all__ = [*dynamics.__all__, *groups.__all__, *poisson.__all__, *quadrature.__all__,
+           *verify.__all__, "__version__"]

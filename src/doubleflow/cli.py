@@ -304,7 +304,7 @@ def _blame(flag, fn, *args):
     """fn(*args); an arithmetic failure is a config error naming flag."""
     try:
         return fn(*args)
-    except (ValueError, ZeroDivisionError, OverflowError):
+    except ValueError:
         raise ConfigError(f"{flag} is out of range: the Legendre map or its round trip "
                           "overflows or underflows") from None
 

@@ -134,9 +134,15 @@ def sl2c_flat_field(F_value: float):
 
 
 def legendre_map(u: SB2Element, F_value: float) -> AlgebraElement:
-    """Velocity in su(2) assigned to the momentum u by η = F·dH0."""
+    """Velocity in su(2) assigned to the momentum u by η = F·dH0.
+
+    An entry past the floats is ValueError("non-finite matrix entry").
+    """
     r, g = u.r, u.gamma
-    d = r * r - 1.0 / (r * r) + abs(g) ** 2
+    try:
+        d = r * r - 1.0 / (r * r) + abs(g) ** 2
+    except (ZeroDivisionError, OverflowError):  # r^2 underflows or |gamma|^2 overflows
+        raise ValueError("non-finite matrix entry") from None
     off = 2.0 * g / r
     with np.errstate(over="ignore", invalid="ignore"):  # AlgebraElement rejects inf and NaN
         m = (-0.25j * float(F_value)) * np.array(
@@ -152,13 +158,19 @@ def legendre_invert(v: AlgebraElement, unreduced=False) -> SB2Element:
     unreduced=True instead takes r = s + √(s²+|w|²+1) directly, skipping the
     (1+|w|²) divisor and the square root down to r; that shortcut does not
     satisfy the round trip away from v = 0 and is kept only for comparison.
+    An s² + |w|² past the floats is ValueError("non-finite matrix entry").
     """
     if not isinstance(v, AlgebraElement) or v.kind != "su2":
         raise MembershipError("legendre_invert needs an su2 AlgebraElement")
-    # v = -(i/2) [[s, w], [conj(w), -s]]
-    s = (2j * v.value[0, 0]).real
-    w = complex(2j * v.value[0, 1])
-    disc = math.sqrt(s * s + abs(w) ** 2 + 1.0)
+    # v = -(i/2) [[s, w], [conj(w), -s]], on Python scalars: an overflow is inf, not a warning
+    s = (2j * complex(v.value[0, 0])).real
+    w = 2j * complex(v.value[0, 1])
+    try:
+        disc = math.sqrt(s * s + abs(w) ** 2 + 1.0)
+    except OverflowError:  # |w|^2 overflows
+        disc = math.inf
+    if disc == math.inf:
+        raise ValueError("non-finite matrix entry")
     if unreduced:
         r = s + disc
     else:
@@ -250,12 +262,15 @@ def rodrigues3_kernel(k, norm: float, t: float) -> np.ndarray:
 def rotator_flow(g0, p, F) -> Callable:
     """Isotropic rotator: p frozen, g(t) = g0·exp(t·F·hat(p)).
 
+    g0 must be a finite 3x3 rotation matrix, else a MembershipError names it.
     |p| and |F·p| are square roots of |p|² and |F·p|², so a ValueError names p
     unless p = 0 or |p|² is a normal float, and F unless |F·p|² is finite.
     """
     g0 = np.asarray(g0, dtype=float)
     if g0.shape != (3, 3):
         raise MembershipError("g0 must be a 3x3 rotation matrix")
+    if not np.isfinite(g0).all():
+        raise MembershipError("g0 must be finite")
     defect = max(
         float(np.max(np.abs(g0.T @ g0 - np.eye(3)))),
         abs(float(np.linalg.det(g0)) - 1.0),
@@ -338,13 +353,16 @@ def noncasimir_flow(u0: SB2Element, alpha0, nu0) -> Callable:
     Momenta: ν frozen, α(t) = α0·e^{i|ν0|²t/2}.  Group part: r frozen and
     γ(t) = γ0 + (conj(α0)conj(ν0)/(r0|ν0|²))·(1 - e^{-i|ν0|²t/2}), the exact
     antiderivative of γ̇ = (i/2)·conj(α(t))·conj(ν0)/r0.  ν0 = 0 is a fixed
-    point by explicit branch.
+    point by explicit branch; any other ν0 needs r0|ν0|² in the normal floats,
+    else a ValueError names it.
     """
     SU2Element(alpha0, nu0)  # the unit check; the flow keeps alpha0, nu0 as given
     alpha0, nu0 = complex(alpha0), complex(nu0)
     if nu0 == 0:
         return lambda t: FlowState(time=float(t), u=u0, alpha=alpha0, nu=nu0)
     w = abs(nu0) ** 2
+    if not u0.r * w >= np.finfo(float).tiny:  # coef's divisor
+        raise ValueError("nu0 must be 0 or have r0 |nu0|^2 in the normal floats")
     # the hoisted factors keep the left-to-right grouping of 0.5j * w * t,
     # which fixes the bits of each product
     half, quarter, mquarter = 0.5j * w, 0.25 * w, -0.25j * w

@@ -24,8 +24,6 @@ import itertools
 import json
 import math
 
-import numpy as np
-
 from .groups import SB2Element, SL2Element, SU2Element, _as_rng, random_element
 
 __all__ = [

@@ -556,6 +556,16 @@ def test_legendre_rejects_extreme_flags(argv, flag, capsys):
      "params: p must be 0 or have |p|^2 in the normal floats"),
     ({"system": "rotator", "params": {"p": [1e200, 1e200, 1e200]}},
      "params: p must be 0 or have |p|^2 in the normal floats"),
+    # an entry of the Legendre map past the floats: "float division by zero"
+    # or "(34, 'Numerical result out of range')" before
+    ({"system": "casimir_sl2c", "params": {"u0": {"r": 1e-200, "gamma": [0, 0]}}},
+     "params: non-finite matrix entry"),
+    ({"system": "perturbed", "params": {"u0": {"r": 1.0, "gamma": [1e200, 0]}}},
+     "params: non-finite matrix entry"),
+    # r0 |nu0|^2 past the normal floats: "complex division by zero" before
+    ({"system": "noncasimir_h", "params": {"u0": {"r": 1e-200, "gamma": [0, 0]},
+                                           "alpha0": [1, 0], "nu0": [1e-100, 0]}},
+     "params: nu0 must be 0 or have r0 |nu0|^2 in the normal floats"),
 ])
 def test_simulate_rejected_params_give_one_exact_error(tmp_path, doc, message, capsys):
     for extra in ((), ("--oracle",)):

@@ -742,11 +742,49 @@ def test_sampler_rows_at_extreme_t_are_finite_or_raise(case):
     (lambda: casimir_flow(SU2Element.identity(), SB2Element(1e200, 0.0), 1.0),
      "non-finite matrix entry"),
     (lambda: legendre_map(SB2Element(1e10, 0.0), 1e308), "non-finite matrix entry"),
+    # an entry past the floats in the Legendre pair (a ZeroDivisionError, an
+    # OverflowError, or a numpy warning before a MembershipError, each once)
+    (lambda: legendre_map(SB2Element(1e-200, 0.0), 1.0), "non-finite matrix entry"),
+    (lambda: legendre_map(SB2Element(1.0, 1e200), 1.0), "non-finite matrix entry"),
+    (lambda: perturbed_flow(SU2Element.identity(), SB2Element(1e-200, 0.0), 1.0, 0.1),
+     "non-finite matrix entry"),
+    (lambda: legendre_invert(su2_of(0.0, 1e200)), "non-finite matrix entry"),
+    (lambda: legendre_invert(su2_of(1e200, 0.0)), "non-finite matrix entry"),
+    (lambda: legendre_invert(su2_of(1e200, 0.0), unreduced=True), "non-finite matrix entry"),
 ], ids=["fiber_t_1e308", "freq_zero_entry_t_inf", "legendre_r_1e200", "casimir_r_1e200",
-        "legendre_F_1e308"])
+        "legendre_F_1e308", "legendre_r_1e-200", "legendre_gamma_1e200",
+        "perturbed_r_1e-200", "invert_w_1e200", "invert_s_1e200", "invert_unreduced_s_1e200"])
 def test_non_finite_results_raise_without_a_numpy_warning(call, match):
     with pytest.raises(ValueError, match=match):
         call()
+
+
+def su2_of(s, w):
+    """The su2 element -(i/2)[[s, w], [conj(w), -s]] that legendre_invert reads s and w from."""
+    return AlgebraElement("su2", -0.5j * np.array([[s, w], [np.conj(w), -s]], dtype=complex))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_rotator_flow_rejects_a_non_finite_g0(bad):
+    # a NaN g0 passed the rotation check (a NaN defect is not > tol) and an
+    # infinite one failed it only after a numpy warning
+    g0 = np.eye(3)
+    g0[0, 0] = bad
+    with pytest.raises(MembershipError, match="^g0 must be finite$"):
+        rotator_flow(g0, [0.0, 0.0, 1.0], 1.0)
+    with pytest.raises(MembershipError, match="^g0 must be a 3x3 rotation matrix$"):
+        rotator_flow(np.eye(2), [0.0, 0.0, 1.0], 1.0)
+
+
+@pytest.mark.parametrize("r0, nu0", [(1.0, 1e-170), (1e-200, 1e-100), (1e-300, 1e-5)])
+def test_noncasimir_flow_rejects_a_divisor_past_the_normal_floats(r0, nu0):
+    # r0·|nu0|^2 that underflows to 0 was a ZeroDivisionError; one that is
+    # subnormal divides by a number with fewer significant bits
+    with pytest.raises(ValueError, match="^nu0 must be 0 or have r0 [|]nu0[|]"):
+        noncasimir_flow(SB2Element(r0, 0.0), 1.0, nu0)
+    # the smallest normal divisor still builds a flow with finite rows
+    st = noncasimir_flow(SB2Element(1.0, 0.0), 1.0, math.sqrt(np.finfo(float).tiny) * 2)(1.0)
+    assert cmath.isfinite(st.u.gamma) and cmath.isfinite(st.alpha)
 
 
 def test_su2_rows_check_the_exponential_once(monkeypatch):
