@@ -198,7 +198,7 @@ def _write_csv(out, header, rows):
 
 
 # What a flow raises for params it rejects, when it is built or at a row's t.
-_REJECTED = (MembershipError, ValueError, OverflowError, ZeroDivisionError)
+_REJECTED = (ValueError, OverflowError, ZeroDivisionError)
 
 
 # No numpy overflow warnings: a row or an oracle state that leaves the finite

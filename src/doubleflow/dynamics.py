@@ -27,6 +27,7 @@ from .groups import (
     SL2Element,
     SU2Element,
     _trusted,
+    check_finite,
     exp_group,
     exp_sb2,
     expm2_kernel,
@@ -91,12 +92,22 @@ class CommutativityError(RuntimeError):
 
 
 def free_hamiltonian(x) -> float:
-    """(1/2)Tr(a a*): (1/2)Σ|z_i|² on SL(2,C), (1/2)(|γ|²+r²+r⁻²) on SB(2,C)."""
-    if isinstance(x, SL2Element):
-        return 0.5 * (abs(x.z1) ** 2 + abs(x.z2) ** 2 + abs(x.z3) ** 2 + abs(x.z4) ** 2)
-    if isinstance(x, SB2Element):
-        return 0.5 * (abs(x.gamma) ** 2 + x.r ** 2 + x.r ** -2)
-    raise TypeError(f"no free Hamiltonian for {type(x).__name__}")
+    """(1/2)Tr(a a*): (1/2)Σ|z_i|² on SL(2,C), (1/2)(|γ|²+r²+r⁻²) on SB(2,C).
+
+    A value past the floats is ValueError("non-finite matrix entry").
+    """
+    if not isinstance(x, (SL2Element, SB2Element)):
+        raise TypeError(f"no free Hamiltonian for {type(x).__name__}")
+    try:
+        if isinstance(x, SL2Element):
+            h = 0.5 * (abs(x.z1) ** 2 + abs(x.z2) ** 2 + abs(x.z3) ** 2 + abs(x.z4) ** 2)
+        else:
+            h = 0.5 * (abs(x.gamma) ** 2 + x.r ** 2 + x.r ** -2)
+    except OverflowError:  # a square or r^-2 past the floats
+        h = math.inf
+    if h == math.inf:  # or their sum
+        raise ValueError("non-finite matrix entry")
+    return h
 
 
 def _sl2c_rates(z1, z2, z3, z4, F):
@@ -449,27 +460,22 @@ def perturbed_flat_field(F, lam: float):
 
 
 def _rotating_frame(g0, x_plus_a0, X):
-    """t -> g0·exp(t(X+A0))·exp(-tX) for X + A0 and X in su(2) (see _su2_exp)."""
+    """t -> g0·exp(t(X+A0))·exp(-tX) for X + A0 and X in su(2), to round-off (see _su2_exp)."""
     exp_xa, exp_x = _su2_exp(x_plus_a0), _su2_exp(X)
     return lambda t: g0 @ exp_xa(t) @ exp_x(-t)
 
 
 def interaction_picture_flow(g0: SU2Element, X: AlgebraElement, A0: AlgebraElement) -> Callable:
-    """Rotating-frame solution g(t) = g0·exp(t(X+A0))·exp(-tX) for constant X, A0 in su(2)."""
+    """Rotating-frame solution g(t) = g0·exp(t(X+A0))·exp(-tX) for constant X, A0 in su(2).
+
+    X + A0 past the floats is ValueError("non-finite matrix entry").
+    """
     for name, x in (("X", X), ("A0", A0)):
         if not isinstance(x, AlgebraElement) or x.kind != "su2":
             raise MembershipError(f"{name} must be an su2 AlgebraElement")
-    x_plus_a0 = X.value + A0.value
-    frame = _rotating_frame(g0, x_plus_a0, X.value)
-
-    def at(t):
-        t = float(t)
-        # X + A0 is in su(2) only to round-off: check both exponents at this t
-        AlgebraElement("su2", t * x_plus_a0)
-        AlgebraElement("su2", -t * X.value)
-        return frame(t)
-
-    return at
+    with np.errstate(over="ignore"):  # an entry past the floats is rejected next
+        x_plus_a0 = check_finite(X.value + A0.value)
+    return _rotating_frame(g0, x_plus_a0, X.value)
 
 
 def _commutator_guard(mats, nodes, tol):

@@ -3,7 +3,9 @@
 Elements store minimal coordinates (alpha, nu) / (r, gamma) / (z1..z4) rather
 than raw matrices, so membership invariants are checkable and small drift is
 renormalizable.  Constructors project inputs that violate the invariant by at
-most ``PROJECT_TOL`` and reject anything worse.
+most ``PROJECT_TOL`` and reject anything worse.  An e^|d| in exp_sb2 or an
+Iwasawa norm that leaves the floats is ValueError("non-finite matrix entry"),
+not the OverflowError or ZeroDivisionError of the scalar arithmetic.
 
 The exponentials are closed form.  The 2x2 one, `expm2_kernel`, uses the
 explicit eigenstructure of a 2x2 matrix instead of scaling-and-squaring, so
@@ -231,6 +233,17 @@ def _algebra_defect(kind: str, m: np.ndarray) -> float:
     return float(max(abs(m[1, 0]), abs(m[0, 0] + m[1, 1]), abs(m[0, 0].imag), abs(m[1, 1].imag)))
 
 
+def _inverse_norm(z, w) -> float:
+    """1/sqrt(|z|^2 + |w|^2), for a sum of squares inside the floats."""
+    try:
+        s = 1.0 / math.sqrt(abs(z) ** 2 + abs(w) ** 2)
+    except (OverflowError, ZeroDivisionError):  # a square overflows or the sum underflows to 0
+        s = 0.0
+    if s == 0.0:  # or the sum overflows to inf
+        raise ValueError("non-finite matrix entry")
+    return s
+
+
 def iwasawa_gu(a: SL2Element):
     """Factor a = g*u with g in SU(2), u in SB(2,C).
 
@@ -238,7 +251,7 @@ def iwasawa_gu(a: SL2Element):
         g = [[s*z1, -s*conj(z3)], [s*z3, s*conj(z1)]]
         u = [[1/s, s*(conj(z1)*z2 + conj(z3)*z4)], [0, s]]
     """
-    s = 1.0 / math.sqrt(abs(a.z1) ** 2 + abs(a.z3) ** 2)
+    s = _inverse_norm(a.z1, a.z3)
     g = _trusted(SU2Element, s * a.z1, s * a.z3)
     u = SB2Element(1.0 / s, s * (a.z1.conjugate() * a.z2 + a.z3.conjugate() * a.z4))
     return g, u
@@ -251,7 +264,7 @@ def iwasawa_ug(a: SL2Element):
         u = [[t, t*(z1*conj(z3) + z2*conj(z4))], [0, 1/t]]
         g = [[t*conj(z4), -t*conj(z3)], [t*z3, t*z4]]
     """
-    t = 1.0 / math.sqrt(abs(a.z3) ** 2 + abs(a.z4) ** 2)
+    t = _inverse_norm(a.z3, a.z4)
     u = SB2Element(t, t * (a.z1 * a.z3.conjugate() + a.z2 * a.z4.conjugate()))
     g = _trusted(SU2Element, t * a.z4.conjugate(), t * a.z3)
     return u, g
@@ -306,7 +319,10 @@ def exp_group(x: AlgebraElement):
 
 def exp_sb2(d: float, y: complex) -> SB2Element:
     """exp([[d, y], [0, -d]]) = [[e^d, y*sinhc(d)], [0, e^-d]] for real d."""
-    return SB2Element(math.exp(d), y * sinhc(d))
+    try:
+        return SB2Element(math.exp(d), y * sinhc(d))
+    except OverflowError:  # e^|d| past the floats
+        raise ValueError("non-finite matrix entry") from None
 
 
 def _as_rng(seed) -> np.random.Generator:

@@ -270,6 +270,7 @@ class Poly:
         return d
 
     def evaluate(self, point) -> complex:
+        """Value at a point of Python complex values, as poisson_point builds it."""
         monomials = self._monomials
         if monomials is None:
             # (coeff, ((name, k), ...)) with the zero exponents dropped,
@@ -283,7 +284,7 @@ class Poly:
         for c, powers in monomials:
             v = c
             for name, k in powers:
-                v *= complex(point[name]) ** k
+                v *= point[name] ** k
             total += v
         return total
 

@@ -18,7 +18,6 @@ import numpy as np
 
 __all__ = [
     "Trajectory",
-    "DriftReport",
     "NonFiniteStateError",
     "rk4_integrate",
     "simpson_rule",
@@ -54,28 +53,6 @@ class Trajectory:
 
     def __repr__(self):
         return f"Trajectory({len(self.times)} samples, dim {self.states.shape[1]})"
-
-
-class DriftReport:
-    """Per-invariant (initial value, max |f(y_t) - f(y_0)|, time of the max)."""
-
-    __slots__ = ("entries",)
-
-    def __init__(self, entries):
-        self.entries = dict(entries)
-        for name, (_, d, _) in self.entries.items():
-            if d < 0:
-                raise ValueError(f"negative drift for {name!r}")
-
-    def drift(self, name) -> float:
-        return self.entries[name][1]
-
-    def max_drift(self) -> float:
-        return max((v[1] for v in self.entries.values()), default=0.0)
-
-    def __repr__(self):
-        body = ", ".join(f"{k}: {v[1]:.3e}" for k, v in self.entries.items())
-        return f"DriftReport({body})"
 
 
 def rk4_integrate(field, y0, t0, t1, h) -> Trajectory:
@@ -150,15 +127,19 @@ def simpson_rule(t0, t1, n):
     return nodes, weights * (h / 3.0)
 
 
-def drift_report(traj: Trajectory, invariants) -> DriftReport:
-    """Max absolute drift of each named invariant along the trajectory."""
-    entries = {}
-    for name, f in invariants.items():
-        f0 = float(f(traj.states[0]))
-        worst, at = 0.0, traj.times[0]
-        for t, y in zip(traj.times, traj.states):
-            d = abs(float(f(y)) - f0)
-            if d > worst:
-                worst, at = d, t
-        entries[name] = (f0, worst, float(at))
-    return DriftReport(entries)
+def drift_report(traj: Trajectory, names, invariants) -> dict:
+    """{name: (initial value, max |f(y_t) - f(y_0)|, time of the max)} along traj.
+
+    invariants(y) returns one value per name and is called once per state; a row
+    of the wrong length is a ValueError.  A NaN deviation is never the max, and
+    the time is that of the first state to reach it.
+    """
+    values = np.array([invariants(y) for y in traj.states], dtype=float)
+    if values.shape != (len(traj), len(names)):
+        raise ValueError(f"invariants must return {len(names)} values per state")
+    with np.errstate(invalid="ignore"):  # inf - inf is a NaN deviation
+        dev = np.abs(values - values[0])
+    dev[np.isnan(dev)] = 0.0
+    first = dev.argmax(axis=0)
+    return {name: (float(values[0, k]), float(dev[i, k]), float(traj.times[i]))
+            for k, (name, i) in enumerate(zip(names, first))}

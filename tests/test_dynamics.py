@@ -13,6 +13,7 @@ from doubleflow.dynamics import (
     _commutator_guard,
     _momenta_su2_generator,
     _perturbed_x,
+    _rotating_frame,
     _sl2c_rates,
     action_angle_flow,
     casimir_flow,
@@ -411,6 +412,18 @@ def test_interaction_picture_matches_perturbed_factorization():
         np.testing.assert_allclose(at(t).as_matrix(), rhs.as_matrix(), atol=1e-13)
 
 
+def test_interaction_picture_accepts_every_t_of_a_near_su2_generator():
+    # X is su2 only to round-off (defect 2e-13): t·(X + A0) failed the su2
+    # check at t = 20, though the flow's element is in SU(2) there
+    g0 = random_element("su2", 15)
+    X = np.diag([0.25j + 1e-13, -0.25j - 1e-13])
+    A0 = np.array([[-0.7j, 0.1], [-0.1, 0.7j]])
+    at = interaction_picture_flow(g0, AlgebraElement("su2", X), AlgebraElement("su2", A0))
+    frame = _rotating_frame(g0, X + A0, X)
+    for t in (20.0, 100.0):
+        assert repr(at(t)) == repr(frame(t))
+
+
 def test_commuting_quadrature_constant_path():
     g0 = random_element("su2", 14)
     L = AlgebraElement("su2", np.array([[0.3j, 0.4], [-0.4, -0.3j]]))
@@ -601,9 +614,9 @@ def test_conservation_along_oracle_with_projection():
         z = flat_to_z(y)
         return abs(z[0] * z[3] - z[1] * z[2])
 
-    rep = drift_report(traj, {"H0": h0, "det": det_dev})
-    assert rep.drift("H0") < 1e-8
-    assert rep.drift("det") < 1e-8
+    rep = drift_report(traj, ("H0", "det"), lambda y: (h0(y), det_dev(y)))
+    assert rep["H0"][1] < 1e-8
+    assert rep["det"][1] < 1e-8
     _, u0 = iwasawa_gu(a0)
     for y in traj.states[::500]:
         _, u = iwasawa_gu(SL2Element(*flat_to_z(y)))
@@ -751,9 +764,25 @@ def test_sampler_rows_at_extreme_t_are_finite_or_raise(case):
     (lambda: legendre_invert(su2_of(0.0, 1e200)), "non-finite matrix entry"),
     (lambda: legendre_invert(su2_of(1e200, 0.0)), "non-finite matrix entry"),
     (lambda: legendre_invert(su2_of(1e200, 0.0), unreduced=True), "non-finite matrix entry"),
+    # X + A0 was a bare numpy add: an overflow warning, then the rows' checks
+    (lambda: interaction_picture_flow(SU2Element.identity(), *[AlgebraElement(
+        "su2", np.diag([1e308j, -1e308j]))] * 2), "^non-finite matrix entry$"),
+    # the free Hamiltonian's squares, r^-2 or their sum past the floats (an
+    # OverflowError, or an infinite value returned)
+    (lambda: free_hamiltonian(SB2Element(1e-200, 0.0)), "^non-finite matrix entry$"),
+    (lambda: free_hamiltonian(SB2Element(1.0, 1e200)), "^non-finite matrix entry$"),
+    (lambda: free_hamiltonian(SL2Element(1e200, 0, 0, 1e-200)), "^non-finite matrix entry$"),
+    (lambda: free_hamiltonian(SB2Element(1.3e154, 1.3e154)), "^non-finite matrix entry$"),
+    (lambda: free_hamiltonian(SL2Element(1.3e154, 1.3e154, 0, 1 / 1.3e154)),
+     "^non-finite matrix entry$"),
+    # exp(t·L) of the SB(2,C) part past the floats: "math range error"
+    (lambda: momenta_su2_flow(SB2Element(1.0, 0.0), 0.6, 0.8j, 1e10)(0.05),
+     "^non-finite matrix entry$"),
 ], ids=["fiber_t_1e308", "freq_zero_entry_t_inf", "legendre_r_1e200", "casimir_r_1e200",
         "legendre_F_1e308", "legendre_r_1e-200", "legendre_gamma_1e200",
-        "perturbed_r_1e-200", "invert_w_1e200", "invert_s_1e200", "invert_unreduced_s_1e200"])
+        "perturbed_r_1e-200", "invert_w_1e200", "invert_s_1e200", "invert_unreduced_s_1e200",
+        "interaction_x_plus_a0_1e308", "free_h_r_1e-200", "free_h_gamma_1e200",
+        "free_h_z1_1e200", "free_h_sb2_sum", "free_h_sl2_sum", "momenta_su2_F_1e10"])
 def test_non_finite_results_raise_without_a_numpy_warning(call, match):
     with pytest.raises(ValueError, match=match):
         call()
@@ -879,5 +908,5 @@ def test_sampler_checks_its_inputs_once_and_each_t():
     with pytest.raises(ValueError, match="non-finite matrix entry"), \
             np.errstate(over="ignore", invalid="ignore"):
         casimir_flow(g0, u0, 1e300)(10.0)
-    with pytest.raises(OverflowError):
+    with pytest.raises(ValueError, match="^non-finite matrix entry$"):
         momenta_su2_flow(u0, 0.6, 0.8j, 1e10)(0.05)

@@ -11,6 +11,7 @@ from doubleflow.groups import (
     SL2Element,
     SU2Element,
     exp_group,
+    exp_sb2,
     iwasawa_gu,
     iwasawa_ug,
     random_element,
@@ -123,6 +124,27 @@ def test_iwasawa_on_triangular_and_unitary_inputs():
     a = SL2Element.from_matrix(g.as_matrix())
     g3, u3 = iwasawa_gu(a)
     assert abs(u3.r - 1.0) < 1e-14 and abs(u3.gamma) < 1e-14
+
+
+# scalar arithmetic past the floats: each case raised OverflowError or
+# ZeroDivisionError, or a MembershipError about the wrong thing
+@pytest.mark.parametrize("call", [
+    lambda: exp_sb2(1e3, 1.0),
+    lambda: exp_sb2(-1e3, 1.0),
+    lambda: exp_group(AlgebraElement("sb2", [[800, 0], [0, -800]])),
+    lambda: iwasawa_gu(SL2Element(1e200, 0, 0, 1e-200)),
+    lambda: iwasawa_ug(SL2Element(1e-200, 0, 0, 1e200)),
+    lambda: iwasawa_gu(SL2Element(1e-200, -1e200, 1e-200, 0)),
+    lambda: iwasawa_ug(SL2Element(0, -1e200, 1e-200, 1e-200)),
+    # |z1|^2 + |z3|^2 overflows though each square is finite
+    lambda: iwasawa_gu(SL2Element(1.3e154, 0, 1.3e154, 1 / 1.3e154)),
+    lambda: iwasawa_ug(SL2Element(1 / 1.3e154, 0, 1.3e154, 1.3e154)),
+], ids=["exp_sb2_d_1e3", "exp_sb2_d_-1e3", "exp_group_sb2_800", "gu_z1_1e200", "ug_z4_1e200",
+        "gu_norm_underflows", "ug_norm_underflows", "gu_norm_sum_overflows",
+        "ug_norm_sum_overflows"])
+def test_arithmetic_past_the_floats_is_a_value_error(call):
+    with pytest.raises(ValueError, match="^non-finite matrix entry$"):
+        call()
 
 
 def test_algebra_element_validation():

@@ -327,7 +327,8 @@ def test_compiled_evaluate_is_bit_identical_to_reference():
             polys += [t.poly_bracket(zp[a], zp[b]) for a, b in itertools.combinations(zp, 2)]
         for point in _points(name):
             for poly in polys:
-                assert poly.evaluate(point) == _ref_evaluate(poly, point)
+                # repr tells the signs of zeros apart, which == does not
+                assert repr(poly.evaluate(point)) == repr(_ref_evaluate(poly, point))
 
 
 def test_memoized_symmetry_checks_are_bit_identical_to_reference():

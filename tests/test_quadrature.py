@@ -6,7 +6,6 @@ import pytest
 from doubleflow import dynamics as dyn
 from doubleflow.cli import _parse_params
 from doubleflow.quadrature import (
-    DriftReport,
     NonFiniteStateError,
     Trajectory,
     drift_report,
@@ -245,13 +244,11 @@ def test_simpson_converges_on_smooth_integrand():
 
 def test_drift_report_tracks_conserved_radius():
     traj = rk4_integrate(rotation_field, np.array([1.0, 0.0]), 0.0, 10.0, 1e-2)
-    rep = drift_report(traj, {
-        "radius": lambda y: math.hypot(y[0], y[1]),
-        "angle_rate": lambda y: y[0] ** 2 + y[1] ** 2,
-    })
-    assert rep.drift("radius") < 1e-10
-    assert rep.max_drift() < 1e-9
-    init, worst, at = rep.entries["radius"]
+    rep = drift_report(traj, ("radius", "angle_rate"),
+                       lambda y: (math.hypot(y[0], y[1]), y[0] ** 2 + y[1] ** 2))
+    assert rep["radius"][1] < 1e-10
+    assert max(d for _, d, _ in rep.values()) < 1e-9
+    init, worst, at = rep["radius"]
     assert init == pytest.approx(1.0)
     assert 0.0 <= at <= 10.0
 
@@ -260,7 +257,56 @@ def test_drift_report_reversal_invariance():
     # drift is an absolute deviation: reversing the trajectory cannot hide it
     times = np.linspace(0.0, 1.0, 11)
     states = np.stack([np.linspace(1.0, 2.0, 11), np.zeros(11)], axis=1)
-    rep = drift_report(Trajectory(times, states), {"x": lambda y: y[0]})
-    assert rep.drift("x") == pytest.approx(1.0)
+    rep = drift_report(Trajectory(times, states), ("x",), lambda y: (y[0],))
+    assert rep["x"][1] == pytest.approx(1.0)
     rev = Trajectory(times, states[::-1])
-    assert drift_report(rev, {"x": lambda y: y[0]}).drift("x") == pytest.approx(1.0)
+    assert drift_report(rev, ("x",), lambda y: (y[0],))["x"][1] == pytest.approx(1.0)
+
+
+def _ref_drift_report(traj, names, invariants):
+    """The per-name loop over the states, each invariant on its own."""
+    out = {}
+    for k, name in enumerate(names):
+        f0 = float(invariants(traj.states[0])[k])
+        worst, at = 0.0, traj.times[0]
+        for t, y in zip(traj.times, traj.states):
+            d = abs(float(invariants(y)[k]) - f0)
+            if d > worst:
+                worst, at = d, t
+        out[name] = (f0, worst, float(at))
+    return out
+
+
+def test_drift_report_calls_the_invariants_once_per_state():
+    traj = rk4_integrate(rotation_field, np.array([1.0, 0.0]), 0.0, 2.0, 1e-2)
+    calls = []
+
+    def invariants(y):
+        calls.append(1)
+        return dyn._casimir_extras([*y, 0.5, -0.25, 2.0, 1.0, 0.0, 0.3])
+
+    rep = drift_report(traj, ("H0", "det_re", "det_im"), invariants)
+    assert len(calls) == len(traj)
+    assert rep == _ref_drift_report(traj, ("H0", "det_re", "det_im"), invariants)
+
+
+def test_drift_report_keeps_the_loop_rules():
+    # the loop's bits and rules: a NaN deviation is never the max, a tie goes
+    # to the first state reaching the max, inf - inf is a NaN deviation
+    times = np.arange(6.0)
+    rows = [(1.0, math.nan, math.inf, -0.0), (3.0, 1.0, math.inf, 0.0),
+            (math.nan, 2.0, 1.0, 0.0), (-1.0, 0.0, math.inf, 0.0),
+            (0.1 + 0.2, math.inf, math.nan, 0.0), (2.5, -1.0, 2.0, 0.0)]
+    traj = Trajectory(times, np.array([[float(k)] for k in range(6)]))
+    names = ("a", "b", "c", "d")
+    rep = drift_report(traj, names, lambda y: rows[int(y[0])])
+    assert repr(rep) == repr(_ref_drift_report(traj, names, lambda y: rows[int(y[0])]))
+    assert rep["a"] == (1.0, 2.0, 1.0) and rep["d"] == (-0.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("rows", [[(1.0,)] * 3, [(1.0, 2.0, 3.0)] * 3,
+                                  [(1.0, 2.0), (1.0, 2.0), (1.0,)]])
+def test_drift_report_rejects_a_row_of_the_wrong_length(rows):
+    traj = Trajectory([0.0, 1.0, 2.0], [[0.0], [1.0], [2.0]])
+    with pytest.raises(ValueError):
+        drift_report(traj, ("x", "y"), lambda y: rows[int(y[0])])
