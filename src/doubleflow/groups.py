@@ -293,13 +293,17 @@ def expm2_kernel(m00, m01, m10, m11):
 
         exp(m) = e^mu * (cosh(delta)*I + sinhc(delta)*n).
 
-    Unchecked: the caller passes finite entries.  Cost is one scalar exp,
-    cosh, sinh.
+    The caller passes finite entries; one whose exp, cosh or sinh leaves the
+    floats (det(n) past them, say) is ValueError("non-finite matrix entry").
+    Cost is one scalar exp, cosh, sinh.
     """
     mu = (m00 + m11) / 2.0
     n00, n01, n10, n11 = m00 - mu * _ONE, m01 - mu * _ZERO, m10 - mu * _ZERO, m11 - mu * _ONE
     delta = cmath.sqrt(-(n00 * n11 - n01 * n10))
-    e, ch, sh = cmath.exp(mu), cmath.cosh(delta), sinhc(delta)
+    try:
+        e, ch, sh = cmath.exp(mu), cmath.cosh(delta), sinhc(delta)
+    except (ValueError, OverflowError):  # cmath's "math domain error" or "math range error"
+        raise ValueError("non-finite matrix entry") from None
     return (e * (ch * _ONE + sh * n00), e * (ch * _ZERO + sh * n01),
             e * (ch * _ZERO + sh * n10), e * (ch * _ONE + sh * n11))
 

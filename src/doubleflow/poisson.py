@@ -370,7 +370,7 @@ class BracketTable:
     def hamiltonian_field(self, eta, point):
         """Per-coordinate rates of the field Λ(η): rate(a) = Σ_b {a,b}(p)·η_b.
 
-        eta must supply a component for every coordinate of the system
+        eta must supply a number for every coordinate of the system
         (Wirtinger components in conjugate pairs for real 1-forms).
         """
         missing = [c for c in self.cs.coords if c not in eta]
@@ -379,8 +379,8 @@ class BracketTable:
         rates = {c: 0j for c in self.cs.coords}
         for (a, b), t in self.entries.items():
             v = t.evaluate(point)
-            rates[a] += v * complex(eta[b])
-            rates[b] -= v * complex(eta[a])
+            rates[a] += v * eta[b]
+            rates[b] -= v * eta[a]
         return rates
 
     def jacobi_poly(self, a, b, c) -> Poly:

@@ -10,8 +10,16 @@ and returns a sequence of as many floats (a length mismatch is a ValueError).
 Every stage and update sum is the float-for-float equivalent of its numpy
 array form, so the states have the bits of array arithmetic without paying
 numpy's dispatch on 3- to 9-element vectors.
+
+A step runs as straight-line code on named floats, compiled once per state
+length d the first time a state of that length is integrated (nothing is
+compiled at import).  States longer than MAX_STRAIGHT_DIM = 64, and the empty
+state, take one general step built from comprehensions.  Both do the same
+IEEE operations in the same order, so the bits and the length rule do not
+depend on which one runs.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -88,6 +96,7 @@ def rk4_integrate(field, y0, t0, t1, h) -> Trajectory:
     times[-1] = t1
     states = np.empty((n, y.size))
     states[0] = y
+    step_fn = _straight_step(y.size) if 0 < y.size <= MAX_STRAIGHT_DIM else _general_step
     y = y.tolist()
 
     def failed_at(k):
@@ -95,21 +104,58 @@ def rk4_integrate(field, y0, t0, t1, h) -> Trajectory:
 
     for k in range(1, n):
         step = h if k <= n_full else rest
-        half = 0.5 * step
         try:
-            k1 = field(y)
-            k2 = field([a + half * b for a, b in zip(y, k1, strict=True)])
-            k3 = field([a + half * b for a, b in zip(y, k2, strict=True)])
-            k4 = field([a + step * b for a, b in zip(y, k3, strict=True)])
+            y = step_fn(field, y, step, 0.5 * step, step / 6.0)
         except (OverflowError, ZeroDivisionError) as e:  # in the field's float arithmetic
             raise failed_at(k) from e
-        c = step / 6.0
-        y = [a + c * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-             for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4, strict=True)]
         if not all(map(math.isfinite, y)):
             raise failed_at(k)
         states[k] = y
     return Trajectory(times, states)
+
+
+# Longest state that gets a straight-line step.  Compiling one costs time and
+# memory linear in the length, and a config sets action_angle's length, so
+# longer states take the general step.
+MAX_STRAIGHT_DIM = 64
+
+
+def _general_step(field, y, step, half, c):
+    """One RK4 step of any state length, by comprehensions over the rates."""
+    k1 = field(y)
+    k2 = field([a + half * b for a, b in zip(y, k1, strict=True)])
+    k3 = field([a + half * b for a, b in zip(y, k2, strict=True)])
+    k4 = field([a + step * b for a, b in zip(y, k3, strict=True)])
+    return [a + c * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+            for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4, strict=True)]
+
+
+@functools.cache
+def _straight_step(d):
+    """_general_step for states of length d, as straight-line code on named floats.
+
+    Each sum is the general step's, term for term, so the states have the
+    same bits; a rate of another length fails to unpack, a ValueError.  The
+    state is unpacked after the field has seen it, as the comprehensions
+    read it.
+    """
+    def names(prefix):
+        return ", ".join(f"{prefix}{i}" for i in range(d)) + ","
+
+    def stage(coef, rate):
+        return ", ".join(f"y{i} + {coef} * {rate}{i}" for i in range(d))
+
+    update = ", ".join(f"y{i} + c * (a{i} + 2.0 * b{i} + 2.0 * e{i} + f{i})" for i in range(d))
+    source = (f"def step(field, y, step, half, c):\n"
+              f"    {names('a')} = field(y)\n"
+              f"    {names('y')} = y\n"
+              f"    {names('b')} = field([{stage('half', 'a')}])\n"
+              f"    {names('e')} = field([{stage('half', 'b')}])\n"
+              f"    {names('f')} = field([{stage('step', 'e')}])\n"
+              f"    return [{update}]\n")
+    namespace = {}
+    exec(compile(source, f"<rk4 step, d = {d}>", "exec"), namespace)
+    return namespace["step"]
 
 
 def simpson_rule(t0, t1, n):

@@ -576,6 +576,19 @@ def test_simulate_rejected_params_give_one_exact_error(tmp_path, doc, message, c
         assert not (tmp_path / "never.csv").exists()
 
 
+@pytest.mark.parametrize("system", ["casimir_sl2c", "perturbed"])
+def test_simulate_su2_exponent_past_the_floats_is_a_config_error(tmp_path, system, capsys):
+    # t·L with a det past the floats at the first row after t = 0: "math
+    # domain error" before, from cmath.cosh of an infinite delta
+    doc = {"system": system, "t1": 1e160, "dt": 1e159,
+           "params": {"u0": {"r": 1.0, "gamma": [0.5, 0]}}}
+    code, out = run_config(tmp_path, doc)
+    assert code == 2
+    assert capsys.readouterr().err == ("error: params: non-finite matrix entry "
+                                       "at t = 9.9999999999999993e+158\n")
+    assert not out.exists()
+
+
 def test_simulate_names_the_first_non_finite_row(tmp_path, monkeypatch, capsys):
     # a flow whose row at t = 0 is NaN and whose next row raises: the NaN row
     # is the one named, as each row is checked when it is built

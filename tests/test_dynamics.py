@@ -778,11 +778,22 @@ def test_sampler_rows_at_extreme_t_are_finite_or_raise(case):
     # exp(t·L) of the SB(2,C) part past the floats: "math range error"
     (lambda: momenta_su2_flow(SB2Element(1.0, 0.0), 0.6, 0.8j, 1e10)(0.05),
      "^non-finite matrix entry$"),
+    # an su(2) exponent whose det passes the floats: cmath.cosh of an infinite
+    # delta, a bare "math domain error"
+    (lambda: exp_group(AlgebraElement("su2", [[0, 1e300], [-1e300, 0]])),
+     "^non-finite matrix entry$"),
+    (lambda: exp_group(AlgebraElement("su2", [[1e200j, 0], [0, -1e200j]])),
+     "^non-finite matrix entry$"),
+    (lambda: casimir_flow(SU2Element.identity(), SB2Element(1.0, 0.5), 1.0)(1e159),
+     "^non-finite matrix entry$"),
+    (lambda: perturbed_flow(SU2Element.identity(), SB2Element(1.0, 0.5), 1.0, 0.1)(1e159),
+     "^non-finite matrix entry$"),
 ], ids=["fiber_t_1e308", "freq_zero_entry_t_inf", "legendre_r_1e200", "casimir_r_1e200",
         "legendre_F_1e308", "legendre_r_1e-200", "legendre_gamma_1e200",
         "perturbed_r_1e-200", "invert_w_1e200", "invert_s_1e200", "invert_unreduced_s_1e200",
         "interaction_x_plus_a0_1e308", "free_h_r_1e-200", "free_h_gamma_1e200",
-        "free_h_z1_1e200", "free_h_sb2_sum", "free_h_sl2_sum", "momenta_su2_F_1e10"])
+        "free_h_z1_1e200", "free_h_sb2_sum", "free_h_sl2_sum", "momenta_su2_F_1e10",
+        "exp_su2_offdiag_1e300", "exp_su2_diag_1e200", "casimir_t_1e159", "perturbed_t_1e159"])
 def test_non_finite_results_raise_without_a_numpy_warning(call, match):
     with pytest.raises(ValueError, match=match):
         call()

@@ -149,6 +149,31 @@ def test_hamiltonian_field_matches_transcribed_rates():
             assert abs(rates[f"z{i+1}c"] - expect[i].conjugate()) < 1e-12
 
 
+def _ref_hamiltonian_field(table, eta, point):
+    """hamiltonian_field with each covector component passed through complex()."""
+    rates = {c: 0j for c in table.cs.coords}
+    for (a, b), t in table.entries.items():
+        v = t.evaluate(point)
+        rates[a] += v * complex(eta[b])
+        rates[b] -= v * complex(eta[a])
+    return rates
+
+
+@pytest.mark.parametrize("name", SYSTEMS)
+def test_hamiltonian_field_bitwise_matches_complex_conversion(name):
+    table = get_table(name)
+    coords = table.cs.coords
+    f = Poly.from_monomials(table.cs, [(0.5 + k - 0.25j * k, {a: 1, b: 1 + k % 2})
+                                       for k, (a, b) in enumerate(zip(coords, coords[1:]))])
+    float_eta = {c: 0.37 * k - 1.1 for k, c in enumerate(coords)}
+    for seed in range(5):
+        p = random_point(name, seed)
+        for eta in (gradient_covector(f, p), float_eta):
+            got, want = table.hamiltonian_field(eta, p), _ref_hamiltonian_field(table, eta, p)
+            assert list(got) == list(want)
+            assert np.array(list(got.values())).tobytes() == np.array(list(want.values())).tobytes()
+
+
 def test_hamiltonian_field_requires_full_covector():
     tz = get_table("sl2c")
     p = random_point("sl2c", 0)

@@ -1,11 +1,17 @@
+import hashlib
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import doubleflow
 from doubleflow import dynamics as dyn
 from doubleflow.cli import _parse_params
 from doubleflow.quadrature import (
+    MAX_STRAIGHT_DIM,
     NonFiniteStateError,
     Trajectory,
     drift_report,
@@ -158,6 +164,147 @@ def test_rk4_on_system_fields_bitwise_matches_array_loop(system, given, seed):
     times, states = reference_rk4(lambda y: np.asarray(field(y)), y0, 0.0, 0.8, 3e-3)
     assert traj.times.tobytes() == times.tobytes()
     assert traj.states.tobytes() == states.tobytes()
+    # 500 steps against the comprehension stepper
+    traj = rk4_integrate(field, y0, 0.0, 500 * 2e-3, 2e-3)
+    times, states = comprehension_rk4(field, y0, 0.0, 500 * 2e-3, 2e-3)
+    assert len(times) == 501
+    assert traj.times.tobytes() == times.tobytes()
+    assert traj.states.tobytes() == states.tobytes()
+
+
+def comprehension_rk4(field, y0, t0, t1, h):
+    """rk4_integrate's grid with its step as comprehensions over strict zips."""
+    y = np.array(y0, dtype=float).ravel()
+    n_full = int(math.floor((t1 - t0) / h + 1e-12))
+    rest = t1 - (t0 + n_full * h)
+    partial = n_full == 0 or rest > 1e-12 * max(abs(t0), abs(t1))
+    n = n_full + 1 + partial
+    times = t0 + np.arange(n) * h
+    times[-1] = t1
+    states = np.empty((n, y.size))
+    states[0] = y
+    y = y.tolist()
+    for k in range(1, n):
+        step = h if k <= n_full else rest
+        half = 0.5 * step
+        k1 = field(y)
+        k2 = field([a + half * b for a, b in zip(y, k1, strict=True)])
+        k3 = field([a + half * b for a, b in zip(y, k2, strict=True)])
+        k4 = field([a + step * b for a, b in zip(y, k3, strict=True)])
+        c = step / 6.0
+        y = [a + c * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+             for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4, strict=True)]
+        states[k] = y
+    return times, states
+
+
+def linear_field(d, seed, kind):
+    """y -> A·y for a seeded A, summed on Python floats, returned as kind."""
+    rows = (np.random.default_rng(seed).standard_normal((d, d)) / max(d, 1)).tolist()
+
+    def field(y):
+        return kind([math.fsum(a * x for a, x in zip(row, y)) for row in rows])
+
+    return field
+
+
+STATE_LENGTHS = [*range(17), MAX_STRAIGHT_DIM - 1, MAX_STRAIGHT_DIM, MAX_STRAIGHT_DIM + 1, 100]
+
+
+@pytest.mark.parametrize("kind", [list, tuple, np.array])
+@pytest.mark.parametrize("d", STATE_LENGTHS)
+def test_rk4_step_bitwise_matches_comprehensions_at_every_length(d, kind):
+    field = linear_field(d, d, kind)
+    y0 = np.random.default_rng(100 + d).standard_normal(d).tolist()
+    # a partial final step, and h past t1 - t0 (one step of t1 - t0)
+    for t0, t1, h in ((0.0, 0.37, 0.05), (-0.2, 0.1, 0.5)):
+        traj = rk4_integrate(field, y0, t0, t1, h)
+        times, states = comprehension_rk4(field, y0, t0, t1, h)
+        assert traj.times.tobytes() == times.tobytes()
+        assert traj.states.tobytes() == states.tobytes()
+        assert traj.states.shape == (len(times), d)
+
+
+@pytest.mark.parametrize("d", [2, MAX_STRAIGHT_DIM, MAX_STRAIGHT_DIM + 1])
+@pytest.mark.parametrize("stage", [1, 2, 3, 4])
+@pytest.mark.parametrize("off", [-1, 1])
+def test_rk4_rate_of_the_wrong_length_at_any_stage_is_a_value_error(d, stage, off):
+    def make():
+        calls = []
+
+        def field(y):
+            calls.append(None)
+            # the second step's evaluations are 5 to 8
+            return [0.5] * (d + off if len(calls) == 4 + stage else d)
+
+        return field
+
+    with pytest.raises(ValueError):
+        rk4_integrate(make(), [1.0] * d, 0.0, 1.0, 0.25)
+    with pytest.raises(ValueError):
+        comprehension_rk4(make(), [1.0] * d, 0.0, 1.0, 0.25)
+
+
+@pytest.mark.parametrize("d", [1, MAX_STRAIGHT_DIM + 1])
+@pytest.mark.parametrize("stage", [1, 2, 3, 4])
+def test_rk4_field_arithmetic_error_at_any_stage_is_nonfinite_at_its_step(d, stage):
+    calls = []
+
+    def field(y):
+        calls.append(None)
+        # the third step's evaluations are 9 to 12
+        if len(calls) == 8 + stage:
+            raise OverflowError("in the field")
+        return [1.0] * d
+
+    with pytest.raises(NonFiniteStateError) as err:
+        rk4_integrate(field, [0.0] * d, 0.0, 1.0, 0.25)
+    assert err.value.time == 0.75
+
+
+def test_rk4_compiles_a_step_only_for_a_length_it_integrates():
+    # a fresh interpreter: importing the package and the CLI compiles nothing,
+    # a state past MAX_STRAIGHT_DIM takes the general step, a short one compiles
+    src = str(Path(doubleflow.__file__).resolve().parent.parent)
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import doubleflow, doubleflow.cli; "
+            "from doubleflow.quadrature import _straight_step, rk4_integrate; "
+            "sizes = [_straight_step.cache_info().currsize]; "
+            "rk4_integrate(lambda y: [0.0] * 100, [1.0] * 100, 0.0, 1.0, 0.5); "
+            "sizes.append(_straight_step.cache_info().currsize); "
+            "rk4_integrate(lambda y: [0.0] * 3, [1.0] * 3, 0.0, 1.0, 0.5); "
+            "sizes.append(_straight_step.cache_info().currsize); print(sizes)")
+    out = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True,
+                         check=True).stdout
+    assert out == "[0, 0, 1]\n"
+
+
+# sha256 of states.tobytes() over 1,000 steps of 2^-10 from fixed starts, as
+# the comprehension stepper computed them; these fields call no BLAS, so the
+# digests hold under every OpenBLAS kernel
+ALPHA, NU, R, GAMMA = 0.6 + 0.0j, 0.8j, 1.3, 0.4 - 0.2j
+Z = (ALPHA * R, ALPHA * GAMMA - NU.conjugate() / R, NU * R, NU * GAMMA + ALPHA.conjugate() / R)
+DOUBLE = [ALPHA.real, ALPHA.imag, NU.real, NU.imag, R, GAMMA.real, GAMMA.imag]
+PINNED_TRAJECTORIES = {
+    "casimir_sl2c": ({"F": 1.0}, [x for z in Z for x in (z.real, z.imag)],
+                     "71b095a82725ca835f3ab3e542235cfe3fbb1383ca4c75a1f56b2fbcb262fa61"),
+    "noncasimir_h": ({}, DOUBLE,
+                     "81c77549e624911e75254095bfbd7cc8242211e28351bbff66bbf664e2077186"),
+    "momenta_su2": ({"alpha": ALPHA, "nu": NU, "F": 1.0}, [R, GAMMA.real, GAMMA.imag],
+                    "39f78f9bad2d783394c6c5dd2c46d9d34633cf8450b4d2ab7cc05a5e26a96a0b"),
+    "perturbed": ({"F": 1.0, "lam": 0.1}, DOUBLE,
+                  "250bf0ed74adf96060c2f53e6045e28421b991f495b435f8d6e5ecec707e4ed7"),
+    "action_angle": ({"I0": [1.0, 2.0], "freq": [0.3, -1.7], "matrix": None},
+                     [1.0, 2.0, 0.1, 0.2],
+                     "ce25cd59c39ce941e1622dc45e8a32bdeb6f62153f38999c65caa525f4803148"),
+}
+
+
+@pytest.mark.parametrize("system", PINNED_TRAJECTORIES)
+def test_rk4_trajectories_are_pinned(system):
+    params, y0, digest = PINNED_TRAJECTORIES[system]
+    traj = rk4_integrate(dyn.SYSTEMS[system].field(params), y0, 0.0, 1000 / 1024, 1 / 1024)
+    assert len(traj) == 1001 and np.isfinite(traj.states).all()
+    assert hashlib.sha256(traj.states.tobytes()).hexdigest() == digest
 
 
 def test_rk4_nonfinite_time_when_a_stage_sum_overflows():
