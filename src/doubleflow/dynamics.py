@@ -10,6 +10,11 @@ at(t) -> FlowState, which does only the t-dependent arithmetic.
 The SU(2) rows exponentiate with groups.expm2_kernel on Python complex
 scalars; the rotator's rows with rodrigues3_kernel, the axis-angle closed
 form of exp(t·hat3(p)), whose inputs rotator_flow checks once.
+
+No *_flat_field runs numpy scalar arithmetic per evaluation: the SU(2)·SB(2,C)
+fields work on Python floats and complex numbers (momenta_su2_flat_field's
+floats do numpy's complex128 scalar operations, so its bits are numpy's) and
+the rotator's one product is np.dot.
 """
 
 import cmath
@@ -289,13 +294,11 @@ def rotator_flow(g0, p, F) -> Callable:
     if defect > PROJECT_TOL:
         raise MembershipError(f"g0 fails the rotation check by {defect:.3e}")
     p, F = _finite_array(p, "p", (3,)), float(F)
-    with np.errstate(over="ignore", invalid="ignore"):
-        fp = F * p
-        p_sq, norm = float(p.dot(p)), float(np.linalg.norm(fp))
+    with np.errstate(over="ignore"):
+        p_sq = float(p.dot(p))
     if p.any() and not np.finfo(float).tiny <= p_sq < math.inf:
         raise ValueError("p must be 0 or have |p|^2 in the normal floats")
-    if not math.isfinite(norm):
-        raise ValueError("F must be finite and keep |F p|^2 finite")
+    fp, norm = _scaled_axis(p, F)
     p_norm, k = math.sqrt(p_sq), hat3(fp)
 
     def at(t):
@@ -305,12 +308,27 @@ def rotator_flow(g0, p, F) -> Callable:
     return at
 
 
+def _scaled_axis(p, F: float):
+    """F·p and |F·p| for a checked 3-vector p; a ValueError names F unless |F·p|² is finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        fp = F * p
+        norm = float(np.linalg.norm(fp))
+    if not math.isfinite(norm):
+        raise ValueError("F must be finite and keep |F p|^2 finite")
+    return fp, norm
+
+
 def rotator_flat_field(p, F):
-    """ġ = g·hat(F·p) on the flattened 9-real rotation matrix."""
-    k = hat3(float(F) * _finite_array(p, "p", (3,)))
+    """ġ = g·hat(F·p) on the flattened 9-real rotation matrix.
+
+    F·p is checked as rotator_flow checks it, once.  np.dot makes the
+    cblas_dgemm call that @ makes, without the gufunc dispatch.
+    """
+    F = float(F)
+    k = hat3(_scaled_axis(_finite_array(p, "p", (3,)), F)[0])
 
     def field(y):
-        return (np.array(y).reshape(3, 3) @ k).ravel().tolist()
+        return np.dot(np.array(y).reshape(3, 3), k).ravel().tolist()
 
     return field
 
@@ -346,14 +364,23 @@ def momenta_su2_flow(u0: SB2Element, alpha, nu, F) -> Callable:
 
 
 def momenta_su2_flat_field(alpha, nu, F):
-    """u̇ = L·u on the flattened (r, Re γ, Im γ) state."""
-    L = _momenta_su2_generator(complex(alpha), complex(nu), F)
-    x, y = L[0, 0].real, L[0, 1]
+    """u̇ = L·u on the flattened (r, Re γ, Im γ) state.
+
+    γ̇ = x·γ + y/r, x = L[0, 0] and y = L[0, 1], on Python floats: each part
+    is the IEEE operation sequence of numpy's complex128 scalar arithmetic
+    (x·γ as (x + 0j)·γ, y/r as numpy divides by (r + 0j)), so the bits are
+    numpy's; the 0.0 terms keep numpy's signed zeros, and its NaNs where a
+    part is infinite.  An r of 0 is a ZeroDivisionError.
+    """
+    (l00, l01), _ = _momenta_su2_generator(complex(alpha), complex(nu), F).tolist()
+    x, yr, yi = l00.real, l01.real, l01.imag
 
     def field(st):
-        r, gamma = st[0], complex(st[1], st[2])
-        gdot = x * gamma + y / r
-        return [float(x * r), float(gdot.real), float(gdot.imag)]
+        r, gr, gi = st
+        rat = 0.0 / r
+        scl = 1.0 / (r + 0.0 * rat)
+        return [x * r, (x * gr - 0.0 * gi) + (yr + yi * rat) * scl,
+                (x * gi + 0.0 * gr) + (yi - yr * rat) * scl]
 
     return field
 

@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from doubleflow.dynamics import (
     CommutativityError,
     FlowState,
     _commutator_guard,
+    _finite_array,
     _momenta_su2_generator,
     _perturbed_x,
     _rotating_frame,
@@ -47,7 +49,7 @@ from doubleflow.groups import (
     iwasawa_gu,
     random_element,
 )
-from doubleflow.quadrature import drift_report, rk4_integrate, simpson_rule
+from doubleflow.quadrature import NonFiniteStateError, drift_report, rk4_integrate, simpson_rule
 
 E12 = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 
@@ -309,6 +311,89 @@ def test_sl2c_flat_field_is_bitwise_the_complex_rates():
             y = rng.standard_normal(8)
             want = z_to_flat(*_sl2c_rates(*flat_to_z(y), F))
             assert np.asarray(field(y)).tobytes() == want.tobytes()
+
+
+def momenta_su2_field_reference(alpha, nu, F):
+    """momenta_su2_flat_field as it was on numpy scalars, kept as the bit reference."""
+    L = _momenta_su2_generator(complex(alpha), complex(nu), F)
+    x, y = L[0, 0].real, L[0, 1]
+
+    def field(st):
+        r, gamma = st[0], complex(st[1], st[2])
+        gdot = x * gamma + y / r
+        return [float(x * r), float(gdot.real), float(gdot.imag)]
+
+    return field
+
+
+@pytest.mark.parametrize("F", [0.0, 1.3, -1.3, 1e308])
+def test_momenta_su2_flat_field_bitwise_matches_numpy_scalars(F):
+    # 5,000 states per F: r at both ends of the floats and gamma parts with
+    # signed zeros, where a float rewrite can drift while == still holds, or
+    # infinite, where a 0.0 * term makes a NaN; alpha = 0 or Re nu = Im nu
+    # makes both parts of L[0, 1] signed zeros
+    rng = np.random.default_rng(41)
+    diagonal = 0.4 * math.sqrt(2.0) * (1.0 + 1.0j)
+    pairs = [(0.0, 1.0), (0.0, -1.0j), (0.6, diagonal), (-0.6, -diagonal)]
+    pairs += [(g.alpha, g.nu) for g in (random_element("su2", rng) for _ in range(46))]
+    got, want = [], []
+    for alpha, nu in pairs:
+        field, reference = momenta_su2_flat_field(alpha, nu, F), \
+            momenta_su2_field_reference(alpha, nu, F)
+        for _ in range(100):
+            st = [float(rng.choice([5e-324, 1e-300, 1.0, 1e300])),
+                  *(float(rng.choice([0.0, -0.0, -math.inf, rng.standard_normal()]))
+                    for _ in range(2))]
+            got.append(field(st))
+            with np.errstate(all="ignore"):  # 1/r and x*r past the floats
+                want.append(reference(st))
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
+def test_momenta_su2_field_zero_r_at_a_stage_is_nonfinite_at_its_step():
+    # L[0, 0] = -2000, so the second stage of the first step of 1e-3 has
+    # r = 1 - 1 = 0; numpy's division warned there, the float one raises
+    field = momenta_su2_flat_field(0.0, 1.0, 4000.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteStateError) as err:
+            rk4_integrate(field, [1.0, 0.5, 0.2], 0.0, 0.01, 0.001)
+    assert err.value.time == 0.001
+
+
+def rotator_field_reference(p, F):
+    """rotator_flat_field as it was, through @, kept as the bit reference."""
+    k = hat3(float(F) * _finite_array(p, "p", (3,)))
+
+    def field(y):
+        return (np.array(y).reshape(3, 3) @ k).ravel().tolist()
+
+    return field
+
+
+def test_rotator_flat_field_pinned_bitwise_matches_matmul():
+    # np.dot and @ make the same dgemm call, so the bits agree under every
+    # OpenBLAS kernel; 2,000 fields at 10 states each
+    rng = np.random.default_rng(42)
+    got, want = [], []
+    for _ in range(2000):
+        p, F = rng.standard_normal(3), float(rng.choice([0.0, 1.3, -1.3, 1e150]))
+        field, reference = rotator_flat_field(p, F), rotator_field_reference(p, F)
+        for _ in range(10):
+            y = (rng.standard_normal(9) * 10.0 ** rng.integers(-8, 9)).tolist()
+            got.append(field(y))
+            want.append(reference(y))
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
+@pytest.mark.parametrize("p, F", [([1e150, 0.0, 0.0], 1e10), ([1.0, 0.0, 0.0], math.inf),
+                                  ([1.0, 0.0, 0.0], math.nan), ([0.0, 0.0, 0.0], math.inf)])
+def test_rotator_field_checks_F_p_when_built_as_the_flow_does(p, F):
+    # the field once built with inf or NaN entries (after a numpy warning)
+    # and failed only at the first RK4 step
+    for build in (lambda: rotator_flow(np.eye(3), p, F), lambda: rotator_flat_field(p, F)):
+        with pytest.raises(ValueError, match=r"^F must be finite and keep \|F p\|\^2 finite$"):
+            build()
 
 
 def test_rotator_flow_examples():
@@ -797,6 +882,29 @@ def test_sampler_rows_at_extreme_t_are_finite_or_raise(case):
 def test_non_finite_results_raise_without_a_numpy_warning(call, match):
     with pytest.raises(ValueError, match=match):
         call()
+
+
+ALPHA, NU, R, GAMMA = 0.6 + 0.0j, 0.8j, 1.3, 0.4 - 0.2j
+F_TAKING_FIELD_STARTS = {
+    "casimir_sl2c": ({}, z_to_flat(*(SU2Element(ALPHA, NU).as_matrix()
+                                     @ SB2Element(R, GAMMA).as_matrix()).ravel())),
+    "rotator": ({"p": [0.3, -0.5, 0.8]}, np.eye(3).ravel()),
+    "momenta_su2": ({"alpha": ALPHA, "nu": NU}, [R, GAMMA.real, GAMMA.imag]),
+    "perturbed": ({"lam": 0.1}, [ALPHA.real, ALPHA.imag, NU.real, NU.imag, R, GAMMA.real,
+                                 GAMMA.imag]),
+}
+
+
+@pytest.mark.parametrize("F", [math.inf, math.nan, 1e308], ids=["inf", "nan", "1e308"])
+@pytest.mark.parametrize("system", F_TAKING_FIELD_STARTS)
+def test_oracle_fields_past_the_floats_raise_typed_errors_without_a_numpy_warning(system, F):
+    # momenta_su2 (NaN, 1e308) and rotator (inf, 1e308) once raised numpy's
+    # RuntimeWarning here, and without -W error stepped on inf or NaN rates
+    params, y0 = F_TAKING_FIELD_STARTS[system]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises((ValueError, NonFiniteStateError)):
+            rk4_integrate(SYSTEMS[system].field({**params, "F": F}), y0, 0.0, 10 * 0.01, 0.01)
 
 
 def su2_of(s, w):

@@ -280,28 +280,34 @@ def test_rk4_compiles_a_step_only_for_a_length_it_integrates():
 
 # sha256 of states.tobytes() over 1,000 steps of 2^-10 from fixed starts, as
 # the comprehension stepper computed them; these fields call no BLAS, so the
-# digests hold under every OpenBLAS kernel
+# digests hold under every OpenBLAS kernel.  momenta_su2 at F = 0 from
+# gamma0 = (-0.0, 0.0) has rates that are signed zeros, where a float rewrite
+# of a field can drift while every == still holds.
 ALPHA, NU, R, GAMMA = 0.6 + 0.0j, 0.8j, 1.3, 0.4 - 0.2j
 Z = (ALPHA * R, ALPHA * GAMMA - NU.conjugate() / R, NU * R, NU * GAMMA + ALPHA.conjugate() / R)
 DOUBLE = [ALPHA.real, ALPHA.imag, NU.real, NU.imag, R, GAMMA.real, GAMMA.imag]
 PINNED_TRAJECTORIES = {
-    "casimir_sl2c": ({"F": 1.0}, [x for z in Z for x in (z.real, z.imag)],
+    "casimir_sl2c": ("casimir_sl2c", {"F": 1.0}, [x for z in Z for x in (z.real, z.imag)],
                      "71b095a82725ca835f3ab3e542235cfe3fbb1383ca4c75a1f56b2fbcb262fa61"),
-    "noncasimir_h": ({}, DOUBLE,
+    "noncasimir_h": ("noncasimir_h", {}, DOUBLE,
                      "81c77549e624911e75254095bfbd7cc8242211e28351bbff66bbf664e2077186"),
-    "momenta_su2": ({"alpha": ALPHA, "nu": NU, "F": 1.0}, [R, GAMMA.real, GAMMA.imag],
+    "momenta_su2": ("momenta_su2", {"alpha": ALPHA, "nu": NU, "F": 1.0},
+                    [R, GAMMA.real, GAMMA.imag],
                     "39f78f9bad2d783394c6c5dd2c46d9d34633cf8450b4d2ab7cc05a5e26a96a0b"),
-    "perturbed": ({"F": 1.0, "lam": 0.1}, DOUBLE,
+    "momenta_su2_signed_zeros": ("momenta_su2", {"alpha": ALPHA, "nu": NU, "F": 0.0},
+                                 [R, -0.0, 0.0],
+                                 "ef39c3e65e90d0586ed1d4c1b98f5e50f3fed30ac3b4fd06782fb79237fc6782"),
+    "perturbed": ("perturbed", {"F": 1.0, "lam": 0.1}, DOUBLE,
                   "250bf0ed74adf96060c2f53e6045e28421b991f495b435f8d6e5ecec707e4ed7"),
-    "action_angle": ({"I0": [1.0, 2.0], "freq": [0.3, -1.7], "matrix": None},
+    "action_angle": ("action_angle", {"I0": [1.0, 2.0], "freq": [0.3, -1.7], "matrix": None},
                      [1.0, 2.0, 0.1, 0.2],
                      "ce25cd59c39ce941e1622dc45e8a32bdeb6f62153f38999c65caa525f4803148"),
 }
 
 
-@pytest.mark.parametrize("system", PINNED_TRAJECTORIES)
-def test_rk4_trajectories_are_pinned(system):
-    params, y0, digest = PINNED_TRAJECTORIES[system]
+@pytest.mark.parametrize("case", PINNED_TRAJECTORIES)
+def test_rk4_trajectories_are_pinned(case):
+    system, params, y0, digest = PINNED_TRAJECTORIES[case]
     traj = rk4_integrate(dyn.SYSTEMS[system].field(params), y0, 0.0, 1000 / 1024, 1 / 1024)
     assert len(traj) == 1001 and np.isfinite(traj.states).all()
     assert hashlib.sha256(traj.states.tobytes()).hexdigest() == digest
