@@ -287,11 +287,12 @@ def rotator_flow(g0, p, F) -> Callable:
         raise MembershipError("g0 must be a 3x3 rotation matrix")
     if not np.isfinite(g0).all():
         raise MembershipError("g0 must be finite")
-    defect = max(
-        float(np.max(np.abs(g0.T @ g0 - np.eye(3)))),
-        abs(float(np.linalg.det(g0)) - 1.0),
-    )
-    if defect > PROJECT_TOL:
+    with np.errstate(all="ignore"):  # an inf or NaN defect fails the check
+        defect = max(
+            float(np.max(np.abs(g0.T @ g0 - np.eye(3)))),
+            abs(float(np.linalg.det(g0)) - 1.0),
+        )
+    if not defect <= PROJECT_TOL:
         raise MembershipError(f"g0 fails the rotation check by {defect:.3e}")
     p, F = _finite_array(p, "p", (3,)), float(F)
     with np.errstate(over="ignore"):
@@ -660,7 +661,11 @@ def _flat_double(alpha, nu, u):
 def _casimir_extras(y):
     z1, z2, z3, z4 = flat_to_z(y)
     det = z1 * z4 - z2 * z3
-    return [0.5 * (abs(z1) ** 2 + abs(z2) ** 2 + abs(z3) ** 2 + abs(z4) ** 2), det.real, det.imag]
+    try:
+        h0 = 0.5 * (abs(z1) ** 2 + abs(z2) ** 2 + abs(z3) ** 2 + abs(z4) ** 2)
+    except OverflowError:  # a square past the floats
+        h0 = math.inf
+    return [h0, det.real, det.imag]
 
 
 def _action_angle_columns(p):

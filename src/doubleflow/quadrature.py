@@ -72,9 +72,9 @@ def rk4_integrate(field, y0, t0, t1, h) -> Trajectory:
     form, y + (h/2)·k1, ..., y + (h/6)·(k1 + 2·k2 + 2·k3 + k4), so each state
     has the bits numpy's elementwise arithmetic gives.  The trajectory
     starts at t0 and ends at t1 after at least one step.  Raises
-    NonFiniteStateError, with the time of the step's end, the first time a
-    state stops being finite or the field raises OverflowError or
-    ZeroDivisionError.
+    NonFiniteStateError at the first step whose state is not finite or whose
+    field raises OverflowError or ZeroDivisionError, timed at the step's end,
+    with no numpy RuntimeWarning before it.
     """
     if not all(map(math.isfinite, (t0, t1, h))):
         raise ValueError("t0, t1 and h must be finite")
@@ -102,15 +102,16 @@ def rk4_integrate(field, y0, t0, t1, h) -> Trajectory:
     def failed_at(k):
         return NonFiniteStateError(t1 if k > n_full else t0 + k * h)
 
-    for k in range(1, n):
-        step = h if k <= n_full else rest
-        try:
-            y = step_fn(field, y, step, 0.5 * step, step / 6.0)
-        except (OverflowError, ZeroDivisionError) as e:  # in the field's float arithmetic
-            raise failed_at(k) from e
-        if not all(map(math.isfinite, y)):
-            raise failed_at(k)
-        states[k] = y
+    with np.errstate(over="ignore", invalid="ignore"):  # a numpy field's inf or NaN fails below
+        for k in range(1, n):
+            step = h if k <= n_full else rest
+            try:
+                y = step_fn(field, y, step, 0.5 * step, step / 6.0)
+            except (OverflowError, ZeroDivisionError) as e:  # in the field's float arithmetic
+                raise failed_at(k) from e
+            if not all(map(math.isfinite, y)):
+                raise failed_at(k)
+            states[k] = y
     return Trajectory(times, states)
 
 

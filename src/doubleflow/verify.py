@@ -17,6 +17,7 @@ from .groups import (
     AlgebraElement,
     SB2Element,
     SU2Element,
+    _algebra_defect,
     exp_group,
     iwasawa_gu,
     iwasawa_ug,
@@ -202,7 +203,7 @@ def suite_legendre(seed, samples):
         u = random_element("sb2", rng)
         v = dyn.legendre_map(u, 1.0)
         m = v.value
-        in_su2 = max(in_su2, float(np.abs(m + np.conj(m.T)).max()), abs(m[0, 0] + m[1, 1]))
+        in_su2 = max(in_su2, _algebra_defect("su2", m))
         u2 = dyn.legendre_invert(v)
         round_trip = max(round_trip, abs(u2.r - u.r), abs(u2.gamma - u.gamma))
         u3 = dyn.legendre_invert(v, unreduced=True)

@@ -567,6 +567,13 @@ def test_legendre_rejects_extreme_flags(argv, flag, capsys):
     ({"system": "noncasimir_h", "params": {"u0": {"r": 1e-200, "gamma": [0, 0]},
                                            "alpha0": [1, 0], "nu0": [1e-100, 0]}},
      "params: nu0 must be 0 or have r0 |nu0|^2 in the normal floats"),
+    # |z|^2 of the H0 column past the floats at a finite row: "(34, 'Numerical
+    # result out of range')" before
+    ({"system": "casimir_sl2c", "t1": 0.1, "dt": 0.05,
+      "params": {"g0": {"alpha": math.cos(math.atan2(1.25, 0.7)),
+                        "nu": -math.sin(math.atan2(1.25, 0.7))},
+                 "u0": {"r": 8e-155, "gamma": 7e153}}},
+     "params: the flow leaves the finite floats at t = 0"),
 ])
 def test_simulate_rejected_params_give_one_exact_error(tmp_path, doc, message, capsys):
     for extra in ((), ("--oracle",)):

@@ -873,12 +873,25 @@ def test_sampler_rows_at_extreme_t_are_finite_or_raise(case):
      "^non-finite matrix entry$"),
     (lambda: perturbed_flow(SU2Element.identity(), SB2Element(1.0, 0.5), 1.0, 0.1)(1e159),
      "^non-finite matrix entry$"),
+    # g0^T g0 past the floats in the rotation check: an overflow warning, and
+    # a divide-by-zero warning from det
+    (lambda: rotator_flow(np.diag([1e160, 1.0, 1.0]), [0.0, 0.0, 1.0], 1.0),
+     "^g0 fails the rotation check by inf$"),
+    (lambda: rotator_flow([[1e-160, 1.7e308, -1.7e308], [1e-160, 1.7e308, -1.7e308],
+                           [0.0, 5e-324, 1.0]], [0.0, 0.0, 1.0], 1.0),
+     "^g0 fails the rotation check by inf$"),
+    # inf + -inf in g0^T g0: an OpenBLAS kernel without FMA makes it NaN,
+    # which passed a `defect > tol` check
+    (lambda: rotator_flow([[1e160, 1e160, 0.0], [1e160, -1e160, 0.0], [0.0, 0.0, 1.0]],
+                          [0.0, 0.0, 1.0], 1.0),
+     "^g0 fails the rotation check by (inf|nan)$"),
 ], ids=["fiber_t_1e308", "freq_zero_entry_t_inf", "legendre_r_1e200", "casimir_r_1e200",
         "legendre_F_1e308", "legendre_r_1e-200", "legendre_gamma_1e200",
         "perturbed_r_1e-200", "invert_w_1e200", "invert_s_1e200", "invert_unreduced_s_1e200",
         "interaction_x_plus_a0_1e308", "free_h_r_1e-200", "free_h_gamma_1e200",
         "free_h_z1_1e200", "free_h_sb2_sum", "free_h_sl2_sum", "momenta_su2_F_1e10",
-        "exp_su2_offdiag_1e300", "exp_su2_diag_1e200", "casimir_t_1e159", "perturbed_t_1e159"])
+        "exp_su2_offdiag_1e300", "exp_su2_diag_1e200", "casimir_t_1e159", "perturbed_t_1e159",
+        "rotator_g0_1e160", "rotator_g0_det_divide", "rotator_g0_inf_minus_inf"])
 def test_non_finite_results_raise_without_a_numpy_warning(call, match):
     with pytest.raises(ValueError, match=match):
         call()
@@ -895,16 +908,35 @@ F_TAKING_FIELD_STARTS = {
 }
 
 
-@pytest.mark.parametrize("F", [math.inf, math.nan, 1e308], ids=["inf", "nan", "1e308"])
-@pytest.mark.parametrize("system", F_TAKING_FIELD_STARTS)
-def test_oracle_fields_past_the_floats_raise_typed_errors_without_a_numpy_warning(system, F):
+# (system, params, y0, t1, h, error): each F-taking field at an F past the
+# floats, and numpy fields whose products leave the floats mid-run
+ORACLE_PAST_THE_FLOATS = {
+    f"{system}-{name}": (system, {**params, "F": F}, y0, 10 * 0.01, 0.01,
+                         (ValueError, NonFiniteStateError))
+    for system, (params, y0) in F_TAKING_FIELD_STARTS.items()
+    for name, F in (("inf", math.inf), ("nan", math.nan), ("1e308", 1e308))
+}
+ORACLE_PAST_THE_FLOATS.update({
+    "rotator_p_5e16": ("rotator", {"p": [0.0, 5.4536980589028184e16, 1.0],
+                                   "F": 5.4536980589028184e16},
+                       np.eye(3).ravel(), 0.05, 1e-3, NonFiniteStateError),
+    "action_angle_matrix_-5e16": ("action_angle", {"I0": [1.0], "freq": None,
+                                                   "matrix": [[-4.527586280420433e16]]},
+                                  [1.0, -4.859842261504629e16], 0.05, 1e-3,
+                                  NonFiniteStateError),
+})
+
+
+@pytest.mark.parametrize("case", ORACLE_PAST_THE_FLOATS)
+def test_oracle_fields_past_the_floats_raise_typed_errors_without_a_numpy_warning(case):
     # momenta_su2 (NaN, 1e308) and rotator (inf, 1e308) once raised numpy's
-    # RuntimeWarning here, and without -W error stepped on inf or NaN rates
-    params, y0 = F_TAKING_FIELD_STARTS[system]
+    # RuntimeWarning here, and without -W error stepped on inf or NaN rates;
+    # the rotator's and action_angle's overflowing products warned mid-run
+    system, params, y0, t1, h, error = ORACLE_PAST_THE_FLOATS[case]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises((ValueError, NonFiniteStateError)):
-            rk4_integrate(SYSTEMS[system].field({**params, "F": F}), y0, 0.0, 10 * 0.01, 0.01)
+        with pytest.raises(error):
+            rk4_integrate(SYSTEMS[system].field(params), y0, 0.0, t1, h)
 
 
 def su2_of(s, w):

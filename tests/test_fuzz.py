@@ -38,7 +38,12 @@ PARAM_KINDS = {
                      st.fixed_dictionaries({"alpha": typed(COMPLEX), "nu": typed(COMPLEX)})),
     "sb2": st.fixed_dictionaries({"r": typed(POSITIVE), "gamma": typed(COMPLEX)}),
     "vector": st.lists(NUMBER, min_size=1, max_size=2),
-    "matrix": st.lists(st.lists(NUMBER, min_size=1, max_size=2), min_size=1, max_size=2),
+    # up to 2x2 of any numbers, or 3x3 of extremes: a rotator g0 that reaches
+    # the rotation check, its products past the floats among them
+    "matrix": st.one_of(
+        st.lists(st.lists(NUMBER, min_size=1, max_size=2), min_size=1, max_size=2),
+        st.lists(st.lists(st.sampled_from(EXTREMES), min_size=3, max_size=3),
+                 min_size=3, max_size=3)),
 }
 
 
