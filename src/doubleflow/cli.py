@@ -354,6 +354,9 @@ def _complex_arg(text):
     raise argparse.ArgumentTypeError(f"expected RE or RE,IM, got {text!r}")
 
 
+_NUMERIC_FLAGS = ("--r", "--gamma", "--f", "--s", "--w", "--max-dev")
+
+
 @functools.cache  # built on the first main() call, then reused in the process
 def _build_parser():
     parser = argparse.ArgumentParser(
@@ -394,6 +397,12 @@ def _build_parser():
 
 
 def main(argv=None) -> int:
+    # argparse reads a value such as -1e10 or -0.5,0.25 as a flag, so one after
+    # a numeric flag is joined to it (--s=-1e10); a --flag or -h stays a flag
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for i in reversed(range(1, len(argv))):
+        if argv[i - 1] in _NUMERIC_FLAGS and argv[i][:1] == "-" and argv[i][1:2] not in "-h":
+            argv[i - 1:i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "simulate":

@@ -194,33 +194,18 @@ def legendre_invert(v: AlgebraElement, unreduced=False) -> SB2Element:
     return SB2Element(r, r * w)
 
 
-def _multiple_check(*entries):
-    """s -> None for real s, raising as check_finite(s * m) does for m's complex entries.
-
-    s·m is finite exactly when s times the largest component of m is.
-    """
-    top = max(math.inf if math.isnan(x) else abs(x) for z in entries for x in (z.real, z.imag))
-
-    def check(s):
-        if not math.isfinite(s * top):
-            raise ValueError("non-finite matrix entry")
-
-    return check
-
-
 def _su2_exp(m):
     """s -> exp(s·m) in SU(2), for an m whose multiples s·m are in su(2).
 
     That holds for every real s when m + m* and tr m are exactly 0, as for a
     legendre_map value or the perturbed X, and exp(s·m) then has the SU(2)
-    form to round-off.  Per s only finiteness is checked: that of s·m, and
-    that of the exponential by the column the element keeps.
+    form to round-off.  Per s only the column the element keeps is checked
+    finite: an s·m past the floats makes it inf or NaN, or makes
+    expm2_kernel raise the same ValueError("non-finite matrix entry").
     """
     (m00, m01), (m10, m11) = m.tolist()
-    check = _multiple_check(m00, m01, m10, m11)
 
     def at(s):
-        check(s)
         s = complex(s)  # as numpy promotes a float times a complex array
         alpha, _, nu, _ = expm2_kernel(s * m00, s * m01, s * m10, s * m11)
         if not (cmath.isfinite(alpha) and cmath.isfinite(nu)):
@@ -350,15 +335,16 @@ def momenta_su2_flow(u0: SB2Element, alpha, nu, F) -> Callable:
     SU2Element(alpha, nu)  # the unit check; the flow keeps alpha, nu as given
     alpha, nu = complex(alpha), complex(nu)
     # L is exactly in sb2 (zero (1,0) entry, real diagonal x, -x), and so is
-    # t·L for every real t: only its finiteness is checked per t
-    (l00, l01), (l10, l11) = _momenta_su2_generator(alpha, nu, F).tolist()
-    check = _multiple_check(l00, l01, l10, l11)
+    # t·L for every real t: per t only the two numbers exp_sb2 takes are checked
+    (l00, l01), _ = _momenta_su2_generator(alpha, nu, F).tolist()
 
     def at(t):
         t = float(t)
-        check(t)
         ct = complex(t)  # as numpy promotes a float times a complex array
-        u = exp_sb2((ct * l00).real, ct * l01) @ u0
+        d, y = (ct * l00).real, ct * l01
+        if not (math.isfinite(d) and cmath.isfinite(y)):
+            raise ValueError("non-finite matrix entry")
+        u = exp_sb2(d, y) @ u0
         return FlowState(time=t, u=u, alpha=alpha, nu=nu)
 
     return at
@@ -539,9 +525,9 @@ def commuting_quadrature_flow(g0, momentum_path, t1: float, samples=33):
     with the worst pair is raised.  The integral uses the composite Simpson
     rule on the same sample nodes.
     """
-    samples = int(samples)
-    if samples < 3 or samples % 2 == 0:
+    if not (samples >= 3 and samples % 2 == 1):  # False for a non-integral or non-finite count
         raise ValueError("samples must be an odd count >= 3")
+    samples = int(samples)
     t1 = float(t1)
     nodes, weights = simpson_rule(0.0, t1, samples - 1)
     vals = [momentum_path(float(s)) for s in nodes]
@@ -563,8 +549,7 @@ def action_angle_flow(I0, phi0, freq=None, matrix=None) -> Callable:
     commutator is exactly 0 and the one-term Magnus exponential is exact.
     I0, phi0 must be finite and 1-D, freq finite of shape (m,), matrix finite
     of shape (m, m), m = len(phi0); else a ValueError names the argument.
-    A φ(t) past the finite floats is a ValueError; in the frequency variant
-    only a t past the bound max|φ0| + max|ν|·|t| of every |φ_k(t)| tests φ.
+    A φ(t) past the finite floats is a ValueError; each row tests its own φ.
     """
     if (freq is None) == (matrix is None):
         raise ValueError("action_angle_flow needs exactly one of freq, matrix")
@@ -572,15 +557,13 @@ def action_angle_flow(I0, phi0, freq=None, matrix=None) -> Callable:
     m = len(phi0)
     nu = None if freq is None else _finite_array(freq, "freq", (m,))
     A = None if matrix is None else _finite_array(matrix, "matrix", (m, m))
-    if A is None:
-        phi_top, nu_top = (float(np.abs(x).max(initial=0.0)) for x in (phi0, nu))
 
     def at(t):
         t = float(t)
         if A is None:
             with np.errstate(over="ignore", invalid="ignore"):  # a non-finite phi raises below
                 phi = phi0 + nu * t
-            if not math.isfinite(phi_top + nu_top * abs(t)) and not np.isfinite(phi).all():
+            if not np.isfinite(phi).all():
                 raise ValueError("the flow leaves the finite floats")
         elif t < 0:
             raise ValueError("the fiber variant integrates forward time only")

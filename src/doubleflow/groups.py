@@ -293,8 +293,9 @@ def expm2_kernel(m00, m01, m10, m11):
 
         exp(m) = e^mu * (cosh(delta)*I + sinhc(delta)*n).
 
-    The caller passes finite entries; one whose exp, cosh or sinh leaves the
-    floats (det(n) past them, say) is ValueError("non-finite matrix entry").
+    Entries whose exp, cosh or sinh leaves the floats (det(n) past them, say)
+    are ValueError("non-finite matrix entry"); an inf or NaN entry gives that
+    error or inf or NaN in the result.
     Cost is one scalar exp, cosh, sinh.
     """
     mu = (m00 + m11) / 2.0

@@ -192,17 +192,8 @@ class Poly:
         self.cs = cs
         self._monomials = None
         self._diffs = {}
-        clean = {}
-        for exps, c in (terms or {}).items():
-            c = complex(c)
-            if c != 0:
-                exps = tuple(exps)
-                acc = clean.get(exps, 0j) + c
-                if acc == 0:
-                    clean.pop(exps, None)
-                else:
-                    clean[exps] = acc
-        self.terms = clean
+        # 0j + c makes a -0.0 part 0.0, as the table JSON has it
+        self.terms = {e: 0j + c for e, c in (terms or {}).items() if c != 0}
 
     @classmethod
     def from_monomials(cls, cs, monomials):

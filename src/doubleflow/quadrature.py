@@ -161,9 +161,9 @@ def _straight_step(d):
 
 def simpson_rule(t0, t1, n):
     """Composite-Simpson nodes and weights on [t0, t1] with n (even) panels."""
-    n = int(n)
-    if n < 2 or n % 2:
+    if not (n >= 2 and n % 2 == 0):  # False for a non-integral or non-finite n
         raise ValueError("Simpson rule needs an even panel count >= 2")
+    n = int(n)
     if not math.isfinite(t1 - t0):
         raise ValueError("t0, t1 and t1 - t0 must be finite")
     nodes = np.linspace(t0, t1, n + 1)

@@ -503,6 +503,7 @@ def test_legendre_invert_subcommand(capsys):
     (["map", "--r", "2", "--f=-inf"], "--f"),
     (["invert", "--s", "nan"], "--s"),
     (["invert", "--s", "inf"], "--s"),
+    (["map", "--r", "2", "--f", "-inf"], "--f"),
 ])
 def test_legendre_rejects_non_finite_flags(argv, flag, capsys):
     assert main(["legendre", *argv]) == 2
@@ -519,12 +520,32 @@ def test_legendre_rejects_non_finite_flags(argv, flag, capsys):
     (["invert", "--s", "1e300"], "--s"),
     (["invert", "--s=-1e10"], "--s"),
     (["invert", "--s", "1", "--w", "1e200"], "--w"),
+    (["invert", "--s", "-1e10"], "--s"),
 ])
 def test_legendre_rejects_extreme_flags(argv, flag, capsys):
     assert main(["legendre", *argv]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error: " + flag) and captured.err.count("\n") == 1
     assert captured.out == ""
+
+
+# argparse took a value in exponent form, or an RE,IM pair starting with "-",
+# for a flag and exited with "expected one argument"
+@pytest.mark.parametrize("argv, flag, code", [
+    (["legendre", "invert"], ["--s", "-1e10"], 2),
+    (["legendre", "invert", "--s", "1"], ["--w", "-0.5,0.25"], 0),
+    (["legendre", "map", "--r", "2"], ["--gamma", "-1e-3,0.5"], 0),
+    (["legendre", "map", "--r", "2"], ["--f", "-1e3"], 0),
+    (["simulate", "--config", "{cfg}"], ["--max-dev", "-1e-5"], 2),
+])
+def test_negative_flag_values_read_as_their_equals_form(tmp_path, argv, flag, code, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"system": "rotator", "t1": 0.1}))
+    argv = [str(cfg) if a == "{cfg}" else a for a in argv]
+    assert main([*argv, "=".join(flag)]) == code
+    joined = capsys.readouterr()
+    assert main([*argv, *flag]) == code
+    assert capsys.readouterr() == joined
 
 
 # inputs a closed form rejects, when its sampler is built or at a row: exit 2

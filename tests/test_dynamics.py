@@ -1,5 +1,6 @@
 import cmath
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -600,6 +601,13 @@ def test_commuting_quadrature_argument_validation():
         commuting_quadrature_flow(SU2Element.identity(), lambda s: L, 1.0, samples=4)
     with pytest.raises(ValueError):
         commuting_quadrature_flow(SU2Element.identity(), lambda s: L, 1.0, samples=1)
+    # a count that is not an integer was truncated (33.7 samples ran as 33)
+    for samples in (33.7, 5.5, math.inf, math.nan):
+        with pytest.raises(ValueError, match="^samples must be an odd count >= 3$"):
+            commuting_quadrature_flow(SU2Element.identity(), lambda s: L, 1.0, samples=samples)
+    g = commuting_quadrature_flow(SU2Element.identity(), lambda s: L, 1.0, samples=33.0)
+    h = commuting_quadrature_flow(SU2Element.identity(), lambda s: L, 1.0, samples=33)
+    assert (g.alpha, g.nu) == (h.alpha, h.nu)
 
     def mixed(s):
         if s < 0.5:
@@ -831,6 +839,48 @@ def test_sampler_rows_at_extreme_t_are_finite_or_raise(case):
             assert all(map(math.isfinite, row)), (case, seed, t)
 
 
+def first_overflowing_t(m):
+    """The least positive float t at which t·max|m| (over the parts of m's entries) overflows."""
+    top = max(abs(x) for z in np.ravel(m).tolist() for x in (z.real, z.imag))
+    t = math.nextafter(sys.float_info.max / top, 0.0)  # t·top is below the largest float
+    while math.isfinite(t * top):
+        t = math.nextafter(t, math.inf)
+    return t
+
+
+ROW_U0, ROW_X = SB2Element(1.0, 0.5), AlgebraElement("su2", _perturbed_x(0.1, 1.0))
+# system -> (F -> sampler, F -> the generator whose multiples t·m a row exponentiates)
+SU2_SB2_ROWS = {
+    "casimir": (lambda F: casimir_flow(SU2Element.identity(), ROW_U0, F),
+                lambda F: legendre_map(ROW_U0, F).value),
+    "perturbed": (lambda F: perturbed_flow(SU2Element.identity(), ROW_U0, F, 0.1),
+                  lambda F: legendre_map(ROW_U0, F).value),
+    "interaction": (
+        lambda F: interaction_picture_flow(SU2Element.identity(), ROW_X, AlgebraElement(
+            "su2", legendre_map(ROW_U0, F).value - ROW_X.value)),
+        lambda F: ROW_X.value + (legendre_map(ROW_U0, F).value - ROW_X.value)),
+    "momenta_su2": (lambda F: momenta_su2_flow(ROW_U0, 0.6, 0.8j, F),
+                    lambda F: _momenta_su2_generator(0.6, 0.8j, F)),
+}
+# the SU(2) and SB(2,C) rows test no t·max|m| bound before they exponentiate:
+# a t·m past the floats must still be the exponential's ValueError
+ROW_PAST_THE_FLOATS = {
+    f"{name}_t_{label}": (lambda flow=flow, t=t: flow(1.0)(t), "^non-finite matrix entry$")
+    for name, (flow, _) in SU2_SB2_ROWS.items()
+    for label, t in (("inf", math.inf), ("-inf", -math.inf), ("nan", math.nan),
+                     ("-1e308", -1e308))
+}
+ROW_PAST_THE_FLOATS.update({
+    f"{name}_F_1e10_first_overflowing_t": (
+        lambda flow=flow, gen=gen: flow(1e10)(first_overflowing_t(gen(1e10))),
+        "^non-finite matrix entry$")
+    for name, (flow, gen) in SU2_SB2_ROWS.items()
+})
+# one phi entry past the floats, the other finite
+ROW_PAST_THE_FLOATS["freq_one_entry_overflows"] = (
+    lambda: action_angle_flow([1.0], [0.5, 0.1], freq=[1e300, 1.0])(1e10), "finite floats")
+
+
 # warnings are errors in this suite, so a numpy RuntimeWarning raised ahead of
 # the ValueError fails these (each of them once did)
 @pytest.mark.parametrize("call, match", [
@@ -885,13 +935,15 @@ def test_sampler_rows_at_extreme_t_are_finite_or_raise(case):
     (lambda: rotator_flow([[1e160, 1e160, 0.0], [1e160, -1e160, 0.0], [0.0, 0.0, 1.0]],
                           [0.0, 0.0, 1.0], 1.0),
      "^g0 fails the rotation check by (inf|nan)$"),
+    *ROW_PAST_THE_FLOATS.values(),
 ], ids=["fiber_t_1e308", "freq_zero_entry_t_inf", "legendre_r_1e200", "casimir_r_1e200",
         "legendre_F_1e308", "legendre_r_1e-200", "legendre_gamma_1e200",
         "perturbed_r_1e-200", "invert_w_1e200", "invert_s_1e200", "invert_unreduced_s_1e200",
         "interaction_x_plus_a0_1e308", "free_h_r_1e-200", "free_h_gamma_1e200",
         "free_h_z1_1e200", "free_h_sb2_sum", "free_h_sl2_sum", "momenta_su2_F_1e10",
         "exp_su2_offdiag_1e300", "exp_su2_diag_1e200", "casimir_t_1e159", "perturbed_t_1e159",
-        "rotator_g0_1e160", "rotator_g0_det_divide", "rotator_g0_inf_minus_inf"])
+        "rotator_g0_1e160", "rotator_g0_det_divide", "rotator_g0_inf_minus_inf",
+        *ROW_PAST_THE_FLOATS])
 def test_non_finite_results_raise_without_a_numpy_warning(call, match):
     with pytest.raises(ValueError, match=match):
         call()

@@ -374,6 +374,12 @@ def test_simpson_rule_weights():
         simpson_rule(0.0, 1.0, 3)
     with pytest.raises(ValueError):
         simpson_rule(0.0, 1.0, 0)
+    # a count that is not an integer was truncated (2.5 panels ran as 2)
+    for n in (2.5, 4.000000000000001, math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="^Simpson rule needs an even panel count >= 2$"):
+            simpson_rule(0.0, 1.0, n)
+    for got, want in zip(simpson_rule(0.0, 1.0, 4.0), (nodes, weights)):
+        assert got.tobytes() == want.tobytes()
 
 
 def _simpson(f, t0, t1, n):
