@@ -12,9 +12,13 @@ scalars; the rotator's rows with rodrigues3_kernel, the axis-angle closed
 form of exp(t·hat3(p)), whose inputs rotator_flow checks once.
 
 No *_flat_field runs numpy scalar arithmetic per evaluation: the SU(2)·SB(2,C)
-fields work on Python floats and complex numbers (momenta_su2_flat_field's
-floats do numpy's complex128 scalar operations, so its bits are numpy's) and
-the rotator's one product is np.dot.
+fields work on Python floats, and the rotator's one product is np.dot.  The
+float fields write out complex arithmetic operation by operation, with its
+bits: numpy complex128's for momenta_su2, CPython's (to 3.13) for the others.
+A real h times z is (h + 0j)·z, whose 0·x terms keep the signed zeros; z/r is
+_Py_c_quot's z/(r + 0j); a conjugate is a sign, exact in IEEE arithmetic.  So
+the bits do not depend on how a Python version mixes float and complex
+operands (CPython 3.14 takes the C99 rules, without the 0j terms).
 """
 
 import cmath
@@ -115,17 +119,6 @@ def free_hamiltonian(x) -> float:
     return h
 
 
-def _sl2c_rates(z1, z2, z3, z4, F):
-    h0 = 0.5 * (abs(z1) ** 2 + abs(z2) ** 2 + abs(z3) ** 2 + abs(z4) ** 2)
-    c = -0.5j * F
-    return (
-        c * (h0 * z1 - z4.conjugate()),
-        c * (h0 * z2 + z3.conjugate()),
-        c * (h0 * z3 + z2.conjugate()),
-        c * (h0 * z4 - z1.conjugate()),
-    )
-
-
 def z_to_flat(z1, z2, z3, z4) -> np.ndarray:
     return np.array([z1.real, z1.imag, z2.real, z2.imag,
                      z3.real, z3.imag, z4.real, z4.imag])
@@ -139,12 +132,19 @@ def flat_to_z(y):
 def sl2c_flat_field(F_value: float):
     """Bracket field of F·dH0 on the flattened 8-real z-state (RK4 oracle)."""
     F = float(F_value)
+    cr, ci = -0.0 * F + 0.0, -0.5 * F  # c = (-0.5j)·(F + 0j)
 
     def field(y):
         x1, y1, x2, y2, x3, y3, x4, y4 = y
-        r1, r2, r3, r4 = _sl2c_rates(complex(x1, y1), complex(x2, y2),
-                                     complex(x3, y3), complex(x4, y4), F)
-        return (r1.real, r1.imag, r2.real, r2.imag, r3.real, r3.imag, r4.real, r4.imag)
+        h0 = 0.5 * (abs(complex(x1, y1)) ** 2 + abs(complex(x2, y2)) ** 2
+                    + abs(complex(x3, y3)) ** 2 + abs(complex(x4, y4)) ** 2)
+        # (u, v) = h0·z ∓ z̄', h0·z as (h0 + 0j)·z, and ż = c·(u + iv)
+        u1, v1 = h0 * x1 - 0.0 * y1 - x4, h0 * y1 + 0.0 * x1 + y4
+        u2, v2 = h0 * x2 - 0.0 * y2 + x3, h0 * y2 + 0.0 * x2 - y3
+        u3, v3 = h0 * x3 - 0.0 * y3 + x2, h0 * y3 + 0.0 * x3 - y2
+        u4, v4 = h0 * x4 - 0.0 * y4 - x1, h0 * y4 + 0.0 * x4 + y1
+        return (cr * u1 - ci * v1, cr * v1 + ci * u1, cr * u2 - ci * v2, cr * v2 + ci * u2,
+                cr * u3 - ci * v3, cr * v3 + ci * u3, cr * u4 - ci * v4, cr * v4 + ci * u4)
 
     return field
 
@@ -344,7 +344,10 @@ def momenta_su2_flow(u0: SB2Element, alpha, nu, F) -> Callable:
         d, y = (ct * l00).real, ct * l01
         if not (math.isfinite(d) and cmath.isfinite(y)):
             raise ValueError("non-finite matrix entry")
-        u = exp_sb2(d, y) @ u0
+        try:
+            u = exp_sb2(d, y) @ u0
+        except MembershipError:  # the product's r underflows or its gamma overflows
+            raise ValueError("the flow leaves the finite floats") from None
         return FlowState(time=t, u=u, alpha=alpha, nu=nu)
 
     return at
@@ -353,11 +356,8 @@ def momenta_su2_flow(u0: SB2Element, alpha, nu, F) -> Callable:
 def momenta_su2_flat_field(alpha, nu, F):
     """u̇ = L·u on the flattened (r, Re γ, Im γ) state.
 
-    γ̇ = x·γ + y/r, x = L[0, 0] and y = L[0, 1], on Python floats: each part
-    is the IEEE operation sequence of numpy's complex128 scalar arithmetic
-    (x·γ as (x + 0j)·γ, y/r as numpy divides by (r + 0j)), so the bits are
-    numpy's; the 0.0 terms keep numpy's signed zeros, and its NaNs where a
-    part is infinite.  An r of 0 is a ZeroDivisionError.
+    γ̇ = x·γ + y/r, x = L[0, 0] and y = L[0, 1], as numpy's complex128 takes
+    (x + 0j)·γ and y/(r + 0j).  An r of 0 is a ZeroDivisionError.
     """
     (l00, l01), _ = _momenta_su2_generator(complex(alpha), complex(nu), F).tolist()
     x, yr, yi = l00.real, l01.real, l01.imag
@@ -409,10 +409,14 @@ def noncasimir_flat_field():
 
     def field(st):
         a_re, a_im, n_re, n_im, r, _, _ = st
-        alpha, nu = complex(a_re, a_im), complex(n_re, n_im)
-        adot = 0.5j * abs(nu) ** 2 * alpha
-        gdot = 0.5j * alpha.conjugate() * nu.conjugate() / r
-        return (adot.real, adot.imag, 0.0, 0.0, 0.0, gdot.real, gdot.imag)
+        w = abs(complex(n_re, n_im)) ** 2
+        hr, hi = 0.0 * w - 0.0, 0.0 + 0.5 * w  # 0.5j·w, and α̇ = (0.5j·w)·α
+        # (pr, pi) = 0.5j·ᾱ, (qr, qi) = (pr, pi)·ν̄, and γ̇ = (qr, qi)/(r + 0j)
+        pr, pi = 0.0 * a_re + 0.5 * a_im, -0.0 * a_im + 0.5 * a_re
+        qr, qi = pr * n_re + pi * n_im, pi * n_re - pr * n_im
+        den = r + 0.0 * (rat := 0.0 / r)
+        return (hr * a_re - hi * a_im, hr * a_im + hi * a_re, 0.0, 0.0, 0.0,
+                (qr + qi * rat) / den, (qi - qr * rat) / den)
 
     return field
 
@@ -422,10 +426,11 @@ def _perturbed_x(lam: float, r: float) -> np.ndarray:
 
 
 def perturbed_flow(g0: SU2Element, u0: SB2Element, F, lam: float) -> Callable:
-    """Flow of η = F·dH0 + λdr: a phase-rotating momentum and a two-factor g.
+    """Flow of η = F·dH0 - λ·dr: a phase-rotating momentum and a two-factor g.
 
     γ(t) = γ0·e^{-iλr0t/2}, r frozen; g(t) = g0·exp(t(X+A0))·exp(-tX) with
     X = diag(-(i/4)λr0, (i/4)λr0) and X + A0 the η-velocity matrix at (r0, γ0).
+    The sign of λ·dr is the one the double group's bracket table gives.
     """
     lam = float(lam)
     frame = _rotating_frame(g0, legendre_map(u0, F).value, _perturbed_x(lam, u0.r))
@@ -433,7 +438,10 @@ def perturbed_flow(g0: SU2Element, u0: SB2Element, F, lam: float) -> Callable:
 
     def at(t):
         t = float(t)
-        gamma_t = u0.gamma * cmath.exp(phase * t)
+        try:
+            gamma_t = u0.gamma * cmath.exp(phase * t)
+        except ValueError:  # cmath.exp of an infinite phase, for a finite t
+            raise ValueError("non-finite matrix entry") from None
         return FlowState(time=t, g=frame(t), u=SB2Element(u0.r, gamma_t))
 
     return at
@@ -456,19 +464,28 @@ def perturbed_flat_field(F, lam: float):
     The g-part follows ġ = g·(L_F(u) - X(r)), the momenta follow ṙ = 0,
     γ̇ = -(i/2)λrγ; this is the system the closed form integrates.
     """
-    lam, c = float(lam), -0.25j * float(F)
+    F, lam = float(F), float(lam)
+    # c = -0.25j·F, x = 0.25j·λ, p = -0.5j·λ as (s·1j)·(v + 0j), and each times 0j
+    cr, ci, pr, pi = -0.0 * F + 0.0, -0.25 * F, -0.0 * lam + 0.0, -0.5 * lam
+    xr, xi = 0.0 * lam - 0.0, 0.0 + 0.25 * lam
+    cr0, ci0, xr0, xi0, pr0, pi0 = cr * 0.0, ci * 0.0, xr * 0.0, xi * 0.0, pr * 0.0, pi * 0.0
 
     def field(st):
         a_re, a_im, n_re, n_im, r, g_re, g_im = st
-        alpha, nu, gamma = complex(a_re, a_im), complex(n_re, n_im), complex(g_re, g_im)
-        # first column of gen = legendre_map(u, F) - X(r), entry by entry
-        gen00 = c * complex(r * r - 1.0 / (r * r) + abs(gamma) ** 2) + 0.25j * lam * r
-        gen10 = c * (2.0 * gamma / r).conjugate()
+        d = r * r - 1.0 / (r * r) + abs(complex(g_re, g_im)) ** 2
+        # first column of gen = legendre_map(u, F) - X(r): G = c·d + x·r, E = c·conj(2γ/r)
+        G0, G1 = cr * d - ci0 + (xr * r - xi0), cr0 + ci * d + (xr0 + xi * r)
+        tr, ti = 2.0 * g_re - 0.0 * g_im, 2.0 * g_im + 0.0 * g_re
+        den = r + 0.0 * (rat := 0.0 / r)
+        qr, qi = (tr + ti * rat) / den, (ti - tr * rat) / den
+        E0, E1 = cr * qr + ci * qi, ci * qr - cr * qi
         # first column of g·gen, g = [[alpha, -conj(nu)], [nu, conj(alpha)]]
-        g00 = alpha * gen00 - nu.conjugate() * gen10
-        g10 = nu * gen00 + alpha.conjugate() * gen10
-        gammadot = -0.5j * lam * r * gamma
-        return (g00.real, g00.imag, g10.real, g10.imag, 0.0, gammadot.real, gammadot.imag)
+        g00r = (a_re * G0 - a_im * G1) - (n_re * E0 + n_im * E1)
+        g00i = (a_re * G1 + a_im * G0) - (n_re * E1 - n_im * E0)
+        g10r = (n_re * G0 - n_im * G1) + (a_re * E0 + a_im * E1)
+        g10i = (n_re * G1 + n_im * G0) + (a_re * E1 - a_im * E0)
+        Q0, Q1 = pr * r - pi0, pr0 + pi * r  # p·r, then γ̇ = (p·r)·γ
+        return (g00r, g00i, g10r, g10i, 0.0, Q0 * g_re - Q1 * g_im, Q0 * g_im + Q1 * g_re)
 
     return field
 

@@ -3,8 +3,8 @@
 Elements store minimal coordinates (alpha, nu) / (r, gamma) / (z1..z4) rather
 than raw matrices, so membership invariants are checkable and small drift is
 renormalizable.  Constructors project inputs that violate the invariant by at
-most ``PROJECT_TOL`` and reject anything worse.  An e^|d| in exp_sb2 or an
-Iwasawa norm that leaves the floats is ValueError("non-finite matrix entry"),
+most ``PROJECT_TOL`` and reject anything worse.  An e^|d| or y·sinhc(d) in
+exp_sb2 or an Iwasawa norm that leaves the floats is ValueError("non-finite matrix entry"),
 not the OverflowError or ZeroDivisionError of the scalar arithmetic.
 
 The exponentials are closed form.  The 2x2 one, `expm2_kernel`, uses the
@@ -326,7 +326,7 @@ def exp_sb2(d: float, y: complex) -> SB2Element:
     """exp([[d, y], [0, -d]]) = [[e^d, y*sinhc(d)], [0, e^-d]] for real d."""
     try:
         return SB2Element(math.exp(d), y * sinhc(d))
-    except OverflowError:  # e^|d| past the floats
+    except (OverflowError, MembershipError):  # e^|d| or y*sinhc(d) past the floats
         raise ValueError("non-finite matrix entry") from None
 
 

@@ -5,18 +5,13 @@ quadrature, and conserved-quantity drift reporting.  Nothing in here knows
 about groups or brackets; that ignorance is what makes the oracle independent
 of the closed-form flows it checks.
 
-RK4 keeps its state as a list of Python floats.  A field receives that list
-and returns a sequence of as many floats (a length mismatch is a ValueError).
-Every stage and update sum is the float-for-float equivalent of its numpy
-array form, so the states have the bits of array arithmetic without paying
-numpy's dispatch on 3- to 9-element vectors.
-
-A step runs as straight-line code on named floats, compiled once per state
-length d the first time a state of that length is integrated (nothing is
-compiled at import).  States longer than MAX_STRAIGHT_DIM = 64, and the empty
-state, take one general step built from comprehensions.  Both do the same
-IEEE operations in the same order, so the bits and the length rule do not
-depend on which one runs.
+RK4 runs a whole trajectory in one loop on Python floats (see rk4_integrate):
+straight-line code on named floats, compiled once per state length d the
+first time a state of that length is integrated (nothing is compiled at
+import), or comprehensions for the empty state and states longer than
+MAX_STRAIGHT_DIM = 64.  Both do the same IEEE operations in the same order,
+so the bits and the length rule (a rate of another length is a ValueError)
+do not depend on which one runs.
 """
 
 import functools
@@ -96,67 +91,75 @@ def rk4_integrate(field, y0, t0, t1, h) -> Trajectory:
     times[-1] = t1
     states = np.empty((n, y.size))
     states[0] = y
-    step_fn = _straight_step(y.size) if 0 < y.size <= MAX_STRAIGHT_DIM else _general_step
-    y = y.tolist()
-
-    def failed_at(k):
-        return NonFiniteStateError(t1 if k > n_full else t0 + k * h)
-
+    run = _straight_run(y.size) if 0 < y.size <= MAX_STRAIGHT_DIM else _general_run
     with np.errstate(over="ignore", invalid="ignore"):  # a numpy field's inf or NaN fails below
-        for k in range(1, n):
-            step = h if k <= n_full else rest
-            try:
-                y = step_fn(field, y, step, 0.5 * step, step / 6.0)
-            except (OverflowError, ZeroDivisionError) as e:  # in the field's float arithmetic
-                raise failed_at(k) from e
-            if not all(map(math.isfinite, y)):
-                raise failed_at(k)
-            states[k] = y
+        k, cause = run(field, y.tolist(), states, n_full, h, rest)
+    if k:
+        raise NonFiniteStateError(t1 if k > n_full else t0 + k * h) from cause
     return Trajectory(times, states)
 
 
-# Longest state that gets a straight-line step.  Compiling one costs time and
-# memory linear in the length, and a config sets action_angle's length, so
-# longer states take the general step.
+# Longest state that gets a straight-line loop: compiling one costs time and
+# memory linear in d, and a config sets action_angle's d.
 MAX_STRAIGHT_DIM = 64
 
 
-def _general_step(field, y, step, half, c):
-    """One RK4 step of any state length, by comprehensions over the rates."""
-    k1 = field(y)
-    k2 = field([a + half * b for a, b in zip(y, k1, strict=True)])
-    k3 = field([a + half * b for a, b in zip(y, k2, strict=True)])
-    k4 = field([a + step * b for a, b in zip(y, k3, strict=True)])
-    return [a + c * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-            for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4, strict=True)]
+def _general_run(field, y, states, n_full, h, rest):
+    """RK4 steps of h, of rest after step n_full, into states[1:], by comprehensions;
+    (0, None), or the first non-finite step and the field's arithmetic error or None."""
+    step, half, c = h, 0.5 * h, h / 6.0
+    try:
+        for k in range(1, len(states)):
+            if k > n_full:
+                step, half, c = rest, 0.5 * rest, rest / 6.0
+            k1 = field(y)
+            k2 = field([a + half * b for a, b in zip(y, k1, strict=True)])
+            k3 = field([a + half * b for a, b in zip(y, k2, strict=True)])
+            k4 = field([a + step * b for a, b in zip(y, k3, strict=True)])
+            y = [a + c * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+                 for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4, strict=True)]
+            if not all(map(math.isfinite, y)):
+                return k, None
+            states[k] = y
+    except (OverflowError, ZeroDivisionError) as e:  # in the field's float arithmetic
+        return k, e
+    return 0, None
 
 
 @functools.cache
-def _straight_step(d):
-    """_general_step for states of length d, as straight-line code on named floats.
+def _straight_run(d):
+    """_general_run for states of length d, as straight-line code on named floats.
 
-    Each sum is the general step's, term for term, so the states have the
+    Each sum is the general loop's, term for term, so the states have the
     same bits; a rate of another length fails to unpack, a ValueError.  The
     state is unpacked after the field has seen it, as the comprehensions
-    read it.
+    read it.  The sum of the 0·y is 0 exactly when every y is finite.
     """
-    def names(prefix):
-        return ", ".join(f"{prefix}{i}" for i in range(d)) + ","
+    def each(part):  # part formatted for i = 0, ..., d - 1, joined
+        return "".join(part.format(i) for i in range(d))
 
-    def stage(coef, rate):
-        return ", ".join(f"y{i} + {coef} * {rate}{i}" for i in range(d))
-
-    update = ", ".join(f"y{i} + c * (a{i} + 2.0 * b{i} + 2.0 * e{i} + f{i})" for i in range(d))
-    source = (f"def step(field, y, step, half, c):\n"
-              f"    {names('a')} = field(y)\n"
-              f"    {names('y')} = y\n"
-              f"    {names('b')} = field([{stage('half', 'a')}])\n"
-              f"    {names('e')} = field([{stage('half', 'b')}])\n"
-              f"    {names('f')} = field([{stage('step', 'e')}])\n"
-              f"    return [{update}]\n")
+    source = (f"def run(field, y, states, n_full, h, rest):\n"
+              f"    step, half, c = h, 0.5 * h, h / 6.0\n"
+              f"    try:\n"
+              f"        for k in range(1, len(states)):\n"
+              f"            if k > n_full:\n"
+              f"                step, half, c = rest, 0.5 * rest, rest / 6.0\n"
+              f"            {each('a{}, ')}= field(y)\n"
+              f"            {each('y{}, ')}= y\n"
+              f"            {each('b{}, ')}= field([{each('y{0} + half * a{0}, ')}])\n"
+              f"            {each('e{}, ')}= field([{each('y{0} + half * b{0}, ')}])\n"
+              f"            {each('f{}, ')}= field([{each('y{0} + step * e{0}, ')}])\n"
+              f"            {each('y{}, ')}= "
+              f"{each('y{0} + c * (a{0} + 2.0 * b{0} + 2.0 * e{0} + f{0}), ')}\n"
+              f"            if {each(' + 0.0 * y{}')[3:]} != 0.0:\n"
+              f"                return k, None\n"
+              f"            states[k] = y = [{each('y{}, ')}]\n"
+              f"    except (OverflowError, ZeroDivisionError) as e:\n"
+              f"        return k, e\n"
+              f"    return 0, None\n")
     namespace = {}
-    exec(compile(source, f"<rk4 step, d = {d}>", "exec"), namespace)
-    return namespace["step"]
+    exec(compile(source, f"<rk4 run, d = {d}>", "exec"), namespace)
+    return namespace["run"]
 
 
 def simpson_rule(t0, t1, n):

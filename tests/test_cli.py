@@ -595,6 +595,15 @@ def test_negative_flag_values_read_as_their_equals_form(tmp_path, argv, flag, co
                         "nu": -math.sin(math.atan2(1.25, 0.7))},
                  "u0": {"r": 8e-155, "gamma": 7e153}}},
      "params: the flow leaves the finite floats at t = 0"),
+    # a phase lam r0 t / 2 past the floats: "math domain error" from cmath.exp before
+    ({"system": "perturbed", "t1": 1000, "dt": 1000,
+      "params": {"u0": {"r": 1.0, "gamma": [0.5, 0]}, "lam": 1e308}},
+     "params: non-finite matrix entry at t = 1000"),
+    # exp(t L) is finite but r0 e^d underflows in exp(t L) u0: "r = 0.0 must be
+    # finite and positive" before, which read as a bad input
+    ({"system": "momenta_su2", "t1": 1000, "dt": 1000,
+      "params": {"u0": {"r": 1e-300, "gamma": [0.5, 0]}, "alpha": [0.6, 0], "nu": [0, 0.8]}},
+     "params: the flow leaves the finite floats at t = 1000"),
 ])
 def test_simulate_rejected_params_give_one_exact_error(tmp_path, doc, message, capsys):
     for extra in ((), ("--oracle",)):

@@ -17,7 +17,6 @@ from doubleflow.dynamics import (
     _momenta_su2_generator,
     _perturbed_x,
     _rotating_frame,
-    _sl2c_rates,
     action_angle_flow,
     casimir_flow,
     commuting_quadrature_flow,
@@ -72,15 +71,17 @@ def test_free_hamiltonian_forms():
         free_hamiltonian([1, 2, 3])
 
 
+def sl2c_rates(a, F):
+    """The sl2c field's rates at an SL2Element, as four complex numbers."""
+    return flat_to_z(sl2c_flat_field(F)(z_to_flat(a.z1, a.z2, a.z3, a.z4)))
+
+
 def test_sl2c_vf_fixed_values():
-    a = SL2Element.identity()
-    rates = _sl2c_rates(a.z1, a.z2, a.z3, a.z4, 1.0)
+    rates = sl2c_rates(SL2Element.identity(), 1.0)
     assert max(abs(r) for r in rates) == 0.0
-    a = random_element("sl2c", 0)
-    rates = _sl2c_rates(a.z1, a.z2, a.z3, a.z4, 0.0)
+    rates = sl2c_rates(random_element("sl2c", 0), 0.0)
     assert max(abs(r) for r in rates) == 0.0
-    a = SL2Element(2.0, 0.0, 0.0, 0.5)
-    rates = _sl2c_rates(a.z1, a.z2, a.z3, a.z4, 1.0)
+    rates = sl2c_rates(SL2Element(2.0, 0.0, 0.0, 0.5), 1.0)
     assert rates[0] == pytest.approx(-15j / 8)
 
 
@@ -304,14 +305,108 @@ def test_perturbed_flat_field_matches_object_reference(F):
         assert got[4:].tobytes() == want[4:].tobytes()
 
 
-def test_sl2c_flat_field_is_bitwise_the_complex_rates():
-    rng = np.random.default_rng(32)
-    for F in (1.0, -0.7, 2.5):
-        field = sl2c_flat_field(F)
-        for _ in range(200):
-            y = rng.standard_normal(8)
-            want = z_to_flat(*_sl2c_rates(*flat_to_z(y), F))
-            assert np.asarray(field(y)).tobytes() == want.tobytes()
+def sl2c_field_complex_reference(F_value):
+    """sl2c_flat_field as it was on Python complex numbers, kept as the bit reference."""
+    F = float(F_value)
+
+    def _sl2c_rates(z1, z2, z3, z4, F):
+        h0 = 0.5 * (abs(z1) ** 2 + abs(z2) ** 2 + abs(z3) ** 2 + abs(z4) ** 2)
+        c = -0.5j * F
+        return (
+            c * (h0 * z1 - z4.conjugate()),
+            c * (h0 * z2 + z3.conjugate()),
+            c * (h0 * z3 + z2.conjugate()),
+            c * (h0 * z4 - z1.conjugate()),
+        )
+
+    def field(y):
+        x1, y1, x2, y2, x3, y3, x4, y4 = y
+        r1, r2, r3, r4 = _sl2c_rates(complex(x1, y1), complex(x2, y2),
+                                     complex(x3, y3), complex(x4, y4), F)
+        return (r1.real, r1.imag, r2.real, r2.imag, r3.real, r3.imag, r4.real, r4.imag)
+
+    return field
+
+
+def noncasimir_field_complex_reference():
+    """noncasimir_flat_field as it was on Python complex numbers, kept as the bit reference."""
+
+    def field(st):
+        a_re, a_im, n_re, n_im, r, _, _ = st
+        alpha, nu = complex(a_re, a_im), complex(n_re, n_im)
+        adot = 0.5j * abs(nu) ** 2 * alpha
+        gdot = 0.5j * alpha.conjugate() * nu.conjugate() / r
+        return (adot.real, adot.imag, 0.0, 0.0, 0.0, gdot.real, gdot.imag)
+
+    return field
+
+
+def perturbed_field_complex_reference(F, lam):
+    """perturbed_flat_field as it was on Python complex numbers, kept as the bit reference."""
+    lam, c = float(lam), -0.25j * float(F)
+
+    def field(st):
+        a_re, a_im, n_re, n_im, r, g_re, g_im = st
+        alpha, nu, gamma = complex(a_re, a_im), complex(n_re, n_im), complex(g_re, g_im)
+        # first column of gen = legendre_map(u, F) - X(r), entry by entry
+        gen00 = c * complex(r * r - 1.0 / (r * r) + abs(gamma) ** 2) + 0.25j * lam * r
+        gen10 = c * (2.0 * gamma / r).conjugate()
+        # first column of g·gen, g = [[alpha, -conj(nu)], [nu, conj(alpha)]]
+        g00 = alpha * gen00 - nu.conjugate() * gen10
+        g10 = nu * gen00 + alpha.conjugate() * gen10
+        gammadot = -0.5j * lam * r * gamma
+        return (g00.real, g00.imag, g10.real, g10.imag, 0.0, gammadot.real, gammadot.imag)
+
+    return field
+
+
+# parts a float rewrite of complex arithmetic can get wrong while every ==
+# holds: signed zeros, subnormals, squares and products past the floats, inf
+# and NaN
+EXTREME_PARTS = [0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -2.5e-310, 1e-300, -1e-300,
+                 1e160, 1e300, -1e300, math.inf, -math.inf, math.nan]
+F_LAM_VALUES = [1.0, -0.7, 0.0, -0.0, 1e-300, 1e200, 1e250, math.inf, math.nan]
+
+
+# state length and (F, lam) -> (field, its complex reference), per system
+COMPLEX_REFERENCES = {
+    "casimir_sl2c": (8, lambda F, lam: (sl2c_flat_field(F), sl2c_field_complex_reference(F))),
+    "noncasimir_h": (7, lambda F, lam: (noncasimir_flat_field(),
+                                        noncasimir_field_complex_reference())),
+    "perturbed": (7, lambda F, lam: (perturbed_flat_field(F, lam),
+                                     perturbed_field_complex_reference(F, lam))),
+}
+
+
+@pytest.mark.parametrize("name", COMPLEX_REFERENCES)
+def test_complex_fields_on_floats_bitwise_match_the_complex_references(name):
+    # 100,000 states per field, 2,000 per (F, lam): a quarter normals of scale
+    # 1e-8 to 1e8, the rest the same with on average two parts drawn
+    # from EXTREME_PARTS; an exception must be of the same type
+    dim, pair = COMPLEX_REFERENCES[name]
+    rng = np.random.default_rng(sum(map(ord, name)))
+    got, want = [], []
+    for _ in range(50):
+        F, lam = (float(rng.choice(F_LAM_VALUES)) * rng.choice([1.0, -1.0]) for _ in range(2))
+        field, reference = pair(F, lam)
+        states = rng.standard_normal((2000, dim)) * 10.0 ** rng.integers(-8, 9, (2000, 1))
+        extreme = rng.random((2000, dim)) < 2.0 / dim
+        extreme[:500] = False
+        states[extreme] = rng.choice(EXTREME_PARTS, int(extreme.sum()))
+        for st in states.tolist():
+            try:
+                ref = reference(st)
+            except (OverflowError, ZeroDivisionError) as e:
+                with pytest.raises(type(e)):
+                    field(st)
+                continue
+            got.append(field(st))
+            want.append(ref)
+    got, want = np.array(got), np.array(want)
+    assert len(got) > 50_000
+    nan = np.isnan(want)
+    assert (np.isnan(got) == nan).all()
+    assert got[~nan].tobytes() == want[~nan].tobytes()
 
 
 def momenta_su2_field_reference(alpha, nu, F):
@@ -1113,3 +1208,11 @@ def test_sampler_checks_its_inputs_once_and_each_t():
         casimir_flow(g0, u0, 1e300)(10.0)
     with pytest.raises(ValueError, match="^non-finite matrix entry$"):
         momenta_su2_flow(u0, 0.6, 0.8j, 1e10)(0.05)
+    # finite t: a phase lam r0 t / 2 past the floats ("math domain error" from
+    # cmath.exp before), and an exp(t L) u0 past the floats with exp(t L)
+    # finite (a MembershipError naming r or gamma before)
+    with pytest.raises(ValueError, match="^non-finite matrix entry$"):
+        perturbed_flow(SU2Element.identity(), SB2Element(1.0, 0.5), 1.0, 1e300)(1e10)
+    for t in (1000.0, -1000.0):
+        with pytest.raises(ValueError, match="^the flow leaves the finite floats$"):
+            momenta_su2_flow(SB2Element(1e-300, 0.5), 0.6, 0.8j, 1.0)(t)

@@ -131,6 +131,7 @@ def test_iwasawa_on_triangular_and_unitary_inputs():
 @pytest.mark.parametrize("call", [
     lambda: exp_sb2(1e3, 1.0),
     lambda: exp_sb2(-1e3, 1.0),
+    lambda: exp_sb2(700.0, 1e10),  # e^d finite, y*sinhc(d) inf: "non-finite gamma" before
     lambda: exp_group(AlgebraElement("sb2", [[800, 0], [0, -800]])),
     lambda: iwasawa_gu(SL2Element(1e200, 0, 0, 1e-200)),
     lambda: iwasawa_ug(SL2Element(1e-200, 0, 0, 1e200)),
@@ -139,7 +140,7 @@ def test_iwasawa_on_triangular_and_unitary_inputs():
     # |z1|^2 + |z3|^2 overflows though each square is finite
     lambda: iwasawa_gu(SL2Element(1.3e154, 0, 1.3e154, 1 / 1.3e154)),
     lambda: iwasawa_ug(SL2Element(1 / 1.3e154, 0, 1.3e154, 1.3e154)),
-], ids=["exp_sb2_d_1e3", "exp_sb2_d_-1e3", "exp_group_sb2_800", "gu_z1_1e200", "ug_z4_1e200",
+], ids=["exp_sb2_d_1e3", "exp_sb2_d_-1e3", "exp_sb2_gamma_1e10", "exp_group_sb2_800", "gu_z1_1e200", "ug_z4_1e200",
         "gu_norm_underflows", "ug_norm_underflows", "gu_norm_sum_overflows",
         "ug_norm_sum_overflows"])
 def test_arithmetic_past_the_floats_is_a_value_error(call):

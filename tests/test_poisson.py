@@ -143,10 +143,42 @@ def test_hamiltonian_field_matches_transcribed_rates():
         p = random_point("sl2c", k)
         rates = tz.hamiltonian_field(gradient_covector(h0, p), p)
         z = [p[f"z{i}"] for i in range(1, 5)]
-        expect = dyn._sl2c_rates(*z, 1.0)
+        expect = dyn.flat_to_z(dyn.sl2c_flat_field(1.0)(dyn.z_to_flat(*z)))
         for i in range(4):
             assert abs(rates[f"z{i+1}"] - expect[i]) < 1e-12
             assert abs(rates[f"z{i+1}c"] - expect[i].conjugate()) < 1e-12
+
+
+def double_eta(F, lam, point):
+    """F·dH0 + lam·dr at a point of the double group, as a covector."""
+    dh0 = gradient_covector(named_function("double", "h0"), point)
+    dr = gradient_covector(Poly.from_monomials(COORD_SYSTEMS["double"], [(1, {"r": 1})]), point)
+    return {c: F * dh0[c] + lam * dr[c] for c in dh0}
+
+
+@pytest.mark.parametrize("system, field, eta", [
+    ("noncasimir_h", dyn.noncasimir_flat_field(),
+     lambda p: gradient_covector(named_function("double", "h_nu"), p)),
+    ("perturbed", dyn.perturbed_flat_field(1.0, 0.1), lambda p: double_eta(1.0, -0.1, p)),
+    ("perturbed", dyn.perturbed_flat_field(-0.7, 2.0), lambda p: double_eta(-0.7, -2.0, p)),
+    ("perturbed", dyn.perturbed_flat_field(1.3, 0.0), lambda p: double_eta(1.3, 0.0, p)),
+], ids=["noncasimir_h", "perturbed-F1-lam0.1", "perturbed-F-0.7-lam2", "perturbed-F1.3-lam0"])
+def test_double_group_oracle_fields_are_table_fields(system, field, eta):
+    # the hand-transcribed rates against the bracket table's field of eta =
+    # d h_nu for noncasimir_h and eta = F dH0 - lam dr for perturbed
+    table = get_table("double")
+    for k in range(15):
+        rng = np.random.default_rng(k)
+        g, u = random_element("su2", rng), random_element("sb2", rng)
+        p = point_of_element(g, u)
+        rates = table.hamiltonian_field(eta(p), p)
+        want = np.array([rates["alpha"].real, rates["alpha"].imag, rates["nu"].real,
+                         rates["nu"].imag, rates["r"].real, rates["gamma"].real,
+                         rates["gamma"].imag])
+        got = np.asarray(field(dyn.SYSTEMS[system].flat(dyn.FlowState(0.0, g=g, u=u, alpha=g.alpha,
+                                                                      nu=g.nu))))
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        assert abs(rates["r"].imag) <= 1e-12 * np.max(np.abs(want))
 
 
 def _ref_hamiltonian_field(table, eta, point):

@@ -245,34 +245,77 @@ def test_rk4_rate_of_the_wrong_length_at_any_stage_is_a_value_error(d, stage, of
         comprehension_rk4(make(), [1.0] * d, 0.0, 1.0, 0.25)
 
 
-@pytest.mark.parametrize("d", [1, MAX_STRAIGHT_DIM + 1])
-@pytest.mark.parametrize("stage", [1, 2, 3, 4])
-def test_rk4_field_arithmetic_error_at_any_stage_is_nonfinite_at_its_step(d, stage):
-    calls = []
+# (t1, step, error): steps of 0.25, the error raised at the given stage of
+# the third step on [0, 1], or of the fourth, partial step on [0, 0.9]
+@pytest.mark.parametrize("d, stage, t1, step, error", [
+    pytest.param(d, stage, *case, id=f"{stage}-{d}{suffix}")
+    for d in STATE_LENGTHS for stage in (1, 2, 3, 4)
+    for case, suffix in (((1.0, 3, OverflowError), ""), ((0.9, 4, ZeroDivisionError), "-partial"))
+])
+def test_rk4_field_arithmetic_error_at_any_stage_is_nonfinite_at_its_step(d, stage, t1, step,
+                                                                           error):
+    def make():
+        calls = []
 
-    def field(y):
-        calls.append(None)
-        # the third step's evaluations are 9 to 12
-        if len(calls) == 8 + stage:
-            raise OverflowError("in the field")
-        return [1.0] * d
+        def field(y):
+            calls.append(None)
+            if len(calls) == 4 * (step - 1) + stage:
+                raise error("in the field")
+            return [1.0] * d
+
+        return field, calls
+
+    field, calls = make()
+    with pytest.raises(NonFiniteStateError) as err:
+        rk4_integrate(field, [0.0] * d, 0.0, t1, 0.25)
+    assert err.value.time == [0.25, 0.5, 0.75, t1][step - 1]
+    assert isinstance(err.value.__cause__, error)
+    reference, reference_calls = make()
+    with pytest.raises(error):
+        comprehension_rk4(reference, [0.0] * d, 0.0, t1, 0.25)
+    assert len(calls) == len(reference_calls)
+
+
+@pytest.mark.parametrize("d", [d for d in STATE_LENGTHS if d > 0])
+@pytest.mark.parametrize("stage", [1, 2, 3, 4])
+@pytest.mark.parametrize("t1, step", [(1.0, 3), (0.9, 4)])
+def test_rk4_nonfinite_part_at_any_stage_and_position_fails_at_its_step(d, stage, t1, step):
+    # one rate part is inf or NaN at the given stage; its position runs over
+    # the state as the stage does, so both ends of the finiteness sum are hit
+    bad, at = (math.inf, math.nan)[stage % 2], (stage - 1) * (d - 1) // 3
+
+    def make():
+        calls = []
+
+        def field(y):
+            calls.append(None)
+            rate = [0.5] * d
+            if len(calls) == 4 * (step - 1) + stage:
+                rate[at] = bad
+            return rate
+
+        return field
 
     with pytest.raises(NonFiniteStateError) as err:
-        rk4_integrate(field, [0.0] * d, 0.0, 1.0, 0.25)
-    assert err.value.time == 0.75
+        rk4_integrate(make(), [1.0] * d, 0.0, t1, 0.25)
+    assert err.value.time == [0.25, 0.5, 0.75, t1][step - 1]
+    assert err.value.__cause__ is None
+    times, states = comprehension_rk4(make(), [1.0] * d, 0.0, t1, 0.25)
+    first_bad = np.flatnonzero(~np.isfinite(states).all(axis=1))[0]
+    assert times[first_bad] == err.value.time
 
 
 def test_rk4_compiles_a_step_only_for_a_length_it_integrates():
     # a fresh interpreter: importing the package and the CLI compiles nothing,
-    # a state past MAX_STRAIGHT_DIM takes the general step, a short one compiles
+    # a state past MAX_STRAIGHT_DIM takes the general loop, a short one compiles
     src = str(Path(doubleflow.__file__).resolve().parent.parent)
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import doubleflow, doubleflow.cli; "
-            "from doubleflow.quadrature import _straight_step, rk4_integrate; "
-            "sizes = [_straight_step.cache_info().currsize]; "
+            "from doubleflow.quadrature import _straight_run, rk4_integrate; "
+            "sizes = [_straight_run.cache_info().currsize]; "
             "rk4_integrate(lambda y: [0.0] * 100, [1.0] * 100, 0.0, 1.0, 0.5); "
-            "sizes.append(_straight_step.cache_info().currsize); "
+            "sizes.append(_straight_run.cache_info().currsize); "
             "rk4_integrate(lambda y: [0.0] * 3, [1.0] * 3, 0.0, 1.0, 0.5); "
-            "sizes.append(_straight_step.cache_info().currsize); print(sizes)")
+            "sizes.append(_straight_run.cache_info().currsize); print(sizes)")
     out = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True,
                          check=True).stdout
     assert out == "[0, 0, 1]\n"
