@@ -2,8 +2,10 @@
 
 Quadratic Poisson bracket tables, Iwasawa factorizations, Legendre maps, and
 closed-form quadrature flows, each cross-checked against an independent
-fixed-step RK4 oracle.  The package exports the `__all__` of each module
-below; `cli` stays out, so importing the package loads neither it nor scipy.
+fixed-step RK4 oracle, except momenta_su2's, whose field takes the flow's own
+generator L and so does not check L's off-diagonal term.  The package exports
+the `__all__` of each module below; `cli` stays out, so importing the package
+loads neither it nor scipy.
 """
 
 from . import dynamics, groups, poisson, quadrature, verify

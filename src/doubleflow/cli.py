@@ -9,6 +9,7 @@ deviation above --max-dev.
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import os
@@ -174,20 +175,18 @@ def _load_config(path):
 
 
 def _write_csv(out, header, rows):
-    # one %-format per row; "%.17g" % x is the string _fmt(x) gives
-    row_format = ",".join(["%.17g"] * len(header))
-    lines = [",".join(header)]
-    lines.extend(row_format % tuple(row) for row in rows)
-    text = "\n".join(lines) + "\n"
+    # one %-format per row, written as it is made; "%.17g" % x is the string _fmt(x) gives
+    row_format = ",".join(["%.17g"] * len(header)) + "\n"
+    lines = itertools.chain([",".join(header) + "\n"], (row_format % tuple(row) for row in rows))
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(lines)
         return
     directory = os.path.dirname(os.path.abspath(out))
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".doubleflow_", suffix=".csv")
         try:
             with os.fdopen(fd, "w", newline="") as f:
-                f.write(text)
+                f.writelines(lines)
             os.replace(tmp, out)
         except BaseException:
             if os.path.exists(tmp):
@@ -240,7 +239,7 @@ def run_simulate(args) -> int:
     except ValueError as e:
         raise ConfigError(f"params: {e}") from None
     header = ["t", *sysdef.columns(params)]
-    flats, rows = [], []
+    rows = []
     try:
         for t in times:
             st = at(t)
@@ -248,7 +247,6 @@ def run_simulate(args) -> int:
             row = [t, *y, *sysdef.extras(st, y)]
             if not all(map(math.isfinite, row)):
                 raise ValueError("the flow leaves the finite floats")
-            flats.append(y)
             rows.append(row)
     except ValueError as e:
         raise ConfigError(f"params: {e} at t = {_fmt(t)}") from None
@@ -256,14 +254,14 @@ def run_simulate(args) -> int:
     worst = 0.0
     if oracle:
         header.append("oracle_dev")
+        flats = np.array(rows)[:, 1:len(y) + 1]  # a row is [t, *flat, *extras]
         try:
             traj = rk4_integrate(sysdef.field(params), flats[0], 0.0, times[-1],
                                  dt / substeps)
         except NonFiniteStateError as e:
             raise ConfigError(f"params: the oracle leaves the finite floats "
                               f"at t = {_fmt(e.time)}") from None
-        devs = np.max(np.abs(np.array(flats) - traj.states[:n * substeps + 1:substeps]),
-                      axis=1).tolist()
+        devs = np.max(np.abs(flats - traj.states[:n * substeps + 1:substeps]), axis=1).tolist()
         worst = max(devs)
         for r, dev in zip(rows, devs):
             r.append(dev)

@@ -330,7 +330,8 @@ def momenta_su2_flow(u0: SB2Element, alpha, nu, F) -> Callable:
     """Free motion of the SB(2,C) part with frozen SU(2) momenta (α, ν).
 
     The constant generator is L = -(F/2)·[[|ν|², 2iα(Re ν - Im ν)], [0, -|ν|²]]
-    and u(t) = exp(t·L)·u0.
+    and u(t) = exp(t·L)·u0.  The RK4 oracle's field takes this same L, so it
+    does not check L's off-diagonal term, which the package does not derive.
     """
     SU2Element(alpha, nu)  # the unit check; the flow keeps alpha, nu as given
     alpha, nu = complex(alpha), complex(nu)
@@ -357,7 +358,8 @@ def momenta_su2_flat_field(alpha, nu, F):
     """u̇ = L·u on the flattened (r, Re γ, Im γ) state.
 
     γ̇ = x·γ + y/r, x = L[0, 0] and y = L[0, 1], as numpy's complex128 takes
-    (x + 0j)·γ and y/(r + 0j).  An r of 0 is a ZeroDivisionError.
+    (x + 0j)·γ and y/(r + 0j).  An r of 0 is a ZeroDivisionError.  L is the
+    flow's own, so this oracle checks its exponential but not L itself.
     """
     (l00, l01), _ = _momenta_su2_generator(complex(alpha), complex(nu), F).tolist()
     x, yr, yi = l00.real, l01.real, l01.imag

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -134,6 +135,45 @@ def test_csv_values_format_as_17_significant_digits(capsys):
     assert lines[2] == ",".join(format(float(x), ".17g") for x in row[::-1])
     assert lines[1].split(",")[:5] == ["-0", "4.9406564584124654e-324",
                                        "1.7976931348623157e+308", "0.10000000000000001", "3"]
+
+
+def test_write_csv_streams_rows_to_a_file(tmp_path):
+    # the CSV is written line by line: no list of lines and no whole-CSV string
+    rows = [[j * 0.01, *(math.sin(j + k) for k in range(11))] for j in range(20_000)]
+    header = [f"c{i}" for i in range(12)]
+    out = tmp_path / "run.csv"
+    tracemalloc.start()
+    try:
+        _write_csv(str(out), header, rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = out.stat().st_size
+    assert peak < size / 10, (peak, size)
+    lines = out.read_text().split("\n")
+    assert lines[0] == ",".join(header) and lines[-1] == "" and len(lines) == 20_002
+    assert lines[-2] == ",".join(format(x, ".17g") for x in rows[-1])
+
+
+def test_simulate_into_a_pipe_closed_after_the_header(tmp_path):
+    # a reader that stops early ends the run with exit 0 and nothing on stderr
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"system": "noncasimir_h", "t1": 100.0, "dt": 0.01}))
+    src = os.path.dirname(os.path.dirname(doubleflow.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    with open(tmp_path / "err.txt", "wb") as err:
+        proc = subprocess.Popen([sys.executable, "-W", "error", "-m", "doubleflow", "simulate",
+                                 "--config", str(cfg)], stdout=subprocess.PIPE, stderr=err,
+                                env=env)
+        try:
+            header = proc.stdout.readline()
+            proc.stdout.close()
+            code = proc.wait(timeout=120)
+        finally:
+            proc.kill()  # a no-op once it has exited
+    assert header == b"t,alpha_re,alpha_im,nu_re,nu_im,r,gamma_re,gamma_im,h_nu\n"
+    assert code == 0 and (tmp_path / "err.txt").read_bytes() == b""
 
 
 def test_simulate_flag_overrides_config_out(tmp_path):
@@ -298,6 +338,9 @@ def test_registry_system_simulates_with_oracle(tmp_path, system, params, capsys)
     assert max(row[-1] for row in rows) < 1e-8
     _, again = run_config(tmp_path, doc, name="again.csv", extra=["--oracle"])
     assert again.read_bytes() == out.read_bytes()
+    capsys.readouterr()
+    assert main(["simulate", "--config", str(tmp_path / "cfg.json"), "--oracle"]) == 0
+    assert capsys.readouterr().out.encode() == out.read_bytes()  # both sinks, same bytes
     code, _ = run_config(tmp_path, {**doc, "params": {**params, "bogus": 1}}, name="never.csv")
     assert code == 2
     assert system in capsys.readouterr().err
@@ -413,6 +456,41 @@ def test_verify_legendre_json_bytes_are_pinned(seed, samples, digest, capsys):
     assert main(["verify", "--suite", "legendre", "--seed", str(seed),
                  "--samples", str(samples)]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+# (name, tolerance, samples) of every `verify --suite all --samples 20` check,
+# in report order; the verdicts, not the residual bits, hold under every
+# OpenBLAS kernel
+VERIFY_CHECK_TABLE = [
+    ("antisymmetry_coefficients", 0.0, 0), ("reality_coefficients", 0.0, 0),
+    ("table_values_identity", 1e-15, 1), ("jacobi_sl2c_on_surface", 1e-10, 20),
+    ("jacobi_sl2c_generic", 1e-10, 20), ("jacobi_su2", 1e-10, 20),
+    ("jacobi_sb2", 1e-10, 20), ("jacobi_double", 1e-10, 20),
+    ("casimir_det", 1e-12, 20), ("casimir_conj_det", 1e-12, 20),
+    ("casimir_h_su2_norm", 1e-12, 20), ("casimir_h0_sb2", 1e-12, 20),
+    ("symmetry_reality_eval", 1e-12, 20), ("symmetry_inversion_eval", 1e-12, 20),
+    ("leibniz_product_covector", 1e-10, 20), ("field_matches_transcribed_flow", 1e-12, 20),
+    ("product_coordinates_consistency", 1e-12, 20), ("table_json_round_trip", 0.0, 0),
+    ("iwasawa_gu_recompose", 1e-12, 20), ("iwasawa_ug_recompose", 1e-12, 20),
+    ("factor_membership", 1e-12, 20), ("factor_uniqueness", 1e-10, 20),
+    ("legendre_lands_in_su2", 1e-12, 20), ("legendre_round_trip", 1e-10, 20),
+    ("legendre_unreduced_inverse_mismatch", 0.0, 20), ("eq5_conservation_drift", 1e-8, 2),
+    ("casimir_flow_vs_oracle", 1e-6, 2), ("noncasimir_flow_vs_oracle", 1e-6, 2),
+    ("perturbed_flow_ode_residual", 1e-6, 20), ("rotator_orthogonality", 1e-10, 51),
+    ("rotator_full_turn", 1e-10, 1), ("commuting_guard_accepts", 1e-8, 257),
+    ("commuting_guard_rejects", 0.0, 33), ("interaction_picture_commuting", 1e-12, 1),
+    ("action_angle_frequency", 1e-12, 1), ("rk4_order_ratio", 2.0, 2),
+]
+
+
+def test_verify_all_verdicts_and_check_table_are_pinned(capsys):
+    assert main(["verify", "--suite", "all", "--seed", "0", "--samples", "20"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["all_pass"] is True
+    for c in doc["checks"]:
+        assert c["passed"] and math.isfinite(c["residual"]) and c["residual"] <= c["tolerance"]
+    assert [(c["name"], c["tolerance"], c["samples"]) for c in doc["checks"]] \
+        == VERIFY_CHECK_TABLE
 
 
 def test_verify_h0_invariant_does_not_depend_on_sum(monkeypatch):
