@@ -32,7 +32,7 @@ _CONFIG_FIELDS = {"system", "params", "t1", "dt", "oracle", "max_dev", "seed", "
 # and largest RK4 step count of --oracle, whose states are held the same way.
 MAX_ROWS = 1_000_000
 # Largest verify --samples: the brackets suite holds five lists of that many
-# points, about 2.5 KB per sample.
+# points, about 2.5 KB per sample; decompositions and legendre hold one block.
 MAX_SAMPLES = 100_000
 
 

@@ -152,7 +152,9 @@ def sl2c_flat_field(F_value: float):
 def legendre_map(u: SB2Element, F_value: float) -> AlgebraElement:
     """Velocity in su(2) assigned to the momentum u by η = F·dH0.
 
-    An entry past the floats is ValueError("non-finite matrix entry").
+    The value c·[[d, off], [conj(off), -d]], d real and c = (±0, -F/4), has m + m*
+    and tr m exactly 0 where finite, so only finiteness is checked, not su2
+    membership: an entry past the floats is ValueError("non-finite matrix entry").
     """
     r, g = u.r, u.gamma
     try:
@@ -160,11 +162,13 @@ def legendre_map(u: SB2Element, F_value: float) -> AlgebraElement:
     except (ZeroDivisionError, OverflowError):  # r^2 underflows or |gamma|^2 overflows
         raise ValueError("non-finite matrix entry") from None
     off = 2.0 * g / r
-    with np.errstate(over="ignore", invalid="ignore"):  # AlgebraElement rejects inf and NaN
+    with np.errstate(over="ignore", invalid="ignore"):  # check_finite rejects inf and NaN
         m = (-0.25j * float(F_value)) * np.array(
             [[d, off], [off.conjugate(), -d]], dtype=complex
         )
-    return AlgebraElement("su2", m)
+    v = object.__new__(AlgebraElement)
+    v.kind, v.value = "su2", check_finite(m)
+    return v
 
 
 def legendre_invert(v: AlgebraElement, unreduced=False) -> SB2Element:

@@ -228,9 +228,13 @@ class AlgebraElement:
 
 
 def _algebra_defect(kind: str, m: np.ndarray) -> float:
+    """Largest defect of m, a 2x2 matrix or a stack of them (m[..., i, j]); m + m*
+    takes numpy's |.|, a trace or entry Python's, which a numpy scalar's equals."""
+    tr = max(map(abs, np.ravel(m[..., 0, 0] + m[..., 1, 1]).tolist()))
     if kind == "su2":
-        return float(max(np.abs(m + np.conj(m.T)).max(), abs(m[0, 0] + m[1, 1])))
-    return float(max(abs(m[1, 0]), abs(m[0, 0] + m[1, 1]), abs(m[0, 0].imag), abs(m[1, 1].imag)))
+        return float(max(np.abs(m + np.conj(np.swapaxes(m, -1, -2))).max(), tr))
+    low = max(map(abs, np.ravel(m[..., 1, 0]).tolist()))
+    return float(max(low, tr, np.abs(m[..., 0, 0].imag).max(), np.abs(m[..., 1, 1].imag).max()))
 
 
 def _inverse_norm(z, w) -> float:
@@ -341,13 +345,14 @@ def random_element(kind: str, seed):
 
     SU(2) is sampled uniformly (normalized 4-component Gaussian), SB(2,C)
     with log-normal r (sigma = 0.5) and complex-Gaussian gamma, SL(2,C) as
-    the product g*u of the former two.  Deterministic per seed.
+    the product g*u of the former two.  Deterministic per seed.  sqrt(v.dot(v))
+    is np.linalg.norm's formula and .dot the zgemm call of @, so the bits are theirs.
     """
     rng = _as_rng(seed)
     if kind == "su2":
         v = rng.standard_normal(4)
-        v = v / np.linalg.norm(v)
-        return _trusted(SU2Element, complex(v[0], v[1]), complex(v[2], v[3]))
+        s, (x0, x1, x2, x3) = math.sqrt(v.dot(v)), v.tolist()
+        return _trusted(SU2Element, complex(x0 / s, x1 / s), complex(x2 / s, x3 / s))
     if kind == "sb2":
         r = math.exp(0.5 * rng.standard_normal())
         gamma = complex(rng.standard_normal(), rng.standard_normal()) / math.sqrt(2.0)
@@ -355,5 +360,5 @@ def random_element(kind: str, seed):
     if kind == "sl2c":
         g = random_element("su2", rng)
         u = random_element("sb2", rng)
-        return _trusted(SL2Element, *(g.as_matrix() @ u.as_matrix()).ravel().tolist())
+        return _trusted(SL2Element, *g.as_matrix().dot(u.as_matrix()).ravel().tolist())
     raise MembershipError(f"unknown group kind {kind!r}")

@@ -171,23 +171,33 @@ def suite_brackets(seed, samples):
     return out
 
 
+# Samples per block: the decompositions and legendre suites hold a block's
+# matrices and fold them into each residual with one numpy reduction.
+BLOCK = 1000
+
+
 def suite_decompositions(seed, samples):
     rng = np.random.default_rng(seed)
     rec_gu = rec_ug = member = uniq = 0.0
-    for _ in range(samples):
-        a = random_element("sl2c", rng)
-        am = a.as_matrix()
-        g, u = iwasawa_gu(a)
-        gu = g.as_matrix() @ u.as_matrix()
-        rec_gu = max(rec_gu, float(np.abs(gu - am).max()))
-        member = max(member, g.membership_defect(), a.membership_defect())
-        u2, g2 = iwasawa_ug(a)
-        rec_ug = max(rec_ug, float(np.abs(u2.as_matrix() @ g2.as_matrix() - am).max()))
-        member = max(member, g2.membership_defect())
-        # uniqueness: refactorizing the product returns the factors
-        g3, u3 = iwasawa_gu(dyn.SL2Element.from_matrix(gu))
-        uniq = max(uniq, abs(g3.alpha - g.alpha), abs(g3.nu - g.nu),
-                   abs(u3.r - u.r), abs(u3.gamma - u.gamma))
+    for start in range(0, samples, BLOCK):
+        gus, ugs, azs = [], [], []  # g·u, u·g and the entries of a, per sample
+        for _ in range(min(BLOCK, samples - start)):
+            a = random_element("sl2c", rng)
+            g, u = iwasawa_gu(a)
+            u2, g2 = iwasawa_ug(a)
+            member = max(member, g.membership_defect(), a.membership_defect(),
+                         g2.membership_defect())
+            gu = g.as_matrix().dot(u.as_matrix())
+            gus.append(gu)
+            ugs.append(u2.as_matrix().dot(g2.as_matrix()))
+            azs.append((a.z1, a.z2, a.z3, a.z4))
+            # uniqueness: refactorizing the product returns the factors
+            g3, u3 = iwasawa_gu(dyn.SL2Element(*gu.ravel().tolist()))
+            uniq = max(uniq, abs(g3.alpha - g.alpha), abs(g3.nu - g.nu),
+                       abs(u3.r - u.r), abs(u3.gamma - u.gamma))
+        am = np.array(azs).reshape(-1, 2, 2)
+        rec_gu = max(rec_gu, float(np.abs(np.array(gus) - am).max()))
+        rec_ug = max(rec_ug, float(np.abs(np.array(ugs) - am).max()))
     return [
         _check("iwasawa_gu_recompose", rec_gu, 1e-12, samples, seed),
         _check("iwasawa_ug_recompose", rec_ug, 1e-12, samples, seed),
@@ -199,17 +209,19 @@ def suite_decompositions(seed, samples):
 def suite_legendre(seed, samples):
     rng = np.random.default_rng(seed)
     in_su2 = round_trip = unreduced_hits = 0.0
-    for _ in range(samples):
-        u = random_element("sb2", rng)
-        v = dyn.legendre_map(u, 1.0)
-        m = v.value
-        in_su2 = max(in_su2, _algebra_defect("su2", m))
-        u2 = dyn.legendre_invert(v)
-        round_trip = max(round_trip, abs(u2.r - u.r), abs(u2.gamma - u.gamma))
-        u3 = dyn.legendre_invert(v, unreduced=True)
-        v3 = dyn.legendre_map(u3, 1.0)
-        if float(np.abs(v3.value - m).max()) < 1e-8:
-            unreduced_hits += 1.0
+    for start in range(0, samples, BLOCK):
+        ms, m3s = [], []  # each sample's map and the map of its unreduced inverse
+        for _ in range(min(BLOCK, samples - start)):
+            u = random_element("sb2", rng)
+            v = dyn.legendre_map(u, 1.0)
+            u2 = dyn.legendre_invert(v)
+            round_trip = max(round_trip, abs(u2.r - u.r), abs(u2.gamma - u.gamma))
+            u3 = dyn.legendre_invert(v, unreduced=True)
+            ms.append(v.value)
+            m3s.append(dyn.legendre_map(u3, 1.0).value)
+        stack = np.array(ms)
+        in_su2 = max(in_su2, _algebra_defect("su2", stack))
+        unreduced_hits += float((np.abs(np.array(m3s) - stack).max(axis=(1, 2)) < 1e-8).sum())
     return [
         _check("legendre_lands_in_su2", in_su2, 1e-12, samples, seed),
         _check("legendre_round_trip", round_trip, 1e-10, samples, seed),

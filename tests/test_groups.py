@@ -184,3 +184,22 @@ def test_random_element_deterministic_per_seed():
         np.testing.assert_array_equal(a.as_matrix(), b.as_matrix())
     with pytest.raises(MembershipError):
         random_element("nonsense", 0)
+
+
+def test_complex_2x2_dot_pinned_bitwise_matches_matmul():
+    # ndarray.dot and @ make the same zgemm call on 2x2 complex operands, so
+    # random_element("sl2c") and the decompositions suite keep their bits under
+    # every OpenBLAS kernel; 20,000 pairs at scales 1e-8 to 1e8, with signed zeros
+    rng = np.random.default_rng(23)
+    got, want = [], []
+    for k in range(20000):
+        a, b = (rng.standard_normal((2, 2, 2)) * 10.0 ** rng.integers(-8, 9, (2, 2, 2))
+                for _ in range(2))
+        a, b = a[0] + 1j * a[1], b[0] + 1j * b[1]
+        if k % 4 == 0:
+            a[rng.integers(2), rng.integers(2)] = complex(rng.choice([0.0, -0.0]),
+                                                          rng.choice([0.0, -0.0]))
+            b[1, 0] = rng.choice([0.0, -0.0])
+        got.append(a.dot(b))
+        want.append(a @ b)
+    assert np.array(got).tobytes() == np.array(want).tobytes()
