@@ -4,7 +4,8 @@ simulate reads a JSON run config (file or stdin), samples the closed-form flow
 on a uniform grid, and writes a CSV trajectory; with --oracle it integrates
 the same field with fixed-step RK4 and records the per-row deviation.  Exit
 codes: 0 success, 1 verification failure, 2 usage or config error, 3 oracle
-deviation above --max-dev.
+deviation above --max-dev, whose stderr line adds RK4's own error there by
+step doubling.
 """
 
 import argparse
@@ -255,9 +256,9 @@ def run_simulate(args) -> int:
     if oracle:
         header.append("oracle_dev")
         flats = np.array(rows)[:, 1:len(y) + 1]  # a row is [t, *flat, *extras]
+        field = sysdef.field(params)
         try:
-            traj = rk4_integrate(sysdef.field(params), flats[0], 0.0, times[-1],
-                                 dt / substeps)
+            traj = rk4_integrate(field, flats[0], 0.0, times[-1], dt / substeps)
         except NonFiniteStateError as e:
             raise ConfigError(f"params: the oracle leaves the finite floats "
                               f"at t = {_fmt(e.time)}") from None
@@ -268,10 +269,31 @@ def run_simulate(args) -> int:
 
     _write_csv(out, header, rows)
     if oracle and worst > max_dev:
-        print(f"oracle deviation {worst:.6e} exceeds max-dev {max_dev:.6e}",
-              file=sys.stderr)
+        row = devs.index(worst)
+        print(f"oracle deviation {worst:.6e} exceeds max-dev {max_dev:.6e}; at its worst row, "
+              f"t = {_fmt(times[row])}, "
+              f"{_oracle_error(field, traj, row * substeps, dt / substeps)}", file=sys.stderr)
         return 3
     return 0
+
+
+def _oracle_error(field, traj, k, h) -> str:
+    """The RK4 oracle's own error at its state k, by step doubling: |y_h - y_{h/2}|·16/15.
+
+    RK4's error falls 2^4-fold per halving of h, so the two runs differ by
+    15/16 of the error of the run at h.  Run only on a missed bound, so a
+    passing run pays nothing.
+    """
+    if 2 * (len(traj) - 1) > MAX_ROWS:
+        return (f"the oracle's own error is not estimated: twice its {len(traj) - 1} "
+                f"RK4 steps would exceed MAX_ROWS = {MAX_ROWS}")
+    try:
+        half = rk4_integrate(field, traj.states[0], 0.0, traj.times[-1], 0.5 * h)
+    except NonFiniteStateError as e:
+        return (f"the oracle's own error is not estimated: RK4 at h/2 leaves the "
+                f"finite floats at t = {_fmt(e.time)}")
+    est = float(np.abs(traj.states[k] - half.states[2 * k]).max()) * 16.0 / 15.0
+    return f"the oracle's own error is about {est:.6e} by step doubling"
 
 
 def run_verify(args) -> int:

@@ -11,10 +11,12 @@ The SU(2) rows exponentiate with groups.expm2_kernel on Python complex
 scalars; the rotator's rows with rodrigues3_kernel, the axis-angle closed
 form of exp(t·hat3(p)), whose inputs rotator_flow checks once.
 
-No *_flat_field runs numpy scalar arithmetic per evaluation: the SU(2)·SB(2,C)
-fields work on Python floats, and the rotator's one product is np.dot.  The
-float fields write out complex arithmetic operation by operation, with its
-bits: numpy complex128's for momenta_su2, CPython's (to 3.13) for the others.
+No *_flat_field calls numpy per evaluation but action_angle's by matrix, one
+A @ φ of a config-sized A: the others work on Python floats.  The rotator's
+rows are the cross products g_i × F·p, with np.cross's bits, so its oracle
+takes no BLAS kernel.  The SU(2)·SB(2,C) fields write out complex arithmetic
+operation by operation, with its bits: numpy complex128's for momenta_su2,
+CPython's (to 3.13) for the others.
 A real h times z is (h + 0j)·z, whose 0·x terms keep the signed zeros; z/r is
 _Py_c_quot's z/(r + 0j); a conjugate is a sign, exact in IEEE arithmetic.  So
 the bits do not depend on how a Python version mixes float and complex
@@ -309,16 +311,14 @@ def _scaled_axis(p, F: float):
 
 
 def rotator_flat_field(p, F):
-    """ġ = g·hat(F·p) on the flattened 9-real rotation matrix.
-
-    F·p is checked as rotator_flow checks it, once.  np.dot makes the
-    cblas_dgemm call that @ makes, without the gufunc dispatch.
-    """
-    F = float(F)
-    k = hat3(_scaled_axis(_finite_array(p, "p", (3,)), F)[0])
+    """ġ = g·hat(w), w = F·p checked as rotator_flow does: row i of flat g is g_i × w."""
+    w0, w1, w2 = _scaled_axis(_finite_array(p, "p", (3,)), float(F))[0].tolist()
 
     def field(y):
-        return np.dot(np.array(y).reshape(3, 3), k).ravel().tolist()
+        a0, a1, a2, b0, b1, b2, c0, c1, c2 = y
+        return (a1 * w2 - a2 * w1, a2 * w0 - a0 * w2, a0 * w1 - a1 * w0,
+                b1 * w2 - b2 * w1, b2 * w0 - b0 * w2, b0 * w1 - b1 * w0,
+                c1 * w2 - c2 * w1, c2 * w0 - c0 * w2, c0 * w1 - c1 * w0)
 
     return field
 

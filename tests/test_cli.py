@@ -69,6 +69,55 @@ def test_simulate_oracle_column_and_threshold(tmp_path):
     assert out.exists()  # trajectory is still written before the failure exit
 
 
+STIFF_CASIMIR = {"system": "casimir_sl2c", "params": {"u0": {"r": 3.0, "gamma": [2.0, 1.0]},
+                                                     "F": 10.0}, "t1": 1.0, "dt": 0.01}
+
+
+def test_missed_oracle_bound_estimates_the_oracles_own_error(tmp_path, capsys):
+    # at F = 10 the closed form is right and RK4 at h = 1e-3 is not: the
+    # step-doubling estimate of RK4's own error at the worst row is within
+    # 10% of the deviation; the CSV bytes are those of a run that passes
+    code, out = run_config(tmp_path, STIFF_CASIMIR, extra=["--oracle"])
+    assert code == 3
+    err = capsys.readouterr().err
+    devs = [r[-1] for r in read_csv(out)[1]]
+    worst = max(devs)
+    t = cli._fmt(0.01 * devs.index(worst))
+    assert err.startswith(f"oracle deviation {worst:.6e} exceeds max-dev 1.000000e-05; "
+                          f"at its worst row, t = {t}, the oracle's own error is about ")
+    assert err.endswith(" by step doubling\n") and err.count("\n") == 1
+    estimate = float(err.split("is about ")[1].split()[0])
+    assert abs(estimate - worst) < 0.1 * worst
+    code, passing = run_config(tmp_path, STIFF_CASIMIR, name="pass.csv",
+                               extra=["--oracle", "--max-dev", "1e-4"])
+    assert code == 0 and capsys.readouterr().err == ""
+    assert out.read_bytes() == passing.read_bytes()
+
+
+def test_missed_oracle_bound_skips_an_estimate_past_max_rows(tmp_path, monkeypatch, capsys):
+    # 100 RK4 steps pass a cap of 150, and the 200 of the h/2 run would not
+    monkeypatch.setattr(cli, "MAX_ROWS", 150)
+    doc = {**STIFF_CASIMIR, "t1": 0.1}
+    code, _ = run_config(tmp_path, doc, extra=["--oracle", "--max-dev", "1e-18"])
+    assert code == 3
+    assert capsys.readouterr().err.endswith(
+        "the oracle's own error is not estimated: twice its 100 RK4 steps would exceed "
+        "MAX_ROWS = 150\n")
+
+
+def test_missed_oracle_bound_reports_a_half_step_run_past_the_floats(tmp_path, capsys):
+    # L[0, 0] = -4000 makes the step of 1e-3 unstable but finite, and puts
+    # the second stage of the h/2 run at r = 0, a ZeroDivisionError there
+    doc = {"system": "momenta_su2", "params": {"u0": {"r": 1.0, "gamma": [0.5, 0.0]},
+                                               "alpha": [0.0, 0.0], "nu": [1.0, 0.0],
+                                               "F": 8000.0}, "t1": 0.001, "dt": 0.001}
+    code, _ = run_config(tmp_path, doc, extra=["--oracle"])
+    assert code == 3
+    assert capsys.readouterr().err.endswith(
+        "at its worst row, t = 0.001, the oracle's own error is not estimated: RK4 at h/2 "
+        "leaves the finite floats at t = 0.00050000000000000001\n")
+
+
 def test_simulate_reproducible_bytes(tmp_path):
     doc = {"system": "perturbed", "t1": 1.0, "dt": 0.02, "seed": 42, "oracle": True}
     _, out1 = run_config(tmp_path, doc, name="a.csv")

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from doubleflow import groups
+from doubleflow import dynamics, groups
 from doubleflow.dynamics import (
     SYSTEMS,
     CommutativityError,
@@ -17,6 +17,7 @@ from doubleflow.dynamics import (
     _momenta_su2_generator,
     _perturbed_x,
     _rotating_frame,
+    action_angle_flat_field,
     action_angle_flow,
     casimir_flow,
     commuting_quadrature_flow,
@@ -458,7 +459,7 @@ def test_momenta_su2_field_zero_r_at_a_stage_is_nonfinite_at_its_step():
 
 
 def rotator_field_reference(p, F):
-    """rotator_flat_field as it was, through @, kept as the bit reference."""
+    """rotator_flat_field as it was, through @, kept as a closeness reference."""
     k = hat3(float(F) * _finite_array(p, "p", (3,)))
 
     def field(y):
@@ -467,19 +468,76 @@ def rotator_field_reference(p, F):
     return field
 
 
-def test_rotator_flat_field_pinned_bitwise_matches_matmul():
-    # np.dot and @ make the same dgemm call, so the bits agree under every
-    # OpenBLAS kernel; 2,000 fields at 10 states each
+def rotator_draws():
+    """(p, F, state) for 2,000 fields at 10 states each, every scale from 1e-8 to 1e8."""
     rng = np.random.default_rng(42)
-    got, want = [], []
     for _ in range(2000):
         p, F = rng.standard_normal(3), float(rng.choice([0.0, 1.3, -1.3, 1e150]))
-        field, reference = rotator_flat_field(p, F), rotator_field_reference(p, F)
         for _ in range(10):
-            y = (rng.standard_normal(9) * 10.0 ** rng.integers(-8, 9)).tolist()
-            got.append(field(y))
-            want.append(reference(y))
+            yield p, F, (rng.standard_normal(9) * 10.0 ** rng.integers(-8, 9)).tolist()
+
+
+def test_rotator_flat_field_pinned_bitwise_matches_cross():
+    # each row is g_i x F·p, two rounded products and a difference, as
+    # np.cross computes it: no BLAS kernel, so the bits, signed zeros
+    # included, hold under every OpenBLAS kernel
+    got, want = [], []
+    for p, F, y in rotator_draws():
+        got.append(rotator_flat_field(p, F)(y))
+        want.append(np.cross(np.reshape(y, (3, 3)), F * p).ravel())
     assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
+def test_rotator_flat_field_is_close_to_matmul():
+    # the dgemm of g·hat(F·p) may fuse or reorder its three terms, so the
+    # old field agrees to round-off of the largest product only
+    for p, F, y in rotator_draws():
+        scale = 2.0 ** -50 * np.abs(y).max() * np.abs(F * p).max()
+        got, want = rotator_flat_field(p, F)(y), rotator_field_reference(p, F)(y)
+        assert np.abs(np.subtract(got, want)).max() <= scale
+
+
+@pytest.mark.parametrize("scale", [3e33, 1e50, 1e100, 1e150])
+def test_rotator_field_overflows_at_the_step_the_matmul_field_did(scale):
+    # the float rate overflows to inf or NaN without a warning or an
+    # exception, so the trajectory fails at the same step as through @
+    p, times = np.array([0.6, 0.0, 0.8]) * scale, []
+    for field in (rotator_flat_field(p, 1.0), rotator_field_reference(p, 1.0)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteStateError) as err:
+                rk4_integrate(field, np.eye(3).ravel(), 0.0, 1.0, 1e-3)
+        times.append(err.value.time)
+    assert times[0] == times[1]
+
+
+@pytest.mark.parametrize("d", [0, 8, 10])
+def test_rotator_field_rejects_a_state_not_of_length_9(d):
+    with pytest.raises(ValueError):
+        rotator_flat_field([0.4, -0.3, 0.8], 1.0)([1.0] * d)
+
+
+class NoNumpy:
+    """A stand-in for the numpy module that fails on any use."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"numpy.{name} used per evaluation")
+
+
+@pytest.mark.parametrize("make, y", [
+    (lambda: sl2c_flat_field(1.3), [0.5, -0.2, 1.1, 0.3, -0.4, 0.9, 0.7, -0.6]),
+    (lambda: noncasimir_flat_field(), [0.6, 0.0, 0.0, 0.8, 1.3, 0.4, -0.2]),
+    (lambda: perturbed_flat_field(1.3, 0.1), [0.6, 0.0, 0.0, 0.8, 1.3, 0.4, -0.2]),
+    (lambda: momenta_su2_flat_field(0.6, 0.8j, 1.3), [1.3, 0.4, -0.2]),
+    (lambda: rotator_flat_field([0.4, -0.3, 0.8], 1.3), [0.0, -0.6, 0.8, 1.0, 0.0, 0.0,
+                                                          0.0, 0.8, 0.6]),
+    (lambda: action_angle_flat_field([1.0, 2.0], freq=[0.3, -1.7]), [1.0, 2.0, 0.1, 0.2]),
+], ids=["sl2c", "noncasimir", "perturbed", "momenta_su2", "rotator", "action_angle_freq"])
+def test_float_fields_call_no_numpy_per_evaluation(make, y, monkeypatch):
+    field = make()
+    rate = list(field(y))
+    monkeypatch.setattr(dynamics, "np", NoNumpy())
+    assert list(field(y)) == rate and len(rate) == len(y)
 
 
 @pytest.mark.parametrize("p, F", [([1e150, 0.0, 0.0], 1e10), ([1.0, 0.0, 0.0], math.inf),

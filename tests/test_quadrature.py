@@ -325,11 +325,15 @@ def test_rk4_compiles_a_step_only_for_a_length_it_integrates():
 # the comprehension stepper computed them; these fields call no BLAS, so the
 # digests hold under every OpenBLAS kernel.  momenta_su2 at F = 0 from
 # gamma0 = (-0.0, 0.0) has rates that are signed zeros, where a float rewrite
-# of a field can drift while every == still holds.
+# of a field can drift while every == still holds.  The rotator starts from
+# the rotation of the quaternion (1, 2, 3, 4)/√30, entries multiples of 1/30.
 ALPHA, NU, R, GAMMA = 0.6 + 0.0j, 0.8j, 1.3, 0.4 - 0.2j
 Z = (ALPHA * R, ALPHA * GAMMA - NU.conjugate() / R, NU * R, NU * GAMMA + ALPHA.conjugate() / R)
 DOUBLE = [ALPHA.real, ALPHA.imag, NU.real, NU.imag, R, GAMMA.real, GAMMA.imag]
 PINNED_TRAJECTORIES = {
+    "rotator": ("rotator", {"p": [0.4, -0.3, 0.8], "F": 1.3},
+                [v / 30 for v in (-20, 4, 22, 20, -10, 20, 10, 28, 4)],
+                "af3d9a09b968e490966ccd73f5a625f041fdfeb31256f24b8bab65c3cf8b8ee6"),
     "casimir_sl2c": ("casimir_sl2c", {"F": 1.0}, [x for z in Z for x in (z.real, z.imag)],
                      "71b095a82725ca835f3ab3e542235cfe3fbb1383ca4c75a1f56b2fbcb262fa61"),
     "noncasimir_h": ("noncasimir_h", {}, DOUBLE,
