@@ -109,26 +109,26 @@ def free_hamiltonian(x) -> float:
     """
     if not isinstance(x, (SL2Element, SB2Element)):
         raise TypeError(f"no free Hamiltonian for {type(x).__name__}")
-    try:
-        if isinstance(x, SL2Element):
-            h = 0.5 * (abs(x.z1) ** 2 + abs(x.z2) ** 2 + abs(x.z3) ** 2 + abs(x.z4) ** 2)
-        else:
+    if isinstance(x, SL2Element):  # the casimir row's H0 column
+        h = _casimir_extras(z_to_flat(x.z1, x.z2, x.z3, x.z4))[0]
+    else:
+        try:
             h = 0.5 * (abs(x.gamma) ** 2 + x.r ** 2 + x.r ** -2)
-    except OverflowError:  # a square or r^-2 past the floats
-        h = math.inf
+        except OverflowError:  # a square or r^-2 past the floats
+            h = math.inf
     if h == math.inf:  # or their sum
         raise ValueError("non-finite matrix entry")
     return h
 
 
-def z_to_flat(z1, z2, z3, z4) -> np.ndarray:
-    return np.array([z1.real, z1.imag, z2.real, z2.imag,
-                     z3.real, z3.imag, z4.real, z4.imag])
+def z_to_flat(z1, z2, z3, z4) -> list:
+    """The 8-real z-state [z1.real, z1.imag, ..., z4.imag], as a list."""
+    return [z1.real, z1.imag, z2.real, z2.imag, z3.real, z3.imag, z4.real, z4.imag]
 
 
 def flat_to_z(y):
-    return (complex(y[0], y[1]), complex(y[2], y[3]),
-            complex(y[4], y[5]), complex(y[6], y[7]))
+    """The four complex entries of an 8-real z-state, as a tuple."""
+    return (complex(y[0], y[1]), complex(y[2], y[3]), complex(y[4], y[5]), complex(y[6], y[7]))
 
 
 def sl2c_flat_field(F_value: float):
@@ -706,7 +706,7 @@ SYSTEMS = {
         params=(_G0, _U0, _F),
         flow=lambda p: casimir_flow(p["g0"], p["u0"], p["F"]),
         columns=lambda p: _complex_cols("z1", "z2", "z3", "z4") + ["H0", "det_re", "det_im"],
-        flat=lambda st: (st.g.as_matrix() @ st.u.as_matrix()).ravel().view(float).tolist(),
+        flat=lambda st: z_to_flat(*st.g.gu_entries(st.u)),
         extras=lambda st, y: _casimir_extras(y),
         field=lambda p: sl2c_flat_field(p["F"]),
     ),

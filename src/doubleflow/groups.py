@@ -5,7 +5,8 @@ than raw matrices, so membership invariants are checkable and small drift is
 renormalizable.  Constructors project inputs that violate the invariant by at
 most ``PROJECT_TOL`` and reject anything worse.  An e^|d| or y·sinhc(d) in
 exp_sb2 or an Iwasawa norm that leaves the floats is ValueError("non-finite matrix entry"),
-not the OverflowError or ZeroDivisionError of the scalar arithmetic.
+not the OverflowError or ZeroDivisionError of the scalar arithmetic.  The
+product a = g·u of SL(2,C) = SU(2)·SB(2,C) has one numeric home, `SU2Element.gu_entries`.
 
 The exponentials are closed form.  The 2x2 one, `expm2_kernel`, uses the
 explicit eigenstructure of a 2x2 matrix instead of scaling-and-squaring, so
@@ -108,6 +109,10 @@ class SU2Element:
 
     def inverse(self) -> "SU2Element":
         return _trusted(SU2Element, self.alpha.conjugate(), -self.nu)
+
+    def gu_entries(self, u: "SB2Element") -> list:
+        """[z1, z2, z3, z4] of the product g·u, row by row: the one 2x2 product's bits."""
+        return self.as_matrix().dot(u.as_matrix()).ravel().tolist()
 
     def __matmul__(self, other: "SU2Element") -> "SU2Element":
         a = self.alpha * other.alpha - self.nu.conjugate() * other.nu
@@ -343,10 +348,9 @@ def _as_rng(seed) -> np.random.Generator:
 def random_element(kind: str, seed):
     """Seeded random group element of kind "su2", "sb2" or "sl2c".
 
-    SU(2) is sampled uniformly (normalized 4-component Gaussian), SB(2,C)
-    with log-normal r (sigma = 0.5) and complex-Gaussian gamma, SL(2,C) as
-    the product g*u of the former two.  Deterministic per seed.  sqrt(v.dot(v))
-    is np.linalg.norm's formula and .dot the zgemm call of @, so the bits are theirs.
+    SU(2) is sampled uniformly (normalized 4-component Gaussian; sqrt(v.dot(v)) is
+    np.linalg.norm's formula and bits), SB(2,C) with log-normal r (sigma = 0.5) and
+    complex-Gaussian gamma, SL(2,C) as g.gu_entries(u), g drawn first.  Deterministic per seed.
     """
     rng = _as_rng(seed)
     if kind == "su2":
@@ -359,6 +363,5 @@ def random_element(kind: str, seed):
         return SB2Element(r, gamma)
     if kind == "sl2c":
         g = random_element("su2", rng)
-        u = random_element("sb2", rng)
-        return _trusted(SL2Element, *g.as_matrix().dot(u.as_matrix()).ravel().tolist())
+        return _trusted(SL2Element, *g.gu_entries(random_element("sb2", rng)))
     raise MembershipError(f"unknown group kind {kind!r}")

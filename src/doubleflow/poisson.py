@@ -163,14 +163,18 @@ _CROSS_SEEDS = {
     ("alpha", "r"): [(-0.25j, {"alpha": 1, "r": 1})],
 }
 
-# SU(2)·SB(2,C): both factors' coordinates, seeds and functions, plus the cross seeds.
+# SU(2)·SB(2,C): both factors' records, the cross seeds and the entries z1..z4 of a = g·u.
 _DOUBLE = CoordinateSystem(
     "double",
     _SU2.coords + _SB2.coords,
     {**_SU2.conj, **_SB2.conj},
     laurent=_SU2.laurent | _SB2.laurent,
     seeds={**_SU2.seeds, **_SB2.seeds, **_CROSS_SEEDS},
-    functions={**_SU2.functions, **_SB2.functions},
+    functions={**_SU2.functions, **_SB2.functions,
+               "z1": [(1, {"alpha": 1, "r": 1})],
+               "z2": [(1, {"alpha": 1, "gamma": 1}), (-1, {"nuc": 1, "r": -1})],
+               "z3": [(1, {"nu": 1, "r": 1})],
+               "z4": [(1, {"nu": 1, "gamma": 1}), (1, {"alphac": 1, "r": -1})]},
     kinds=_SU2.kinds + _SB2.kinds,
 )
 
@@ -484,7 +488,7 @@ def get_table(system: str) -> BracketTable:
 
 
 def named_function(system: str, name: str) -> Poly:
-    """Named polynomial observables used in Casimir and conservation checks."""
+    """Named polynomials: Casimirs, conserved quantities and, on "double", z1..z4 of g·u."""
     cs = COORD_SYSTEMS[system]
     if name not in cs.functions:
         raise KeyError(f"unknown function {name!r} for system {system!r}")

@@ -141,13 +141,7 @@ def suite_brackets(seed, samples):
 
     # product coordinates: the double table pushed through a = g*u
     # reproduces the sl2c table
-    cs = tables["double"].cs
-    zpolys = {
-        "z1": poi.Poly.from_monomials(cs, [(1, {"alpha": 1, "r": 1})]),
-        "z2": poi.Poly.from_monomials(cs, [(1, {"alpha": 1, "gamma": 1}), (-1, {"nuc": 1, "r": -1})]),
-        "z3": poi.Poly.from_monomials(cs, [(1, {"nu": 1, "r": 1})]),
-        "z4": poi.Poly.from_monomials(cs, [(1, {"nu": 1, "gamma": 1}), (1, {"alphac": 1, "r": -1})]),
-    }
+    zpolys = {k: poi.named_function("double", k) for k in ("z1", "z2", "z3", "z4")}
     zpolys.update({k + "c": v.conj() for k, v in list(zpolys.items())})
     pairs = [(tables["double"].poly_bracket(zpolys[a], zpolys[b]), tz.entry(a, b))
              for a, b in itertools.combinations(tz.cs.coords, 2)]
@@ -187,17 +181,16 @@ def suite_decompositions(seed, samples):
             u2, g2 = iwasawa_ug(a)
             member = max(member, g.membership_defect(), a.membership_defect(),
                          g2.membership_defect())
-            gu = g.as_matrix().dot(u.as_matrix())
-            gus.append(gu)
-            ugs.append(u2.as_matrix().dot(g2.as_matrix()))
+            gus.append(gu := g.gu_entries(u))
+            ugs.append(u2.as_matrix().dot(g2.as_matrix()).ravel())
             azs.append((a.z1, a.z2, a.z3, a.z4))
             # uniqueness: refactorizing the product returns the factors
-            g3, u3 = iwasawa_gu(dyn.SL2Element(*gu.ravel().tolist()))
+            g3, u3 = iwasawa_gu(dyn.SL2Element(*gu))
             uniq = max(uniq, abs(g3.alpha - g.alpha), abs(g3.nu - g.nu),
                        abs(u3.r - u.r), abs(u3.gamma - u.gamma))
-        am = np.array(azs).reshape(-1, 2, 2)
-        rec_gu = max(rec_gu, float(np.abs(np.array(gus) - am).max()))
-        rec_ug = max(rec_ug, float(np.abs(np.array(ugs) - am).max()))
+        az = np.array(azs)
+        rec_gu = max(rec_gu, float(np.abs(np.array(gus) - az).max()))
+        rec_ug = max(rec_ug, float(np.abs(np.array(ugs) - az).max()))
     return [
         _check("iwasawa_gu_recompose", rec_gu, 1e-12, samples, seed),
         _check("iwasawa_ug_recompose", rec_ug, 1e-12, samples, seed),
@@ -254,7 +247,7 @@ def suite_flows(seed, samples):
     for _ in range(starts):
         g0 = random_element("su2", rng)
         u0 = random_element("sb2", rng)
-        a0 = dyn.SL2Element.from_matrix(g0.as_matrix() @ u0.as_matrix())
+        a0 = dyn.SL2Element(*g0.gu_entries(u0))
         y0 = dyn.z_to_flat(a0.z1, a0.z2, a0.z3, a0.z4)
         traj = rk4_integrate(dyn.sl2c_flat_field(1.0), y0, 0.0, 5.0, 1e-3)
         at = dyn.casimir_flow(g0, u0, 1.0)

@@ -215,7 +215,7 @@ def test_hamiltonian_field_requires_full_covector():
 
 def test_double_table_reproduces_sl2c_through_product_coordinates():
     td, tz = get_table("double"), get_table("sl2c")
-    zp = _zpolys(td.cs)
+    zp = _zpolys()
     for k in range(10):
         p = random_point("double", k)
         zvals = {name: poly.evaluate(p) for name, poly in zp.items()}
@@ -352,16 +352,22 @@ def _ref_casimir_residual(t, fname, point):
     return max(abs(v) for v in rates.values())
 
 
-def _zpolys(cs):
+def _zpolys():
     """z1..z4 and conjugates of a = g*u as polynomials in the double coordinates."""
-    zp = {
-        "z1": Poly.from_monomials(cs, [(1, {"alpha": 1, "r": 1})]),
-        "z2": Poly.from_monomials(cs, [(1, {"alpha": 1, "gamma": 1}), (-1, {"nuc": 1, "r": -1})]),
-        "z3": Poly.from_monomials(cs, [(1, {"nu": 1, "r": 1})]),
-        "z4": Poly.from_monomials(cs, [(1, {"nu": 1, "gamma": 1}), (1, {"alphac": 1, "r": -1})]),
-    }
+    zp = {k: named_function("double", k) for k in ("z1", "z2", "z3", "z4")}
     zp.update({k + "c": v.conj() for k, v in list(zp.items())})
     return zp
+
+
+def test_gu_entries_match_the_double_records_product_coordinates():
+    # the numeric home of a = g·u and its symbolic home agree
+    polys = [named_function("double", f"z{k}") for k in range(1, 5)]
+    rng = np.random.default_rng(31)
+    for _ in range(2000):
+        g, u = random_element("su2", rng), random_element("sb2", rng)
+        p = point_of_element(g, u)
+        for z, poly in zip(g.gu_entries(u), polys, strict=True):
+            assert abs(z - poly.evaluate(p)) <= 1e-14 * max(1.0, abs(z)), (g, u)
 
 
 def _points(name, n=50):
@@ -379,7 +385,7 @@ def test_compiled_evaluate_is_bit_identical_to_reference():
             # the Laurent entries: negative powers of r
             assert any(k < 0 for p in polys for e in p.terms for k in e)
         if name == "double":
-            zp = _zpolys(t.cs)
+            zp = _zpolys()
             polys += list(zp.values())
             polys += [t.poly_bracket(zp[a], zp[b]) for a, b in itertools.combinations(zp, 2)]
         for point in _points(name):
@@ -414,7 +420,7 @@ def test_hoisted_product_coordinates_check_matches_per_point_recomputation():
     td, tz = get_table("double"), get_table("sl2c")
     worst = 0.0
     for p in pts:
-        zp = _zpolys(td.cs)
+        zp = _zpolys()
         zvals = {k: _ref_evaluate(v, p) for k, v in zp.items()}
         for a, b in itertools.combinations(tz.cs.coords, 2):
             lhs = _ref_evaluate(td.poly_bracket(zp[a], zp[b]), p)
@@ -454,6 +460,10 @@ NAMED_TERMS = {
     ("double", "h_nu"): [((0, 1, 0, 1, 0, 0, 0), 0.5)],
     ("double", "h0"): [((0, 0, 0, 0, 0, 1, 1), 0.5), ((0, 0, 0, 0, 2, 0, 0), 0.5),
                        ((0, 0, 0, 0, -2, 0, 0), 0.5)],
+    ("double", "z1"): [((1, 0, 0, 0, 1, 0, 0), 1.0)],
+    ("double", "z2"): [((1, 0, 0, 0, 0, 1, 0), 1.0), ((0, 0, 0, 1, -1, 0, 0), -1.0)],
+    ("double", "z3"): [((0, 1, 0, 0, 1, 0, 0), 1.0)],
+    ("double", "z4"): [((0, 1, 0, 0, 0, 1, 0), 1.0), ((0, 0, 1, 0, -1, 0, 0), 1.0)],
 }
 
 
