@@ -52,13 +52,6 @@ from doubleflow.groups import (
 )
 from doubleflow.quadrature import NonFiniteStateError, drift_report, rk4_integrate, simpson_rule
 
-E12 = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-
-
-def su2_product_matrix(st):
-    return st.g.as_matrix() @ st.u.as_matrix()
-
-
 def flat_of_double(alpha, nu, u):
     return SYSTEMS["noncasimir_h"].flat(FlowState(0.0, u=u, alpha=alpha, nu=nu))
 
@@ -104,44 +97,12 @@ def test_casimir_flow_diagonal_example():
         assert abs(m[0, 1]) < 1e-15
 
 
-def test_casimir_flow_matches_rk4_oracle():
-    worst = 0.0
-    for k in range(3):
-        rng = np.random.default_rng(k)
-        g0, u0 = random_element("su2", rng), random_element("sb2", rng)
-        a0 = SL2Element.from_matrix(g0.as_matrix() @ u0.as_matrix())
-        traj = rk4_integrate(sl2c_flat_field(1.0), z_to_flat(a0.z1, a0.z2, a0.z3, a0.z4),
-                             0.0, 5.0, 1e-3)
-        for t, y in zip(traj.times[::250], traj.states[::250]):
-            st = casimir_flow(g0, u0, 1.0)(t)
-            z = flat_to_z(y)
-            worst = max(worst, float(np.max(np.abs(
-                su2_product_matrix(st) - np.array([[z[0], z[1]], [z[2], z[3]]])))))
-    assert worst < 1e-6
-
-
 def test_legendre_map_fixed_values():
     assert np.max(np.abs(legendre_map(SB2Element.identity(), 1.0).value)) == 0.0
     v = legendre_map(SB2Element(2.0, 0.0), 1.0).value
     np.testing.assert_allclose(v, np.diag([-15j / 16, 15j / 16]), atol=1e-15)
     v = legendre_map(SB2Element(1.0, 2.0), 1.0).value
     np.testing.assert_allclose(v, -1j * np.array([[1.0, 1.0], [1.0, -1.0]]), atol=1e-15)
-
-
-def test_legendre_map_lands_in_su2():
-    for k in range(100):
-        m = legendre_map(random_element("sb2", k), 1.7).value
-        assert np.max(np.abs(m + np.conj(m.T))) < 1e-12
-        assert abs(m[0, 0] + m[1, 1]) < 1e-12
-
-
-def test_legendre_round_trip():
-    worst = 0.0
-    for k in range(100):
-        u = random_element("sb2", k)
-        u2 = legendre_invert(legendre_map(u, 1.0))
-        worst = max(worst, abs(u2.r - u.r), abs(u2.gamma - u.gamma))
-    assert worst < 1e-10
 
 
 def test_legendre_invert_fixed_values():
@@ -173,33 +134,28 @@ def test_momenta_su2_flow_examples():
         momenta_su2_flow(u0, 1.0, 1.0, 1.0)(1.0)
 
 
-def test_momenta_su2_flow_matches_rk4():
-    rng = np.random.default_rng(4)
-    g = random_element("su2", rng)
-    u0 = random_element("sb2", rng)
-    traj = rk4_integrate(momenta_su2_flat_field(g.alpha, g.nu, 1.3),
-                         np.array([u0.r, u0.gamma.real, u0.gamma.imag]), 0.0, 4.0, 1e-3)
-    worst = 0.0
-    for t, y in zip(traj.times[::200], traj.states[::200]):
-        st = momenta_su2_flow(u0, g.alpha, g.nu, 1.3)(t)
-        worst = max(worst, abs(st.u.r - y[0]), abs(st.u.gamma - complex(y[1], y[2])))
-    assert worst < 1e-6
-    assert all(s[0] > 0 for s in traj.states)  # membership along the oracle too
+def rk4_case_params(system, rng):
+    """The params the closed-form-vs-RK4 test draws for system from rng."""
+    if system == "rotator":
+        return {"g0": np.eye(3), "p": rng.standard_normal(3), "F": 1.0}
+    g, u = random_element("su2", rng), random_element("sb2", rng)
+    if system == "momenta_su2":
+        return {"u0": u, "alpha": g.alpha, "nu": g.nu, "F": 1.3}
+    return {"g0": g, "u0": u, "F": 1.0, "lam": 0.25}
 
 
-def test_noncasimir_flow_against_rk4():
-    rng = np.random.default_rng(5)
-    worst = 0.0
-    for _ in range(3):
-        g = random_element("su2", rng)
-        u0 = random_element("sb2", rng)
-        y0 = flat_of_double(g.alpha, g.nu, u0)
-        traj = rk4_integrate(noncasimir_flat_field(), y0, 0.0, 5.0, 1e-3)
-        for t, y in zip(traj.times[::250], traj.states[::250]):
-            st = noncasimir_flow(u0, g.alpha, g.nu)(t)
-            worst = max(worst, float(np.max(np.abs(
-                flat_of_double(st.alpha, st.nu, st.u) - y))))
+# casimir_sl2c and noncasimir_h are acceptance criterion 4
+@pytest.mark.parametrize("system, seed, t1, stride", [
+    ("momenta_su2", 4, 4.0, 200), ("perturbed", 10, 4.0, 200), ("rotator", 11, 5.0, 250)])
+def test_closed_form_flows_match_rk4(system, seed, t1, stride):
+    params, sysdef = rk4_case_params(system, np.random.default_rng(seed)), SYSTEMS[system]
+    at = sysdef.flow(params)
+    traj = rk4_integrate(sysdef.field(params), sysdef.flat(at(0.0)), 0.0, t1, 1e-3)
+    worst = max(float(np.linalg.norm(np.subtract(sysdef.flat(at(t)), y)))
+                for t, y in zip(traj.times[::stride], traj.states[::stride]))
     assert worst < 1e-6
+    if system == "momenta_su2":  # membership along the oracle too
+        assert all(st[0] > 0 for st in traj.states)
 
 
 def test_noncasimir_flow_invariants_and_period():
@@ -250,32 +206,6 @@ def test_perturbed_flow_diagonal_case():
         st = perturbed_flow(g0, u0, 1.0, lam)(t)
         expect = g0.as_matrix() @ scipy.linalg.expm(t * a0)
         np.testing.assert_allclose(st.g.as_matrix(), expect, atol=1e-13)
-
-
-def test_perturbed_flow_ode_residual():
-    # central difference of the closed form against the rotating generator
-    g0, u0, lam, eps = random_element("su2", 9), SB2Element(2.0, 1.0), 0.3, 1e-5
-    worst = 0.0
-    for t in np.linspace(0.25, 5.0, 12):
-        gp = perturbed_flow(g0, u0, 1.0, lam)(t + eps).g.as_matrix()
-        gm = perturbed_flow(g0, u0, 1.0, lam)(t - eps).g.as_matrix()
-        gc = perturbed_flow(g0, u0, 1.0, lam)(t).g.as_matrix()
-        vel = np.linalg.inv(gc) @ ((gp - gm) / (2.0 * eps))
-        worst = max(worst, float(np.max(np.abs(vel - perturbed_velocity(u0, 1.0, lam, t)))))
-    assert worst < 1e-6
-
-
-def test_perturbed_flow_matches_rk4():
-    rng = np.random.default_rng(10)
-    g0, u0, lam = random_element("su2", rng), random_element("sb2", rng), 0.25
-    y0 = flat_of_double(g0.alpha, g0.nu, u0)
-    traj = rk4_integrate(perturbed_flat_field(1.0, lam), y0, 0.0, 4.0, 1e-3)
-    worst = 0.0
-    for t, y in zip(traj.times[::200], traj.states[::200]):
-        st = perturbed_flow(g0, u0, 1.0, lam)(t)
-        worst = max(worst, float(np.max(np.abs(
-            flat_of_double(st.g.alpha, st.g.nu, st.u) - y))))
-    assert worst < 1e-6
 
 
 def perturbed_field_reference(F, lam, st):
@@ -469,12 +399,12 @@ def rotator_field_reference(p, F):
 
 
 def rotator_draws():
-    """(p, F, state) for 2,000 fields at 10 states each, every scale from 1e-8 to 1e8."""
+    """(p, F, 10 states) for 2,000 fields, every scale from 1e-8 to 1e8."""
     rng = np.random.default_rng(42)
     for _ in range(2000):
         p, F = rng.standard_normal(3), float(rng.choice([0.0, 1.3, -1.3, 1e150]))
-        for _ in range(10):
-            yield p, F, (rng.standard_normal(9) * 10.0 ** rng.integers(-8, 9)).tolist()
+        yield p, F, [(rng.standard_normal(9) * 10.0 ** rng.integers(-8, 9)).tolist()
+                     for _ in range(10)]
 
 
 def test_rotator_flat_field_pinned_bitwise_matches_cross():
@@ -482,19 +412,22 @@ def test_rotator_flat_field_pinned_bitwise_matches_cross():
     # np.cross computes it: no BLAS kernel, so the bits, signed zeros
     # included, hold under every OpenBLAS kernel
     got, want = [], []
-    for p, F, y in rotator_draws():
-        got.append(rotator_flat_field(p, F)(y))
-        want.append(np.cross(np.reshape(y, (3, 3)), F * p).ravel())
+    for p, F, ys in rotator_draws():
+        field = rotator_flat_field(p, F)
+        for y in ys:
+            got.append(field(y))
+            want.append(np.cross(np.reshape(y, (3, 3)), F * p).ravel())
     assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
 def test_rotator_flat_field_is_close_to_matmul():
     # the dgemm of g·hat(F·p) may fuse or reorder its three terms, so the
     # old field agrees to round-off of the largest product only
-    for p, F, y in rotator_draws():
-        scale = 2.0 ** -50 * np.abs(y).max() * np.abs(F * p).max()
-        got, want = rotator_flat_field(p, F)(y), rotator_field_reference(p, F)(y)
-        assert np.abs(np.subtract(got, want)).max() <= scale
+    for p, F, ys in rotator_draws():
+        field, reference = rotator_flat_field(p, F), rotator_field_reference(p, F)
+        for y in ys:
+            scale = 2.0 ** -50 * np.abs(y).max() * np.abs(F * p).max()
+            assert np.abs(np.subtract(field(y), reference(y))).max() <= scale
 
 
 @pytest.mark.parametrize("scale", [3e33, 1e50, 1e100, 1e150])
@@ -597,27 +530,6 @@ def test_removed_input_forms_are_rejected(build, error, match):
         build(lambda *args: 1.0)
 
 
-def test_rotator_flow_orthogonality_and_period():
-    p = np.array([0.4, -0.3, 0.8])
-    for t in np.linspace(0.0, 100.0, 21):
-        st = rotator_flow(np.eye(3), p, 1.0)(t)
-        assert np.max(np.abs(st.g.T @ st.g - np.eye(3))) < 1e-10
-        np.testing.assert_array_equal(st.p, p)
-    st = rotator_flow(np.eye(3), (0.0, 0.0, 1.0), 1.0)(2.0 * math.pi)
-    assert np.max(np.abs(st.g - np.eye(3))) < 1e-10
-
-
-def test_rotator_flow_matches_rk4():
-    rng = np.random.default_rng(11)
-    p = rng.standard_normal(3)
-    traj = rk4_integrate(rotator_flat_field(p, 1.0), np.eye(3).ravel(), 0.0, 5.0, 1e-3)
-    worst = 0.0
-    for t, y in zip(traj.times[::250], traj.states[::250]):
-        st = rotator_flow(np.eye(3), p, 1.0)(t)
-        worst = max(worst, float(np.max(np.abs(st.g.ravel() - y))))
-    assert worst < 1e-6
-
-
 def test_interaction_picture_examples():
     g0 = random_element("su2", 12)
     a0 = AlgebraElement("su2", np.array([[0.6j, 0.2 + 0.1j], [-0.2 + 0.1j, -0.6j]]))
@@ -669,35 +581,6 @@ def test_commuting_quadrature_constant_path():
     got = commuting_quadrature_flow(g0, lambda s: L, 2.5)
     want = g0 @ exp_group(AlgebraElement("su2", 2.5 * L.value))
     assert np.max(np.abs(got.as_matrix() - want.as_matrix())) < 1e-10
-
-
-def test_commuting_quadrature_matches_noncasimir():
-    rng = np.random.default_rng(15)
-    g = random_element("su2", rng)
-    u0 = random_element("sb2", rng)
-    w = abs(g.nu) ** 2
-
-    def path(s):
-        ac = np.conj(g.alpha) * cmath.exp(-0.5j * w * s)
-        return AlgebraElement("sb2", 0.5j * ac * np.conj(g.nu) * E12)
-
-    got = commuting_quadrature_flow(SB2Element.identity(), path, 4.0) @ u0
-    st = noncasimir_flow(u0, g.alpha, g.nu)(4.0)
-    assert abs(got.r - st.u.r) < 1e-8
-    assert abs(got.gamma - st.u.gamma) < 1e-8
-
-
-def test_commuting_quadrature_rejects_twisted_path():
-    def twisted(s):
-        m = np.array([[0.5j * math.cos(s), 0.3 * math.sin(s)],
-                      [-0.3 * math.sin(s), -0.5j * math.cos(s)]], dtype=complex)
-        return AlgebraElement("su2", m)
-
-    with pytest.raises(CommutativityError) as err:
-        commuting_quadrature_flow(SU2Element.identity(), twisted, 3.0)
-    assert err.value.max_norm > 1e-9
-    t0, t1 = err.value.pair
-    assert 0.0 <= t0 < t1 <= 3.0
 
 
 def frobenius(m):
@@ -924,8 +807,43 @@ def reference_row(system, p, t):
     return [t, *y, *SYSTEMS[system].extras(st, y)]
 
 
-def rotation(p):
-    return rodrigues3_kernel(hat3(p), float(np.linalg.norm(p)), 1.0)
+def rotation(p, t=1.0):
+    """The rotation by angle |p|·t about p/|p|, as the rotator's flow forms it."""
+    p = np.asarray(p, dtype=float)
+    return rodrigues3_kernel(hat3(p), float(np.linalg.norm(p)), t)
+
+
+def test_hat3_cross_product():
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        p, q = rng.standard_normal(3), rng.standard_normal(3)
+        np.testing.assert_allclose(hat3(p) @ q, np.cross(p, q), atol=1e-14)
+
+
+def test_rodrigues3_matches_expm():
+    worst = 0.0
+    for k in range(50):
+        rng = np.random.default_rng(k)
+        p = rng.standard_normal(3)
+        t = float(rng.uniform(-5, 5))
+        worst = max(worst, float(np.max(np.abs(
+            rotation(p, t) - scipy.linalg.expm(hat3(p) * t)))))
+    assert worst < 1e-12
+
+
+def test_rodrigues3_small_angle_series():
+    p = np.array([1e-5, -2e-5, 3e-5])
+    r = rotation(p, 1e-5)
+    np.testing.assert_allclose(r, scipy.linalg.expm(hat3(p) * 1e-5), atol=1e-15)
+    np.testing.assert_allclose(rotation(np.zeros(3), 2.0), np.eye(3))
+
+
+def test_rodrigues3_is_rotation():
+    for k in range(50):
+        rng = np.random.default_rng(k)
+        r = rotation(rng.standard_normal(3), float(rng.uniform(0, 10)))
+        np.testing.assert_allclose(r.T @ r, np.eye(3), atol=1e-13)
+        assert np.linalg.det(r) == pytest.approx(1.0, abs=1e-13)
 
 
 def sampler_params(system, seed):

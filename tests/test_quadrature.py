@@ -31,16 +31,6 @@ def test_rk4_accuracy_on_rotation():
     assert abs(traj.states[-1][1] - math.sin(1.0)) < 1e-12
 
 
-def test_rk4_order_four():
-    def endpoint_error(h):
-        traj = rk4_integrate(rotation_field, np.array([1.0, 0.0]), 0.0, 1.0, h)
-        return math.hypot(traj.states[-1][0] - math.cos(1.0),
-                          traj.states[-1][1] - math.sin(1.0))
-
-    ratio = endpoint_error(1e-2) / endpoint_error(5e-3)
-    assert 14.0 <= ratio <= 18.0
-
-
 def test_rk4_grid_and_partial_final_step():
     traj = rk4_integrate(rotation_field, np.array([1.0, 0.0]), 0.0, 1.0, 0.3)
     np.testing.assert_allclose(traj.times, [0.0, 0.3, 0.6, 0.9, 1.0])
