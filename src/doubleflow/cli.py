@@ -133,24 +133,26 @@ _PARSERS = {"float": _float, "su2": _su2_param, "sb2": _sb2_param, "vector": _ve
             "matrix": _matrix}
 
 
-def _parse_params(system, params, rng):
-    """Typed params of a system; an omitted one whose default is a draw is drawn from rng."""
+def _parse_params(system, params, seed):
+    """Typed params of a system; an omitted one whose default is a draw is drawn
+    from one Generator of seed, made at the first draw."""
     if system not in dyn.SYSTEMS:
         raise ConfigError(f"system must be one of: {', '.join(dyn.SYSTEMS)}")
     extra = set(params) - set(dyn.SYSTEMS[system].names())
     if extra:
         raise ConfigError(f"unknown params for {system}: {', '.join(sorted(extra))}")
+    rng = functools.cache(lambda: np.random.default_rng(seed))
     out = {}
     for name, kind, default in dyn.SYSTEMS[system].params:
         if kind == "momenta":
-            out.update(zip(name, default(rng) if params.keys().isdisjoint(name)
+            out.update(zip(name, default(rng()) if params.keys().isdisjoint(name)
                            else _momenta_param(params, *name)))
         elif name in params:
             out[name] = _PARSERS[kind](params[name], f"params.{name}")
         elif default is dyn.REQUIRED:
             raise ConfigError(f"params.{name} is required for {system}")
         else:
-            out[name] = default(rng) if callable(default) else default
+            out[name] = default(rng()) if callable(default) else default
     return out
 
 
@@ -230,8 +232,7 @@ def run_simulate(args) -> int:
         raise ConfigError(f"t1 is too large for the oracle: its (t1 / dt) * ceil(dt / 1e-3) "
                           f"RK4 steps must not exceed MAX_ROWS = {MAX_ROWS}")
 
-    rng = np.random.default_rng(seed)
-    params = _parse_params(system, params, rng)
+    params = _parse_params(system, params, seed)
     sysdef = dyn.SYSTEMS[system]
 
     times = [j * dt for j in range(n + 1)]

@@ -518,21 +518,23 @@ def interaction_picture_flow(g0: SU2Element, X: AlgebraElement, A0: AlgebraEleme
 def _commutator_guard(mats, nodes, tol):
     """Raise CommutativityError unless every pairwise commutator norm is <= tol.
 
-    All S² products come from one batched matmul, so each norm is the one a
-    pairwise loop computes.  The reported pair is the first worst one in
-    (i, j), i < j order; a NaN norm is never the worst, as with a pairwise
-    loop over `nrm > worst`.
+    Row i takes its products with the samples after it from one batched
+    matmul, m[i] @ m[i+1:] - m[i+1:] @ m[i], so each norm is the one a
+    pairwise loop computes and memory grows linearly in S.  The reported
+    pair is the first worst one in (i, j), i < j order; a NaN norm is never
+    the worst, as with a pairwise loop over `nrm > worst`.
     """
     m = np.array(mats)
-    prod = m[:, None] @ m[None]
-    comm = prod - prod.swapaxes(0, 1)
-    norms = np.sqrt(np.sum(np.abs(comm) ** 2, axis=(2, 3)))
-    iu, ju = np.triu_indices(len(m), 1)
-    upper = norms[iu, ju]
-    upper[np.isnan(upper)] = 0.0
-    k = int(np.argmax(upper))
-    if upper[k] > tol:
-        raise CommutativityError(upper[k], (nodes[iu[k]], nodes[ju[k]]))
+    worst, pair = -math.inf, None
+    for i in range(len(m) - 1):
+        comm = m[i] @ m[i + 1:] - m[i + 1:] @ m[i]
+        norms = np.sqrt(np.sum(np.abs(comm) ** 2, axis=(1, 2)))
+        norms[np.isnan(norms)] = 0.0
+        k = int(np.argmax(norms))
+        if norms[k] > worst:
+            worst, pair = norms[k], (nodes[i], nodes[i + 1 + k])
+    if worst > tol:
+        raise CommutativityError(worst, pair)
 
 
 # Largest pairwise commutator norm commuting_quadrature_flow accepts.

@@ -339,7 +339,7 @@ def exp_sb2(d: float, y: complex) -> SB2Element:
         raise ValueError("non-finite matrix entry") from None
 
 
-def _as_rng(seed) -> np.random.Generator:
+def _as_rng(seed):
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(seed)

@@ -755,19 +755,28 @@ def test_unknown_command_exits_two():
     assert exc.value.code == 2
 
 
-def test_import_and_freq_simulate_leave_scipy_unloaded(tmp_path):
-    # only the fiber-matrix path of action_angle imports scipy
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"system": "action_angle", "t1": 0.1, "dt": 0.05,
-                               "params": {"I0": [1.0], "phi0": [0.0], "freq": [1.0]}}))
+def test_import_and_given_param_runs_leave_scipy_and_numpy_random_unloaded(tmp_path):
+    # only the fiber-matrix path of action_angle imports scipy, and only a
+    # drawn param imports numpy.random
+    given, drawn = tmp_path / "given.json", tmp_path / "drawn.json"
+    given.write_text(json.dumps({"system": "action_angle", "t1": 0.1, "dt": 0.05,
+                                 "params": {"I0": [1.0], "phi0": [0.0], "freq": [1.0]}}))
+    drawn.write_text(json.dumps({"system": "casimir_sl2c", "t1": 0.1, "dt": 0.05}))
+    out = str(tmp_path / "run.csv")
     script = (
         "import sys\n"
         "import doubleflow, doubleflow.cli\n"
+        "def run(*argv):\n"
+        "    assert doubleflow.cli.main(list(argv)) == 0, argv\n"
         "assert 'scipy' not in sys.modules, 'import'\n"
-        f"code = doubleflow.cli.main(['simulate', '--config', {str(cfg)!r}, "
-        f"'--out', {str(tmp_path / 'run.csv')!r}])\n"
-        "assert code == 0, code\n"
+        "assert 'numpy.random' not in sys.modules, 'import'\n"
+        f"run('simulate', '--config', {str(given)!r}, '--out', {out!r})\n"
         "assert 'scipy' not in sys.modules, 'simulate'\n"
+        "assert 'numpy.random' not in sys.modules, 'simulate'\n"
+        "run('legendre', 'map', '--r', '2')\n"
+        "assert 'numpy.random' not in sys.modules, 'legendre'\n"
+        f"run('simulate', '--config', {str(drawn)!r}, '--out', {out!r})\n"
+        "assert 'numpy.random' in sys.modules, 'drawn'\n"
     )
     src = os.path.dirname(os.path.dirname(doubleflow.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(

@@ -1,6 +1,7 @@
 import cmath
 import math
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -597,11 +598,22 @@ def brute_force_guard(mats, nodes):
     return worst, pair
 
 
-def test_commutator_guard_matches_brute_force_loop():
-    def twisted(s):
-        return np.array([[0.5j * math.cos(s), 0.3 * math.sin(s) + 0.1j * s],
-                         [-0.3 * math.sin(s) + 0.1j * s, -0.5j * math.cos(s)]])
+def twisted(s):
+    return np.array([[0.5j * math.cos(s), 0.3 * math.sin(s) + 0.1j * s],
+                     [-0.3 * math.sin(s) + 0.1j * s, -0.5j * math.cos(s)]])
 
+
+def assert_guard_matches_brute_force(mats, nodes):
+    worst, pair = brute_force_guard(mats, nodes)
+    if worst > 0.0:
+        with pytest.raises(CommutativityError) as err:
+            _commutator_guard(mats, nodes, 0.0)
+        assert err.value.max_norm == worst
+        assert err.value.pair == pair
+    _commutator_guard(mats, nodes, worst)
+
+
+def test_commutator_guard_matches_brute_force_loop():
     nodes = np.linspace(0.0, 3.0, 33)
     mats = [twisted(s) for s in nodes]
     worst, pair = brute_force_guard(mats, nodes)
@@ -618,6 +630,24 @@ def test_commutator_guard_matches_brute_force_loop():
     with pytest.raises(CommutativityError) as err:
         _commutator_guard(tied, nodes[:5], 0.0)
     assert err.value.pair == pair
+    # a tie whose first worst pair is in row 1 and recurs in rows 2 and 3:
+    # 0.7·I commutes exactly with every sample, so row 0 is all zeros
+    tied = [0.7 * np.eye(2, dtype=complex), a, b, a, b]
+    assert brute_force_guard(tied, nodes[:5])[1] == (nodes[1], nodes[2])
+    assert_guard_matches_brute_force(tied, nodes[:5])
+    # entries near 1e200: products of two big samples overflow to a NaN norm,
+    # so row 0 mixes NaN with finite norms and row 4 is all NaN
+    big = [1e200 * twisted(s) for s in nodes[:3]]
+    small = [1e-195 * twisted(s) for s in nodes[3:5]]
+    stack = [big[0], big[1], *small, big[2], 1e200 * b]
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert math.isnan(frobenius(stack[0] @ stack[1] - stack[1] @ stack[0]))
+        assert math.isnan(frobenius(stack[4] @ stack[5] - stack[5] @ stack[4]))
+        assert_guard_matches_brute_force(stack, nodes[:6])
+    # stacks of 1 and 2 samples
+    assert_guard_matches_brute_force(mats[:1], nodes[:1])
+    assert_guard_matches_brute_force(mats[:2], nodes[:2])
+    assert_guard_matches_brute_force([a, a], nodes[:2])
     # commuting samples (real 3x3)
     _commutator_guard([k * np.eye(3) for k in range(5)], nodes[:5], 0.0)
     # 33 copies of one real matrix, as a constant action-angle fiber matrix
@@ -629,6 +659,19 @@ def test_commutator_guard_matches_brute_force_loop():
             for scale in np.logspace(-300, 200, 50):
                 for _ in range(16):
                     _commutator_guard([scale * rng.standard_normal((dim, dim))] * 33, nodes, 0.0)
+
+
+def test_commutator_guard_memory_grows_linearly_in_samples():
+    # 513 samples: all S x S commutators at once take 42 MiB, one row at a time 0.16 MiB
+    nodes = np.linspace(0.0, 3.0, 513)
+    mats = [twisted(s) for s in nodes]
+    tracemalloc.start()
+    try:
+        _commutator_guard(mats, nodes, math.inf)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 def test_commuting_quadrature_argument_validation():

@@ -146,7 +146,7 @@ ORACLE_CASES = [(name, {}) for name in dyn.SYSTEMS if name != "action_angle"] + 
                               for name, given in ORACLE_CASES])
 def test_rk4_on_system_fields_bitwise_matches_array_loop(system, given, seed):
     sysdef = dyn.SYSTEMS[system]
-    params = _parse_params(system, given, np.random.default_rng(seed))
+    params = _parse_params(system, given, seed)
     field = sysdef.field(params)
     y0 = sysdef.flat(sysdef.flow(params)(0.0))
     # 0.8 / 3e-3 leaves a partial last step
