@@ -7,6 +7,8 @@ most ``PROJECT_TOL`` and reject anything worse.  An e^|d| or y·sinhc(d) in
 exp_sb2 or an Iwasawa norm that leaves the floats is ValueError("non-finite matrix entry"),
 not the OverflowError or ZeroDivisionError of the scalar arithmetic.  The
 product a = g·u of SL(2,C) = SU(2)·SB(2,C) has one numeric home, `SU2Element.gu_entries`.
+Every numeric 2x2 complex product goes through `mul2`: ndarray.dot for one pair (a CSV
+row's g·u), one np.matmul on (n, 2, 2) arrays for a stack (a verify block), with .dot's bits.
 
 The exponentials are closed form.  The 2x2 one, `expm2_kernel`, uses the
 explicit eigenstructure of a 2x2 matrix instead of scaling-and-squaring, so
@@ -42,6 +44,14 @@ ALGEBRA_TOL = 1e-12
 
 class MembershipError(ValueError):
     """Input does not satisfy (or nearly satisfy) a group/algebra invariant."""
+
+
+def mul2(xs, ys) -> list:
+    """The products x·y of paired rows of xs and ys, each a 2x2 matrix's entries row by row."""
+    a, b = np.array(xs, complex), np.array(ys, complex)
+    if len(a) == 1:
+        return [a.reshape(2, 2).dot(b.reshape(2, 2)).ravel().tolist()]
+    return np.matmul(a.reshape(-1, 2, 2), b.reshape(-1, 2, 2)).reshape(-1, 4).tolist()
 
 
 def check_finite(a) -> np.ndarray:
@@ -102,17 +112,17 @@ class SU2Element:
         return g
 
     def as_matrix(self) -> np.ndarray:
-        return np.array(
-            [[self.alpha, -self.nu.conjugate()], [self.nu, self.alpha.conjugate()]],
-            dtype=complex,
-        )
+        return np.array(self.entries(), dtype=complex).reshape(2, 2)
+
+    def entries(self) -> list:
+        return [self.alpha, -self.nu.conjugate(), self.nu, self.alpha.conjugate()]
 
     def inverse(self) -> "SU2Element":
         return _trusted(SU2Element, self.alpha.conjugate(), -self.nu)
 
     def gu_entries(self, u: "SB2Element") -> list:
-        """[z1, z2, z3, z4] of the product g·u, row by row: the one 2x2 product's bits."""
-        return self.as_matrix().dot(u.as_matrix()).ravel().tolist()
+        """[z1, z2, z3, z4] of the product g·u, row by row: mul2's single-pair bits."""
+        return mul2([self.entries()], [u.entries()])[0]
 
     def __matmul__(self, other: "SU2Element") -> "SU2Element":
         a = self.alpha * other.alpha - self.nu.conjugate() * other.nu
@@ -153,7 +163,10 @@ class SB2Element:
         return u
 
     def as_matrix(self) -> np.ndarray:
-        return np.array([[self.r, self.gamma], [0.0, 1.0 / self.r]], dtype=complex)
+        return np.array(self.entries(), dtype=complex).reshape(2, 2)
+
+    def entries(self) -> list:
+        return [self.r, self.gamma, 0.0, 1.0 / self.r]
 
     def inverse(self) -> "SB2Element":
         return SB2Element(1.0 / self.r, -self.gamma)
@@ -196,7 +209,8 @@ class SL2Element:
         return _trusted(SL2Element, self.z4, -self.z2, -self.z3, self.z1)
 
     def __matmul__(self, other: "SL2Element") -> "SL2Element":
-        return SL2Element.from_matrix(self.as_matrix() @ other.as_matrix())
+        ab = mul2([[self.z1, self.z2, self.z3, self.z4]], [[other.z1, other.z2, other.z3, other.z4]])
+        return SL2Element.from_matrix(np.reshape(ab, (2, 2)))
 
     def membership_defect(self) -> float:
         return abs(self.z1 * self.z4 - self.z2 * self.z3 - 1.0)
@@ -345,23 +359,31 @@ def _as_rng(seed):
     return np.random.default_rng(seed)
 
 
-def random_element(kind: str, seed):
-    """Seeded random group element of kind "su2", "sb2" or "sl2c".
+def random_elements(kind: str, n: int, seed) -> list:
+    """n seeded random elements of kind "su2", "sb2" or "sl2c" from one standard_normal((n, k)) call.
 
-    SU(2) is sampled uniformly (normalized 4-component Gaussian; sqrt(v.dot(v)) is
-    np.linalg.norm's formula and bits), SB(2,C) with log-normal r (sigma = 0.5) and
-    complex-Gaussian gamma, SL(2,C) as g.gu_entries(u), g drawn first.  Deterministic per seed.
+    SU(2) is sampled uniformly (normalized 4-component Gaussian; sqrt(v.dot(v)) is np.linalg.norm's
+    formula and bits), SB(2,C) with log-normal r (sigma = 0.5) and complex-Gaussian gamma, SL(2,C)
+    as g·u through mul2, g drawn first; bits and generator state are those of n single draws.
     """
-    rng = _as_rng(seed)
-    if kind == "su2":
-        v = rng.standard_normal(4)
-        s, (x0, x1, x2, x3) = math.sqrt(v.dot(v)), v.tolist()
-        return _trusted(SU2Element, complex(x0 / s, x1 / s), complex(x2 / s, x3 / s))
-    if kind == "sb2":
-        r = math.exp(0.5 * rng.standard_normal())
-        gamma = complex(rng.standard_normal(), rng.standard_normal()) / math.sqrt(2.0)
-        return SB2Element(r, gamma)
+    k = {"su2": 4, "sb2": 3, "sl2c": 7}.get(kind)  # normals per draw; sl2c's g takes the first four
+    if k is None:
+        raise MembershipError(f"unknown group kind {kind!r}")
+    x = _as_rng(seed).standard_normal((n, k))
+    gs, us = [], []
+    if kind != "sb2":
+        g4 = x[:, :4]
+        for i, (x0, x1, x2, x3) in enumerate(g4.tolist()):
+            s = math.sqrt(g4[i].dot(g4[i]))
+            gs.append(_trusted(SU2Element, complex(x0 / s, x1 / s), complex(x2 / s, x3 / s)))
+    if kind != "su2":
+        us = [SB2Element(math.exp(0.5 * r), complex(re, im) / math.sqrt(2.0))
+              for r, re, im in x[:, -3:].tolist()]
     if kind == "sl2c":
-        g = random_element("su2", rng)
-        return _trusted(SL2Element, *g.gu_entries(random_element("sb2", rng)))
-    raise MembershipError(f"unknown group kind {kind!r}")
+        return [_trusted(SL2Element, *z) for z in mul2([g.entries() for g in gs], [u.entries() for u in us])]
+    return gs or us
+
+
+def random_element(kind: str, seed):
+    """One seeded random group element: random_elements' n = 1 case.  Deterministic per seed."""
+    return random_elements(kind, 1, seed)[0]

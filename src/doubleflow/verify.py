@@ -21,7 +21,9 @@ from .groups import (
     exp_group,
     iwasawa_gu,
     iwasawa_ug,
+    mul2,
     random_element,
+    random_elements,
 )
 from .quadrature import drift_report, rk4_integrate
 
@@ -165,32 +167,34 @@ def suite_brackets(seed, samples):
     return out
 
 
-# Samples per block: the decompositions and legendre suites hold a block's
-# matrices and fold them into each residual with one numpy reduction.
+# Samples per block: the decompositions and legendre suites draw a block at a
+# time and fold its matrices into each residual with one numpy reduction.
 BLOCK = 1000
+
+
+def _decompose_block(rng, n):
+    """(rec_gu, rec_ug, member, uniq) of n draws; each recomposition is one stacked product."""
+    azs = random_elements("sl2c", n, rng)
+    gus, ugs = [iwasawa_gu(a) for a in azs], [iwasawa_ug(a) for a in azs]
+    member = max(max(a.membership_defect(), g.membership_defect(), g2.membership_defect())
+                 for a, (g, _), (_, g2) in zip(azs, gus, ugs))
+    gu_rows = mul2([g.entries() for g, _ in gus], [u.entries() for _, u in gus])
+    ug_rows = mul2([u.entries() for u, _ in ugs], [g.entries() for _, g in ugs])
+    uniq = 0.0
+    for gu, (g, u) in zip(gu_rows, gus):
+        # uniqueness: refactorizing the product returns the factors
+        g3, u3 = iwasawa_gu(dyn.SL2Element(*gu))
+        uniq = max(uniq, abs(g3.alpha - g.alpha), abs(g3.nu - g.nu),
+                   abs(u3.r - u.r), abs(u3.gamma - u.gamma))
+    az = np.array([(a.z1, a.z2, a.z3, a.z4) for a in azs])
+    rec_gu, rec_ug = (float(np.abs(np.array(rows) - az).max()) for rows in (gu_rows, ug_rows))
+    return rec_gu, rec_ug, member, uniq
 
 
 def suite_decompositions(seed, samples):
     rng = np.random.default_rng(seed)
-    rec_gu = rec_ug = member = uniq = 0.0
-    for start in range(0, samples, BLOCK):
-        gus, ugs, azs = [], [], []  # g·u, u·g and the entries of a, per sample
-        for _ in range(min(BLOCK, samples - start)):
-            a = random_element("sl2c", rng)
-            g, u = iwasawa_gu(a)
-            u2, g2 = iwasawa_ug(a)
-            member = max(member, g.membership_defect(), a.membership_defect(),
-                         g2.membership_defect())
-            gus.append(gu := g.gu_entries(u))
-            ugs.append(u2.as_matrix().dot(g2.as_matrix()).ravel())
-            azs.append((a.z1, a.z2, a.z3, a.z4))
-            # uniqueness: refactorizing the product returns the factors
-            g3, u3 = iwasawa_gu(dyn.SL2Element(*gu))
-            uniq = max(uniq, abs(g3.alpha - g.alpha), abs(g3.nu - g.nu),
-                       abs(u3.r - u.r), abs(u3.gamma - u.gamma))
-        az = np.array(azs)
-        rec_gu = max(rec_gu, float(np.abs(np.array(gus) - az).max()))
-        rec_ug = max(rec_ug, float(np.abs(np.array(ugs) - az).max()))
+    blocks = [_decompose_block(rng, min(BLOCK, samples - s)) for s in range(0, samples, BLOCK)]
+    rec_gu, rec_ug, member, uniq = map(max, zip((0.0,) * 4, *blocks))
     return [
         _check("iwasawa_gu_recompose", rec_gu, 1e-12, samples, seed),
         _check("iwasawa_ug_recompose", rec_ug, 1e-12, samples, seed),
@@ -204,8 +208,7 @@ def suite_legendre(seed, samples):
     in_su2 = round_trip = unreduced_hits = 0.0
     for start in range(0, samples, BLOCK):
         ms, m3s = [], []  # each sample's map and the map of its unreduced inverse
-        for _ in range(min(BLOCK, samples - start)):
-            u = random_element("sb2", rng)
+        for u in random_elements("sb2", min(BLOCK, samples - start), rng):
             v = dyn.legendre_map(u, 1.0)
             u2 = dyn.legendre_invert(v)
             round_trip = max(round_trip, abs(u2.r - u.r), abs(u2.gamma - u.gamma))

@@ -90,6 +90,27 @@ def test_sl2_det_rescale_and_reject():
     np.testing.assert_allclose((b @ b.inverse()).as_matrix(), np.eye(2), atol=1e-14)
 
 
+def test_sl2_product_has_the_outcome_of_from_matrix_of_matmul():
+    # the bits of from_matrix(a @ b), or its error type and message when the
+    # product leaves the floats or its det cancels to 0
+    def outcome(f):
+        try:
+            c = f()
+        except ValueError as e:
+            return type(e), str(e)
+        return repr((c.z1, c.z2, c.z3, c.z4))
+
+    rng = np.random.default_rng(3)
+    pairs = [(random_element("sl2c", rng), random_element("sl2c", rng)) for _ in range(300)]
+    big, x, y = SL2Element(1e200, 0, 0, 1e-200), SL2Element(1, 1e150, 0, 1), SL2Element(1, 0, 1e150, 1)
+    pairs += [(big, big), (big.inverse(), big.inverse()), (x, y), (y, x)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = [outcome(lambda: a @ b) for a, b in pairs]
+        want = [outcome(lambda: SL2Element.from_matrix(a.as_matrix() @ b.as_matrix())) for a, b in pairs]
+    assert got == want
+    assert got[-4:] == [(ValueError, "non-finite matrix entry")] * 2 + [(MembershipError, "det = 0j is not 1")] * 2
+
+
 def test_iwasawa_uniqueness():
     # refactorizing a known product returns the original factors
     for k in range(100):

@@ -1,9 +1,10 @@
 """The decompositions and legendre suites, random_element and legendre_map
 against their per-sample forms, kept verbatim below as bit references.
 
-The suites reduce each residual once per block of samples with numpy, take
-2x2 products with ndarray.dot, and legendre_map skips AlgebraElement's su2
-check; none of that may move a bit of a draw, a value or a report.
+The suites draw a block of samples with one generator call, take its 2x2
+products as one stacked np.matmul and reduce each residual once per block
+with numpy, and legendre_map skips AlgebraElement's su2 check; none of that
+may move a bit of a draw, a value or a report.
 """
 
 import math
@@ -25,7 +26,9 @@ from doubleflow.groups import (
     _trusted,
     iwasawa_gu,
     iwasawa_ug,
+    mul2,
     random_element,
+    random_elements,
 )
 from doubleflow.verify import _check
 
@@ -189,6 +192,25 @@ def random_matrices(rng, n):
             z[0, 0], z[1, 1] = z[0, 0].real + 1e-13j, -z[0, 0].real
         out.append(z)
     return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, ver.BLOCK, ver.BLOCK + 1])
+def test_block_products_and_draws_pinned_bitwise_match_one_at_a_time(n):
+    # mul2 against ndarray.dot, pair by pair: on general matrices and on
+    # su2·sb2 and sb2·su2 pairs
+    rng = np.random.default_rng(n)
+    ms = random_matrices(rng, 2 * n)
+    gs, us = random_elements("su2", n, rng), random_elements("sb2", n, rng)
+    gu = [g.as_matrix() for g in gs], [u.as_matrix() for u in us]
+    for xs, ys in [(ms[:n], ms[n:]), gu, gu[::-1]]:
+        got = mul2([x.ravel().tolist() for x in xs], [y.ravel().tolist() for y in ys])
+        assert np.array(got).tobytes() == np.array([x.dot(y).ravel() for x, y in zip(xs, ys)]).tobytes()
+    # a block of n draws against n single draws, generator state included
+    for kind in ("su2", "sb2", "sl2c"):
+        rng, ref = np.random.default_rng(n), np.random.default_rng(n)
+        got = [element_bits(x) for x in random_elements(kind, n, rng)]
+        assert got == [element_bits(random_element(kind, ref)) for _ in range(n)], kind
+        assert rng.bit_generator.state == ref.bit_generator.state
 
 
 @pytest.mark.parametrize("kind", ["su2", "sb2"])
