@@ -237,19 +237,25 @@ def run_simulate(args) -> int:
 
     times = [j * dt for j in range(n + 1)]
     try:
-        at = sysdef.flow(params)
+        sample = sysdef.sample(params)
     except ValueError as e:
         raise ConfigError(f"params: {e}") from None
     header = ["t", *sysdef.columns(params)]
     rows = []
     try:
-        for t in times:
-            st = at(t)
-            y = sysdef.flat(st)
-            row = [t, *y, *sysdef.extras(st, y)]
-            if not all(map(math.isfinite, row)):
-                raise ValueError("the flow leaves the finite floats")
-            rows.append(row)
+        # a block's states and flat states come from one call each; its rows are
+        # checked in order, before the error of the t its sampler stopped at
+        for start in range(0, n + 1, ver.BLOCK):
+            block = times[start:start + ver.BLOCK]
+            states, err = sample(block)
+            for t, st, y in zip(block, states, sysdef.flats(states)):
+                row = [t, *y, *sysdef.extras(st, y)]
+                if not all(map(math.isfinite, row)):
+                    raise ValueError("the flow leaves the finite floats")
+                rows.append(row)
+            if err is not None:
+                t = block[len(states)]
+                raise err
     except ValueError as e:
         raise ConfigError(f"params: {e} at t = {_fmt(t)}") from None
 

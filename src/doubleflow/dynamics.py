@@ -5,11 +5,12 @@ field assembly is used in tests as an independent cross-check, never here.
 Flows return FlowState snapshots and are pure functions of (initial data,
 parameters, t).  Each system's *_flow takes the initial data and parameters,
 checks them and reduces them to the generator of the flow once, and returns
-at(t) -> FlowState, which does only the t-dependent arithmetic.
+at(t) -> FlowState, which does only the t-dependent arithmetic.  `simulate`
+samples a block of t at a time (System.sample): the rotator's and action_angle's
+at(t) is a block of one, and the other systems map their at over a block.
 
 The SU(2) rows exponentiate with groups.expm2_kernel on Python complex
-scalars; the rotator's rows with rodrigues3_kernel, the axis-angle closed
-form of exp(t·hat3(p)), whose inputs rotator_flow checks once.
+scalars, and a block of casimir rows takes its g·u as one stacked groups.mul2.
 
 No *_flat_field calls numpy per evaluation but action_angle's by matrix, one
 A @ φ of a config-sized A: the others work on Python floats.  The rotator's
@@ -42,6 +43,7 @@ from .groups import (
     exp_group,
     exp_sb2,
     expm2_kernel,
+    mul2,
     random_element,
 )
 from .quadrature import simpson_rule
@@ -221,6 +223,33 @@ def _su2_exp(m):
     return at
 
 
+def _each(at):
+    """The block sampler of a per-t at (see System.sample); at's ValueError is returned,
+    not raised, so that the caller checks the rows before it first."""
+    def block(times):
+        states = []
+        try:
+            for t in times:
+                states.append(at(t))
+        except ValueError as e:
+            return states, e
+        return states, None
+
+    return block
+
+
+def _one(block):
+    """at(t) -> FlowState: block([t])'s state, or its ValueError raised; at.block is block."""
+    def at(t):
+        states, err = block([t])
+        if err is not None:
+            raise err
+        return states[0]
+
+    at.block = block
+    return at
+
+
 def casimir_flow(g0: SU2Element, u0: SB2Element, F) -> Callable:
     """Frozen-momenta flow: u stays at u0, g(t) = g0·exp(t·L_η(u0)), η = F·dH0."""
     exp_tl = _su2_exp(legendre_map(u0, F).value)
@@ -247,31 +276,16 @@ def hat3(p) -> np.ndarray:
 _I3 = np.eye(3)
 
 
-def rodrigues3_kernel(k, norm: float, t: float) -> np.ndarray:
-    """Rotation exp(t·k) by angle |p|·t about p/|p|, from k = hat3(p) and norm = |p|.
-
-    Axis-angle closed form; below |p|·t = 1e-8 the second-order series in k·t
-    is exact to round-off.  theta² bounds the entries of (k·t)², so a theta²
-    past the floats (or a non-finite t) is a ValueError.
-    """
-    theta = norm * abs(t)
-    if not math.isfinite(theta * theta):
-        raise ValueError("the flow leaves the finite floats")
-    kt = k * t
-    if theta < 1e-8:
-        return _I3 + kt + 0.5 * (kt @ kt)
-    # R = I + sin(theta)/theta * (k t) + (1-cos(theta))/theta^2 * (k t)^2
-    a = math.sin(theta) / theta
-    b = (1.0 - math.cos(theta)) / (theta * theta)
-    return _I3 + a * kt + b * (kt @ kt)
-
-
 def rotator_flow(g0, p, F) -> Callable:
     """Isotropic rotator: p frozen, g(t) = g0·exp(t·F·hat(p)).
 
     g0 must be a finite 3x3 rotation matrix, else a MembershipError names it.
     |p| and |F·p| are square roots of |p|² and |F·p|², so a ValueError names p
     unless p = 0 or |p|² is a normal float, and F unless |F·p|² is finite.
+    exp(t·k), k = hat(F·p), is the axis-angle I + a·kt + b·(kt)², θ = |F·p|·|t|,
+    a = sin θ/θ and b = (1 - cos θ)/θ², below θ = 1e-8 the series' (1, 1/2).
+    A θ² past the floats (or a non-finite t) is a ValueError.  at.block takes a
+    block's (kt)² and g0·exp(t·k) as one stacked matmul each.
     """
     g0 = np.asarray(g0, dtype=float)
     if g0.shape != (3, 3):
@@ -293,11 +307,21 @@ def rotator_flow(g0, p, F) -> Callable:
     fp, norm = _scaled_axis(p, F)
     p_norm, k = math.sqrt(p_sq), hat3(fp)
 
-    def at(t):
-        return FlowState(time=float(t), g=g0 @ rodrigues3_kernel(k, norm, t), p=p.copy(),
-                         p_norm=p_norm)
+    def block(times):
+        ts, ab = np.array(times, dtype=float), []
+        for t in ts.tolist():
+            theta = norm * abs(t)
+            if not math.isfinite(theta * theta):
+                break
+            ab.append((1.0, 0.5) if theta < 1e-8 else
+                      (math.sin(theta) / theta, (1.0 - math.cos(theta)) / (theta * theta)))
+        ab, kt = np.reshape(ab, (-1, 2, 1, 1)), k * ts[:len(ab), None, None]
+        gs = g0 @ (_I3 + ab[:, 0] * kt + ab[:, 1] * (kt @ kt))
+        err = None if len(gs) == len(ts) else ValueError("the flow leaves the finite floats")
+        return [FlowState(time=t, g=g, p=p.copy(), p_norm=p_norm)
+                for t, g in zip(ts.tolist(), gs)], err
 
-    return at
+    return _one(block)
 
 
 def _scaled_axis(p, F: float):
@@ -575,6 +599,8 @@ def action_angle_flow(I0, phi0, freq=None, matrix=None) -> Callable:
     I0, phi0 must be finite and 1-D, freq finite of shape (m,), matrix finite
     of shape (m, m), m = len(phi0); else a ValueError names the argument.
     A φ(t) past the finite floats is a ValueError; each row tests its own φ.
+    at.block takes a block's φ, and for the fiber its Simpson sums, exponentials
+    and products with φ0, as one stacked call each.
     """
     if (freq is None) == (matrix is None):
         raise ValueError("action_angle_flow needs exactly one of freq, matrix")
@@ -582,28 +608,31 @@ def action_angle_flow(I0, phi0, freq=None, matrix=None) -> Callable:
     m = len(phi0)
     nu = None if freq is None else _finite_array(freq, "freq", (m,))
     A = None if matrix is None else _finite_array(matrix, "matrix", (m, m))
+    # simpson_rule(0, t, 32)'s weights are these times t / 32 / 3, bit for bit
+    simpson = simpson_rule(0.0, 96.0, 32)[1]
 
-    def at(t):
-        t = float(t)
-        if A is None:
-            with np.errstate(over="ignore", invalid="ignore"):  # a non-finite phi raises below
-                phi = phi0 + nu * t
-            if not np.isfinite(phi).all():
-                raise ValueError("the flow leaves the finite floats")
-        elif t < 0:
-            raise ValueError("the fiber variant integrates forward time only")
-        elif t == 0.0:
-            phi = phi0.copy()
-        else:
-            _, weights = simpson_rule(0.0, t, 32)
-            import scipy.linalg  # only this path needs it; keeps the CLI import light
-            with np.errstate(over="ignore", invalid="ignore"):  # a non-finite phi raises below
-                phi = scipy.linalg.expm(sum(w * A for w in weights)) @ phi0
-            if not np.isfinite(phi).all():
-                raise ValueError("the flow leaves the finite floats")
-        return FlowState(time=t, I=I0.copy(), phi=phi, phi_mod=np.mod(phi, 2.0 * np.pi))
+    def block(times):
+        ts = np.array(times, dtype=float)
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite phi is an error below
+            if A is None:
+                phis = phi0 + nu * ts[:, None]
+            else:
+                import scipy.linalg  # only this path needs it; keeps the CLI import light
+                w = simpson * (ts[:, None] / 32 / 3.0)
+                integral = 0  # sum()'s start, whose 0 + x turns a -0.0 into +0.0
+                for j in range(33):
+                    integral = integral + w[:, j, None, None] * A
+                phis = scipy.linalg.expm(integral) @ phi0
+                phis[ts == 0.0] = phi0  # expm(0) @ phi0 would turn -0.0 into +0.0
+        backward = (A is not None) & (ts < 0)
+        k = next(iter(np.flatnonzero(backward | ~np.isfinite(phis).all(axis=1))), len(ts))
+        err = None if k == len(ts) else ValueError(
+            "the fiber variant integrates forward time only" if backward[k]
+            else "the flow leaves the finite floats")
+        return [FlowState(time=t, I=I0.copy(), phi=phi, phi_mod=mod) for t, phi, mod
+                in zip(ts.tolist(), phis[:k], np.mod(phis[:k], 2.0 * np.pi))], err
 
-    return at
+    return _one(block)
 
 
 def _finite_array(a, name, shape=None) -> np.ndarray:
@@ -639,17 +668,19 @@ class System:
     (alpha, nu) of one unit momentum.  An omitted name takes its default,
     None too: a callable default is a draw, called with the run's rng in
     the order of params, and a REQUIRED one is a config error.
-    flow(params) calls the system's *_flow, which checks
-    every domain rule of the params once and returns at(t) -> FlowState;
-    a CSV row is [t, *flat(at(t)), *extras(at(t), flat)] under
-    columns(params), flat a list of floats; field(params) is the RK4
-    oracle's rate on flat states.
+    sample(params) calls the system's *_flow, which checks every domain
+    rule of the params once, and returns block(times) -> (states, error):
+    the FlowStates of the longest prefix of times the flow builds, and the
+    ValueError of the first t it cannot build, or None.  flats(states) gives
+    their flat states, each a list of floats, and a CSV row is
+    [t, *flat, *extras(state, flat)] under columns(params); field(params)
+    is the RK4 oracle's rate on flat states.
     """
 
     params: tuple
-    flow: Callable
+    sample: Callable
     columns: Callable
-    flat: Callable
+    flats: Callable
     extras: Callable
     field: Callable
 
@@ -697,52 +728,53 @@ SYSTEMS = {
     "rotator": System(
         params=(("g0", "matrix", np.eye(3)), ("p", "vector", lambda rng: rng.standard_normal(3)),
                 _F),
-        flow=lambda p: rotator_flow(p["g0"], p["p"], p["F"]),
+        sample=lambda p: rotator_flow(p["g0"], p["p"], p["F"]).block,
         columns=lambda p: [f"g{i}{j}" for i in range(1, 4) for j in range(1, 4)]
         + ["p1", "p2", "p3", "p_norm"],
-        flat=lambda st: st.g.ravel().tolist(),
+        flats=lambda sts: [st.g.ravel().tolist() for st in sts],
         extras=lambda st, y: [*st.p, st.p_norm],
         field=lambda p: rotator_flat_field(p["p"], p["F"]),
     ),
     "casimir_sl2c": System(
         params=(_G0, _U0, _F),
-        flow=lambda p: casimir_flow(p["g0"], p["u0"], p["F"]),
+        sample=lambda p: _each(casimir_flow(p["g0"], p["u0"], p["F"])),
         columns=lambda p: _complex_cols("z1", "z2", "z3", "z4") + ["H0", "det_re", "det_im"],
-        flat=lambda st: z_to_flat(*st.g.gu_entries(st.u)),
+        flats=lambda sts: [z_to_flat(*z) for z in mul2([st.g.entries() for st in sts],
+                                                       [st.u.entries() for st in sts])],
         extras=lambda st, y: _casimir_extras(y),
         field=lambda p: sl2c_flat_field(p["F"]),
     ),
     "momenta_su2": System(
         params=(_U0, (("alpha", "nu"), "momenta", _unit_pair), _F),
-        flow=lambda p: momenta_su2_flow(p["u0"], p["alpha"], p["nu"], p["F"]),
+        sample=lambda p: _each(momenta_su2_flow(p["u0"], p["alpha"], p["nu"], p["F"])),
         columns=lambda p: ["r", *_complex_cols("gamma"), "h_su2_norm"],
-        flat=lambda st: [st.u.r, st.u.gamma.real, st.u.gamma.imag],
+        flats=lambda sts: [[st.u.r, st.u.gamma.real, st.u.gamma.imag] for st in sts],
         extras=lambda st, y: [abs(st.alpha) ** 2 + abs(st.nu) ** 2],
         field=lambda p: momenta_su2_flat_field(p["alpha"], p["nu"], p["F"]),
     ),
     "noncasimir_h": System(
         params=(_U0, (("alpha0", "nu0"), "momenta", _unit_pair)),
-        flow=lambda p: noncasimir_flow(p["u0"], p["alpha0"], p["nu0"]),
+        sample=lambda p: _each(noncasimir_flow(p["u0"], p["alpha0"], p["nu0"])),
         columns=lambda p: [*_complex_cols("alpha", "nu"), "r", *_complex_cols("gamma"), "h_nu"],
-        flat=lambda st: _flat_double(st.alpha, st.nu, st.u),
+        flats=lambda sts: [_flat_double(st.alpha, st.nu, st.u) for st in sts],
         extras=lambda st, y: [0.5 * abs(st.nu) ** 2],
         field=lambda p: noncasimir_flat_field(),
     ),
     "perturbed": System(
         params=(_G0, _U0, _F, ("lam", "float", 0.1)),
-        flow=lambda p: perturbed_flow(p["g0"], p["u0"], p["F"], p["lam"]),
+        sample=lambda p: _each(perturbed_flow(p["g0"], p["u0"], p["F"], p["lam"])),
         columns=lambda p: [*_complex_cols("alpha", "nu"), "r", *_complex_cols("gamma"),
                            "gamma_abs"],
-        flat=lambda st: _flat_double(st.g.alpha, st.g.nu, st.u),
+        flats=lambda sts: [_flat_double(st.g.alpha, st.g.nu, st.u) for st in sts],
         extras=lambda st, y: [abs(st.u.gamma)],
         field=lambda p: perturbed_flat_field(p["F"], p["lam"]),
     ),
     "action_angle": System(
         params=(("I0", "vector", REQUIRED), ("phi0", "vector", REQUIRED),
                 ("freq", "vector", None), ("matrix", "matrix", None)),
-        flow=lambda p: action_angle_flow(p["I0"], p["phi0"], p["freq"], p["matrix"]),
+        sample=lambda p: action_angle_flow(p["I0"], p["phi0"], p["freq"], p["matrix"]).block,
         columns=lambda p: _action_angle_columns(p),
-        flat=lambda st: np.concatenate([st.I, st.phi]).tolist(),
+        flats=lambda sts: [st.I.tolist() + st.phi.tolist() for st in sts],
         extras=lambda st, y: list(st.phi_mod),
         field=lambda p: action_angle_flat_field(p["I0"], p["freq"], p["matrix"]),
     ),

@@ -5,10 +5,11 @@ than raw matrices, so membership invariants are checkable and small drift is
 renormalizable.  Constructors project inputs that violate the invariant by at
 most ``PROJECT_TOL`` and reject anything worse.  An e^|d| or y·sinhc(d) in
 exp_sb2 or an Iwasawa norm that leaves the floats is ValueError("non-finite matrix entry"),
-not the OverflowError or ZeroDivisionError of the scalar arithmetic.  The
-product a = g·u of SL(2,C) = SU(2)·SB(2,C) has one numeric home, `SU2Element.gu_entries`.
-Every numeric 2x2 complex product goes through `mul2`: ndarray.dot for one pair (a CSV
-row's g·u), one np.matmul on (n, 2, 2) arrays for a stack (a verify block), with .dot's bits.
+not the OverflowError or ZeroDivisionError of the scalar arithmetic.  The product
+a = g·u of SL(2,C) = SU(2)·SB(2,C) is `mul2` of g's and u's entries(), as `SU2Element.gu_entries`
+takes it for one pair.  Every numeric 2x2 complex product goes through `mul2`: ndarray.dot for
+one pair, one np.matmul on (n, 2, 2) arrays for a stack (a block of CSV rows' g·u, a verify
+block), with .dot's bits.
 
 The exponentials are closed form.  The 2x2 one, `expm2_kernel`, uses the
 explicit eigenstructure of a 2x2 matrix instead of scaling-and-squaring, so
@@ -47,11 +48,13 @@ class MembershipError(ValueError):
 
 
 def mul2(xs, ys) -> list:
-    """The products x·y of paired rows of xs and ys, each a 2x2 matrix's entries row by row."""
+    """The products x·y of paired rows of xs and ys, each a 2x2 matrix's entries row by row;
+    a product past the floats has inf or NaN entries, with no numpy warning first."""
     a, b = np.array(xs, complex), np.array(ys, complex)
-    if len(a) == 1:
-        return [a.reshape(2, 2).dot(b.reshape(2, 2)).ravel().tolist()]
-    return np.matmul(a.reshape(-1, 2, 2), b.reshape(-1, 2, 2)).reshape(-1, 4).tolist()
+    with np.errstate(over="ignore", invalid="ignore"):
+        if len(a) == 1:
+            return [a.reshape(2, 2).dot(b.reshape(2, 2)).ravel().tolist()]
+        return np.matmul(a.reshape(-1, 2, 2), b.reshape(-1, 2, 2)).reshape(-1, 4).tolist()
 
 
 def check_finite(a) -> np.ndarray:

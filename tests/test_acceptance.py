@@ -93,7 +93,7 @@ def test_3_conservation():
 def test_4_quadrature_vs_oracle():
     rng = np.random.default_rng(SEED)
     worst_cas = worst_non = worst_per = 0.0
-    flat = dyn.SYSTEMS["noncasimir_h"].flat
+    flats = dyn.SYSTEMS["noncasimir_h"].flats
     for _ in range(3):
         g0, u0 = random_element("su2", rng), random_element("sb2", rng)
         a0 = SL2Element.from_matrix(g0.as_matrix() @ u0.as_matrix())
@@ -105,11 +105,11 @@ def test_4_quadrature_vs_oracle():
             worst_cas = max(worst_cas, float(np.max(np.abs(
                 st.g.as_matrix() @ st.u.as_matrix()
                 - np.array([[z[0], z[1]], [z[2], z[3]]])))))
-        y0 = flat(dyn.FlowState(0.0, u=u0, alpha=g0.alpha, nu=g0.nu))
+        y0 = flats([dyn.FlowState(0.0, u=u0, alpha=g0.alpha, nu=g0.nu)])[0]
         traj = rk4_integrate(dyn.noncasimir_flat_field(), y0, 0.0, 5.0, 1e-3)
         for t, y in zip(traj.times[::250], traj.states[::250]):
             st = dyn.noncasimir_flow(u0, g0.alpha, g0.nu)(t)
-            worst_non = max(worst_non, float(np.max(np.abs(flat(st) - y))))
+            worst_non = max(worst_non, float(np.max(np.abs(flats([st])[0] - y))))
     g0, u0, lam, eps = random_element("su2", rng), SB2Element(2.0, 1.0), 0.3, 1e-5
     for t in np.linspace(0.25, 5.0, 20):
         gp = dyn.perturbed_flow(g0, u0, 1.0, lam)(t + eps).g.as_matrix()

@@ -379,6 +379,16 @@ SIMULATE_EXIT_2 = [
          "params": {"u0": {"r": 1e-300, "gamma": [0.5, 0]}, "alpha": [0.6, 0],
                     "nu": [0, 0.8]}},
      "params: the flow leaves the finite floats at t = 1000"),
+    # a flow past the floats in the middle of a block of rows: the message
+    # names that row, not the block's first t or the first failing t after it
+    (P, {"system": "rotator", "t1": 200, "dt": 0.1, "params": {"p": [1e152, 0, 0]}},
+     "params: the flow leaves the finite floats at t = 134.09999999999999"),
+    (P, {"system": "action_angle", "t1": 20, "dt": 0.01,
+         "params": {"I0": [1, 1], "phi0": [1, 1], "matrix": [[50, 1], [0, -1]]}},
+     "params: the flow leaves the finite floats at t = 14.200000000000001"),
+    (P, {"system": "action_angle", "t1": 20, "dt": 0.01,
+         "params": {"I0": [1], "phi0": [1], "freq": [1e307]}},
+     "params: the flow leaves the finite floats at t = 17.98"),
     # t·L with a det past the floats at the first row after t = 0: "math
     # domain error" before, from cmath.cosh of an infinite delta
     *((P, {"system": system, "t1": 1e160, "dt": 1e159,
@@ -443,7 +453,7 @@ def test_simulate_caps_oracle_steps_before_building_anything(tmp_path, monkeypat
 
     monkeypatch.setattr(cli, "rk4_integrate", reached)
     rotator = dyn.SYSTEMS["rotator"]
-    monkeypatch.setitem(dyn.SYSTEMS, "rotator", dataclasses.replace(rotator, flow=reached))
+    monkeypatch.setitem(dyn.SYSTEMS, "rotator", dataclasses.replace(rotator, sample=reached))
     doc = {"system": "rotator", "t1": 1e6, "dt": 1, "oracle": True}
     # dt / 1e-3 overflows the floats in the second config
     for huge in ({}, {"t1": 1e307, "dt": 1e306}):
@@ -736,13 +746,13 @@ def test_negative_flag_values_read_as_their_equals_form(tmp_path, argv, flag, co
 
 def test_simulate_names_the_first_non_finite_row(tmp_path, monkeypatch, capsys):
     # a flow whose row at t = 0 is NaN and whose next row raises: the NaN row
-    # is the one named, as each row is checked when it is built
+    # is the one named, as a block's rows are checked before its sampler's error
     def at(t):
         if t > 0:
             raise ValueError("a later row")
         return dyn.FlowState(t, g=np.full((3, 3), math.nan), p=np.zeros(3), p_norm=0.0)
 
-    rotator = dataclasses.replace(dyn.SYSTEMS["rotator"], flow=lambda p: at)
+    rotator = dataclasses.replace(dyn.SYSTEMS["rotator"], sample=lambda p: dyn._each(at))
     monkeypatch.setitem(dyn.SYSTEMS, "rotator", rotator)
     code, _ = run_config(tmp_path, {"system": "rotator", "t1": 1.0, "dt": 0.5}, name="never.csv")
     assert code == 2

@@ -35,7 +35,6 @@ from doubleflow.dynamics import (
     perturbed_flat_field,
     perturbed_flow,
     perturbed_velocity,
-    rodrigues3_kernel,
     rotator_flat_field,
     rotator_flow,
     sl2c_flat_field,
@@ -52,9 +51,18 @@ from doubleflow.groups import (
     random_element,
 )
 from doubleflow.quadrature import NonFiniteStateError, drift_report, rk4_integrate, simpson_rule
+from doubleflow.verify import BLOCK
 
 def flat_of_double(alpha, nu, u):
-    return SYSTEMS["noncasimir_h"].flat(FlowState(0.0, u=u, alpha=alpha, nu=nu))
+    return SYSTEMS["noncasimir_h"].flats([FlowState(0.0, u=u, alpha=alpha, nu=nu)])[0]
+
+
+def sampled(system, params, times):
+    """The FlowStates of SYSTEMS[system] at times, as one block, and their flat states."""
+    states, err = SYSTEMS[system].sample(params)(times)
+    if err is not None:
+        raise err
+    return states, SYSTEMS[system].flats(states)
 
 
 def test_free_hamiltonian_forms():
@@ -150,10 +158,10 @@ def rk4_case_params(system, rng):
     ("momenta_su2", 4, 4.0, 200), ("perturbed", 10, 4.0, 200), ("rotator", 11, 5.0, 250)])
 def test_closed_form_flows_match_rk4(system, seed, t1, stride):
     params, sysdef = rk4_case_params(system, np.random.default_rng(seed)), SYSTEMS[system]
-    at = sysdef.flow(params)
-    traj = rk4_integrate(sysdef.field(params), sysdef.flat(at(0.0)), 0.0, t1, 1e-3)
-    worst = max(float(np.linalg.norm(np.subtract(sysdef.flat(at(t)), y)))
-                for t, y in zip(traj.times[::stride], traj.states[::stride]))
+    traj = rk4_integrate(sysdef.field(params), sampled(system, params, [0.0])[1][0], 0.0, t1, 1e-3)
+    _, ys = sampled(system, params, traj.times[::stride])
+    worst = max(float(np.linalg.norm(np.subtract(y, want)))
+                for y, want in zip(ys, traj.states[::stride]))
     assert worst < 1e-6
     if system == "momenta_su2":  # membership along the oracle too
         assert all(st[0] > 0 for st in traj.states)
@@ -755,20 +763,20 @@ def test_action_angle_flow_checks_inputs_when_built(case, args, kwargs):
 def test_systems_flow_values():
     # each system's flow through SYSTEMS, every param given
     g0, u0 = random_element("su2", 16), random_element("sb2", 16)
-    st = SYSTEMS["casimir_sl2c"].flow({"g0": g0, "u0": u0, "F": 1.0})(1.0)
+    (st,), _ = sampled("casimir_sl2c", {"g0": g0, "u0": u0, "F": 1.0}, [1.0])
     assert st.u is u0
-    st = SYSTEMS["rotator"].flow({"g0": np.eye(3), "p": [0.0, 0.0, 1.0], "F": 1.0})(0.5)
+    (st,), _ = sampled("rotator", {"g0": np.eye(3), "p": [0.0, 0.0, 1.0], "F": 1.0}, [0.5])
     assert st.g.shape == (3, 3)
-    st = SYSTEMS["momenta_su2"].flow({"u0": SB2Element.identity(), "alpha": 0.0, "nu": 1.0,
-                                      "F": 1.0})(1.0)
+    (st,), _ = sampled("momenta_su2", {"u0": SB2Element.identity(), "alpha": 0.0, "nu": 1.0,
+                                       "F": 1.0}, [1.0])
     assert st.u.r == pytest.approx(math.exp(-0.5))
-    st = SYSTEMS["noncasimir_h"].flow({"u0": u0, "alpha0": g0.alpha, "nu0": g0.nu})(1.0)
+    (st,), _ = sampled("noncasimir_h", {"u0": u0, "alpha0": g0.alpha, "nu0": g0.nu}, [1.0])
     assert st.u.r == u0.r
-    st = SYSTEMS["perturbed"].flow({"g0": SU2Element.identity(), "u0": u0, "F": 1.0,
-                                    "lam": 0.1})(1.0)
+    (st,), _ = sampled("perturbed", {"g0": SU2Element.identity(), "u0": u0, "F": 1.0,
+                                     "lam": 0.1}, [1.0])
     assert st.u.r == u0.r
-    st = SYSTEMS["action_angle"].flow({"I0": [1.0], "phi0": [0.0], "freq": [2.0],
-                                       "matrix": None})(1.5)
+    (st,), _ = sampled("action_angle", {"I0": [1.0], "phi0": [0.0], "freq": [2.0],
+                                        "matrix": None}, [1.5])
     assert st.phi[0] == pytest.approx(3.0)
 
 
@@ -798,8 +806,9 @@ def test_conservation_along_oracle_with_projection():
 
 def reference_state(system, p, t):
     """Per-t reference for the closed-form flows: rebuilds the generator at every t
-    and goes through the validated AlgebraElement and exp_group path,
-    and for the rotator through rodrigues3_kernel on hat3(F·p) and |F·p|.
+    and goes through the validated AlgebraElement and exp_group path; the
+    rotator's is the axis-angle formula with 2-D @, and the fiber's one
+    scipy.linalg.expm per t.
     """
     t = float(t)
     if system == "casimir_sl2c":
@@ -808,8 +817,13 @@ def reference_state(system, p, t):
     if system == "rotator":
         pv = np.asarray(p["p"], dtype=float)
         fp = p["F"] * pv
-        g = np.asarray(p["g0"], dtype=float) @ rodrigues3_kernel(hat3(fp), np.linalg.norm(fp), t)
-        return FlowState(t, g=g, p=pv.copy())
+        theta, kt = float(np.linalg.norm(fp)) * abs(t), hat3(fp) * t
+        if theta < 1e-8:  # the second-order series
+            rot = np.eye(3) + kt + 0.5 * (kt @ kt)
+        else:
+            a, b = math.sin(theta) / theta, (1.0 - math.cos(theta)) / (theta * theta)
+            rot = np.eye(3) + a * kt + b * (kt @ kt)
+        return FlowState(t, g=np.asarray(p["g0"], dtype=float) @ rot, p=pv.copy())
     if system == "momenta_su2":
         L = _momenta_su2_generator(p["alpha"], p["nu"], p["F"])
         u = exp_group(AlgebraElement("sb2", t * L)) @ p["u0"]
@@ -846,14 +860,16 @@ def reference_row(system, p, t):
     st = reference_state(system, p, t)
     if system == "rotator":  # |p| from p, not from FlowState.p_norm
         return [t, *st.g.ravel(), *st.p, float(np.linalg.norm(st.p))]
-    y = SYSTEMS[system].flat(st)
+    if system == "casimir_sl2c":  # g·u by 2-D @, not by the flats' mul2
+        y = (st.g.as_matrix() @ st.u.as_matrix()).ravel().view(float).tolist()
+    else:
+        y = SYSTEMS[system].flats([st])[0]
     return [t, *y, *SYSTEMS[system].extras(st, y)]
 
 
 def rotation(p, t=1.0):
     """The rotation by angle |p|·t about p/|p|, as the rotator's flow forms it."""
-    p = np.asarray(p, dtype=float)
-    return rodrigues3_kernel(hat3(p), float(np.linalg.norm(p)), t)
+    return rotator_flow(np.eye(3), p, 1.0)(t).g
 
 
 def test_hat3_cross_product():
@@ -890,7 +906,8 @@ def test_rodrigues3_is_rotation():
 
 
 def sampler_params(system, seed):
-    """Seeded params, and for seed 0 plain ones: identities, real or zero entries."""
+    """Seeded params, and for seed 0 plain ones: identities, real or zero entries; the fiber's
+    phi0 holds a -0.0, which its t = 0 row keeps."""
     rng = np.random.default_rng(seed)
     g0, u0, m = random_element("su2", rng), random_element("sb2", rng), random_element("su2", rng)
     F, lam = float(rng.uniform(0.5, 2.0)), float(rng.uniform(0.05, 0.5))
@@ -906,7 +923,7 @@ def sampler_params(system, seed):
         "perturbed": {"g0": g0, "u0": u0, "F": F, "lam": lam},
         "action_angle_freq": {"I0": [0.5, 1.5, 0.7], "phi0": rng.uniform(0.0, 6.3, 3),
                               "freq": rng.uniform(-2.0, 2.0, 3), "matrix": None},
-        "action_angle_matrix": {"I0": [1.0], "phi0": [1.0, 0.5, -0.2], "freq": None,
+        "action_angle_matrix": {"I0": [1.0], "phi0": [1.0, -0.0, -0.2], "freq": None,
                                 "matrix": (1.0 + seed) * a},
     }[system]
 
@@ -916,41 +933,61 @@ def sampler_params(system, seed):
 SAMPLER_TIMES = [0.0, -0.0, 1e-12, 1e-9, 2e-8, 0.01, 0.37, 1.0, 2.5, 10.0, 123.4, -0.7]
 
 
-@pytest.mark.parametrize("case", ["casimir_sl2c", "rotator", "momenta_su2", "noncasimir_h",
-                                  "perturbed", "action_angle_freq", "action_angle_matrix"])
-def test_sampler_rows_match_per_row_reference_bitwise(case):
+SAMPLER_CASES = ["casimir_sl2c", "rotator", "momenta_su2", "noncasimir_h", "perturbed",
+                 "action_angle_freq", "action_angle_matrix"]
+BLOCK_SIZES = (1, 2, BLOCK, BLOCK + 1)
+
+
+@pytest.mark.parametrize("case", SAMPLER_CASES)
+def test_sampler_rows_pinned_bitwise_to_per_row_reference(case):
+    # SAMPLER_TIMES cut into blocks of every size in BLOCK_SIZES at four
+    # seeds, and at two of them the first 1, 2, BLOCK and BLOCK + 1 times of
+    # a grid as one block each, against reference_row one t at a time
     system = case[:12] if case.startswith("action_angle") else case
+    grid = [j * 0.01 for j in range(BLOCK + 1)]
     for seed in range(4):
         p = sampler_params(case, seed)
-        at = SYSTEMS[system].flow(p)
-        for t in SAMPLER_TIMES:
-            if case == "action_angle_matrix" and math.copysign(1.0, t) < 0:
-                continue
-            st = at(t)
-            y = SYSTEMS[system].flat(st)
-            row = [t, *y, *SYSTEMS[system].extras(st, y)]
-            want = reference_row(system, p, t)
-            assert np.array(row).tobytes() == np.array(want).tobytes(), (case, seed, t)
+        sample = SYSTEMS[system].sample(p)
+        for times in (SAMPLER_TIMES, grid)[:2 if seed < 2 else 1]:
+            if case == "action_angle_matrix":
+                times = [t for t in times if math.copysign(1.0, t) > 0]
+            want = [np.array(reference_row(system, p, t)).tobytes() for t in times]
+            for size in BLOCK_SIZES:
+                for start in range(0, len(times), size) if len(times) < BLOCK else [0]:
+                    block = times[start:start + size]
+                    states, err = sample(block)
+                    assert err is None, (case, seed, size, block[len(states)])
+                    got = [np.array([t, *y, *SYSTEMS[system].extras(st, y)]).tobytes()
+                           for t, st, y in zip(block, states, SYSTEMS[system].flats(states))]
+                    wrong = [t for t, row, ref in zip(block, got, want[start:]) if row != ref]
+                    assert len(got) == len(block) and not wrong, (case, seed, size, wrong[:3])
         assert takes_small_angle_branch(system, p)
 
 
-@pytest.mark.parametrize("case", ["casimir_sl2c", "rotator", "momenta_su2", "noncasimir_h",
-                                  "perturbed", "action_angle_freq", "action_angle_matrix"])
+@pytest.mark.parametrize("case", SAMPLER_CASES)
 def test_sampler_rows_at_extreme_t_are_finite_or_raise(case):
     # a row past the floats raises rather than returning inf or NaN (the
     # rotator at +-1e308, action_angle at NaN and +-inf, and the fiber matrix
-    # at 1e308, once did), and with no numpy warning first
+    # at 1e308, once did), and with no numpy warning first; a block returns
+    # the rows ahead of its first such t and that t's own error, not raising
     system = case[:12] if case.startswith("action_angle") else case
+    times = [1.0, math.nan, 0.5, math.inf, -math.inf, 1e308, 2.0, -1e308]
     for seed in range(4):
-        at = SYSTEMS[system].flow(sampler_params(case, seed))
-        for t in (math.nan, math.inf, -math.inf, 1e308, -1e308):
-            try:
-                st = at(t)
-                y = SYSTEMS[system].flat(st)
-                row = [t, *y, *SYSTEMS[system].extras(st, y)]
-            except (MembershipError, ValueError, OverflowError, ZeroDivisionError):
-                continue
-            assert all(map(math.isfinite, row)), (case, seed, t)
+        sample = SYSTEMS[system].sample(sampler_params(case, seed))
+        alone = [sample([t])[1] for t in times]  # each t's own error, or None
+        for size in BLOCK_SIZES:
+            for start in range(0, len(times), size):
+                block, errs = times[start:start + size], alone[start:start + size]
+                states, err = sample(block)
+                k = next((i for i, e in enumerate(errs) if e is not None), len(block))
+                assert len(states) == k and repr(err) == repr(errs[k] if errs[k:] else None)
+                try:
+                    ys = SYSTEMS[system].flats(states)
+                    rows = [[t, *y, *SYSTEMS[system].extras(st, y)]
+                            for t, st, y in zip(block, states, ys)]
+                except (MembershipError, ValueError, OverflowError, ZeroDivisionError):
+                    continue
+                assert all(all(map(math.isfinite, row)) for row in rows), (case, seed, block)
 
 
 def first_overflowing_t(m):
@@ -1148,7 +1185,7 @@ def test_su2_rows_check_the_exponential_once(monkeypatch):
 
 
 def takes_small_angle_branch(system, p):
-    """Whether the grid's tiny t reach rodrigues3_kernel's and sinhc's series branches."""
+    """Whether the grid's tiny t reach the rotator's and sinhc's series branches."""
     if system == "rotator":
         return np.linalg.norm(p["F"] * np.asarray(p["p"])) * 1e-9 < 1e-8
     if system in ("casimir_sl2c", "perturbed"):
@@ -1162,16 +1199,16 @@ def takes_small_angle_branch(system, p):
 def test_sampler_checks_its_inputs_once_and_each_t():
     bad_g0 = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
     with pytest.raises(MembershipError, match="g0 fails the rotation check"):
-        SYSTEMS["rotator"].flow({"g0": bad_g0, "p": [0.0, 0.0, 1.0], "F": 1.0})
+        SYSTEMS["rotator"].sample({"g0": bad_g0, "p": [0.0, 0.0, 1.0], "F": 1.0})
     with pytest.raises(MembershipError, match="g0 fails the rotation check"):
         rotator_flow(bad_g0, [0.0, 0.0, 1.0], 1.0)(0.5)
     u0 = random_element("sb2", 3)
     with pytest.raises(MembershipError):
-        SYSTEMS["momenta_su2"].flow({"u0": u0, "alpha": 1.0, "nu": 1.0, "F": 1.0})
+        SYSTEMS["momenta_su2"].sample({"u0": u0, "alpha": 1.0, "nu": 1.0, "F": 1.0})
     with pytest.raises(MembershipError):
         momenta_su2_flow(u0, 1.0, 1.0, 1.0)(0.5)
     with pytest.raises(MembershipError):
-        SYSTEMS["noncasimir_h"].flow({"u0": u0, "alpha0": 0.5, "nu0": 0.5})
+        SYSTEMS["noncasimir_h"].sample({"u0": u0, "alpha0": 0.5, "nu0": 0.5})
     with pytest.raises(MembershipError):
         noncasimir_flow(u0, 0.5, 0.5)(0.5)
     # the SU2Element unit check, when the flow is built: a NaN alpha (rows
@@ -1201,22 +1238,20 @@ def test_sampler_checks_its_inputs_once_and_each_t():
             with pytest.raises(ValueError, match="non-finite matrix entry"):
                 flow(t)
     # the rotator's angle, the frequency variant's bound on phi, the fiber
-    # variant's phi after expm; the generator's exponents and Simpson's ends
+    # variant's phi after expm, at an infinite or NaN t too (simpson_rule's
+    # "t0, t1 and t1 - t0 must be finite" before, as the other two now read)
     rotator = rotator_flow(np.eye(3), [0.0, 0.0, 1.0], 1.0)
     freq = action_angle_flow([1.0], [0.5], freq=[2.0])
     fiber = action_angle_flow([1.0], [0.5], matrix=[[0.3]])
     for flow, ts in ((rotator, (math.inf, -math.inf, math.nan, 1e308, -1e308)),
                      (freq, (math.inf, -math.inf, math.nan)),
-                     (fiber, (1e308,))):
+                     (fiber, (1e308, math.inf, math.nan))):
         for t in ts:
             with pytest.raises(ValueError, match="^the flow leaves the finite floats$"), \
                     np.errstate(over="ignore", invalid="ignore"):
                 flow(t)
     # past the frequency variant's bound, a finite phi is still a row
     assert action_angle_flow([1.0], [1e308], freq=[-1e308])(1.0).phi.tolist() == [0.0]
-    for t in (math.inf, math.nan):
-        with pytest.raises(ValueError, match=r"^t0, t1 and t1 - t0 must be finite$"):
-            fiber(t)
     with pytest.raises(ValueError, match=r"^t0, t1 and t1 - t0 must be finite$"):
         simpson_rule(0.0, math.nan, 2)
     for t in (math.nan, math.inf, 1e308):

@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from doubleflow.groups import (
     expm2_kernel,
     iwasawa_gu,
     iwasawa_ug,
+    mul2,
     random_element,
     sinhc,
 )
@@ -109,6 +111,19 @@ def test_sl2_product_has_the_outcome_of_from_matrix_of_matmul():
         want = [outcome(lambda: SL2Element.from_matrix(a.as_matrix() @ b.as_matrix())) for a, b in pairs]
     assert got == want
     assert got[-4:] == [(ValueError, "non-finite matrix entry")] * 2 + [(MembershipError, "det = 0j is not 1")] * 2
+
+
+def test_products_past_the_floats_leave_the_check_to_the_caller_without_a_warning():
+    # numpy's "overflow encountered in dot" (or in matmul) came first, and
+    # under warnings as errors it was raised in place of the ValueError
+    big = SL2Element(1e200, 0, 0, 1e-200)
+    rows = [[big.z1, big.z2, big.z3, big.z4]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^non-finite matrix entry$"):
+            big @ big
+        for n in (1, 3):
+            assert not np.isfinite(mul2(rows * n, rows * n)).all()
 
 
 def test_iwasawa_uniqueness():

@@ -150,8 +150,8 @@ def test_double_group_oracle_fields_are_table_fields(system, field, eta):
         want = np.array([rates["alpha"].real, rates["alpha"].imag, rates["nu"].real,
                          rates["nu"].imag, rates["r"].real, rates["gamma"].real,
                          rates["gamma"].imag])
-        got = np.asarray(field(dyn.SYSTEMS[system].flat(dyn.FlowState(0.0, g=g, u=u, alpha=g.alpha,
-                                                                      nu=g.nu))))
+        st = dyn.FlowState(0.0, g=g, u=u, alpha=g.alpha, nu=g.nu)
+        got = np.asarray(field(dyn.SYSTEMS[system].flats([st])[0]))
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
         assert abs(rates["r"].imag) <= 1e-12 * np.max(np.abs(want))
 
