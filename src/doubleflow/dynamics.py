@@ -10,7 +10,7 @@ samples a block of t at a time (System.sample): the rotator's and action_angle's
 at(t) is a block of one, and the other systems map their at over a block.
 
 The SU(2) rows exponentiate with groups.expm2_kernel on Python complex
-scalars, and a block of casimir rows takes its g·u as one stacked groups.mul2.
+scalars, and a block of casimir rows takes its g·u in one groups.gu_products call.
 
 No *_flat_field calls numpy per evaluation but action_angle's by matrix, one
 A @ φ of a config-sized A: the others work on Python floats.  The rotator's
@@ -43,7 +43,7 @@ from .groups import (
     exp_group,
     exp_sb2,
     expm2_kernel,
-    mul2,
+    gu_products,
     random_element,
 )
 from .quadrature import simpson_rule
@@ -739,8 +739,7 @@ SYSTEMS = {
         params=(_G0, _U0, _F),
         sample=lambda p: _each(casimir_flow(p["g0"], p["u0"], p["F"])),
         columns=lambda p: _complex_cols("z1", "z2", "z3", "z4") + ["H0", "det_re", "det_im"],
-        flats=lambda sts: [z_to_flat(*z) for z in mul2([st.g.entries() for st in sts],
-                                                       [st.u.entries() for st in sts])],
+        flats=lambda sts: [z_to_flat(*z) for z in gu_products([st.g for st in sts], [st.u for st in sts])],
         extras=lambda st, y: _casimir_extras(y),
         field=lambda p: sl2c_flat_field(p["F"]),
     ),

@@ -5,11 +5,10 @@ than raw matrices, so membership invariants are checkable and small drift is
 renormalizable.  Constructors project inputs that violate the invariant by at
 most ``PROJECT_TOL`` and reject anything worse.  An e^|d| or y·sinhc(d) in
 exp_sb2 or an Iwasawa norm that leaves the floats is ValueError("non-finite matrix entry"),
-not the OverflowError or ZeroDivisionError of the scalar arithmetic.  The product
-a = g·u of SL(2,C) = SU(2)·SB(2,C) is `mul2` of g's and u's entries(), as `SU2Element.gu_entries`
-takes it for one pair.  Every numeric 2x2 complex product goes through `mul2`: ndarray.dot for
-one pair, one np.matmul on (n, 2, 2) arrays for a stack (a block of CSV rows' g·u, a verify
-block), with .dot's bits.
+not the OverflowError or ZeroDivisionError of the scalar arithmetic.  Every numeric
+2x2 complex product goes through `mul2`, one np.matmul on (n, 2, 2) arrays, with ndarray.dot's
+bits pair by pair.  The product a = g·u of SL(2,C) = SU(2)·SB(2,C) has one numeric home,
+`gu_products` of paired elements (a block of CSV rows, a verify block, one start).
 
 The exponentials are closed form.  The 2x2 one, `expm2_kernel`, uses the
 explicit eigenstructure of a 2x2 matrix instead of scaling-and-squaring, so
@@ -52,9 +51,12 @@ def mul2(xs, ys) -> list:
     a product past the floats has inf or NaN entries, with no numpy warning first."""
     a, b = np.array(xs, complex), np.array(ys, complex)
     with np.errstate(over="ignore", invalid="ignore"):
-        if len(a) == 1:
-            return [a.reshape(2, 2).dot(b.reshape(2, 2)).ravel().tolist()]
         return np.matmul(a.reshape(-1, 2, 2), b.reshape(-1, 2, 2)).reshape(-1, 4).tolist()
+
+
+def gu_products(gs, us) -> list:
+    """[z1, z2, z3, z4] of each product g·u of paired SU2Elements gs and SB2Elements us, row by row."""
+    return mul2([g.entries() for g in gs], [u.entries() for u in us])
 
 
 def check_finite(a) -> np.ndarray:
@@ -122,10 +124,6 @@ class SU2Element:
 
     def inverse(self) -> "SU2Element":
         return _trusted(SU2Element, self.alpha.conjugate(), -self.nu)
-
-    def gu_entries(self, u: "SB2Element") -> list:
-        """[z1, z2, z3, z4] of the product g·u, row by row: mul2's single-pair bits."""
-        return mul2([self.entries()], [u.entries()])[0]
 
     def __matmul__(self, other: "SU2Element") -> "SU2Element":
         a = self.alpha * other.alpha - self.nu.conjugate() * other.nu
@@ -367,7 +365,7 @@ def random_elements(kind: str, n: int, seed) -> list:
 
     SU(2) is sampled uniformly (normalized 4-component Gaussian; sqrt(v.dot(v)) is np.linalg.norm's
     formula and bits), SB(2,C) with log-normal r (sigma = 0.5) and complex-Gaussian gamma, SL(2,C)
-    as g·u through mul2, g drawn first; bits and generator state are those of n single draws.
+    as g·u through gu_products, g drawn first; bits and generator state are those of n single draws.
     """
     k = {"su2": 4, "sb2": 3, "sl2c": 7}.get(kind)  # normals per draw; sl2c's g takes the first four
     if k is None:
@@ -383,7 +381,7 @@ def random_elements(kind: str, n: int, seed) -> list:
         us = [SB2Element(math.exp(0.5 * r), complex(re, im) / math.sqrt(2.0))
               for r, re, im in x[:, -3:].tolist()]
     if kind == "sl2c":
-        return [_trusted(SL2Element, *z) for z in mul2([g.entries() for g in gs], [u.entries() for u in us])]
+        return [_trusted(SL2Element, *z) for z in gu_products(gs, us)]
     return gs or us
 
 

@@ -19,6 +19,7 @@ from .groups import (
     SU2Element,
     _algebra_defect,
     exp_group,
+    gu_products,
     iwasawa_gu,
     iwasawa_ug,
     mul2,
@@ -178,7 +179,7 @@ def _decompose_block(rng, n):
     gus, ugs = [iwasawa_gu(a) for a in azs], [iwasawa_ug(a) for a in azs]
     member = max(max(a.membership_defect(), g.membership_defect(), g2.membership_defect())
                  for a, (g, _), (_, g2) in zip(azs, gus, ugs))
-    gu_rows = mul2([g.entries() for g, _ in gus], [u.entries() for _, u in gus])
+    gu_rows = gu_products([g for g, _ in gus], [u for _, u in gus])
     ug_rows = mul2([u.entries() for u, _ in ugs], [g.entries() for _, g in ugs])
     uniq = 0.0
     for gu, (g, u) in zip(gu_rows, gus):
@@ -251,7 +252,7 @@ def suite_flows(seed, samples):
     for _ in range(starts):
         g0 = random_element("su2", rng)
         u0 = random_element("sb2", rng)
-        a0 = dyn.SL2Element(*g0.gu_entries(u0))
+        a0 = dyn.SL2Element(*gu_products([g0], [u0])[0])
         y0 = dyn.z_to_flat(a0.z1, a0.z2, a0.z3, a0.z4)
         traj = rk4_integrate(dyn.sl2c_flat_field(1.0), y0, 0.0, 5.0, 1e-3)
         at = dyn.casimir_flow(g0, u0, 1.0)

@@ -860,7 +860,7 @@ def reference_row(system, p, t):
     st = reference_state(system, p, t)
     if system == "rotator":  # |p| from p, not from FlowState.p_norm
         return [t, *st.g.ravel(), *st.p, float(np.linalg.norm(st.p))]
-    if system == "casimir_sl2c":  # g·u by 2-D @, not by the flats' mul2
+    if system == "casimir_sl2c":  # g·u by 2-D @, not by the flats' gu_products
         y = (st.g.as_matrix() @ st.u.as_matrix()).ravel().view(float).tolist()
     else:
         y = SYSTEMS[system].flats([st])[0]

@@ -17,6 +17,7 @@ from doubleflow.groups import (
     exp_group,
     exp_sb2,
     expm2_kernel,
+    gu_products,
     iwasawa_gu,
     iwasawa_ug,
     mul2,
@@ -208,12 +209,12 @@ def test_random_element_deterministic_per_seed():
         random_element("nonsense", 0)
 
 
-def test_gu_entries_pinned_bitwise_matches_matmul():
+def test_gu_products_pinned_bitwise_matches_matmul():
     # the one numeric home of the product a = g·u has the bits of g @ u under
-    # every OpenBLAS kernel; 20,000 pairs with r from 1e-8 to 1e8 and signed
-    # zeros in gamma and nu
+    # every OpenBLAS kernel, pair by pair and as one stack; 20,000 pairs with
+    # r from 1e-8 to 1e8 and signed zeros in gamma and nu
     rng = np.random.default_rng(29)
-    got, want = [], []
+    gs, us, got, want = [], [], [], []
     for k in range(20000):
         x = rng.standard_normal(4)
         if k % 4 == 0:
@@ -228,9 +229,12 @@ def test_gu_entries_pinned_bitwise_matches_matmul():
         elif k % 3 == 1:
             gamma[:] = rng.choice([0.0, -0.0], 2)
         u = SB2Element(10.0 ** rng.uniform(-8.0, 8.0), complex(gamma[0], gamma[1]))
-        got.append(g.gu_entries(u))
+        gs.append(g)
+        us.append(u)
+        got.append(gu_products([g], [u])[0])
         want.append((g.as_matrix() @ u.as_matrix()).ravel())
     assert np.array(got).tobytes() == np.array(want).tobytes()
+    assert np.array(gu_products(gs, us)).tobytes() == np.array(want).tobytes()
 
 
 def exp2x2(m):

@@ -24,6 +24,7 @@ from doubleflow.groups import (
     _algebra_defect,
     _as_rng,
     _trusted,
+    gu_products,
     iwasawa_gu,
     iwasawa_ug,
     mul2,
@@ -197,7 +198,7 @@ def random_matrices(rng, n):
 @pytest.mark.parametrize("n", [1, 2, 7, ver.BLOCK, ver.BLOCK + 1])
 def test_block_products_and_draws_pinned_bitwise_match_one_at_a_time(n):
     # mul2 against ndarray.dot, pair by pair: on general matrices and on
-    # su2·sb2 and sb2·su2 pairs
+    # su2·sb2 and sb2·su2 pairs; gu_products against @, pair by pair
     rng = np.random.default_rng(n)
     ms = random_matrices(rng, 2 * n)
     gs, us = random_elements("su2", n, rng), random_elements("sb2", n, rng)
@@ -205,6 +206,7 @@ def test_block_products_and_draws_pinned_bitwise_match_one_at_a_time(n):
     for xs, ys in [(ms[:n], ms[n:]), gu, gu[::-1]]:
         got = mul2([x.ravel().tolist() for x in xs], [y.ravel().tolist() for y in ys])
         assert np.array(got).tobytes() == np.array([x.dot(y).ravel() for x, y in zip(xs, ys)]).tobytes()
+    assert np.array(gu_products(gs, us)).tobytes() == np.array([x @ y for x, y in zip(*gu)]).tobytes()
     # a block of n draws against n single draws, generator state included
     for kind in ("su2", "sb2", "sl2c"):
         rng, ref = np.random.default_rng(n), np.random.default_rng(n)
