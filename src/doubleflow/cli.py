@@ -30,7 +30,7 @@ __all__ = ["main", "ConfigError", "MAX_ROWS", "MAX_SAMPLES", "run_simulate", "ru
 _CONFIG_FIELDS = {"system", "params", "t1", "dt", "oracle", "max_dev", "seed", "out"}
 
 # Largest t1 / dt, since every row is held in memory until the CSV is written,
-# and largest RK4 step count of --oracle, whose states are held the same way.
+# and largest RK4 step count of --oracle, which bounds its run time (RK4 keeps one state a row).
 MAX_ROWS = 1_000_000
 # Largest verify --samples: the brackets suite holds five lists of that many
 # points, about 2.5 KB per sample; decompositions and legendre hold one block.
@@ -265,11 +265,11 @@ def run_simulate(args) -> int:
         flats = np.array(rows)[:, 1:len(y) + 1]  # a row is [t, *flat, *extras]
         field = sysdef.field(params)
         try:
-            traj = rk4_integrate(field, flats[0], 0.0, times[-1], dt / substeps)
+            traj = rk4_integrate(field, flats[0], 0.0, times[-1], dt / substeps, substeps)
         except NonFiniteStateError as e:
             raise ConfigError(f"params: the oracle leaves the finite floats "
                               f"at t = {_fmt(e.time)}") from None
-        devs = np.max(np.abs(flats - traj.states[:n * substeps + 1:substeps]), axis=1).tolist()
+        devs = np.max(np.abs(flats - traj.states), axis=1).tolist()  # a stored state a row
         worst = max(devs)
         for r, dev in zip(rows, devs):
             r.append(dev)
@@ -279,27 +279,28 @@ def run_simulate(args) -> int:
         row = devs.index(worst)
         print(f"oracle deviation {worst:.6e} exceeds max-dev {max_dev:.6e}; at its worst row, "
               f"t = {_fmt(times[row])}, "
-              f"{_oracle_error(field, traj, row * substeps, dt / substeps)}", file=sys.stderr)
+              f"{_oracle_error(field, traj, row, dt / substeps, substeps)}", file=sys.stderr)
         return 3
     return 0
 
 
-def _oracle_error(field, traj, k, h) -> str:
-    """The RK4 oracle's own error at its state k, by step doubling: |y_h - y_{h/2}|·16/15.
+def _oracle_error(field, traj, row, h, substeps) -> str:
+    """The RK4 oracle's own error at its stored row, by step doubling: |y_h - y_{h/2}|·16/15.
 
-    RK4's error falls 2^4-fold per halving of h, so the two runs differ by
-    15/16 of the error of the run at h.  Run only on a missed bound, so a
-    passing run pays nothing.
+    traj holds every substeps-th state of its steps of h.  RK4's error falls
+    2^4-fold per halving of h, so the two runs differ by 15/16 of the error
+    of the run at h.  Run only on a missed bound, so a passing run pays nothing.
     """
-    if 2 * (len(traj) - 1) > MAX_ROWS:
-        return (f"the oracle's own error is not estimated: twice its {len(traj) - 1} "
+    steps = (len(traj) - 1) * substeps
+    if 2 * steps > MAX_ROWS:
+        return (f"the oracle's own error is not estimated: twice its {steps} "
                 f"RK4 steps would exceed MAX_ROWS = {MAX_ROWS}")
     try:
-        half = rk4_integrate(field, traj.states[0], 0.0, traj.times[-1], 0.5 * h)
+        half = rk4_integrate(field, traj.states[0], 0.0, traj.times[-1], 0.5 * h, 2 * substeps)
     except NonFiniteStateError as e:
         return (f"the oracle's own error is not estimated: RK4 at h/2 leaves the "
                 f"finite floats at t = {_fmt(e.time)}")
-    est = float(np.abs(traj.states[k] - half.states[2 * k]).max()) * 16.0 / 15.0
+    est = float(np.abs(traj.states[row] - half.states[row]).max()) * 16.0 / 15.0
     return f"the oracle's own error is about {est:.6e} by step doubling"
 
 

@@ -365,9 +365,10 @@ def random_elements(kind: str, n: int, seed) -> list:
 
     SU(2) is sampled uniformly (normalized 4-component Gaussian; sqrt(v.dot(v)) is np.linalg.norm's
     formula and bits), SB(2,C) with log-normal r (sigma = 0.5) and complex-Gaussian gamma, SL(2,C)
-    as g·u through gu_products, g drawn first; bits and generator state are those of n single draws.
+    as g·u through gu_products, g drawn first, and kind "double" as the (g, u) pairs themselves;
+    bits and generator state are those of n single draws.
     """
-    k = {"su2": 4, "sb2": 3, "sl2c": 7}.get(kind)  # normals per draw; sl2c's g takes the first four
+    k = {"su2": 4, "sb2": 3, "sl2c": 7, "double": 7}.get(kind)  # normals per draw; g takes the first four
     if k is None:
         raise MembershipError(f"unknown group kind {kind!r}")
     x = _as_rng(seed).standard_normal((n, k))
@@ -382,7 +383,7 @@ def random_elements(kind: str, n: int, seed) -> list:
               for r, re, im in x[:, -3:].tolist()]
     if kind == "sl2c":
         return [_trusted(SL2Element, *z) for z in gu_products(gs, us)]
-    return gs or us
+    return list(zip(gs, us)) if kind == "double" else gs or us
 
 
 def random_element(kind: str, seed):

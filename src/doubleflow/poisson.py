@@ -24,7 +24,7 @@ import itertools
 import json
 import math
 
-from .groups import SB2Element, SL2Element, SU2Element, _as_rng, random_element
+from .groups import SB2Element, SL2Element, SU2Element, _as_rng, random_elements
 
 __all__ = [
     "CoordinateSystem",
@@ -35,6 +35,7 @@ __all__ = [
     "named_function",
     "poisson_point",
     "random_point",
+    "random_points",
     "point_of_element",
     "gradient_covector",
 ]
@@ -49,20 +50,18 @@ class CoordinateSystem:
     names (negative powers allowed; real and positive at a point).  seeds
     maps coordinate pairs to the monomials of their seed brackets, which
     get_table closes under the reality rule; functions maps observable names
-    to monomial lists; kinds are the group elements a random point is drawn
-    from; sigma is the inversion map name -> (sign, image), or None.
+    to monomial lists; sigma is the inversion map name -> (sign, image), or None.
     """
 
-    __slots__ = ("name", "coords", "conj", "laurent", "seeds", "functions", "kinds", "sigma", "_index")
+    __slots__ = ("name", "coords", "conj", "laurent", "seeds", "functions", "sigma", "_index")
 
-    def __init__(self, name, coords, conj, laurent=(), *, seeds, functions, kinds, sigma=None):
+    def __init__(self, name, coords, conj, laurent=(), *, seeds, functions, sigma=None):
         self.name = name
         self.coords = tuple(coords)
         self.conj = dict(conj)
         self.laurent = frozenset(laurent)
         self.seeds = seeds
         self.functions = functions
-        self.kinds = tuple(kinds)
         self.sigma = sigma
         self._index = {c: i for i, c in enumerate(self.coords)}
 
@@ -117,7 +116,6 @@ _SL2C = CoordinateSystem(
         "conj_det": [(1, {"z1c": 1, "z4c": 1}), (-1, {"z2c": 1, "z3c": 1})],
         "h0": [(0.5, {f"z{i}": 1, f"z{i}c": 1}) for i in range(1, 5)],
     },
-    kinds=("sl2c",),
     sigma=_SIGMA,
 )
 
@@ -137,7 +135,6 @@ _SU2 = CoordinateSystem(
         "h_su2_norm": [(1, {"alpha": 1, "alphac": 1}), (1, {"nu": 1, "nuc": 1})],
         "h_nu": [(0.5, {"nu": 1, "nuc": 1})],
     },
-    kinds=("su2",),
 )
 
 _SB2 = CoordinateSystem(
@@ -150,7 +147,6 @@ _SB2 = CoordinateSystem(
         ("gammac", "gamma"): [(1j, {"r": 2}), (-1j, {"r": -2})],
     },
     functions={"h0": [(0.5, {"gamma": 1, "gammac": 1}), (0.5, {"r": 2}), (0.5, {"r": -2})]},
-    kinds=("sb2",),
 )
 
 # The brackets between the su2 and the sb2 coordinates of the double group.
@@ -175,7 +171,6 @@ _DOUBLE = CoordinateSystem(
                "z2": [(1, {"alpha": 1, "gamma": 1}), (-1, {"nuc": 1, "r": -1})],
                "z3": [(1, {"nu": 1, "r": 1})],
                "z4": [(1, {"nu": 1, "gamma": 1}), (1, {"alphac": 1, "r": -1})]},
-    kinds=_SU2.kinds + _SB2.kinds,
 )
 
 COORD_SYSTEMS = {cs.name: cs for cs in (_SL2C, _SU2, _SB2, _DOUBLE)}
@@ -506,13 +501,9 @@ def poisson_point(system: str, values) -> dict:
     Raises if supplied conjugate pairs disagree beyond 1e-12 or r <= 0.
     """
     cs = COORD_SYSTEMS[system]
-    point = {k: complex(v) for k, v in values.items()}
-    for name in point:
+    point = _with_conjugates(system, values)
+    for name in values:
         cs.index(name)
-    for name in cs.coords:
-        partner = cs.conj[name]
-        if name in point and partner not in point:
-            point[partner] = point[name].conjugate()
     missing = [c for c in cs.coords if c not in point]
     if missing:
         raise ValueError(f"missing coordinates: {missing}")
@@ -530,31 +521,49 @@ def poisson_point(system: str, values) -> dict:
     return point
 
 
+def _with_conjugates(system, values) -> dict:
+    """values as complex numbers, each missing conjugate filled in, in coordinate order, unchecked:
+    for values an element has checked (finite, r > 0), or before poisson_point's checks."""
+    cs = COORD_SYSTEMS[system]
+    point = {k: complex(v) for k, v in values.items()}
+    for name in cs.coords:
+        if name in point and cs.conj[name] not in point:
+            point[cs.conj[name]] = point[name].conjugate()
+    return point
+
+
 def point_of_element(*elements) -> dict:
     """Coordinates of an SL2, SU2 or SB2 element, or of an (SU2, SB2) pair, as a point dict."""
     match elements:
         case (SL2Element() as a,):
-            return poisson_point("sl2c", {"z1": a.z1, "z2": a.z2, "z3": a.z3, "z4": a.z4})
+            return _with_conjugates("sl2c", {"z1": a.z1, "z2": a.z2, "z3": a.z3, "z4": a.z4})
         case (SU2Element() as g,):
-            return poisson_point("su2", {"alpha": g.alpha, "nu": g.nu})
+            return _with_conjugates("su2", {"alpha": g.alpha, "nu": g.nu})
         case (SB2Element() as u,):
-            return poisson_point("sb2", {"r": u.r, "gamma": u.gamma})
+            return _with_conjugates("sb2", {"r": u.r, "gamma": u.gamma})
         case (SU2Element() as g, SB2Element() as u):
-            return poisson_point("double", {"alpha": g.alpha, "nu": g.nu, "r": u.r, "gamma": u.gamma})
+            return _with_conjugates("double", {"alpha": g.alpha, "nu": g.nu, "r": u.r, "gamma": u.gamma})
     names = ", ".join(type(x).__name__ for x in elements)
     raise TypeError(f"cannot map ({names}) to a Poisson point")
 
 
-def random_point(system: str, seed, on_surface=True) -> dict:
-    """Seeded sample point.  For sl2c, on_surface=False skips the det = 1
-    normalization and returns a generic point of C^4; other systems have
-    only on-surface points."""
+def random_points(system: str, n: int, seed, on_surface=True) -> list:
+    """n seeded sample points from one block draw, with the bits and generator state of n
+    random_point calls.  For sl2c, on_surface=False skips the det = 1 normalization: generic
+    points of C^4, four real then four imaginary parts; other systems have only on-surface points."""
     if system not in COORD_SYSTEMS:
         raise KeyError(f"unknown bracket system {system!r}")
     rng = _as_rng(seed)
     if on_surface:
-        return point_of_element(*(random_element(kind, rng) for kind in COORD_SYSTEMS[system].kinds))
+        draws = random_elements(system, n, rng)
+        return [point_of_element(*x) if system == "double" else point_of_element(x) for x in draws]
     if system != "sl2c":
         raise ValueError(f"on_surface=False is defined only for sl2c, not {system!r}")
-    z = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    return poisson_point("sl2c", {f"z{i+1}": z[i] for i in range(4)})
+    x = rng.standard_normal((n, 8))
+    return [_with_conjugates("sl2c", dict(zip(("z1", "z2", "z3", "z4"), z)))
+            for z in (x[:, :4] + 1j * x[:, 4:]).tolist()]
+
+
+def random_point(system: str, seed, on_surface=True) -> dict:
+    """One seeded sample point: random_points' n = 1 case."""
+    return random_points(system, 1, seed, on_surface)[0]

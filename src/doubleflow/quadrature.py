@@ -11,8 +11,8 @@ first time a state of that length is integrated (nothing is compiled at
 import), or comprehensions for the empty state and states longer than
 MAX_STRAIGHT_DIM = 64.  Both do the same IEEE operations in the same order,
 so the bits and the length rule (a rate of another length is a ValueError)
-do not depend on which one runs.  The straight-line loop stores each state
-with one struct pack_into, not a numpy row assignment (see _straight_run).
+do not depend on which one runs, nor on which states it stores: every k-th
+and the last, the straight-line loop by a struct pack_into (see _straight_run).
 """
 
 import functools
@@ -60,19 +60,21 @@ class Trajectory:
         return f"Trajectory({len(self.times)} samples, dim {self.states.shape[1]})"
 
 
-def rk4_integrate(field, y0, t0, t1, h) -> Trajectory:
+def rk4_integrate(field, y0, t0, t1, h, every=1) -> Trajectory:
     """Classical fixed-step RK4; the final partial step lands exactly on t1.
 
-    field maps a flat real state, passed as a list of Python floats, to its
-    rate, a sequence of as many floats; it must not depend on time.  The
-    stage and update sums run float by float in the order of their array
-    form, y + (h/2)·k1, ..., y + (h/6)·(k1 + 2·k2 + 2·k3 + k4), so each state
-    has the bits numpy's elementwise arithmetic gives.  The trajectory
-    starts at t0 and ends at t1 after at least one step.  Raises
-    NonFiniteStateError at the first step whose state is not finite or whose
-    field raises OverflowError or ZeroDivisionError, timed at the step's end,
-    with no numpy RuntimeWarning before it.
+    field maps a flat real state, passed as a list of Python floats, to its rate, a
+    sequence of as many floats; it must not depend on time.  The stage and update sums
+    run float by float in the order of their array form, y + (h/2)·k1, ...,
+    y + (h/6)·(k1 + 2·k2 + 2·k3 + k4), so each state has the bits numpy's elementwise
+    arithmetic gives, whatever every is.  The trajectory holds the states of steps 0,
+    every, 2·every, ... and of the last, at t1 after at least one step.  Raises
+    NonFiniteStateError at the first step, stored or not, whose state is not finite or
+    whose field raises OverflowError or ZeroDivisionError, timed at the step's end, with
+    no numpy RuntimeWarning before it.
     """
+    if type(every) is not int or every < 1:
+        raise ValueError(f"every must be a positive int, not {every!r}")
     if not all(map(math.isfinite, (t0, t1, h))):
         raise ValueError("t0, t1 and h must be finite")
     if not (h > 0):
@@ -87,17 +89,17 @@ def rk4_integrate(field, y0, t0, t1, h) -> Trajectory:
     n_full = int(math.floor((t1 - t0) / h + 1e-12))
     rest = t1 - (t0 + n_full * h)
     # a rest within round-off of the times is no step, unless no full step fits
-    partial = n_full == 0 or rest > 1e-12 * max(abs(t0), abs(t1))
-    n = n_full + 1 + partial
-    times = t0 + np.arange(n) * h
+    last = n_full + (n_full == 0 or rest > 1e-12 * max(abs(t0), abs(t1)))
+    times = t0 + np.arange(0, last + every, every) * h  # ends at the first multiple >= last
     times[-1] = t1
-    states = np.empty((n, y.size))
+    states = np.empty((len(times), y.size))
     states[0] = y
     run = _straight_run(y.size) if 0 < y.size <= MAX_STRAIGHT_DIM else _general_run
     with np.errstate(over="ignore", invalid="ignore"):  # a numpy field's inf or NaN fails below
-        k, cause = run(field, y.tolist(), states, n_full, h, rest)
+        k, out = run(field, y.tolist(), states, h, n_full, rest, last, every)
     if k:
-        raise NonFiniteStateError(t1 if k > n_full else t0 + k * h) from cause
+        raise NonFiniteStateError(t1 if k > n_full else t0 + k * h) from out
+    states[-1] = out
     return Trajectory(times, states)
 
 
@@ -106,26 +108,26 @@ def rk4_integrate(field, y0, t0, t1, h) -> Trajectory:
 MAX_STRAIGHT_DIM = 64
 
 
-def _general_run(field, y, states, n_full, h, rest):
-    """RK4 steps of h, of rest after step n_full, into states[1:], by comprehensions;
-    (0, None), or the first non-finite step and the field's arithmetic error or None."""
-    step, half, c = h, 0.5 * h, h / 6.0
+def _general_run(field, y, states, h, n_full, rest, last, every):
+    """RK4 steps of h to step n_full, then of rest to step last, by comprehensions, every every-th
+    stored; (0, the last state), or the first non-finite step and the field's error or None."""
     try:
-        for k in range(1, len(states)):
-            if k > n_full:
-                step, half, c = rest, 0.5 * rest, rest / 6.0
-            k1 = field(y)
-            k2 = field([a + half * b for a, b in zip(y, k1, strict=True)])
-            k3 = field([a + half * b for a, b in zip(y, k2, strict=True)])
-            k4 = field([a + step * b for a, b in zip(y, k3, strict=True)])
-            y = [a + c * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-                 for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4, strict=True)]
-            if not all(map(math.isfinite, y)):
-                return k, None
-            states[k] = y
+        for step, first, stop in ((h, 1, n_full + 1), (rest, n_full + 1, last + 1)):
+            half, c = 0.5 * step, step / 6.0
+            for k in range(first, stop):
+                k1 = field(y)
+                k2 = field([a + half * b for a, b in zip(y, k1, strict=True)])
+                k3 = field([a + half * b for a, b in zip(y, k2, strict=True)])
+                k4 = field([a + step * b for a, b in zip(y, k3, strict=True)])
+                y = [a + c * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+                     for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4, strict=True)]
+                if not all(map(math.isfinite, y)):
+                    return k, None
+                if k % every == 0:
+                    states[k // every] = y
     except (OverflowError, ZeroDivisionError) as e:  # in the field's float arithmetic
         return k, e
-    return 0, None
+    return 0, y
 
 
 @functools.cache
@@ -136,31 +138,32 @@ def _straight_run(d):
     same bits; a rate of another length fails to unpack, a ValueError.  The
     state is unpacked after the field has seen it, as the comprehensions
     read it.  The sum of the 0·y is 0 exactly when every y is finite.  pack_into
-    stores the same doubles as states[k] = list at a third of its per-step cost.
+    stores the same doubles as a row assignment at a third of its cost, on stored steps only.
     """
     def each(part):  # part formatted for i = 0, ..., d - 1, joined
         return "".join(part.format(i) for i in range(d))
 
-    source = (f"def run(field, y, states, n_full, h, rest):\n"
-              f"    step, half, c = h, 0.5 * h, h / 6.0\n"
+    source = (f"def run(field, y, states, h, n_full, rest, last, every):\n"
+              f"    record, offset = every, {8 * d}\n"
               f"    try:\n"
-              f"        for k in range(1, len(states)):\n"
-              f"            if k > n_full:\n"
-              f"                step, half, c = rest, 0.5 * rest, rest / 6.0\n"
-              f"            {each('a{}, ')}= field(y)\n"
-              f"            {each('y{}, ')}= y\n"
-              f"            {each('b{}, ')}= field([{each('y{0} + half * a{0}, ')}])\n"
-              f"            {each('e{}, ')}= field([{each('y{0} + half * b{0}, ')}])\n"
-              f"            {each('f{}, ')}= field([{each('y{0} + step * e{0}, ')}])\n"
-              f"            {each('y{}, ')}= "
-              f"{each('y{0} + c * (a{0} + 2.0 * b{0} + 2.0 * e{0} + f{0}), ')}\n"
-              f"            if {each(' + 0.0 * y{}')[3:]} != 0.0:\n"
-              f"                return k, None\n"
-              f"            pack_into(states, {8 * d} * k, {each('y{}, ')})\n"
-              f"            y = [{each('y{}, ')}]\n"
+              f"        for step, first, stop in ((h, 1, n_full + 1), (rest, n_full + 1, last + 1)):\n"
+              f"            half, c = 0.5 * step, step / 6.0\n"
+              f"            for k in range(first, stop):\n"
+              f"                {each('a{}, ')}= field(y)\n"
+              f"                {each('y{}, ')}= y\n"
+              f"                {each('b{}, ')}= field([{each('y{0} + half * a{0}, ')}])\n"
+              f"                {each('e{}, ')}= field([{each('y{0} + half * b{0}, ')}])\n"
+              f"                {each('f{}, ')}= field([{each('y{0} + step * e{0}, ')}])\n"
+              f"                {each('y{0} = y{0} + c * (a{0} + 2.0 * b{0} + 2.0 * e{0} + f{0}); ')}\n"
+              f"                if {each(' + 0.0 * y{}')[3:]} != 0.0:\n"
+              f"                    return k, None\n"
+              f"                if k == record:\n"
+              f"                    pack_into(states, offset, {each('y{}, ')})\n"
+              f"                    offset, record = offset + {8 * d}, record + every\n"
+              f"                y = [{each('y{}, ')}]\n"
               f"    except (OverflowError, ZeroDivisionError) as e:\n"
               f"        return k, e\n"
-              f"    return 0, None\n")
+              f"    return 0, y\n")
     namespace = {"pack_into": struct.Struct(f"{d}d").pack_into}
     exec(compile(source, f"<rk4 run, d = {d}>", "exec"), namespace)
     return namespace["run"]

@@ -81,11 +81,11 @@ def suite_brackets(seed, samples):
 
     rng = np.random.default_rng(seed)
     pts = {
-        "sl2c": [poi.random_point("sl2c", rng) for _ in range(samples)],
-        "sl2c_generic": [poi.random_point("sl2c", rng, on_surface=False) for _ in range(samples)],
-        "su2": [poi.random_point("su2", rng) for _ in range(samples)],
-        "sb2": [poi.random_point("sb2", rng) for _ in range(samples)],
-        "double": [poi.random_point("double", rng) for _ in range(samples)],
+        "sl2c": poi.random_points("sl2c", samples, rng),
+        "sl2c_generic": poi.random_points("sl2c", samples, rng, on_surface=False),
+        "su2": poi.random_points("su2", samples, rng),
+        "sb2": poi.random_points("sb2", samples, rng),
+        "double": poi.random_points("double", samples, rng),
     }
 
     out.append(_check("jacobi_sl2c_on_surface",
@@ -254,10 +254,10 @@ def suite_flows(seed, samples):
         u0 = random_element("sb2", rng)
         a0 = dyn.SL2Element(*gu_products([g0], [u0])[0])
         y0 = dyn.z_to_flat(a0.z1, a0.z2, a0.z3, a0.z4)
-        traj = rk4_integrate(dyn.sl2c_flat_field(1.0), y0, 0.0, 5.0, 1e-3)
+        traj = rk4_integrate(dyn.sl2c_flat_field(1.0), y0, 0.0, 5.0, 1e-3, 500)
         at = dyn.casimir_flow(g0, u0, 1.0)
-        zs = np.array(flats([at(t) for t in traj.times[::500]])).view(complex)
-        dev = max(dev, float(np.max(np.abs(zs - traj.states[::500].view(complex)))))
+        zs = np.array(flats([at(t) for t in traj.times])).view(complex)
+        dev = max(dev, float(np.max(np.abs(zs - traj.states.view(complex)))))
     out.append(_check("casimir_flow_vs_oracle", dev, 1e-6, starts, seed))
 
     # non-Casimir exact flow vs the oracle of the bracket-derived field
@@ -267,10 +267,10 @@ def suite_flows(seed, samples):
         g = random_element("su2", rng)
         u0 = random_element("sb2", rng)
         y0 = flats([dyn.FlowState(0.0, u=u0, alpha=g.alpha, nu=g.nu)])[0]
-        traj = rk4_integrate(dyn.noncasimir_flat_field(), y0, 0.0, 5.0, 1e-3)
+        traj = rk4_integrate(dyn.noncasimir_flat_field(), y0, 0.0, 5.0, 1e-3, 500)
         at = dyn.noncasimir_flow(u0, g.alpha, g.nu)
-        ys = flats([at(t) for t in traj.times[::500]])
-        dev = max(dev, float(np.max(np.abs(np.array(ys) - traj.states[::500]))))
+        ys = flats([at(t) for t in traj.times])
+        dev = max(dev, float(np.max(np.abs(np.array(ys) - traj.states))))
     out.append(_check("noncasimir_flow_vs_oracle", dev, 1e-6, starts, seed))
 
     # perturbed flow: central-difference residual of the generator equation

@@ -76,11 +76,11 @@ def test_3_conservation():
         a0 = random_element("sl2c", rng)
         traj = rk4_integrate(dyn.sl2c_flat_field(1.0),
                              dyn.z_to_flat(a0.z1, a0.z2, a0.z3, a0.z4),
-                             0.0, 10.0, 1e-3)
+                             0.0, 10.0, 1e-3, 200)
         h0_0 = dyn.free_hamiltonian(a0)
         _, u0 = iwasawa_gu(a0)
         f0 = dyn.free_hamiltonian(u0)
-        for y in traj.states[::200]:
+        for y in traj.states:
             z = dyn.flat_to_z(y)
             worst = max(worst, abs(0.5 * sum(abs(c) ** 2 for c in z) - h0_0))
             worst = max(worst, abs(z[0] * z[3] - z[1] * z[2] - 1.0))
@@ -98,16 +98,16 @@ def test_4_quadrature_vs_oracle():
         g0, u0 = random_element("su2", rng), random_element("sb2", rng)
         a0 = SL2Element.from_matrix(g0.as_matrix() @ u0.as_matrix())
         traj = rk4_integrate(dyn.sl2c_flat_field(1.0),
-                             dyn.z_to_flat(a0.z1, a0.z2, a0.z3, a0.z4), 0.0, 5.0, 1e-3)
-        for t, y in zip(traj.times[::250], traj.states[::250]):
+                             dyn.z_to_flat(a0.z1, a0.z2, a0.z3, a0.z4), 0.0, 5.0, 1e-3, 250)
+        for t, y in zip(traj.times, traj.states):
             st = dyn.casimir_flow(g0, u0, 1.0)(t)
             z = dyn.flat_to_z(y)
             worst_cas = max(worst_cas, float(np.max(np.abs(
                 st.g.as_matrix() @ st.u.as_matrix()
                 - np.array([[z[0], z[1]], [z[2], z[3]]])))))
         y0 = flats([dyn.FlowState(0.0, u=u0, alpha=g0.alpha, nu=g0.nu)])[0]
-        traj = rk4_integrate(dyn.noncasimir_flat_field(), y0, 0.0, 5.0, 1e-3)
-        for t, y in zip(traj.times[::250], traj.states[::250]):
+        traj = rk4_integrate(dyn.noncasimir_flat_field(), y0, 0.0, 5.0, 1e-3, 250)
+        for t, y in zip(traj.times, traj.states):
             st = dyn.noncasimir_flow(u0, g0.alpha, g0.nu)(t)
             worst_non = max(worst_non, float(np.max(np.abs(flats([st])[0] - y))))
     g0, u0, lam, eps = random_element("su2", rng), SB2Element(2.0, 1.0), 0.3, 1e-5

@@ -204,6 +204,28 @@ def test_write_csv_streams_rows_to_a_file(tmp_path):
     assert lines[-2] == ",".join(format(x, ".17g") for x in rows[-1])
 
 
+def test_simulate_oracle_memory_grows_with_rows_not_rk4_steps(tmp_path):
+    # 100 rows of 100 RK4 steps: the oracle stores the 101 states it compares,
+    # not all 10,001 of its steps (which took 320 KB more); a run with the
+    # oracle peaks within 100 KB of the same run without it
+    doc = {"system": "momenta_su2", "t1": 10.0, "dt": 0.1,
+           "params": {"u0": {"r": 1.0, "gamma": [0.5, 0.0]}, "alpha": [0.6, 0.0],
+                      "nu": [0.0, 0.8], "F": 0.1}}
+    peaks = []
+    for extra in ((), ("--oracle",)):
+        assert run_config(tmp_path, doc, extra=extra)[0] == 0  # compiles the RK4 loop once
+        tracemalloc.start()
+        try:
+            code, out = run_config(tmp_path, doc, extra=extra)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+    header, rows = read_csv(out)
+    assert header[-1] == "oracle_dev" and len(rows) == 101 and max(r[-1] for r in rows) < 1e-5
+    assert peaks[1] - peaks[0] < 100_000, peaks
+
+
 def test_simulate_into_a_pipe_closed_after_the_header(tmp_path):
     # a reader that stops early ends the run with exit 0 and nothing on stderr
     cfg = tmp_path / "cfg.json"

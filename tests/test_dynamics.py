@@ -158,13 +158,13 @@ def rk4_case_params(system, rng):
     ("momenta_su2", 4, 4.0, 200), ("perturbed", 10, 4.0, 200), ("rotator", 11, 5.0, 250)])
 def test_closed_form_flows_match_rk4(system, seed, t1, stride):
     params, sysdef = rk4_case_params(system, np.random.default_rng(seed)), SYSTEMS[system]
-    traj = rk4_integrate(sysdef.field(params), sampled(system, params, [0.0])[1][0], 0.0, t1, 1e-3)
-    _, ys = sampled(system, params, traj.times[::stride])
-    worst = max(float(np.linalg.norm(np.subtract(y, want)))
-                for y, want in zip(ys, traj.states[::stride]))
+    field, y0 = sysdef.field(params), sampled(system, params, [0.0])[1][0]
+    traj = rk4_integrate(field, y0, 0.0, t1, 1e-3, stride)
+    _, ys = sampled(system, params, traj.times)
+    worst = max(float(np.linalg.norm(np.subtract(y, want))) for y, want in zip(ys, traj.states))
     assert worst < 1e-6
-    if system == "momenta_su2":  # membership along the oracle too
-        assert all(st[0] > 0 for st in traj.states)
+    if system == "momenta_su2":  # membership at every step of the oracle too
+        assert all(st[0] > 0 for st in rk4_integrate(field, y0, 0.0, t1, 1e-3).states)
 
 
 def test_noncasimir_flow_invariants_and_period():
@@ -797,8 +797,11 @@ def test_conservation_along_oracle_with_projection():
     rep = drift_report(traj, ("H0", "det"), lambda y: (h0(y), det_dev(y)))
     assert rep["H0"][1] < 1e-8
     assert rep["det"][1] < 1e-8
+    # the projection is read along a strided run: the full run's every 500th state
+    strided = rk4_integrate(sl2c_flat_field(1.0), traj.states[0], 0.0, 10.0, 1e-3, 500)
+    assert strided.states.tobytes() == traj.states[::500].tobytes()
     _, u0 = iwasawa_gu(a0)
-    for y in traj.states[::500]:
+    for y in strided.states:
         _, u = iwasawa_gu(SL2Element(*flat_to_z(y)))
         assert abs(u.r - u0.r) < 1e-8
         assert abs(u.gamma - u0.gamma) < 1e-8

@@ -19,6 +19,8 @@ from doubleflow.quadrature import (
     simpson_rule,
 )
 
+hypothesis = pytest.importorskip("hypothesis")
+
 
 def rotation_field(y):
     # flat form of ydot = i*y on (Re y, Im y)
@@ -348,6 +350,71 @@ def test_rk4_trajectories_are_pinned(case):
     traj = rk4_integrate(dyn.SYSTEMS[system].field(params), y0, 0.0, 1000 / 1024, 1 / 1024)
     assert len(traj) == 1001 and np.isfinite(traj.states).all()
     assert hashlib.sha256(traj.states.tobytes()).hexdigest() == digest
+
+
+# the pinned starts, and action_angle by matrix at 33 degrees of freedom, whose
+# state of 66 floats takes the general loop
+STRIDE_CASES = {
+    **{case: start[:3] for case, start in PINNED_TRAJECTORIES.items()},
+    "action_angle_general": ("action_angle", {
+        "I0": [1.0] * 33, "freq": None,
+        "matrix": (np.random.default_rng(3).standard_normal((33, 33)) / 33).tolist()},
+        [*([1.0] * 33), *np.linspace(-1.0, 1.0, 33).tolist()]),
+}
+
+
+@hypothesis.settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@hypothesis.given(case=hypothesis.strategies.sampled_from(sorted(STRIDE_CASES)),
+                  steps=hypothesis.strategies.integers(1, 40),
+                  rest=hypothesis.strategies.sampled_from([0.0, 1e-14, 0.25, 0.999]),
+                  every=hypothesis.strategies.integers(2, 45))
+def test_rk4_stride_stores_every_kth_state_and_the_last_bitwise(case, steps, rest, every):
+    # a grid of whole steps, or with a partial last step; every past the step count too
+    system, params, y0 = STRIDE_CASES[case]
+    field = dyn.SYSTEMS[system].field(params)
+    t1 = (steps + rest) / 64
+    full = rk4_integrate(field, y0, 0.0, t1, 1 / 64)
+    got = rk4_integrate(field, y0, 0.0, t1, 1 / 64, every)
+    rows = [*range(0, len(full) - 1, every), len(full) - 1]  # [::every], then the last
+    assert got.times.tobytes() == full.times[rows].tobytes()
+    assert got.states.tobytes() == full.states[rows].tobytes()
+
+
+@pytest.mark.parametrize("d", [1, 3, MAX_STRAIGHT_DIM + 1])
+@pytest.mark.parametrize("error", [None, OverflowError, ZeroDivisionError])
+@pytest.mark.parametrize("t1, every, step", [(3.0, 4, 6), (1.9, 5, 8)])
+def test_rk4_failure_between_stored_states_keeps_its_time(d, error, t1, every, step):
+    # steps of 0.25 storing every 4th, the sixth fails (stored: 4 and 8); or
+    # storing every 5th, the partial eighth step to t1 = 1.9 fails (stored: 5, 8)
+    def make():
+        calls = []
+
+        def field(y):
+            calls.append(None)
+            if len(calls) == 4 * (step - 1) + 2:
+                if error is not None:
+                    raise error("in the field")
+                return [math.inf] * d
+            return [1.0] * d
+
+        return field, calls
+
+    failures = []
+    for stride in (1, every):
+        field, calls = make()
+        with pytest.raises(NonFiniteStateError) as err:
+            rk4_integrate(field, [0.0] * d, 0.0, t1, 0.25, stride)
+        cause = err.value.__cause__
+        failures.append((err.value.time, None if cause is None else type(cause), len(calls)))
+    # an inf rate fails the step once its four stages have run
+    calls = 4 * (step - 1) + (4 if error is None else 2)
+    assert failures[0] == failures[1] == ([1.5, t1][t1 < 2], error, calls)
+
+
+@pytest.mark.parametrize("every", [0, -2, 1.0, 2.5, True, None, "2", np.int64(2)])
+def test_rk4_every_must_be_a_positive_int(every):
+    with pytest.raises(ValueError, match="^every must be a positive int, not "):
+        rk4_integrate(rotation_field, [1.0, 0.0], 0.0, 1.0, 0.25, every)
 
 
 def test_rk4_nonfinite_time_when_a_stage_sum_overflows():

@@ -3,6 +3,7 @@ import io
 import pathlib
 import re
 import shlex
+import sys
 
 import pytest
 
@@ -28,3 +29,16 @@ def test_readme_quick_start_runs():
 @pytest.mark.parametrize("line", LEGENDRE_LINES)
 def test_readme_legendre_lines_run(line, capsys):
     assert cli.main(shlex.split(line)[1:]) == 0, capsys.readouterr().err
+
+
+def test_readme_simulate_example_runs(monkeypatch, capsys):
+    # the printf ... | doubleflow simulate --oracle example, its config on stdin
+    (config, line), = re.findall(r"printf '(.*?)' \|\n(doubleflow simulate [^\n]*)", TEXT, re.S)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(config))
+    assert cli.main(shlex.split(line)[1:]) == 0
+    out = capsys.readouterr().out.splitlines()
+    # the documented columns of the system, then the oracle's
+    columns = re.search(r"\| `casimir_sl2c` \| .* \| `(.*)` \|", TEXT).group(1)
+    zs = ",".join(f"z{i}_{part}" for i in range(1, 5) for part in ("re", "im"))
+    assert out[0] == columns.replace("z1_re..z4_im", zs) + ",oracle_dev"
+    assert len(out) == 22  # t = 0, 0.1, ..., 2.0

@@ -1,5 +1,5 @@
-"""The decompositions and legendre suites, random_element and legendre_map
-against their per-sample forms, kept verbatim below as bit references.
+"""The decompositions and legendre suites, random_element, random_point and
+legendre_map against their per-sample forms, kept verbatim below as bit references.
 
 The suites draw a block of samples with one generator call, take its 2x2
 products as one stacked np.matmul and reduce each residual once per block
@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from doubleflow import dynamics as dyn
+from doubleflow import poisson as poi
 from doubleflow import verify as ver
 from doubleflow.groups import (
     AlgebraElement,
@@ -52,6 +53,21 @@ def ref_random_element(kind: str, seed):
         g = ref_random_element("su2", rng)
         u = ref_random_element("sb2", rng)
         return _trusted(SL2Element, *(g.as_matrix() @ u.as_matrix()).ravel().tolist())
+
+
+def ref_random_point(system: str, rng, on_surface=True) -> dict:
+    """random_point as it was: one element per group kind, or four real and then four
+    imaginary normals, through poisson_point and its checks."""
+    if not on_surface:
+        z = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        return poi.poisson_point("sl2c", {f"z{i+1}": z[i] for i in range(4)})
+    names = {SL2Element: ("z1", "z2", "z3", "z4"), SU2Element: ("alpha", "nu"),
+             SB2Element: ("r", "gamma")}
+    elements = [random_element(kind, rng) for kind in {"double": ("su2", "sb2")}.get(system, (system,))]
+    return poi.poisson_point(system, {name: getattr(x, name) for x in elements for name in names[type(x)]})
+
+
+POINT_KINDS = [("sl2c", True), ("sl2c", False), ("su2", True), ("sb2", True), ("double", True)]
 
 
 def ref_algebra_defect(kind: str, m: np.ndarray) -> float:
@@ -179,6 +195,17 @@ def test_random_element_pinned_bitwise_matches_reference(kind):
         assert rng.bit_generator.state == ref.bit_generator.state
 
 
+@pytest.mark.parametrize("system, on_surface", POINT_KINDS)
+def test_random_point_pinned_bitwise_matches_reference(system, on_surface):
+    # the same draws, the same coordinates in the same order, with the same bits
+    for seed in range(100):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = [list(poi.random_point(system, rng, on_surface).items()) for _ in range(20)]
+        assert repr(got) == repr([list(ref_random_point(system, ref, on_surface).items())
+                                  for _ in range(20)]), seed
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
 def random_matrices(rng, n):
     """n 2x2 complex matrices: su2 and sb2 ones with round-off-sized defects, and
     general ones, at scales from 1e-8 to 1e8."""
@@ -212,6 +239,12 @@ def test_block_products_and_draws_pinned_bitwise_match_one_at_a_time(n):
         rng, ref = np.random.default_rng(n), np.random.default_rng(n)
         got = [element_bits(x) for x in random_elements(kind, n, rng)]
         assert got == [element_bits(random_element(kind, ref)) for _ in range(n)], kind
+        assert rng.bit_generator.state == ref.bit_generator.state
+    for system, on_surface in POINT_KINDS:
+        rng, ref = np.random.default_rng(n), np.random.default_rng(n)
+        got = [list(p.items()) for p in poi.random_points(system, n, rng, on_surface)]
+        assert repr(got) == repr([list(poi.random_point(system, ref, on_surface).items())
+                                  for _ in range(n)]), system
         assert rng.bit_generator.state == ref.bit_generator.state
 
 
