@@ -12,12 +12,14 @@ at(t) is a block of one, and the other systems map their at over a block.
 The SU(2) rows exponentiate with groups.expm2_kernel on Python complex
 scalars, and a block of casimir rows takes its g·u in one groups.gu_products call.
 
-No *_flat_field calls numpy per evaluation but action_angle's by matrix, one
-A @ φ of a config-sized A: the others work on Python floats.  The rotator's
-rows are the cross products g_i × F·p, with np.cross's bits, so its oracle
-takes no BLAS kernel.  The SU(2)·SB(2,C) fields write out complex arithmetic
-operation by operation, with its bits: numpy complex128's for momenta_su2,
-CPython's (to 3.13) for the others.
+A *_flat_field takes a flat state's coordinates as positional floats,
+field(*y), as quadrature.rk4_integrate passes them.  None calls numpy per
+evaluation but action_angle's by matrix, one A @ φ of a config-sized A: the
+others work on Python floats.  The rotator's rows are the cross products
+g_i × F·p, with np.cross's bits, so its oracle takes no BLAS kernel.  The
+SU(2)·SB(2,C) fields write out complex arithmetic operation by operation,
+with its bits: numpy complex128's for momenta_su2, CPython's (to 3.13) for
+the others.
 A real h times z is (h + 0j)·z, whose 0·x terms keep the signed zeros; z/r is
 _Py_c_quot's z/(r + 0j); a conjugate is a sign, exact in IEEE arithmetic.  So
 the bits do not depend on how a Python version mixes float and complex
@@ -134,12 +136,11 @@ def flat_to_z(y):
 
 
 def sl2c_flat_field(F_value: float):
-    """Bracket field of F·dH0 on the flattened 8-real z-state (RK4 oracle)."""
+    """Bracket field of F·dH0 at the 8 reals of a flattened z-state, field(x1, y1, ..., y4)."""
     F = float(F_value)
     cr, ci = -0.0 * F + 0.0, -0.5 * F  # c = (-0.5j)·(F + 0j)
 
-    def field(y):
-        x1, y1, x2, y2, x3, y3, x4, y4 = y
+    def field(x1, y1, x2, y2, x3, y3, x4, y4):
         h0 = 0.5 * (abs(complex(x1, y1)) ** 2 + abs(complex(x2, y2)) ** 2
                     + abs(complex(x3, y3)) ** 2 + abs(complex(x4, y4)) ** 2)
         # (u, v) = h0·z ∓ z̄', h0·z as (h0 + 0j)·z, and ż = c·(u + iv)
@@ -335,11 +336,10 @@ def _scaled_axis(p, F: float):
 
 
 def rotator_flat_field(p, F):
-    """ġ = g·hat(w), w = F·p checked as rotator_flow does: row i of flat g is g_i × w."""
+    """ġ = g·hat(w), w = F·p checked as rotator_flow does: field(*flat g)'s row i is g_i × w."""
     w0, w1, w2 = _scaled_axis(_finite_array(p, "p", (3,)), float(F))[0].tolist()
 
-    def field(y):
-        a0, a1, a2, b0, b1, b2, c0, c1, c2 = y
+    def field(a0, a1, a2, b0, b1, b2, c0, c1, c2):
         return (a1 * w2 - a2 * w1, a2 * w0 - a0 * w2, a0 * w1 - a1 * w0,
                 b1 * w2 - b2 * w1, b2 * w0 - b0 * w2, b0 * w1 - b1 * w0,
                 c1 * w2 - c2 * w1, c2 * w0 - c0 * w2, c0 * w1 - c1 * w0)
@@ -383,7 +383,7 @@ def momenta_su2_flow(u0: SB2Element, alpha, nu, F) -> Callable:
 
 
 def momenta_su2_flat_field(alpha, nu, F):
-    """u̇ = L·u on the flattened (r, Re γ, Im γ) state.
+    """u̇ = L·u at the flattened state, field(r, Re γ, Im γ).
 
     γ̇ = x·γ + y/r, x = L[0, 0] and y = L[0, 1], as numpy's complex128 takes
     (x + 0j)·γ and y/(r + 0j).  An r of 0 is a ZeroDivisionError.  L is the
@@ -392,8 +392,7 @@ def momenta_su2_flat_field(alpha, nu, F):
     (l00, l01), _ = _momenta_su2_generator(complex(alpha), complex(nu), F).tolist()
     x, yr, yi = l00.real, l01.real, l01.imag
 
-    def field(st):
-        r, gr, gi = st
+    def field(r, gr, gi):
         rat = 0.0 / r
         scl = 1.0 / (r + 0.0 * rat)
         return [x * r, (x * gr - 0.0 * gi) + (yr + yi * rat) * scl,
@@ -435,10 +434,9 @@ def noncasimir_flow(u0: SB2Element, alpha0, nu0) -> Callable:
 
 
 def noncasimir_flat_field():
-    """Bracket-derived rates on the flattened (Re α, Im α, Re ν, Im ν, r, Re γ, Im γ)."""
+    """Bracket-derived rates at field(Re α, Im α, Re ν, Im ν, r, Re γ, Im γ)."""
 
-    def field(st):
-        a_re, a_im, n_re, n_im, r, _, _ = st
+    def field(a_re, a_im, n_re, n_im, r, _g_re, _g_im):
         w = abs(complex(n_re, n_im)) ** 2
         hr, hi = 0.0 * w - 0.0, 0.0 + 0.5 * w  # 0.5j·w, and α̇ = (0.5j·w)·α
         # (pr, pi) = 0.5j·ᾱ, (qr, qi) = (pr, pi)·ν̄, and γ̇ = (qr, qi)/(r + 0j)
@@ -489,7 +487,7 @@ def perturbed_velocity(u0: SB2Element, F, lam: float, t: float) -> np.ndarray:
 
 
 def perturbed_flat_field(F, lam: float):
-    """Perturbed field on (Re α, Im α, Re ν, Im ν, r, Re γ, Im γ).
+    """Perturbed field at field(Re α, Im α, Re ν, Im ν, r, Re γ, Im γ).
 
     The g-part follows ġ = g·(L_F(u) - X(r)), the momenta follow ṙ = 0,
     γ̇ = -(i/2)λrγ; this is the system the closed form integrates.
@@ -500,8 +498,7 @@ def perturbed_flat_field(F, lam: float):
     xr, xi = 0.0 * lam - 0.0, 0.0 + 0.25 * lam
     cr0, ci0, xr0, xi0, pr0, pi0 = cr * 0.0, ci * 0.0, xr * 0.0, xi * 0.0, pr * 0.0, pi * 0.0
 
-    def field(st):
-        a_re, a_im, n_re, n_im, r, g_re, g_im = st
+    def field(a_re, a_im, n_re, n_im, r, g_re, g_im):
         d = r * r - 1.0 / (r * r) + abs(complex(g_re, g_im)) ** 2
         # first column of gen = legendre_map(u, F) - X(r): G = c·d + x·r, E = c·conj(2γ/r)
         G0, G1 = cr * d - ci0 + (xr * r - xi0), cr0 + ci * d + (xr0 + xi * r)
@@ -647,13 +644,13 @@ def _finite_array(a, name, shape=None) -> np.ndarray:
 
 
 def action_angle_flat_field(I0, freq=None, matrix=None):
-    """(İ, φ̇) = (0, ν) or (0, A·φ) on the flattened (I, φ) state."""
+    """(İ, φ̇) = (0, ν) or (0, A·φ) at field(*I, *φ), which takes any count of floats."""
     n = len(I0)
     if matrix is None:
         rate = np.concatenate([np.zeros(n), np.asarray(freq, dtype=float)]).tolist()
-        return lambda y: rate
+        return lambda *y: rate
     A = np.asarray(matrix, dtype=float)
-    return lambda y: [0.0] * n + (A @ np.array(y[n:])).tolist()
+    return lambda *y: [0.0] * n + (A @ np.array(y[n:])).tolist()
 
 
 # The default of a System param that a run must give.
@@ -673,8 +670,8 @@ class System:
     the FlowStates of the longest prefix of times the flow builds, and the
     ValueError of the first t it cannot build, or None.  flats(states) gives
     their flat states, each a list of floats, and a CSV row is
-    [t, *flat, *extras(state, flat)] under columns(params); field(params)
-    is the RK4 oracle's rate on flat states.
+    [t, *flat, *extras(state, flat)] under columns(params); field(params)(*flat)
+    is the RK4 oracle's rate at a flat state.
     """
 
     params: tuple

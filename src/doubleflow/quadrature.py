@@ -5,14 +5,15 @@ quadrature, and conserved-quantity drift reporting.  Nothing in here knows
 about groups or brackets; that ignorance is what makes the oracle independent
 of the closed-form flows it checks.
 
-RK4 runs a whole trajectory in one loop on Python floats (see rk4_integrate):
-straight-line code on named floats, compiled once per state length d the
-first time a state of that length is integrated (nothing is compiled at
-import), or comprehensions for the empty state and states longer than
-MAX_STRAIGHT_DIM = 64.  Both do the same IEEE operations in the same order,
-so the bits and the length rule (a rate of another length is a ValueError)
-do not depend on which one runs, nor on which states it stores: every k-th
-and the last, the straight-line loop by a struct pack_into (see _straight_run).
+RK4 runs a whole trajectory in one loop on Python floats, which it passes to
+the field as arguments, field(*y) (see rk4_integrate): straight-line code on
+named floats, compiled once per state length d the first time a state of
+that length is integrated (nothing is compiled at import), or comprehensions
+for the empty state and states longer than MAX_STRAIGHT_DIM = 64.  Both do
+the same IEEE operations in the same order, so the bits and the length rule
+(a rate of another length is a ValueError) do not depend on which one runs,
+nor on which states it stores: every k-th and the last, the straight-line
+loop by a struct pack_into (see _straight_run).
 """
 
 import functools
@@ -63,15 +64,15 @@ class Trajectory:
 def rk4_integrate(field, y0, t0, t1, h, every=1) -> Trajectory:
     """Classical fixed-step RK4; the final partial step lands exactly on t1.
 
-    field maps a flat real state, passed as a list of Python floats, to its rate, a
-    sequence of as many floats; it must not depend on time.  The stage and update sums
-    run float by float in the order of their array form, y + (h/2)·k1, ...,
-    y + (h/6)·(k1 + 2·k2 + 2·k3 + k4), so each state has the bits numpy's elementwise
-    arithmetic gives, whatever every is.  The trajectory holds the states of steps 0,
-    every, 2·every, ... and of the last, at t1 after at least one step.  Raises
-    NonFiniteStateError at the first step, stored or not, whose state is not finite or
-    whose field raises OverflowError or ZeroDivisionError, timed at the step's end, with
-    no numpy RuntimeWarning before it.
+    field(y_0, ..., y_{d-1}) takes a flat real state as positional Python floats and
+    returns its rate, a sequence of as many floats (another count of arguments is its
+    TypeError); it must not depend on time.  The stage and update sums run float by float
+    in the order of their array form, y + (h/2)·k1, ..., y + (h/6)·(k1 + 2·k2 + 2·k3 + k4),
+    so each state has the bits numpy's elementwise arithmetic gives, whatever every is.
+    The trajectory holds the states of steps 0, every, 2·every, ... and of the last, at
+    t1 after at least one step.  Raises NonFiniteStateError at the first step, stored or
+    not, whose state is not finite or whose field raises OverflowError or
+    ZeroDivisionError, timed at the step's end, with no numpy RuntimeWarning before it.
     """
     if type(every) is not int or every < 1:
         raise ValueError(f"every must be a positive int, not {every!r}")
@@ -115,10 +116,10 @@ def _general_run(field, y, states, h, n_full, rest, last, every):
         for step, first, stop in ((h, 1, n_full + 1), (rest, n_full + 1, last + 1)):
             half, c = 0.5 * step, step / 6.0
             for k in range(first, stop):
-                k1 = field(y)
-                k2 = field([a + half * b for a, b in zip(y, k1, strict=True)])
-                k3 = field([a + half * b for a, b in zip(y, k2, strict=True)])
-                k4 = field([a + step * b for a, b in zip(y, k3, strict=True)])
+                k1 = field(*y)
+                k2 = field(*[a + half * b for a, b in zip(y, k1, strict=True)])
+                k3 = field(*[a + half * b for a, b in zip(y, k2, strict=True)])
+                k4 = field(*[a + step * b for a, b in zip(y, k3, strict=True)])
                 y = [a + c * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
                      for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4, strict=True)]
                 if not all(map(math.isfinite, y)):
@@ -136,8 +137,8 @@ def _straight_run(d):
 
     Each sum is the general loop's, term for term, so the states have the
     same bits; a rate of another length fails to unpack, a ValueError.  The
-    state is unpacked after the field has seen it, as the comprehensions
-    read it.  The sum of the 0·y is 0 exactly when every y is finite.  pack_into
+    state stays in the named floats y0, y1, ..., which go to the field as its
+    arguments.  The sum of the 0·y is 0 exactly when every y is finite.  pack_into
     stores the same doubles as a row assignment at a third of its cost, on stored steps only.
     """
     def each(part):  # part formatted for i = 0, ..., d - 1, joined
@@ -145,25 +146,24 @@ def _straight_run(d):
 
     source = (f"def run(field, y, states, h, n_full, rest, last, every):\n"
               f"    record, offset = every, {8 * d}\n"
+              f"    {each('y{}, ')}= y\n"
               f"    try:\n"
               f"        for step, first, stop in ((h, 1, n_full + 1), (rest, n_full + 1, last + 1)):\n"
               f"            half, c = 0.5 * step, step / 6.0\n"
               f"            for k in range(first, stop):\n"
-              f"                {each('a{}, ')}= field(y)\n"
-              f"                {each('y{}, ')}= y\n"
-              f"                {each('b{}, ')}= field([{each('y{0} + half * a{0}, ')}])\n"
-              f"                {each('e{}, ')}= field([{each('y{0} + half * b{0}, ')}])\n"
-              f"                {each('f{}, ')}= field([{each('y{0} + step * e{0}, ')}])\n"
+              f"                {each('a{}, ')}= field({each('y{}, ')})\n"
+              f"                {each('b{}, ')}= field({each('y{0} + half * a{0}, ')})\n"
+              f"                {each('e{}, ')}= field({each('y{0} + half * b{0}, ')})\n"
+              f"                {each('f{}, ')}= field({each('y{0} + step * e{0}, ')})\n"
               f"                {each('y{0} = y{0} + c * (a{0} + 2.0 * b{0} + 2.0 * e{0} + f{0}); ')}\n"
               f"                if {each(' + 0.0 * y{}')[3:]} != 0.0:\n"
               f"                    return k, None\n"
               f"                if k == record:\n"
               f"                    pack_into(states, offset, {each('y{}, ')})\n"
               f"                    offset, record = offset + {8 * d}, record + every\n"
-              f"                y = [{each('y{}, ')}]\n"
               f"    except (OverflowError, ZeroDivisionError) as e:\n"
               f"        return k, e\n"
-              f"    return 0, y\n")
+              f"    return 0, ({each('y{}, ')})\n")
     namespace = {"pack_into": struct.Struct(f"{d}d").pack_into}
     exec(compile(source, f"<rk4 run, d = {d}>", "exec"), namespace)
     return namespace["run"]

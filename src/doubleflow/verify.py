@@ -136,7 +136,7 @@ def suite_brackets(seed, samples):
     for p in pts["sl2c"][: min(samples, 20)]:
         rates = tz.hamiltonian_field(poi.gradient_covector(h0, p), p)
         z = [p[f"z{i}"] for i in range(1, 5)]
-        expect = dyn.flat_to_z(dyn.sl2c_flat_field(1.0)(dyn.z_to_flat(*z)))
+        expect = dyn.flat_to_z(dyn.sl2c_flat_field(1.0)(*dyn.z_to_flat(*z)))
         for i in range(4):
             worst = max(worst, abs(rates[f"z{i+1}"] - expect[i]))
             worst = max(worst, abs(rates[f"z{i+1}c"] - expect[i].conjugate()))
@@ -348,8 +348,8 @@ def suite_flows(seed, samples):
                       1e-12, 1, seed))
 
     # RK4 order: step halving shrinks the endpoint error 16x (within [14, 18])
-    def efield(y):
-        return np.array([-y[1], y[0]])
+    def efield(y0, y1):
+        return np.array([-y1, y0])
 
     def endpoint_error(h):
         traj = rk4_integrate(efield, np.array([1.0, 0.0]), 0.0, 1.0, h)

@@ -189,8 +189,8 @@ def test_7_commutativity_guard():
 
 
 def test_8_rk4_order():
-    def field(y):
-        return np.array([-y[1], y[0]])  # ydot = i*y on (Re, Im)
+    def field(y0, y1):
+        return np.array([-y1, y0])  # ydot = i*y on (Re, Im)
 
     def endpoint_error(h):
         traj = rk4_integrate(field, np.array([1.0, 0.0]), 0.0, 1.0, h)

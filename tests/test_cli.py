@@ -16,6 +16,7 @@ from doubleflow import cli
 from doubleflow import dynamics as dyn
 from doubleflow import verify as ver
 from doubleflow.cli import MAX_ROWS, _write_csv, main
+from test_dynamics import NoNumpy
 
 
 def run_config(tmp_path, doc, name="run.csv", extra=()):
@@ -226,6 +227,29 @@ def test_simulate_oracle_memory_grows_with_rows_not_rk4_steps(tmp_path):
     assert peaks[1] - peaks[0] < 100_000, peaks
 
 
+def test_simulate_oracle_deviations_take_at_most_200_bytes_a_row(tmp_path):
+    # 10,001 casimir rows of one RK4 step: on top of the RK4 states, the
+    # deviations are formed in one array of the flat columns, in place (the
+    # whole rows as an array and two temporaries took 239 bytes a row)
+    doc = {"system": "casimir_sl2c", "t1": 10.0, "dt": 1e-3,
+           "params": {"g0": {"alpha": [1, 0], "nu": [0, 0]},
+                      "u0": {"r": 2.0, "gamma": [0.5, -0.25]}, "F": 1.0}}
+    short = {**doc, "t1": 0.01}
+    assert run_config(tmp_path, short, extra=("--oracle",))[0] == 0  # compiles the RK4 loop
+    peaks = []
+    for extra in ((), ("--oracle",)):
+        tracemalloc.start()
+        try:
+            code, out = run_config(tmp_path, doc, extra=extra)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+    header, rows = read_csv(out)
+    assert header[-1] == "oracle_dev" and len(rows) == 10_001
+    assert peaks[1] - peaks[0] <= 200 * 10_001, peaks
+
+
 def test_simulate_into_a_pipe_closed_after_the_header(tmp_path):
     # a reader that stops early ends the run with exit 0 and nothing on stderr
     cfg = tmp_path / "cfg.json"
@@ -263,6 +287,17 @@ def test_simulate_no_temp_files_left(tmp_path):
     run_config(tmp_path, doc)
     leftovers = [p for p in os.listdir(tmp_path) if p.startswith(".doubleflow_")]
     assert leftovers == []
+
+
+def test_scalar_params_parse_without_numpy(monkeypatch):
+    # a casimir config given in full is floats and complex numbers, checked
+    # by math and cmath: the parse makes no numpy call
+    params = {"g0": {"alpha": [0.6, 0.0], "nu": [0.0, 0.8]},
+              "u0": {"r": 2.0, "gamma": [0.5, -0.25]}, "F": 1.5}
+    want = cli._parse_params("casimir_sl2c", params, 0)
+    monkeypatch.setattr(cli, "np", NoNumpy())
+    got = cli._parse_params("casimir_sl2c", params, 0)
+    assert repr(got) == repr(want) and got["u0"].gamma == 0.5 - 0.25j and got["F"] == 1.5
 
 
 # simulate configs that exit 2 with one error line: (the flag sets it runs

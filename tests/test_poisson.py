@@ -118,7 +118,7 @@ def test_hamiltonian_field_matches_transcribed_rates():
         p = random_point("sl2c", k)
         rates = tz.hamiltonian_field(gradient_covector(h0, p), p)
         z = [p[f"z{i}"] for i in range(1, 5)]
-        expect = dyn.flat_to_z(dyn.sl2c_flat_field(1.0)(dyn.z_to_flat(*z)))
+        expect = dyn.flat_to_z(dyn.sl2c_flat_field(1.0)(*dyn.z_to_flat(*z)))
         for i in range(4):
             assert abs(rates[f"z{i+1}"] - expect[i]) < 1e-12
             assert abs(rates[f"z{i+1}c"] - expect[i].conjugate()) < 1e-12
@@ -151,7 +151,7 @@ def test_double_group_oracle_fields_are_table_fields(system, field, eta):
                          rates["nu"].imag, rates["r"].real, rates["gamma"].real,
                          rates["gamma"].imag])
         st = dyn.FlowState(0.0, g=g, u=u, alpha=g.alpha, nu=g.nu)
-        got = np.asarray(field(dyn.SYSTEMS[system].flats([st])[0]))
+        got = np.asarray(field(*dyn.SYSTEMS[system].flats([st])[0]))
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
         assert abs(rates["r"].imag) <= 1e-12 * np.max(np.abs(want))
 

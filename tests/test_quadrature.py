@@ -22,9 +22,9 @@ from doubleflow.quadrature import (
 hypothesis = pytest.importorskip("hypothesis")
 
 
-def rotation_field(y):
+def rotation_field(y0, y1):
     # flat form of ydot = i*y on (Re y, Im y)
-    return np.array([-y[1], y[0]])
+    return np.array([-y1, y0])
 
 
 def test_rk4_accuracy_on_rotation():
@@ -53,14 +53,14 @@ def test_rk4_rejects_bad_arguments():
     # a rate of another length than the state
     for rate in ([1.0], [1.0, 0.0, 0.0]):
         with pytest.raises(ValueError):
-            rk4_integrate(lambda y: rate, y0, 0.0, 1.0, 0.25)
+            rk4_integrate(lambda *y: rate, y0, 0.0, 1.0, 0.25)
 
 
 def test_rk4_step_count_overflow_is_a_value_error():
     # (t1 - t0) / h, and t1 - t0 itself, overflow to inf before any grid exists
     for t0, t1, h in ((0.0, 1e308, 1e-308), (-1e308, 1e308, 1.0)):
         with pytest.raises(ValueError, match="step count"):
-            rk4_integrate(lambda y: [0.0], [1.0], t0, t1, h)
+            rk4_integrate(lambda y0: [0.0], [1.0], t0, t1, h)
 
 
 def test_rk4_grid_starts_at_t0_and_steps_at_least_once():
@@ -85,7 +85,7 @@ def test_rk4_grid_starts_at_t0_and_steps_at_least_once():
 
 
 def test_rk4_nonfinite_detection():
-    def blowup(y):
+    def blowup(y0):
         return np.array([np.inf])
 
     with pytest.raises(NonFiniteStateError) as err:
@@ -98,10 +98,10 @@ def test_rk4_nonfinite_detection():
 def reference_rk4(field, y0, t0, t1, h):
     """The step-by-step RK4 driver: one stage function, list appends."""
     def step(y, h):
-        k1 = np.asarray(field(y), dtype=float)
-        k2 = np.asarray(field(y + 0.5 * h * k1), dtype=float)
-        k3 = np.asarray(field(y + 0.5 * h * k2), dtype=float)
-        k4 = np.asarray(field(y + h * k3), dtype=float)
+        k1 = np.asarray(field(*y), dtype=float)
+        k2 = np.asarray(field(*(y + 0.5 * h * k1)), dtype=float)
+        k3 = np.asarray(field(*(y + 0.5 * h * k2)), dtype=float)
+        k4 = np.asarray(field(*(y + h * k3)), dtype=float)
         return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
     y = np.array(y0, dtype=float)
@@ -120,8 +120,8 @@ def reference_rk4(field, y0, t0, t1, h):
     return np.array(times), np.array(states)
 
 
-def lotka_volterra(y):
-    return np.array([y[0] * (1.0 - 0.7 * y[1]), y[1] * (0.4 * y[0] - 1.1)])
+def lotka_volterra(y0, y1):
+    return np.array([y0 * (1.0 - 0.7 * y1), y1 * (0.4 * y0 - 1.1)])
 
 
 @pytest.mark.parametrize("t0, t1, h", [(0.0, 1.0, 0.25), (0.0, 1.0, 0.3),
@@ -153,7 +153,7 @@ def test_rk4_on_system_fields_bitwise_matches_array_loop(system, given, seed):
     y0 = sysdef.flats(sysdef.sample(params)([0.0])[0])[0]
     # 0.8 / 3e-3 leaves a partial last step
     traj = rk4_integrate(field, y0, 0.0, 0.8, 3e-3)
-    times, states = reference_rk4(lambda y: np.asarray(field(y)), y0, 0.0, 0.8, 3e-3)
+    times, states = reference_rk4(lambda *y: np.asarray(field(*y)), y0, 0.0, 0.8, 3e-3)
     assert traj.times.tobytes() == times.tobytes()
     assert traj.states.tobytes() == states.tobytes()
     # 500 steps against the comprehension stepper
@@ -179,10 +179,10 @@ def comprehension_rk4(field, y0, t0, t1, h):
     for k in range(1, n):
         step = h if k <= n_full else rest
         half = 0.5 * step
-        k1 = field(y)
-        k2 = field([a + half * b for a, b in zip(y, k1, strict=True)])
-        k3 = field([a + half * b for a, b in zip(y, k2, strict=True)])
-        k4 = field([a + step * b for a, b in zip(y, k3, strict=True)])
+        k1 = field(*y)
+        k2 = field(*[a + half * b for a, b in zip(y, k1, strict=True)])
+        k3 = field(*[a + half * b for a, b in zip(y, k2, strict=True)])
+        k4 = field(*[a + step * b for a, b in zip(y, k3, strict=True)])
         c = step / 6.0
         y = [a + c * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
              for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4, strict=True)]
@@ -194,7 +194,7 @@ def linear_field(d, seed, kind):
     """y -> A·y for a seeded A, summed on Python floats, returned as kind."""
     rows = (np.random.default_rng(seed).standard_normal((d, d)) / max(d, 1)).tolist()
 
-    def field(y):
+    def field(*y):
         return kind([math.fsum(a * x for a, x in zip(row, y)) for row in rows])
 
     return field
@@ -224,7 +224,7 @@ def test_rk4_rate_of_the_wrong_length_at_any_stage_is_a_value_error(d, stage, of
     def make():
         calls = []
 
-        def field(y):
+        def field(*y):
             calls.append(None)
             # the second step's evaluations are 5 to 8
             return [0.5] * (d + off if len(calls) == 4 + stage else d)
@@ -235,6 +235,22 @@ def test_rk4_rate_of_the_wrong_length_at_any_stage_is_a_value_error(d, stage, of
         rk4_integrate(make(), [1.0] * d, 0.0, 1.0, 0.25)
     with pytest.raises(ValueError):
         comprehension_rk4(make(), [1.0] * d, 0.0, 1.0, 0.25)
+
+
+@pytest.mark.parametrize("d", [0, 2, 4, MAX_STRAIGHT_DIM, MAX_STRAIGHT_DIM + 1])
+def test_rk4_state_of_another_length_than_the_field_takes_is_a_type_error(d):
+    # the field gets the state as positional floats, so one that names 3
+    # coordinates fails at its first call, in either loop, before it runs
+    calls = []
+
+    def field(y0, y1, y2):
+        calls.append(None)
+        return [0.0, 0.0, 0.0]
+
+    with pytest.raises(TypeError):
+        rk4_integrate(field, [1.0] * d, 0.0, 1.0, 0.25)
+    assert calls == []
+    assert rk4_integrate(field, [1.0] * 3, 0.0, 1.0, 0.25).states.tolist() == [[1.0] * 3] * 5
 
 
 # (t1, step, error): steps of 0.25, the error raised at the given stage of
@@ -249,7 +265,7 @@ def test_rk4_field_arithmetic_error_at_any_stage_is_nonfinite_at_its_step(d, sta
     def make():
         calls = []
 
-        def field(y):
+        def field(*y):
             calls.append(None)
             if len(calls) == 4 * (step - 1) + stage:
                 raise error("in the field")
@@ -279,7 +295,7 @@ def test_rk4_nonfinite_part_at_any_stage_and_position_fails_at_its_step(d, stage
     def make():
         calls = []
 
-        def field(y):
+        def field(*y):
             calls.append(None)
             rate = [0.5] * d
             if len(calls) == 4 * (step - 1) + stage:
@@ -304,9 +320,9 @@ def test_rk4_compiles_a_step_only_for_a_length_it_integrates():
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import doubleflow, doubleflow.cli; "
             "from doubleflow.quadrature import _straight_run, rk4_integrate; "
             "sizes = [_straight_run.cache_info().currsize]; "
-            "rk4_integrate(lambda y: [0.0] * 100, [1.0] * 100, 0.0, 1.0, 0.5); "
+            "rk4_integrate(lambda *y: [0.0] * 100, [1.0] * 100, 0.0, 1.0, 0.5); "
             "sizes.append(_straight_run.cache_info().currsize); "
-            "rk4_integrate(lambda y: [0.0] * 3, [1.0] * 3, 0.0, 1.0, 0.5); "
+            "rk4_integrate(lambda *y: [0.0] * 3, [1.0] * 3, 0.0, 1.0, 0.5); "
             "sizes.append(_straight_run.cache_info().currsize); print(sizes)")
     out = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True,
                          check=True).stdout
@@ -389,7 +405,7 @@ def test_rk4_failure_between_stored_states_keeps_its_time(d, error, t1, every, s
     def make():
         calls = []
 
-        def field(y):
+        def field(*y):
             calls.append(None)
             if len(calls) == 4 * (step - 1) + 2:
                 if error is not None:
@@ -420,7 +436,7 @@ def test_rk4_every_must_be_a_positive_int(every):
 def test_rk4_nonfinite_time_when_a_stage_sum_overflows():
     # the rate stays finite; the state overflows in the update sum of the
     # fourth step (1.79e308 + 4 * 2.5e305 > DBL_MAX)
-    def push(y):
+    def push(y0):
         return [1e306]
 
     with pytest.raises(NonFiniteStateError) as err:
@@ -434,7 +450,7 @@ def test_rk4_nonfinite_time_when_a_stage_sum_overflows():
 def test_rk4_nonfinite_time_on_partial_step():
     calls = []
 
-    def late_blowup(y):
+    def late_blowup(y0):
         calls.append(None)
         return np.array([np.inf if len(calls) > 12 else 1.0])
 
@@ -449,7 +465,7 @@ def test_rk4_field_arithmetic_error_is_nonfinite_at_its_step(error):
     # evaluations 9 to 12 are the stages of the third step
     calls = []
 
-    def fails_on_tenth(y):
+    def fails_on_tenth(y0):
         calls.append(None)
         if len(calls) == 10:
             raise error("in the field")
