@@ -47,7 +47,7 @@ def _fmt(x) -> str:
 
 
 def _finite(a, field):
-    if not (cmath.isfinite(a) if isinstance(a, (float, complex)) else np.isfinite(a).all()):
+    if not cmath.isfinite(a):
         raise ConfigError(f"{field} must be finite (no NaN or Infinity)")
     return a
 
@@ -86,7 +86,7 @@ def _vector(v, field):
     xs = [_number(c) for c in v] if isinstance(v, list) else []
     if not xs or None in xs:
         raise ConfigError(f"{field} must be a non-empty list of numbers")
-    return _finite(np.asarray(xs), field)
+    return np.asarray([_finite(x, field) for x in xs])
 
 
 def _matrix(v, field):

@@ -205,16 +205,29 @@ def test_write_csv_streams_rows_to_a_file(tmp_path):
     assert lines[-2] == ",".join(format(x, ".17g") for x in rows[-1])
 
 
-def test_simulate_oracle_memory_grows_with_rows_not_rk4_steps(tmp_path):
+_MOMENTA_DOC = {"system": "momenta_su2", "t1": 10.0, "dt": 0.1,
+                "params": {"u0": {"r": 1.0, "gamma": [0.5, 0.0]}, "alpha": [0.6, 0.0],
+                           "nu": [0.0, 0.8], "F": 0.1}}
+_CASIMIR_DOC = {"system": "casimir_sl2c", "t1": 10.0, "dt": 1e-3,
+                "params": {"g0": {"alpha": [1, 0], "nu": [0, 0]},
+                           "u0": {"r": 2.0, "gamma": [0.5, -0.25]}, "F": 1.0}}
+
+
+@pytest.mark.parametrize("doc, n_rows, bound", [
     # 100 rows of 100 RK4 steps: the oracle stores the 101 states it compares,
-    # not all 10,001 of its steps (which took 320 KB more); a run with the
-    # oracle peaks within 100 KB of the same run without it
-    doc = {"system": "momenta_su2", "t1": 10.0, "dt": 0.1,
-           "params": {"u0": {"r": 1.0, "gamma": [0.5, 0.0]}, "alpha": [0.6, 0.0],
-                      "nu": [0.0, 0.8], "F": 0.1}}
+    # not all 10,001 of its steps (which took 320 KB more)
+    (_MOMENTA_DOC, 101, 100_000),
+    # 10,001 rows of one RK4 step: on top of the RK4 states, the deviations are
+    # formed in one array of the flat columns, in place (the whole rows as an
+    # array and two temporaries took 239 bytes a row)
+    (_CASIMIR_DOC, 10_001, 200 * 10_001),
+], ids=["momenta_su2", "casimir_sl2c"])
+def test_simulate_oracle_memory_grows_with_rows_not_rk4_steps(tmp_path, doc, n_rows, bound):
+    # a run with the oracle peaks within the bound of the same run without it
+    short = {**doc, "t1": 10 * doc["dt"]}
     peaks = []
     for extra in ((), ("--oracle",)):
-        assert run_config(tmp_path, doc, extra=extra)[0] == 0  # compiles the RK4 loop once
+        assert run_config(tmp_path, short, extra=extra)[0] == 0  # compiles the RK4 loop once
         tracemalloc.start()
         try:
             code, out = run_config(tmp_path, doc, extra=extra)
@@ -223,31 +236,8 @@ def test_simulate_oracle_memory_grows_with_rows_not_rk4_steps(tmp_path):
             tracemalloc.stop()
         assert code == 0
     header, rows = read_csv(out)
-    assert header[-1] == "oracle_dev" and len(rows) == 101 and max(r[-1] for r in rows) < 1e-5
-    assert peaks[1] - peaks[0] < 100_000, peaks
-
-
-def test_simulate_oracle_deviations_take_at_most_200_bytes_a_row(tmp_path):
-    # 10,001 casimir rows of one RK4 step: on top of the RK4 states, the
-    # deviations are formed in one array of the flat columns, in place (the
-    # whole rows as an array and two temporaries took 239 bytes a row)
-    doc = {"system": "casimir_sl2c", "t1": 10.0, "dt": 1e-3,
-           "params": {"g0": {"alpha": [1, 0], "nu": [0, 0]},
-                      "u0": {"r": 2.0, "gamma": [0.5, -0.25]}, "F": 1.0}}
-    short = {**doc, "t1": 0.01}
-    assert run_config(tmp_path, short, extra=("--oracle",))[0] == 0  # compiles the RK4 loop
-    peaks = []
-    for extra in ((), ("--oracle",)):
-        tracemalloc.start()
-        try:
-            code, out = run_config(tmp_path, doc, extra=extra)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-        assert code == 0
-    header, rows = read_csv(out)
-    assert header[-1] == "oracle_dev" and len(rows) == 10_001
-    assert peaks[1] - peaks[0] <= 200 * 10_001, peaks
+    assert header[-1] == "oracle_dev" and len(rows) == n_rows and max(r[-1] for r in rows) < 1e-5
+    assert peaks[1] - peaks[0] < bound, peaks
 
 
 def test_simulate_into_a_pipe_closed_after_the_header(tmp_path):
