@@ -241,21 +241,22 @@ def run_simulate(args) -> int:
         sample = sysdef.sample(params)
     except ValueError as e:
         raise ConfigError(f"params: {e}") from None
-    header = ["t", *sysdef.columns(params)]
+    flat_columns, invariant_columns = sysdef.columns(params)
+    header = ["t", *flat_columns, *invariant_columns]
     rows = []
     try:
-        # a block's states and flat states come from one call each; its rows are
-        # checked in order, before the error of the t its sampler stopped at
+        # a block's rows come from one sampler call; they are checked in
+        # order, before the error of the t its sampler stopped at
         for start in range(0, n + 1, ver.BLOCK):
             block = times[start:start + ver.BLOCK]
-            states, err = sample(block)
-            for t, st, y in zip(block, states, sysdef.flats(states)):
-                row = [t, *y, *sysdef.extras(st, y)]
+            block_rows, err = sample(block)
+            for t, row in zip(block, block_rows):
+                row = [t, *row]
                 if not all(map(math.isfinite, row)):
                     raise ValueError("the flow leaves the finite floats")
                 rows.append(row)
             if err is not None:
-                t = block[len(states)]
+                t = block[len(block_rows)]
                 raise err
     except ValueError as e:
         raise ConfigError(f"params: {e} at t = {_fmt(t)}") from None
@@ -263,7 +264,8 @@ def run_simulate(args) -> int:
     worst = 0.0
     if oracle:
         header.append("oracle_dev")
-        flats = np.array([r[1:len(y) + 1] for r in rows])  # a row is [t, *flat, *extras]
+        d = len(flat_columns)
+        flats = np.array([r[1:d + 1] for r in rows])  # a row is [t, *flat, *invariants]
         field = sysdef.field(params)
         try:
             traj = rk4_integrate(field, flats[0], 0.0, times[-1], dt / substeps, substeps)

@@ -2,15 +2,18 @@
 
 Right-hand sides are transcribed explicitly; the poisson module's generic
 field assembly is used in tests as an independent cross-check, never here.
-Flows return FlowState snapshots and are pure functions of (initial data,
-parameters, t).  Each system's *_flow takes the initial data and parameters,
-checks them and reduces them to the generator of the flow once, and returns
-at(t) -> FlowState, which does only the t-dependent arithmetic.  `simulate`
-samples a block of t at a time (System.sample): the rotator's and action_angle's
-at(t) is a block of one, and the other systems map their at over a block.
+Flows are pure functions of (initial data, parameters, t).  Each system's
+*_flow takes the initial data and parameters, checks them and reduces them to
+the generator of the flow once, and returns at(t) -> FlowState, which does
+only the t-dependent arithmetic.  That arithmetic has one body per flow:
+at(t) wraps its values in a FlowState for library callers, and at.rows(times)
+builds a block's CSV rows from the same values, with no FlowState per row
+(see System).  The rotator's and action_angle's body is a block of t, and
+at(t) is a block of one.
 
 The SU(2) rows exponentiate with groups.expm2_kernel on Python complex
-scalars, and a block of casimir rows takes its g·u in one groups.gu_products call.
+scalars, and a block of casimir rows takes its g·u in one groups.gu_products
+call, and H0 and det from the complex entries it returns.
 
 A *_flat_field takes a flat state's coordinates as positional floats,
 field(*y), as quadrature.rk4_integrate passes them.  None calls numpy per
@@ -40,6 +43,7 @@ from .groups import (
     SB2Element,
     SL2Element,
     SU2Element,
+    _finite_complex,
     _trusted,
     check_finite,
     exp_group,
@@ -114,7 +118,7 @@ def free_hamiltonian(x) -> float:
     if not isinstance(x, (SL2Element, SB2Element)):
         raise TypeError(f"no free Hamiltonian for {type(x).__name__}")
     if isinstance(x, SL2Element):  # the casimir row's H0 column
-        h = _casimir_extras(z_to_flat(x.z1, x.z2, x.z3, x.z4))[0]
+        h = _casimir_invariants(x.z1, x.z2, x.z3, x.z4)[0]
     else:
         try:
             h = 0.5 * (abs(x.gamma) ** 2 + x.r ** 2 + x.r ** -2)
@@ -224,42 +228,45 @@ def _su2_exp(m):
     return at
 
 
-def _each(at):
-    """The block sampler of a per-t at (see System.sample); at's ValueError is returned,
-    not raised, so that the caller checks the rows before it first."""
+def _each(body):
+    """The block of a per-t body: times -> (values, error), the values body(t) of the longest
+    prefix of times it builds and the ValueError of the next t, or None.  The error is
+    returned, not raised, so that the caller checks the rows before it first."""
     def block(times):
-        states = []
+        values = []
         try:
             for t in times:
-                states.append(at(t))
+                values.append(body(t))
         except ValueError as e:
-            return states, e
-        return states, None
+            return values, e
+        return values, None
 
     return block
 
 
-def _one(block):
-    """at(t) -> FlowState: block([t])'s state, or its ValueError raised; at.block is block."""
+def _flow(block, state, rows):
+    """at(t) -> state(float(t), v) for block([t])'s one value v, or block's ValueError raised,
+    and at.rows(times) -> (rows(values), error) for block(times) -> (values, error)."""
     def at(t):
-        states, err = block([t])
+        values, err = block([t])
         if err is not None:
             raise err
-        return states[0]
+        return state(float(t), values[0])
 
-    at.block = block
+    def rows_at(times):
+        values, err = block(times)
+        return rows(values), err
+
+    at.rows = rows_at
     return at
 
 
 def casimir_flow(g0: SU2Element, u0: SB2Element, F) -> Callable:
     """Frozen-momenta flow: u stays at u0, g(t) = g0·exp(t·L_η(u0)), η = F·dH0."""
     exp_tl = _su2_exp(legendre_map(u0, F).value)
-
-    def at(t):
-        t = float(t)
-        return FlowState(time=t, g=g0 @ exp_tl(t), u=u0)
-
-    return at
+    return _flow(_each(lambda t: g0 @ exp_tl(t)), lambda t, g: FlowState(time=t, g=g, u=u0),
+                 lambda gs: [z_to_flat(*z) + _casimir_invariants(*z)
+                             for z in gu_products(gs, [u0] * len(gs))])
 
 
 def hat3(p) -> np.ndarray:
@@ -285,8 +292,9 @@ def rotator_flow(g0, p, F) -> Callable:
     unless p = 0 or |p|² is a normal float, and F unless |F·p|² is finite.
     exp(t·k), k = hat(F·p), is the axis-angle I + a·kt + b·(kt)², θ = |F·p|·|t|,
     a = sin θ/θ and b = (1 - cos θ)/θ², below θ = 1e-8 the series' (1, 1/2).
-    A θ² past the floats (or a non-finite t) is a ValueError.  at.block takes a
-    block's (kt)² and g0·exp(t·k) as one stacked matmul each.
+    A θ² past the floats (or a non-finite t) is a ValueError.  A block of t
+    takes its (kt)² and g0·exp(t·k) as one stacked matmul each, and its rows
+    the 9 entries of each g from one tolist().
     """
     g0 = np.asarray(g0, dtype=float)
     if g0.shape != (3, 3):
@@ -318,11 +326,11 @@ def rotator_flow(g0, p, F) -> Callable:
                       (math.sin(theta) / theta, (1.0 - math.cos(theta)) / (theta * theta)))
         ab, kt = np.reshape(ab, (-1, 2, 1, 1)), k * ts[:len(ab), None, None]
         gs = g0 @ (_I3 + ab[:, 0] * kt + ab[:, 1] * (kt @ kt))
-        err = None if len(gs) == len(ts) else ValueError("the flow leaves the finite floats")
-        return [FlowState(time=t, g=g, p=p.copy(), p_norm=p_norm)
-                for t, g in zip(ts.tolist(), gs)], err
+        return gs, None if len(gs) == len(ts) else ValueError("the flow leaves the finite floats")
 
-    return _one(block)
+    tail = [*p.tolist(), p_norm]
+    return _flow(block, lambda t, g: FlowState(time=t, g=g, p=p.copy(), p_norm=p_norm),
+                 lambda gs: [g + tail for g in gs.reshape(-1, 9).tolist()])
 
 
 def _scaled_axis(p, F: float):
@@ -367,19 +375,19 @@ def momenta_su2_flow(u0: SB2Element, alpha, nu, F) -> Callable:
     # t·L for every real t: per t only the two numbers exp_sb2 takes are checked
     (l00, l01), _ = _momenta_su2_generator(alpha, nu, F).tolist()
 
-    def at(t):
-        t = float(t)
-        ct = complex(t)  # as numpy promotes a float times a complex array
+    def u(t):
+        ct = complex(float(t))  # as numpy promotes a float times a complex array
         d, y = (ct * l00).real, ct * l01
         if not (math.isfinite(d) and cmath.isfinite(y)):
             raise ValueError("non-finite matrix entry")
         try:
-            u = exp_sb2(d, y) @ u0
+            return exp_sb2(d, y) @ u0
         except MembershipError:  # the product's r underflows or its gamma overflows
             raise ValueError("the flow leaves the finite floats") from None
-        return FlowState(time=t, u=u, alpha=alpha, nu=nu)
 
-    return at
+    h = abs(alpha) ** 2 + abs(nu) ** 2
+    return _flow(_each(u), lambda t, v: FlowState(time=t, u=v, alpha=alpha, nu=nu),
+                 lambda us: [[v.r, v.gamma.real, v.gamma.imag, h] for v in us])
 
 
 def momenta_su2_flat_field(alpha, nu, F):
@@ -413,24 +421,28 @@ def noncasimir_flow(u0: SB2Element, alpha0, nu0) -> Callable:
     SU2Element(alpha0, nu0)  # the unit check; the flow keeps alpha0, nu0 as given
     alpha0, nu0 = complex(alpha0), complex(nu0)
     if nu0 == 0:
-        return lambda t: FlowState(time=float(t), u=u0, alpha=alpha0, nu=nu0)
-    w = abs(nu0) ** 2
-    if not u0.r * w >= np.finfo(float).tiny:  # coef's divisor
-        raise ValueError("nu0 must be 0 or have r0 |nu0|^2 in the normal floats")
-    # the hoisted factors keep the left-to-right grouping of 0.5j * w * t,
-    # which fixes the bits of each product
-    half, quarter, mquarter = 0.5j * w, 0.25 * w, -0.25j * w
-    coef = alpha0.conjugate() * nu0.conjugate() / (u0.r * w)
+        def body(t):
+            return alpha0, u0.gamma
+    else:
+        w = abs(nu0) ** 2
+        if not u0.r * w >= np.finfo(float).tiny:  # coef's divisor
+            raise ValueError("nu0 must be 0 or have r0 |nu0|^2 in the normal floats")
+        # the hoisted factors keep the left-to-right grouping of 0.5j * w * t,
+        # which fixes the bits of each product
+        half, quarter, mquarter = 0.5j * w, 0.25 * w, -0.25j * w
+        coef = alpha0.conjugate() * nu0.conjugate() / (u0.r * w)
 
-    def at(t):
-        t = float(t)
-        alpha_t = alpha0 * cmath.exp(half * t)
-        # 1 - e^{-iwt/2} = 2i·sin(wt/4)·e^{-iwt/4}, stable for small w·t
-        loop = 2j * math.sin(quarter * t) * cmath.exp(mquarter * t)
-        gamma_t = u0.gamma + coef * loop
-        return FlowState(time=t, u=SB2Element(u0.r, gamma_t), alpha=alpha_t, nu=nu0)
+        def body(t):
+            t = float(t)
+            alpha_t = alpha0 * cmath.exp(half * t)
+            # 1 - e^{-iwt/2} = 2i·sin(wt/4)·e^{-iwt/4}, stable for small w·t
+            loop = 2j * math.sin(quarter * t) * cmath.exp(mquarter * t)
+            return alpha_t, _finite_complex(u0.gamma + coef * loop, "gamma")  # SB2Element's check
 
-    return at
+    r, (nr, ni), h = u0.r, (nu0.real, nu0.imag), 0.5 * abs(nu0) ** 2
+    return _flow(_each(body),
+                 lambda t, v: FlowState(time=t, u=SB2Element(r, v[1]), alpha=v[0], nu=nu0),
+                 lambda vs: [[a.real, a.imag, nr, ni, r, g.real, g.imag, h] for a, g in vs])
 
 
 def noncasimir_flat_field():
@@ -464,15 +476,19 @@ def perturbed_flow(g0: SU2Element, u0: SB2Element, F, lam: float) -> Callable:
     frame = _rotating_frame(g0, legendre_map(u0, F).value, _perturbed_x(lam, u0.r))
     phase = -0.5j * lam * u0.r
 
-    def at(t):
+    def body(t):
         t = float(t)
         try:
             gamma_t = u0.gamma * cmath.exp(phase * t)
         except ValueError:  # cmath.exp of an infinite phase, for a finite t
             raise ValueError("non-finite matrix entry") from None
-        return FlowState(time=t, g=frame(t), u=SB2Element(u0.r, gamma_t))
+        g = frame(t)
+        return g, _finite_complex(gamma_t, "gamma")  # SB2Element's check
 
-    return at
+    r = u0.r
+    return _flow(_each(body), lambda t, v: FlowState(time=t, g=v[0], u=SB2Element(r, v[1])),
+                 lambda vs: [[g.alpha.real, g.alpha.imag, g.nu.real, g.nu.imag,
+                              r, gm.real, gm.imag, abs(gm)] for g, gm in vs])
 
 
 def perturbed_velocity(u0: SB2Element, F, lam: float, t: float) -> np.ndarray:
@@ -596,8 +612,9 @@ def action_angle_flow(I0, phi0, freq=None, matrix=None) -> Callable:
     I0, phi0 must be finite and 1-D, freq finite of shape (m,), matrix finite
     of shape (m, m), m = len(phi0); else a ValueError names the argument.
     A φ(t) past the finite floats is a ValueError; each row tests its own φ.
-    at.block takes a block's φ, and for the fiber its Simpson sums, exponentials
-    and products with φ0, as one stacked call each.
+    A block of t takes its φ, and for the fiber its Simpson sums, exponentials
+    and products with φ0, as one stacked call each, and its rows from one
+    tolist() of φ and of φ mod 2π.
     """
     if (freq is None) == (matrix is None):
         raise ValueError("action_angle_flow needs exactly one of freq, matrix")
@@ -626,10 +643,13 @@ def action_angle_flow(I0, phi0, freq=None, matrix=None) -> Callable:
         err = None if k == len(ts) else ValueError(
             "the fiber variant integrates forward time only" if backward[k]
             else "the flow leaves the finite floats")
-        return [FlowState(time=t, I=I0.copy(), phi=phi, phi_mod=mod) for t, phi, mod
-                in zip(ts.tolist(), phis[:k], np.mod(phis[:k], 2.0 * np.pi))], err
+        return phis[:k], err
 
-    return _one(block)
+    I = I0.tolist()
+    return _flow(block, lambda t, phi: FlowState(time=t, I=I0.copy(), phi=phi,
+                                                 phi_mod=np.mod(phi, 2.0 * np.pi)),
+                 lambda phis: [I + phi + mod for phi, mod
+                               in zip(phis.tolist(), np.mod(phis, 2.0 * np.pi).tolist())])
 
 
 def _finite_array(a, name, shape=None) -> np.ndarray:
@@ -666,19 +686,17 @@ class System:
     None too: a callable default is a draw, called with the run's rng in
     the order of params, and a REQUIRED one is a config error.
     sample(params) calls the system's *_flow, which checks every domain
-    rule of the params once, and returns block(times) -> (states, error):
-    the FlowStates of the longest prefix of times the flow builds, and the
-    ValueError of the first t it cannot build, or None.  flats(states) gives
-    their flat states, each a list of floats, and a CSV row is
-    [t, *flat, *extras(state, flat)] under columns(params); field(params)(*flat)
-    is the RK4 oracle's rate at a flat state.
+    rule of the params once, and returns its at.rows: block(times) ->
+    (rows, error), the rows of the longest prefix of times the flow builds,
+    and the ValueError of the first t it cannot build, or None.  A row is a
+    list of floats, the CSV row after t: the flat state, then the invariant
+    columns.  columns(params) names them, as (flat columns, invariant
+    columns), and field(params)(*flat) is the RK4 oracle's rate at a flat state.
     """
 
     params: tuple
     sample: Callable
     columns: Callable
-    flats: Callable
-    extras: Callable
     field: Callable
 
     def names(self):
@@ -694,8 +712,8 @@ def _flat_double(alpha, nu, u):
     return [alpha.real, alpha.imag, nu.real, nu.imag, u.r, u.gamma.real, u.gamma.imag]
 
 
-def _casimir_extras(y):
-    z1, z2, z3, z4 = flat_to_z(y)
+def _casimir_invariants(z1, z2, z3, z4):
+    """The casimir row's invariant columns of a = [[z1, z2], [z3, z4]]: H0 and det's two parts."""
     det = z1 * z4 - z2 * z3
     try:
         h0 = 0.5 * (abs(z1) ** 2 + abs(z2) ** 2 + abs(z3) ** 2 + abs(z4) ** 2)
@@ -706,8 +724,8 @@ def _casimir_extras(y):
 
 def _action_angle_columns(p):
     n, m = len(p["I0"]), len(p["phi0"])
-    return ([f"I_{k}" for k in range(1, n + 1)] + [f"phi_{k}" for k in range(1, m + 1)]
-            + [f"phimod_{k}" for k in range(1, m + 1)])
+    return ([f"I_{k}" for k in range(1, n + 1)] + [f"phi_{k}" for k in range(1, m + 1)],
+            [f"phimod_{k}" for k in range(1, m + 1)])
 
 
 def _unit_pair(rng):
@@ -718,6 +736,8 @@ def _unit_pair(rng):
 _G0 = ("g0", "su2", SU2Element.identity())
 _U0 = ("u0", "sb2", lambda rng: random_element("sb2", rng))
 _F = ("F", "float", 1.0)
+# the flat columns of noncasimir_h and perturbed, in _flat_double's order
+_DOUBLE = (*_complex_cols("alpha", "nu"), "r", *_complex_cols("gamma"))
 
 # Flows and fields go through module-level names at call time, so a
 # function patched on this module (a tracer, a test double) is the one used.
@@ -725,53 +745,40 @@ SYSTEMS = {
     "rotator": System(
         params=(("g0", "matrix", np.eye(3)), ("p", "vector", lambda rng: rng.standard_normal(3)),
                 _F),
-        sample=lambda p: rotator_flow(p["g0"], p["p"], p["F"]).block,
-        columns=lambda p: [f"g{i}{j}" for i in range(1, 4) for j in range(1, 4)]
-        + ["p1", "p2", "p3", "p_norm"],
-        flats=lambda sts: [st.g.ravel().tolist() for st in sts],
-        extras=lambda st, y: [*st.p, st.p_norm],
+        sample=lambda p: rotator_flow(p["g0"], p["p"], p["F"]).rows,
+        columns=lambda p: ([f"g{i}{j}" for i in range(1, 4) for j in range(1, 4)],
+                           ["p1", "p2", "p3", "p_norm"]),
         field=lambda p: rotator_flat_field(p["p"], p["F"]),
     ),
     "casimir_sl2c": System(
         params=(_G0, _U0, _F),
-        sample=lambda p: _each(casimir_flow(p["g0"], p["u0"], p["F"])),
-        columns=lambda p: _complex_cols("z1", "z2", "z3", "z4") + ["H0", "det_re", "det_im"],
-        flats=lambda sts: [z_to_flat(*z) for z in gu_products([st.g for st in sts], [st.u for st in sts])],
-        extras=lambda st, y: _casimir_extras(y),
+        sample=lambda p: casimir_flow(p["g0"], p["u0"], p["F"]).rows,
+        columns=lambda p: (_complex_cols("z1", "z2", "z3", "z4"), ["H0", "det_re", "det_im"]),
         field=lambda p: sl2c_flat_field(p["F"]),
     ),
     "momenta_su2": System(
         params=(_U0, (("alpha", "nu"), "momenta", _unit_pair), _F),
-        sample=lambda p: _each(momenta_su2_flow(p["u0"], p["alpha"], p["nu"], p["F"])),
-        columns=lambda p: ["r", *_complex_cols("gamma"), "h_su2_norm"],
-        flats=lambda sts: [[st.u.r, st.u.gamma.real, st.u.gamma.imag] for st in sts],
-        extras=lambda st, y: [abs(st.alpha) ** 2 + abs(st.nu) ** 2],
+        sample=lambda p: momenta_su2_flow(p["u0"], p["alpha"], p["nu"], p["F"]).rows,
+        columns=lambda p: (["r", *_complex_cols("gamma")], ["h_su2_norm"]),
         field=lambda p: momenta_su2_flat_field(p["alpha"], p["nu"], p["F"]),
     ),
     "noncasimir_h": System(
         params=(_U0, (("alpha0", "nu0"), "momenta", _unit_pair)),
-        sample=lambda p: _each(noncasimir_flow(p["u0"], p["alpha0"], p["nu0"])),
-        columns=lambda p: [*_complex_cols("alpha", "nu"), "r", *_complex_cols("gamma"), "h_nu"],
-        flats=lambda sts: [_flat_double(st.alpha, st.nu, st.u) for st in sts],
-        extras=lambda st, y: [0.5 * abs(st.nu) ** 2],
+        sample=lambda p: noncasimir_flow(p["u0"], p["alpha0"], p["nu0"]).rows,
+        columns=lambda p: (_DOUBLE, ["h_nu"]),
         field=lambda p: noncasimir_flat_field(),
     ),
     "perturbed": System(
         params=(_G0, _U0, _F, ("lam", "float", 0.1)),
-        sample=lambda p: _each(perturbed_flow(p["g0"], p["u0"], p["F"], p["lam"])),
-        columns=lambda p: [*_complex_cols("alpha", "nu"), "r", *_complex_cols("gamma"),
-                           "gamma_abs"],
-        flats=lambda sts: [_flat_double(st.g.alpha, st.g.nu, st.u) for st in sts],
-        extras=lambda st, y: [abs(st.u.gamma)],
+        sample=lambda p: perturbed_flow(p["g0"], p["u0"], p["F"], p["lam"]).rows,
+        columns=lambda p: (_DOUBLE, ["gamma_abs"]),
         field=lambda p: perturbed_flat_field(p["F"], p["lam"]),
     ),
     "action_angle": System(
         params=(("I0", "vector", REQUIRED), ("phi0", "vector", REQUIRED),
                 ("freq", "vector", None), ("matrix", "matrix", None)),
-        sample=lambda p: action_angle_flow(p["I0"], p["phi0"], p["freq"], p["matrix"]).block,
+        sample=lambda p: action_angle_flow(p["I0"], p["phi0"], p["freq"], p["matrix"]).rows,
         columns=lambda p: _action_angle_columns(p),
-        flats=lambda sts: [st.I.tolist() + st.phi.tolist() for st in sts],
-        extras=lambda st, y: list(st.phi_mod),
         field=lambda p: action_angle_flat_field(p["I0"], p["freq"], p["matrix"]),
     ),
 }

@@ -234,43 +234,43 @@ def suite_flows(seed, samples):
     starts = max(2, min(5, samples // 20))
 
     # conservation along the RK4 oracle of the free flow, of the casimir CSV
-    # row's extras [H0, det_re, det_im]; H0 is an explicit four-term sum, so
+    # row's invariants [H0, det_re, det_im]; H0 is an explicit four-term sum, so
     # its bits do not hang on how the Python version's sum() adds floats
     drift = 0.0
     for _ in range(starts):
         a0 = random_element("sl2c", rng)
         y0 = dyn.z_to_flat(a0.z1, a0.z2, a0.z3, a0.z4)
         traj = rk4_integrate(dyn.sl2c_flat_field(1.0), y0, 0.0, 5.0, 1e-3)
-        rep = drift_report(traj, ("H0", "det_re", "det_im"), dyn._casimir_extras)
+        rep = drift_report(traj, ("H0", "det_re", "det_im"),
+                           lambda y: dyn._casimir_invariants(*dyn.flat_to_z(y)))
         drift = max(drift, *(d for _, d, _ in rep.values()))
     out.append(_check("eq5_conservation_drift", drift, 1e-8, starts, seed))
 
-    # closed-form casimir flow (the registry's flat g·u rows, one block a start)
-    # vs the oracle trajectory
+    # closed-form casimir flow (the registry's rows, one block a start, their
+    # flat g·u columns) vs the oracle trajectory
     dev = 0.0
-    flats = dyn.SYSTEMS["casimir_sl2c"].flats
+    sample = dyn.SYSTEMS["casimir_sl2c"].sample
     for _ in range(starts):
         g0 = random_element("su2", rng)
         u0 = random_element("sb2", rng)
         a0 = dyn.SL2Element(*gu_products([g0], [u0])[0])
         y0 = dyn.z_to_flat(a0.z1, a0.z2, a0.z3, a0.z4)
         traj = rk4_integrate(dyn.sl2c_flat_field(1.0), y0, 0.0, 5.0, 1e-3, 500)
-        at = dyn.casimir_flow(g0, u0, 1.0)
-        zs = np.array(flats([at(t) for t in traj.times])).view(complex)
+        rows, _ = sample({"g0": g0, "u0": u0, "F": 1.0})(traj.times)
+        zs = np.array([row[:8] for row in rows]).view(complex)
         dev = max(dev, float(np.max(np.abs(zs - traj.states.view(complex)))))
     out.append(_check("casimir_flow_vs_oracle", dev, 1e-6, starts, seed))
 
     # non-Casimir exact flow vs the oracle of the bracket-derived field
     dev = 0.0
-    flats = dyn.SYSTEMS["noncasimir_h"].flats
+    sample = dyn.SYSTEMS["noncasimir_h"].sample
     for _ in range(starts):
         g = random_element("su2", rng)
         u0 = random_element("sb2", rng)
-        y0 = flats([dyn.FlowState(0.0, u=u0, alpha=g.alpha, nu=g.nu)])[0]
-        traj = rk4_integrate(dyn.noncasimir_flat_field(), y0, 0.0, 5.0, 1e-3, 500)
-        at = dyn.noncasimir_flow(u0, g.alpha, g.nu)
-        ys = flats([at(t) for t in traj.times])
-        dev = max(dev, float(np.max(np.abs(np.array(ys) - traj.states))))
+        traj = rk4_integrate(dyn.noncasimir_flat_field(), dyn._flat_double(g.alpha, g.nu, u0),
+                             0.0, 5.0, 1e-3, 500)
+        rows, _ = sample({"u0": u0, "alpha0": g.alpha, "nu0": g.nu})(traj.times)
+        dev = max(dev, float(np.max(np.abs(np.array(rows)[:, :7] - traj.states))))
     out.append(_check("noncasimir_flow_vs_oracle", dev, 1e-6, starts, seed))
 
     # perturbed flow: central-difference residual of the generator equation

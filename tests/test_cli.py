@@ -528,7 +528,8 @@ def test_registry_system_simulates_with_oracle(tmp_path, system, params, capsys)
     code, out = run_config(tmp_path, doc, extra=["--oracle"])
     assert code == 0
     header, rows = read_csv(out)
-    assert header == ["t", *dyn.SYSTEMS[system].columns(params), "oracle_dev"]
+    flat_columns, invariant_columns = dyn.SYSTEMS[system].columns(params)
+    assert header == ["t", *flat_columns, *invariant_columns, "oracle_dev"]
     assert len(rows) == 5 and all(math.isfinite(v) for row in rows for v in row)
     assert max(row[-1] for row in rows) < 1e-8
     _, again = run_config(tmp_path, doc, name="again.csv", extra=["--oracle"])
@@ -539,6 +540,24 @@ def test_registry_system_simulates_with_oracle(tmp_path, system, params, capsys)
     code, _ = run_config(tmp_path, {**doc, "params": {**params, "bogus": 1}}, name="never.csv")
     assert code == 2
     assert system in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("system, params", REGISTRY_CASES)
+def test_simulate_builds_no_flow_state_per_row(tmp_path, monkeypatch, system, params):
+    # 1,001 rows cross the 1,000-row block boundary; a block builds its rows
+    # from the flow's values, and a FlowState is only for callers of at(t)
+    made = []
+
+    class Counted(dyn.FlowState):
+        def __init__(self, *args, **kwargs):
+            made.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(dyn, "FlowState", Counted)
+    code, out = run_config(tmp_path, {"system": system, "params": params, "t1": 10.0,
+                                      "dt": 0.01, "seed": 4})
+    assert code == 0 and len(read_csv(out)[1]) == 1001
+    assert len(made) == 0
 
 
 def test_csv_rows_pass_membership_on_reingestion(tmp_path):
@@ -681,7 +700,7 @@ def test_verify_h0_invariant_does_not_depend_on_sum(monkeypatch):
     # 1 + 1e-16 + 1e-16 is 1.0 added in order and 1.0000000000000002 by fsum
     y = [1.0, 0.0, 1e-8, 0.0, 1e-8, 0.0, 0.0, 0.0]
     row = dict(zip(captured["names"], captured["invariants"](y)))
-    assert row["H0"] == dyn._casimir_extras(y)[0] == 0.5
+    assert row["H0"] == dyn._casimir_invariants(*dyn.flat_to_z(y))[0] == 0.5
 
 
 def test_verify_bad_arguments(capsys):
@@ -792,14 +811,12 @@ def test_negative_flag_values_read_as_their_equals_form(tmp_path, argv, flag, co
 
 
 def test_simulate_names_the_first_non_finite_row(tmp_path, monkeypatch, capsys):
-    # a flow whose row at t = 0 is NaN and whose next row raises: the NaN row
+    # a sampler whose row at t = 0 is NaN and whose next t raises: the NaN row
     # is the one named, as a block's rows are checked before its sampler's error
-    def at(t):
-        if t > 0:
-            raise ValueError("a later row")
-        return dyn.FlowState(t, g=np.full((3, 3), math.nan), p=np.zeros(3), p_norm=0.0)
+    def block(times):
+        return [[math.nan] * 9 + [0.0] * 4], ValueError("a later row")
 
-    rotator = dataclasses.replace(dyn.SYSTEMS["rotator"], sample=lambda p: dyn._each(at))
+    rotator = dataclasses.replace(dyn.SYSTEMS["rotator"], sample=lambda p: block)
     monkeypatch.setitem(dyn.SYSTEMS, "rotator", rotator)
     code, _ = run_config(tmp_path, {"system": "rotator", "t1": 1.0, "dt": 0.5}, name="never.csv")
     assert code == 2

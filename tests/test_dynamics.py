@@ -13,8 +13,10 @@ from doubleflow.dynamics import (
     SYSTEMS,
     CommutativityError,
     FlowState,
+    _casimir_invariants,
     _commutator_guard,
     _finite_array,
+    _flat_double,
     _momenta_su2_generator,
     _perturbed_x,
     _rotating_frame,
@@ -53,16 +55,13 @@ from doubleflow.groups import (
 from doubleflow.quadrature import NonFiniteStateError, drift_report, rk4_integrate, simpson_rule
 from doubleflow.verify import BLOCK
 
-def flat_of_double(alpha, nu, u):
-    return SYSTEMS["noncasimir_h"].flats([FlowState(0.0, u=u, alpha=alpha, nu=nu)])[0]
-
-
 def sampled(system, params, times):
-    """The FlowStates of SYSTEMS[system] at times, as one block, and their flat states."""
-    states, err = SYSTEMS[system].sample(params)(times)
+    """The rows of SYSTEMS[system] at times, as one block, and their flat states."""
+    rows, err = SYSTEMS[system].sample(params)(times)
     if err is not None:
         raise err
-    return states, SYSTEMS[system].flats(states)
+    d = len(SYSTEMS[system].columns(params)[0])
+    return rows, [row[:d] for row in rows]
 
 
 def test_free_hamiltonian_forms():
@@ -238,7 +237,7 @@ def test_perturbed_flat_field_matches_object_reference(F):
     field = perturbed_flat_field(F, lam)
     for _ in range(200):
         g, u = random_element("su2", rng), random_element("sb2", rng)
-        st = flat_of_double(g.alpha, g.nu, u)
+        st = _flat_double(g.alpha, g.nu, u)
         want = perturbed_field_reference(F, lam, st)
         got = np.asarray(field(*st))
         assert np.max(np.abs(got - want)) <= 1e-15 * max(1.0, np.max(np.abs(want)))
@@ -764,21 +763,21 @@ def test_action_angle_flow_checks_inputs_when_built(case, args, kwargs):
 def test_systems_flow_values():
     # each system's flow through SYSTEMS, every param given
     g0, u0 = random_element("su2", 16), random_element("sb2", 16)
-    (st,), _ = sampled("casimir_sl2c", {"g0": g0, "u0": u0, "F": 1.0}, [1.0])
-    assert st.u is u0
-    (st,), _ = sampled("rotator", {"g0": np.eye(3), "p": [0.0, 0.0, 1.0], "F": 1.0}, [0.5])
-    assert st.g.shape == (3, 3)
-    (st,), _ = sampled("momenta_su2", {"u0": SB2Element.identity(), "alpha": 0.0, "nu": 1.0,
-                                       "F": 1.0}, [1.0])
-    assert st.u.r == pytest.approx(math.exp(-0.5))
-    (st,), _ = sampled("noncasimir_h", {"u0": u0, "alpha0": g0.alpha, "nu0": g0.nu}, [1.0])
-    assert st.u.r == u0.r
-    (st,), _ = sampled("perturbed", {"g0": SU2Element.identity(), "u0": u0, "F": 1.0,
-                                     "lam": 0.1}, [1.0])
-    assert st.u.r == u0.r
-    (st,), _ = sampled("action_angle", {"I0": [1.0], "phi0": [0.0], "freq": [2.0],
-                                        "matrix": None}, [1.5])
-    assert st.phi[0] == pytest.approx(3.0)
+    (row,), _ = sampled("casimir_sl2c", {"g0": g0, "u0": u0, "F": 1.0}, [1.0])
+    assert row[8:] == pytest.approx([free_hamiltonian(SL2Element(*flat_to_z(row))), 1.0, 0.0])
+    (row,), _ = sampled("rotator", {"g0": np.eye(3), "p": [0.0, 0.0, 1.0], "F": 1.0}, [0.5])
+    assert len(row) == 13 and row[9:] == [0.0, 0.0, 1.0, 1.0]
+    (row,), _ = sampled("momenta_su2", {"u0": SB2Element.identity(), "alpha": 0.0, "nu": 1.0,
+                                        "F": 1.0}, [1.0])
+    assert row[0] == pytest.approx(math.exp(-0.5)) and row[3] == 1.0
+    (row,), _ = sampled("noncasimir_h", {"u0": u0, "alpha0": g0.alpha, "nu0": g0.nu}, [1.0])
+    assert row[4] == u0.r and row[7] == 0.5 * abs(g0.nu) ** 2
+    (row,), _ = sampled("perturbed", {"g0": SU2Element.identity(), "u0": u0, "F": 1.0,
+                                      "lam": 0.1}, [1.0])
+    assert row[4] == u0.r and row[7] == pytest.approx(abs(u0.gamma))
+    (row,), _ = sampled("action_angle", {"I0": [1.0], "phi0": [0.0], "freq": [2.0],
+                                         "matrix": None}, [1.5])
+    assert row == pytest.approx([1.0, 3.0, 3.0])
 
 
 def test_conservation_along_oracle_with_projection():
@@ -860,15 +859,36 @@ def reference_state(system, p, t):
     return FlowState(t, I=I0.copy(), phi=phi, phi_mod=np.mod(phi, 2.0 * np.pi))
 
 
-def reference_row(system, p, t):
-    st = reference_state(system, p, t)
+def state_row(system, st):
+    """The row a FlowState gives under the rows contract: its flat state, then its
+    invariant columns, built here from the state's fields."""
+    if system == "casimir_sl2c":  # g·u by 2-D @, not by the block's gu_products
+        z = (st.g.as_matrix() @ st.u.as_matrix()).ravel().tolist()
+        return z_to_flat(*z) + _casimir_invariants(*z)
     if system == "rotator":  # |p| from p, not from FlowState.p_norm
-        return [t, *st.g.ravel(), *st.p, float(np.linalg.norm(st.p))]
-    if system == "casimir_sl2c":  # g·u by 2-D @, not by the flats' gu_products
-        y = (st.g.as_matrix() @ st.u.as_matrix()).ravel().view(float).tolist()
-    else:
-        y = SYSTEMS[system].flats([st])[0]
-    return [t, *y, *SYSTEMS[system].extras(st, y)]
+        return [*st.g.ravel().tolist(), *st.p.tolist(), float(np.linalg.norm(st.p))]
+    if system == "momenta_su2":
+        return [st.u.r, st.u.gamma.real, st.u.gamma.imag, abs(st.alpha) ** 2 + abs(st.nu) ** 2]
+    if system == "noncasimir_h":
+        return [*_flat_double(st.alpha, st.nu, st.u), 0.5 * abs(st.nu) ** 2]
+    if system == "perturbed":
+        return [*_flat_double(st.g.alpha, st.g.nu, st.u), abs(st.u.gamma)]
+    return [*st.I.tolist(), *st.phi.tolist(), *st.phi_mod.tolist()]
+
+
+def reference_row(system, p, t):
+    return [t, *state_row(system, reference_state(system, p, t))]
+
+
+# the public *_flow of each system, called with its SYSTEMS params
+FLOWS = {
+    "casimir_sl2c": lambda p: casimir_flow(p["g0"], p["u0"], p["F"]),
+    "rotator": lambda p: rotator_flow(p["g0"], p["p"], p["F"]),
+    "momenta_su2": lambda p: momenta_su2_flow(p["u0"], p["alpha"], p["nu"], p["F"]),
+    "noncasimir_h": lambda p: noncasimir_flow(p["u0"], p["alpha0"], p["nu0"]),
+    "perturbed": lambda p: perturbed_flow(p["g0"], p["u0"], p["F"], p["lam"]),
+    "action_angle": lambda p: action_angle_flow(p["I0"], p["phi0"], p["freq"], p["matrix"]),
+}
 
 
 def rotation(p, t=1.0):
@@ -946,23 +966,24 @@ BLOCK_SIZES = (1, 2, BLOCK, BLOCK + 1)
 def test_sampler_rows_pinned_bitwise_to_per_row_reference(case):
     # SAMPLER_TIMES cut into blocks of every size in BLOCK_SIZES at four
     # seeds, and at two of them the first 1, 2, BLOCK and BLOCK + 1 times of
-    # a grid as one block each, against reference_row one t at a time
+    # a grid as one block each, against reference_row one t at a time; and
+    # the rows of the public at(t)'s FlowStates against the same bytes
     system = case[:12] if case.startswith("action_angle") else case
     grid = [j * 0.01 for j in range(BLOCK + 1)]
     for seed in range(4):
         p = sampler_params(case, seed)
-        sample = SYSTEMS[system].sample(p)
+        sample, at = SYSTEMS[system].sample(p), FLOWS[system](p)
         for times in (SAMPLER_TIMES, grid)[:2 if seed < 2 else 1]:
             if case == "action_angle_matrix":
                 times = [t for t in times if math.copysign(1.0, t) > 0]
             want = [np.array(reference_row(system, p, t)).tobytes() for t in times]
+            assert want == [np.array([t, *state_row(system, at(t))]).tobytes() for t in times]
             for size in BLOCK_SIZES:
                 for start in range(0, len(times), size) if len(times) < BLOCK else [0]:
                     block = times[start:start + size]
-                    states, err = sample(block)
-                    assert err is None, (case, seed, size, block[len(states)])
-                    got = [np.array([t, *y, *SYSTEMS[system].extras(st, y)]).tobytes()
-                           for t, st, y in zip(block, states, SYSTEMS[system].flats(states))]
+                    rows, err = sample(block)
+                    assert err is None, (case, seed, size, block[len(rows)])
+                    got = [np.array([t, *row]).tobytes() for t, row in zip(block, rows)]
                     wrong = [t for t, row, ref in zip(block, got, want[start:]) if row != ref]
                     assert len(got) == len(block) and not wrong, (case, seed, size, wrong[:3])
         assert takes_small_angle_branch(system, p)
@@ -973,24 +994,26 @@ def test_sampler_rows_at_extreme_t_are_finite_or_raise(case):
     # a row past the floats raises rather than returning inf or NaN (the
     # rotator at +-1e308, action_angle at NaN and +-inf, and the fiber matrix
     # at 1e308, once did), and with no numpy warning first; a block returns
-    # the rows ahead of its first such t and that t's own error, not raising
+    # the rows ahead of its first such t and that t's own error, not raising;
+    # the public at(t) raises that error, or gives that row from its FlowState
     system = case[:12] if case.startswith("action_angle") else case
     times = [1.0, math.nan, 0.5, math.inf, -math.inf, 1e308, 2.0, -1e308]
     for seed in range(4):
-        sample = SYSTEMS[system].sample(sampler_params(case, seed))
+        p = sampler_params(case, seed)
+        sample, at = SYSTEMS[system].sample(p), FLOWS[system](p)
         alone = [sample([t])[1] for t in times]  # each t's own error, or None
+        for t, e in zip(times, alone):
+            try:
+                got = np.array(state_row(system, at(t))).tobytes()
+            except ValueError as at_err:
+                got = repr(at_err)
+            assert got == (repr(e) if e else np.array(sample([t])[0][0]).tobytes()), (case, t)
         for size in BLOCK_SIZES:
             for start in range(0, len(times), size):
                 block, errs = times[start:start + size], alone[start:start + size]
-                states, err = sample(block)
+                rows, err = sample(block)
                 k = next((i for i, e in enumerate(errs) if e is not None), len(block))
-                assert len(states) == k and repr(err) == repr(errs[k] if errs[k:] else None)
-                try:
-                    ys = SYSTEMS[system].flats(states)
-                    rows = [[t, *y, *SYSTEMS[system].extras(st, y)]
-                            for t, st, y in zip(block, states, ys)]
-                except (MembershipError, ValueError, OverflowError, ZeroDivisionError):
-                    continue
+                assert len(rows) == k and repr(err) == repr(errs[k] if errs[k:] else None)
                 assert all(all(map(math.isfinite, row)) for row in rows), (case, seed, block)
 
 

@@ -150,7 +150,7 @@ def test_rk4_on_system_fields_bitwise_matches_array_loop(system, given, seed):
     sysdef = dyn.SYSTEMS[system]
     params = _parse_params(system, given, seed)
     field = sysdef.field(params)
-    y0 = sysdef.flats(sysdef.sample(params)([0.0])[0])[0]
+    y0 = sysdef.sample(params)([0.0])[0][0][:len(sysdef.columns(params)[0])]
     # 0.8 / 3e-3 leaves a partial last step
     traj = rk4_integrate(field, y0, 0.0, 0.8, 3e-3)
     times, states = reference_rk4(lambda *y: np.asarray(field(*y)), y0, 0.0, 0.8, 3e-3)
@@ -562,10 +562,10 @@ def test_drift_report_calls_the_invariants_once_per_state():
 
     def invariants(y):
         calls.append(type(y))
-        return dyn._casimir_extras([*y, 0.5, -0.25, 2.0, 1.0, 0.0, 0.3])
+        return dyn._casimir_invariants(*dyn.flat_to_z([*y, 0.5, -0.25, 2.0, 1.0, 0.0, 0.3]))
 
     rep = drift_report(traj, ("H0", "det_re", "det_im"), invariants)
-    assert calls == [list] * len(traj)  # each state as a list of floats, as CSV extras get it
+    assert calls == [list] * len(traj)  # each state as a list of floats
     assert rep == _ref_drift_report(traj, ("H0", "det_re", "det_im"), invariants)
 
 

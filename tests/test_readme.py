@@ -1,5 +1,6 @@
 import contextlib
 import io
+import json
 import pathlib
 import re
 import shlex
@@ -42,3 +43,11 @@ def test_readme_simulate_example_runs(monkeypatch, capsys):
     zs = ",".join(f"z{i}_{part}" for i in range(1, 5) for part in ("re", "im"))
     assert out[0] == columns.replace("z1_re..z4_im", zs) + ",oracle_dev"
     assert len(out) == 22  # t = 0, 0.1, ..., 2.0
+
+
+def test_readme_verify_line_runs(capsys):
+    # the doubleflow verify example: every suite, exit 0 and all_pass
+    line, = re.findall(r"^doubleflow verify [^\n]*", TEXT, re.M)
+    assert line == "doubleflow verify --suite all --seed 0 --samples 100"
+    assert cli.main(shlex.split(line)[1:]) == 0
+    assert json.loads(capsys.readouterr().out)["all_pass"] is True
