@@ -20,13 +20,13 @@ field(*y), as quadrature.rk4_integrate passes them.  None calls numpy per
 evaluation but action_angle's by matrix, one A @ φ of a config-sized A: the
 others work on Python floats.  The rotator's rows are the cross products
 g_i × F·p, with np.cross's bits, so its oracle takes no BLAS kernel.  The
-SU(2)·SB(2,C) fields write out complex arithmetic operation by operation,
-with its bits: numpy complex128's for momenta_su2, CPython's (to 3.13) for
-the others.
-A real h times z is (h + 0j)·z, whose 0·x terms keep the signed zeros; z/r is
-_Py_c_quot's z/(r + 0j); a conjugate is a sign, exact in IEEE arithmetic.  So
-the bits do not depend on how a Python version mixes float and complex
-operands (CPython 3.14 takes the C99 rules, without the 0j terms).
+SU(2)·SB(2,C) fields are their complex rates split into real and imaginary
+parts, in the complex arithmetic's order of operations, with every term that
+is exactly zero left out.  So where the complex rate is not NaN the float
+rate has its bits but for the sign of a zero, a NaN it had from 0·inf in
+such a term may be a number, and an input that raised raises the same
+exception type.  No output sees a zero's sign: oracle_dev and every residual
+take |·|.
 """
 
 import cmath
@@ -141,19 +141,17 @@ def flat_to_z(y):
 
 def sl2c_flat_field(F_value: float):
     """Bracket field of F·dH0 at the 8 reals of a flattened z-state, field(x1, y1, ..., y4)."""
-    F = float(F_value)
-    cr, ci = -0.0 * F + 0.0, -0.5 * F  # c = (-0.5j)·(F + 0j)
+    c = -0.5 * float(F_value)
 
     def field(x1, y1, x2, y2, x3, y3, x4, y4):
         h0 = 0.5 * (abs(complex(x1, y1)) ** 2 + abs(complex(x2, y2)) ** 2
                     + abs(complex(x3, y3)) ** 2 + abs(complex(x4, y4)) ** 2)
-        # (u, v) = h0·z ∓ z̄', h0·z as (h0 + 0j)·z, and ż = c·(u + iv)
-        u1, v1 = h0 * x1 - 0.0 * y1 - x4, h0 * y1 + 0.0 * x1 + y4
-        u2, v2 = h0 * x2 - 0.0 * y2 + x3, h0 * y2 + 0.0 * x2 - y3
-        u3, v3 = h0 * x3 - 0.0 * y3 + x2, h0 * y3 + 0.0 * x3 - y2
-        u4, v4 = h0 * x4 - 0.0 * y4 - x1, h0 * y4 + 0.0 * x4 + y1
-        return (cr * u1 - ci * v1, cr * v1 + ci * u1, cr * u2 - ci * v2, cr * v2 + ci * u2,
-                cr * u3 - ci * v3, cr * v3 + ci * u3, cr * u4 - ci * v4, cr * v4 + ci * u4)
+        # (u, v) = h0·z ∓ z̄', and ż = i·c·(u + iv)
+        u1, v1 = h0 * x1 - x4, h0 * y1 + y4
+        u2, v2 = h0 * x2 + x3, h0 * y2 - y3
+        u3, v3 = h0 * x3 + x2, h0 * y3 - y2
+        u4, v4 = h0 * x4 - x1, h0 * y4 + y1
+        return (-c * v1, c * u1, -c * v2, c * u2, -c * v3, c * u3, -c * v4, c * u4)
 
     return field
 
@@ -393,18 +391,16 @@ def momenta_su2_flow(u0: SB2Element, alpha, nu, F) -> Callable:
 def momenta_su2_flat_field(alpha, nu, F):
     """u̇ = L·u at the flattened state, field(r, Re γ, Im γ).
 
-    γ̇ = x·γ + y/r, x = L[0, 0] and y = L[0, 1], as numpy's complex128 takes
-    (x + 0j)·γ and y/(r + 0j).  An r of 0 is a ZeroDivisionError.  L is the
+    γ̇ = x·γ + y·(1/r), x = L[0, 0] and y = L[0, 1]: a product by 1/r, which
+    rounds otherwise than y/r.  An r of 0 is a ZeroDivisionError.  L is the
     flow's own, so this oracle checks its exponential but not L itself.
     """
     (l00, l01), _ = _momenta_su2_generator(complex(alpha), complex(nu), F).tolist()
     x, yr, yi = l00.real, l01.real, l01.imag
 
     def field(r, gr, gi):
-        rat = 0.0 / r
-        scl = 1.0 / (r + 0.0 * rat)
-        return [x * r, (x * gr - 0.0 * gi) + (yr + yi * rat) * scl,
-                (x * gi + 0.0 * gr) + (yi - yr * rat) * scl]
+        scl = 1.0 / r
+        return [x * r, x * gr + yr * scl, x * gi + yi * scl]
 
     return field
 
@@ -449,14 +445,11 @@ def noncasimir_flat_field():
     """Bracket-derived rates at field(Re α, Im α, Re ν, Im ν, r, Re γ, Im γ)."""
 
     def field(a_re, a_im, n_re, n_im, r, _g_re, _g_im):
-        w = abs(complex(n_re, n_im)) ** 2
-        hr, hi = 0.0 * w - 0.0, 0.0 + 0.5 * w  # 0.5j·w, and α̇ = (0.5j·w)·α
-        # (pr, pi) = 0.5j·ᾱ, (qr, qi) = (pr, pi)·ν̄, and γ̇ = (qr, qi)/(r + 0j)
-        pr, pi = 0.0 * a_re + 0.5 * a_im, -0.0 * a_im + 0.5 * a_re
+        h = 0.5 * abs(complex(n_re, n_im)) ** 2  # α̇ = i·h·α
+        # (pr, pi) = (i/2)·ᾱ, (qr, qi) = (pr, pi)·ν̄, and γ̇ = (qr, qi)/r
+        pr, pi = 0.5 * a_im, 0.5 * a_re
         qr, qi = pr * n_re + pi * n_im, pi * n_re - pr * n_im
-        den = r + 0.0 * (rat := 0.0 / r)
-        return (hr * a_re - hi * a_im, hr * a_im + hi * a_re, 0.0, 0.0, 0.0,
-                (qr + qi * rat) / den, (qi - qr * rat) / den)
+        return (-h * a_im, h * a_re, 0.0, 0.0, 0.0, qr / r, qi / r)
 
     return field
 
@@ -508,27 +501,22 @@ def perturbed_flat_field(F, lam: float):
     The g-part follows ġ = g·(L_F(u) - X(r)), the momenta follow ṙ = 0,
     γ̇ = -(i/2)λrγ; this is the system the closed form integrates.
     """
-    F, lam = float(F), float(lam)
-    # c = -0.25j·F, x = 0.25j·λ, p = -0.5j·λ as (s·1j)·(v + 0j), and each times 0j
-    cr, ci, pr, pi = -0.0 * F + 0.0, -0.25 * F, -0.0 * lam + 0.0, -0.5 * lam
-    xr, xi = 0.0 * lam - 0.0, 0.0 + 0.25 * lam
-    cr0, ci0, xr0, xi0, pr0, pi0 = cr * 0.0, ci * 0.0, xr * 0.0, xi * 0.0, pr * 0.0, pi * 0.0
+    # i·c, i·x and i·p are -0.25i·F, 0.25i·λ and -0.5i·λ
+    c, x, p = -0.25 * float(F), 0.25 * float(lam), -0.5 * float(lam)
 
     def field(a_re, a_im, n_re, n_im, r, g_re, g_im):
         d = r * r - 1.0 / (r * r) + abs(complex(g_re, g_im)) ** 2
-        # first column of gen = legendre_map(u, F) - X(r): G = c·d + x·r, E = c·conj(2γ/r)
-        G0, G1 = cr * d - ci0 + (xr * r - xi0), cr0 + ci * d + (xr0 + xi * r)
-        tr, ti = 2.0 * g_re - 0.0 * g_im, 2.0 * g_im + 0.0 * g_re
-        den = r + 0.0 * (rat := 0.0 / r)
-        qr, qi = (tr + ti * rat) / den, (ti - tr * rat) / den
-        E0, E1 = cr * qr + ci * qi, ci * qr - cr * qi
+        # first column of gen = legendre_map(u, F) - X(r): (i·G, E), G = c·d + x·r
+        # and E = i·c·conj(2γ/r)
+        G = c * d + x * r
+        E0, E1 = c * (2.0 * g_im / r), c * (2.0 * g_re / r)
         # first column of g·gen, g = [[alpha, -conj(nu)], [nu, conj(alpha)]]
-        g00r = (a_re * G0 - a_im * G1) - (n_re * E0 + n_im * E1)
-        g00i = (a_re * G1 + a_im * G0) - (n_re * E1 - n_im * E0)
-        g10r = (n_re * G0 - n_im * G1) + (a_re * E0 + a_im * E1)
-        g10i = (n_re * G1 + n_im * G0) + (a_re * E1 - a_im * E0)
-        Q0, Q1 = pr * r - pi0, pr0 + pi * r  # p·r, then γ̇ = (p·r)·γ
-        return (g00r, g00i, g10r, g10i, 0.0, Q0 * g_re - Q1 * g_im, Q0 * g_im + Q1 * g_re)
+        g00r = -a_im * G - (n_re * E0 + n_im * E1)
+        g00i = a_re * G - (n_re * E1 - n_im * E0)
+        g10r = -n_im * G + (a_re * E0 + a_im * E1)
+        g10i = n_re * G + (a_re * E1 - a_im * E0)
+        q = p * r  # γ̇ = i·q·γ
+        return (g00r, g00i, g10r, g10i, 0.0, -q * g_im, q * g_re)
 
     return field
 

@@ -132,6 +132,9 @@ def test_simulate_reproducible_bytes(tmp_path):
 # under OPENBLAS_CORETYPE Haswell, Sandybridge and SkylakeX).  Every initial
 # value is given, since drawing an SU(2) element takes a BLAS norm.  casimir_sl2c
 # and rotator are left out: their rows go through numpy's 2x2 and 3x3 matmuls.
+# The last three start where the oracle's rates are signed zeros (F = 0, nu0 =
+# 0, lam = 0 with gamma0 = 0), whose signs the float fields need not keep; the
+# pinned bytes are those of fields that kept them, so no zero's sign reaches a byte.
 PINNED_CSV = [
     ({"system": "momenta_su2", "params": {"u0": {"r": 1.3, "gamma": [0.25, -0.4]},
                                           "alpha": [0.36, 0.48], "nu": [0.64, -0.48],
@@ -148,11 +151,27 @@ PINNED_CSV = [
       "t1": 2.0, "dt": 0.01},
      "618d6a6c2316b68f9205c9aa7e307d95d25786853bb66a3914ee5fb18af085a4",
      "3245b72937a688301763eb456b84344653b96d6c33e089748704e86b708aef1c"),
+    ({"system": "momenta_su2", "params": {"u0": {"r": 1.3, "gamma": [-0.0, 0.0]},
+                                          "alpha": [0.36, 0.48], "nu": [0.64, -0.48],
+                                          "F": 0.0}, "t1": 2.0, "dt": 0.01},
+     "f9b15be19896efd0d55280dae5752366d6101d2d2f155ce3df6126c97ae580ae",
+     "f1ebfeddd3872f214458b011a78efefa070fb994e4375f0f39aff034b39d571b"),
+    ({"system": "noncasimir_h", "params": {"u0": {"r": 0.8, "gamma": [-0.5, 0.1]},
+                                           "alpha0": [0.6, 0.8], "nu0": [0.0, 0.0]},
+      "t1": 2.0, "dt": 0.01},
+     "68904302391882106899356198503a8c6c4b9d77da65e85f6a20fc217bf9252e",
+     "7ff44fdabe1e536483548647c0d3114cce894a923c07302028b710e83ae0f6de"),
+    ({"system": "perturbed", "params": {"g0": {"alpha": [0.6, 0.0], "nu": [0.0, 0.8]},
+                                        "u0": {"r": 1.7, "gamma": [0.0, 0.0]}, "F": 1.0,
+                                        "lam": 0.0}, "t1": 2.0, "dt": 0.01},
+     "5226d8185b5331b6eea032061f37046e00f7989315f9945592b5ddbc239c2154",
+     "abfaa44dd29c42b10a815d71e556aed7f33251dbd4b59f7d1ee59ce2a03e2f89"),
 ]
 
 
 @pytest.mark.parametrize("doc, plain, with_oracle", PINNED_CSV,
-                         ids=[doc["system"] for doc, _, _ in PINNED_CSV])
+                         ids=["momenta_su2", "noncasimir_h", "perturbed", "momenta_su2-zeros",
+                              "noncasimir_h-zeros", "perturbed-zeros"])
 def test_simulate_csv_bytes_are_pinned(tmp_path, doc, plain, with_oracle):
     _, out = run_config(tmp_path, doc)
     assert hashlib.sha256(out.read_bytes()).hexdigest() == plain
@@ -208,7 +227,7 @@ def test_write_csv_streams_rows_to_a_file(tmp_path):
 _MOMENTA_DOC = {"system": "momenta_su2", "t1": 10.0, "dt": 0.1,
                 "params": {"u0": {"r": 1.0, "gamma": [0.5, 0.0]}, "alpha": [0.6, 0.0],
                            "nu": [0.0, 0.8], "F": 0.1}}
-_CASIMIR_DOC = {"system": "casimir_sl2c", "t1": 10.0, "dt": 1e-3,
+_CASIMIR_DOC = {"system": "casimir_sl2c", "t1": 7.0, "dt": 1e-3,
                 "params": {"g0": {"alpha": [1, 0], "nu": [0, 0]},
                            "u0": {"r": 2.0, "gamma": [0.5, -0.25]}, "F": 1.0}}
 
@@ -217,10 +236,10 @@ _CASIMIR_DOC = {"system": "casimir_sl2c", "t1": 10.0, "dt": 1e-3,
     # 100 rows of 100 RK4 steps: the oracle stores the 101 states it compares,
     # not all 10,001 of its steps (which took 320 KB more)
     (_MOMENTA_DOC, 101, 100_000),
-    # 10,001 rows of one RK4 step: on top of the RK4 states, the deviations are
-    # formed in one array of the flat columns, in place (the whole rows as an
-    # array and two temporaries took 239 bytes a row)
-    (_CASIMIR_DOC, 10_001, 200 * 10_001),
+    # 7,001 rows of one RK4 step: on top of the RK4 states, the deviations are
+    # formed in one array of the flat columns, in place, 156 bytes a row (the
+    # whole rows as an array and two temporaries took 216; at 6,001 rows, 204)
+    (_CASIMIR_DOC, 7_001, 200 * 7_001),
 ], ids=["momenta_su2", "casimir_sl2c"])
 def test_simulate_oracle_memory_grows_with_rows_not_rk4_steps(tmp_path, doc, n_rows, bound):
     # a run with the oracle peaks within the bound of the same run without it

@@ -299,6 +299,18 @@ def perturbed_field_complex_reference(F, lam):
     return field
 
 
+def zero_signs_aside(got, want):
+    """got has want's bits wherever want is not NaN, but for the sign of a zero.
+
+    That is the float fields' contract with the complex bodies they replace:
+    a signed-zero term is left out, which can flip only the sign of a zero
+    rate, and a NaN of 0·inf in such a term may become a number.  -0.0 + 0.0
+    is +0.0, so the sums compare bit for bit with the zeros' signs dropped.
+    """
+    keep = ~np.isnan(want)
+    return (got[keep] + 0.0).tobytes() == (want[keep] + 0.0).tobytes()
+
+
 # parts a float rewrite of complex arithmetic can get wrong while every ==
 # holds: signed zeros, subnormals, squares and products past the floats, inf
 # and NaN
@@ -321,7 +333,8 @@ COMPLEX_REFERENCES = {
 def test_complex_fields_on_floats_bitwise_match_the_complex_references(name):
     # 100,000 states per field, 2,000 per (F, lam): a quarter normals of scale
     # 1e-8 to 1e8, the rest the same with on average two parts drawn
-    # from EXTREME_PARTS; an exception must be of the same type
+    # from EXTREME_PARTS; an exception must be of the same type, and a rate
+    # the reference's bits but for a zero's sign where the reference's is not NaN
     dim, pair = COMPLEX_REFERENCES[name]
     rng = np.random.default_rng(sum(map(ord, name)))
     got, want = [], []
@@ -343,9 +356,7 @@ def test_complex_fields_on_floats_bitwise_match_the_complex_references(name):
             want.append(ref)
     got, want = np.array(got), np.array(want)
     assert len(got) > 50_000
-    nan = np.isnan(want)
-    assert (np.isnan(got) == nan).all()
-    assert got[~nan].tobytes() == want[~nan].tobytes()
+    assert zero_signs_aside(got, want)
 
 
 def momenta_su2_field_reference(alpha, nu, F):
@@ -363,10 +374,10 @@ def momenta_su2_field_reference(alpha, nu, F):
 
 @pytest.mark.parametrize("F", [0.0, 1.3, -1.3, 1e308])
 def test_momenta_su2_flat_field_bitwise_matches_numpy_scalars(F):
-    # 5,000 states per F: r at both ends of the floats and gamma parts with
-    # signed zeros, where a float rewrite can drift while == still holds, or
-    # infinite, where a 0.0 * term makes a NaN; alpha = 0 or Re nu = Im nu
-    # makes both parts of L[0, 1] signed zeros
+    # 5,000 states per F: r at both ends of the floats, where y·(1/r) and y/r
+    # round apart, and gamma parts with signed zeros or infinite;
+    # alpha = 0 or Re nu = Im nu makes both parts of L[0, 1] signed zeros.
+    # Where numpy's rate is not NaN, the float one has its bits but for a zero's sign
     rng = np.random.default_rng(41)
     diagonal = 0.4 * math.sqrt(2.0) * (1.0 + 1.0j)
     pairs = [(0.0, 1.0), (0.0, -1.0j), (0.6, diagonal), (-0.6, -diagonal)]
@@ -382,7 +393,68 @@ def test_momenta_su2_flat_field_bitwise_matches_numpy_scalars(F):
             got.append(field(*st))
             with np.errstate(all="ignore"):  # 1/r and x*r past the floats
                 want.append(reference(*st))
-    assert np.array(got).tobytes() == np.array(want).tobytes()
+    assert zero_signs_aside(np.array(got), np.array(want))
+
+
+# unit momenta for the momenta_su2 runs: the first three make both parts of
+# L[0, 1] signed zeros
+MOMENTA_PAIRS = [(0.0, 1.0), (0.0, -1.0j), (0.6, 0.4 * math.sqrt(2.0) * (1.0 + 1.0j)),
+                 (0.36 + 0.48j, 0.64 - 0.48j), (-0.8j, 0.6)]
+
+
+def momenta_su2_references(F, lam, rng):
+    """The momenta_su2 field and its numpy reference at a pair drawn from MOMENTA_PAIRS."""
+    alpha, nu = MOMENTA_PAIRS[rng.integers(len(MOMENTA_PAIRS))]
+    return momenta_su2_flat_field(alpha, nu, F), momenta_su2_field_reference(alpha, nu, F)
+
+
+# state length and (F, lam, rng) -> (field, its kept reference), per system
+RK4_REFERENCES = {**{name: (dim, lambda F, lam, rng, pair=pair: pair(F, lam))
+                     for name, (dim, pair) in COMPLEX_REFERENCES.items()},
+                  "momenta_su2": (3, momenta_su2_references)}
+# r > 0, as in SB(2,C): numpy's y/r at r = 0 is a warning, the float one's an error
+RK4_R = [5e-324, 2.5e-310, 1e-300, 1.0, 1e300, 1.7e308]
+RK4_PARTS = [0.0, -0.0, 5e-324, -5e-324, 2.5e-310, 1e-300, -1e-300, 1e300, 1.7e308, -1.7e308]
+RK4_F_LAM = [1.0, 0.7, 0.0, 1e-300, 1e200, 1e300, math.inf, math.nan]
+
+
+def rk4_outcome(field, y0, h):
+    """The states of 8 RK4 steps of h from y0, or the time and cause of their NonFiniteStateError."""
+    try:
+        return rk4_integrate(field, y0, 0.0, 8 * h, h).states, None
+    except NonFiniteStateError as e:
+        return e.time, type(e.__cause__)
+
+
+@pytest.mark.parametrize("name", RK4_REFERENCES)
+def test_float_fields_integrate_as_their_references_do(name):
+    # 1,875 runs per field: each pair of RK4 runs, with the field and with
+    # its reference, ends in states equal under ==, or fails at the same step
+    # with the same cause.  So a zero's sign never reaches a nonzero value,
+    # and where the reference's rate was a 0·inf NaN, an inf or NaN beside it
+    # in the same update fails the step all the same.  Three runs in four
+    # start with on average two parts from RK4_PARTS, every other r from RK4_R
+    dim, pair = RK4_REFERENCES[name]
+    rng = np.random.default_rng(sum(map(ord, name)) + 1)
+    r = {"momenta_su2": 0, "noncasimir_h": 4, "perturbed": 4}.get(name)
+    finished = 0
+    for i in range(1875):
+        F, lam = (float(rng.choice(RK4_F_LAM)) * rng.choice([1.0, -1.0]) for _ in range(2))
+        field, reference = pair(F, lam, rng)
+        y0 = rng.standard_normal(dim) * 10.0 ** rng.integers(-8, 9)
+        if i % 4:
+            extreme = rng.random(dim) < 2.0 / dim
+            y0[extreme] = rng.choice(RK4_PARTS, int(extreme.sum()))
+        if r is not None:
+            y0[r] = rng.choice(RK4_R) if i % 2 else 10.0 ** rng.uniform(-8, 8)
+        h = float(rng.choice([1e-3, 0.1, 1.0]))
+        got, want = rk4_outcome(field, y0, h), rk4_outcome(reference, y0, h)
+        if isinstance(want[0], np.ndarray):
+            assert isinstance(got[0], np.ndarray) and (got[0] == want[0]).all()
+            finished += 1
+        else:
+            assert got == want
+    assert 90 <= finished <= 1785  # both outcomes are well represented
 
 
 def test_momenta_su2_field_zero_r_at_a_stage_is_nonfinite_at_its_step():
