@@ -12,8 +12,8 @@ builds a block's CSV rows from the same values, with no FlowState per row
 at(t) is a block of one.
 
 The SU(2) rows exponentiate with groups.expm2_kernel on Python complex
-scalars, and a block of casimir rows takes its g·u in one groups.gu_products
-call, and H0 and det from the complex entries it returns.
+scalars, as legendre_map forms its entries; a block of casimir rows takes its
+g·u in one groups.gu_products call, and H0 and det from the entries it returns.
 
 A *_flat_field takes a flat state's coordinates as positional floats,
 field(*y), as quadrature.rk4_integrate passes them.  None calls numpy per
@@ -159,9 +159,10 @@ def sl2c_flat_field(F_value: float):
 def legendre_map(u: SB2Element, F_value: float) -> AlgebraElement:
     """Velocity in su(2) assigned to the momentum u by η = F·dH0.
 
-    The value c·[[d, off], [conj(off), -d]], d real and c = (±0, -F/4), has m + m*
+    The value c·[[d, off], [conj(off), -d]], d real and c = (+0.0, -F/4), has m + m*
     and tr m exactly 0 where finite, so only finiteness is checked, not su2
     membership: an entry past the floats is ValueError("non-finite matrix entry").
+    Each entry is one complex x complex product of Python scalars, with numpy's bits.
     """
     r, g = u.r, u.gamma
     try:
@@ -169,12 +170,12 @@ def legendre_map(u: SB2Element, F_value: float) -> AlgebraElement:
     except (ZeroDivisionError, OverflowError):  # r^2 underflows or |gamma|^2 overflows
         raise ValueError("non-finite matrix entry") from None
     off = 2.0 * g / r
-    with np.errstate(over="ignore", invalid="ignore"):  # check_finite rejects inf and NaN
-        m = (-0.25j * float(F_value)) * np.array(
-            [[d, off], [off.conjugate(), -d]], dtype=complex
-        )
+    c = complex(0.0, -0.25 * float(F_value))
+    m = ((c * complex(d), c * off), (c * off.conjugate(), c * complex(-d)))
+    if not all(map(cmath.isfinite, m[0] + m[1])):
+        raise ValueError("non-finite matrix entry")
     v = object.__new__(AlgebraElement)
-    v.kind, v.value = "su2", check_finite(m)
+    v.kind, v.value = "su2", np.array(m, complex)
     return v
 
 

@@ -3,12 +3,14 @@
 Elements store minimal coordinates (alpha, nu) / (r, gamma) / (z1..z4) rather
 than raw matrices, so membership invariants are checkable and small drift is
 renormalizable.  Constructors project inputs that violate the invariant by at
-most ``PROJECT_TOL`` and reject anything worse.  An e^|d| or y·sinhc(d) in
-exp_sb2 or an Iwasawa norm that leaves the floats is ValueError("non-finite matrix entry"),
-not the OverflowError or ZeroDivisionError of the scalar arithmetic.  Every numeric
-2x2 complex product goes through `mul2`, one np.matmul on (n, 2, 2) arrays, with ndarray.dot's
-bits pair by pair.  The product a = g·u of SL(2,C) = SU(2)·SB(2,C) has one numeric home,
-`gu_products` of paired elements (a block of CSV rows, a verify block, one start).
+most ``PROJECT_TOL`` and reject anything worse.  The SU(2) projection, SB(2,C)'s checks and
+the Iwasawa factorizations are scalar forms on Python complex numbers (su2_project, sb2_parts,
+iwasawa_gu_kernel, iwasawa_ug_kernel) that the elements wrap and a per-sample loop calls
+directly.  An e^|d| or y·sinhc(d) in exp_sb2 or an Iwasawa norm that leaves the floats is
+ValueError("non-finite matrix entry"), not the OverflowError or ZeroDivisionError of the
+scalar arithmetic.  Every numeric 2x2 complex product goes through `mul2`, one np.matmul on
+(n, 2, 2) arrays, with ndarray.dot's bits pair by pair.  The product a = g·u of SL(2,C) =
+SU(2)·SB(2,C) has one numeric home: `gu_products` of paired elements, or `mul2` of their rows.
 
 The exponentials are closed form.  The 2x2 one, `expm2_kernel`, uses the
 explicit eigenstructure of a 2x2 matrix instead of scaling-and-squaring, so
@@ -56,7 +58,7 @@ def mul2(xs, ys) -> list:
 
 def gu_products(gs, us) -> list:
     """[z1, z2, z3, z4] of each product g·u of paired SU2Elements gs and SB2Elements us, row by row."""
-    return mul2([g.entries() for g in gs], [u.entries() for u in us])
+    return mul2([_su2_entries(g.alpha, g.nu) for g in gs], [_sb2_entries(u.r, u.gamma) for u in us])
 
 
 def check_finite(a) -> np.ndarray:
@@ -69,7 +71,7 @@ def check_finite(a) -> np.ndarray:
 
 def _finite_complex(z, name) -> complex:
     z = complex(z)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+    if not cmath.isfinite(z):
         raise MembershipError(f"non-finite {name}")
     return z
 
@@ -85,6 +87,38 @@ def _trusted(cls, *parts):
     return x
 
 
+def su2_project(alpha, nu) -> tuple:
+    """SU2Element's projection (alpha, nu)/sqrt(|alpha|^2 + |nu|^2), on Python complex scalars."""
+    try:
+        norm2 = abs(alpha) ** 2 + abs(nu) ** 2
+    except OverflowError:
+        norm2 = math.inf
+    if abs(norm2 - 1.0) > PROJECT_TOL:
+        raise MembershipError(f"|alpha|^2 + |nu|^2 = {norm2!r} is not 1")
+    s = math.sqrt(norm2)
+    return alpha / s, nu / s
+
+
+def _su2_entries(alpha, nu) -> list:
+    return [alpha, -nu.conjugate(), nu, alpha.conjugate()]
+
+
+def _su2_defect(alpha, nu) -> float:
+    return abs(abs(alpha) ** 2 + abs(nu) ** 2 - 1.0)
+
+
+def sb2_parts(r, gamma) -> tuple:
+    """(r, gamma) as SB2Element checks and stores them."""
+    r = float(r)
+    if not math.isfinite(r) or r <= 0.0:
+        raise MembershipError(f"r = {r!r} must be finite and positive")
+    return r, _finite_complex(gamma, "gamma")
+
+
+def _sb2_entries(r, gamma) -> list:
+    return [r, gamma, 0.0, 1.0 / r]
+
+
 class SU2Element:
     """Unitary factor, as a matrix [[alpha, -conj(nu)], [nu, conj(alpha)]]."""
 
@@ -94,15 +128,7 @@ class SU2Element:
         self._set(_finite_complex(alpha, "alpha"), _finite_complex(nu, "nu"))
 
     def _set(self, alpha, nu):
-        try:
-            norm2 = abs(alpha) ** 2 + abs(nu) ** 2
-        except OverflowError:
-            norm2 = math.inf
-        if abs(norm2 - 1.0) > PROJECT_TOL:
-            raise MembershipError(f"|alpha|^2 + |nu|^2 = {norm2!r} is not 1")
-        s = math.sqrt(norm2)
-        self.alpha = alpha / s
-        self.nu = nu / s
+        self.alpha, self.nu = su2_project(alpha, nu)
 
     @classmethod
     def identity(cls):
@@ -117,10 +143,7 @@ class SU2Element:
         return g
 
     def as_matrix(self) -> np.ndarray:
-        return np.array(self.entries(), dtype=complex).reshape(2, 2)
-
-    def entries(self) -> list:
-        return [self.alpha, -self.nu.conjugate(), self.nu, self.alpha.conjugate()]
+        return np.array(_su2_entries(self.alpha, self.nu), dtype=complex).reshape(2, 2)
 
     def inverse(self) -> "SU2Element":
         return _trusted(SU2Element, self.alpha.conjugate(), -self.nu)
@@ -131,7 +154,7 @@ class SU2Element:
         return _trusted(SU2Element, a, n)
 
     def membership_defect(self) -> float:
-        return abs(abs(self.alpha) ** 2 + abs(self.nu) ** 2 - 1.0)
+        return _su2_defect(self.alpha, self.nu)
 
     def __repr__(self):
         return f"SU2Element(alpha={self.alpha!r}, nu={self.nu!r})"
@@ -143,11 +166,7 @@ class SB2Element:
     __slots__ = ("r", "gamma")
 
     def __init__(self, r, gamma):
-        r = float(r)
-        if not math.isfinite(r) or r <= 0.0:
-            raise MembershipError(f"r = {r!r} must be finite and positive")
-        self.r = r
-        self.gamma = _finite_complex(gamma, "gamma")
+        self.r, self.gamma = sb2_parts(r, gamma)
 
     @classmethod
     def identity(cls):
@@ -164,10 +183,7 @@ class SB2Element:
         return u
 
     def as_matrix(self) -> np.ndarray:
-        return np.array(self.entries(), dtype=complex).reshape(2, 2)
-
-    def entries(self) -> list:
-        return [self.r, self.gamma, 0.0, 1.0 / self.r]
+        return np.array(_sb2_entries(self.r, self.gamma), dtype=complex).reshape(2, 2)
 
     def inverse(self) -> "SB2Element":
         return SB2Element(1.0 / self.r, -self.gamma)
@@ -268,29 +284,33 @@ def _inverse_norm(z, w) -> float:
     return s
 
 
-def iwasawa_gu(a: SL2Element):
-    """Factor a = g*u with g in SU(2), u in SB(2,C).
+def iwasawa_gu_kernel(z1, z2, z3, z4) -> tuple:
+    """(alpha, nu, r, gamma) of a = g*u, g in SU(2) and u in SB(2,C), with s = 1/sqrt(|z1|^2 + |z3|^2):
+    g = [[s*z1, -s*conj(z3)], [s*z3, s*conj(z1)]], u = [[1/s, s*(conj(z1)*z2 + conj(z3)*z4)], [0, s]]."""
+    s = _inverse_norm(z1, z3)
+    return (*su2_project(s * z1, s * z3),
+            *sb2_parts(1.0 / s, s * (z1.conjugate() * z2 + z3.conjugate() * z4)))
 
-    With s = 1/sqrt(|z1|^2 + |z3|^2):
-        g = [[s*z1, -s*conj(z3)], [s*z3, s*conj(z1)]]
-        u = [[1/s, s*(conj(z1)*z2 + conj(z3)*z4)], [0, s]]
-    """
-    s = _inverse_norm(a.z1, a.z3)
-    g = _trusted(SU2Element, s * a.z1, s * a.z3)
-    u = SB2Element(1.0 / s, s * (a.z1.conjugate() * a.z2 + a.z3.conjugate() * a.z4))
+
+def iwasawa_ug_kernel(z1, z2, z3, z4) -> tuple:
+    """(r, gamma, alpha, nu) of a = u*g, u in SB(2,C) and g in SU(2), with t = 1/sqrt(|z3|^2 + |z4|^2):
+    u = [[t, t*(z1*conj(z3) + z2*conj(z4))], [0, 1/t]], g = [[t*conj(z4), -t*conj(z3)], [t*z3, t*z4]]."""
+    t = _inverse_norm(z3, z4)
+    return (*sb2_parts(t, t * (z1 * z3.conjugate() + z2 * z4.conjugate())),
+            *su2_project(t * z4.conjugate(), t * z3))
+
+
+def iwasawa_gu(a: SL2Element):
+    """Factor a = g*u with g in SU(2), u in SB(2,C): iwasawa_gu_kernel's parts as elements."""
+    g, u = object.__new__(SU2Element), object.__new__(SB2Element)
+    g.alpha, g.nu, u.r, u.gamma = iwasawa_gu_kernel(a.z1, a.z2, a.z3, a.z4)
     return g, u
 
 
 def iwasawa_ug(a: SL2Element):
-    """Factor a = u*g with u in SB(2,C), g in SU(2).
-
-    With t = 1/sqrt(|z3|^2 + |z4|^2):
-        u = [[t, t*(z1*conj(z3) + z2*conj(z4))], [0, 1/t]]
-        g = [[t*conj(z4), -t*conj(z3)], [t*z3, t*z4]]
-    """
-    t = _inverse_norm(a.z3, a.z4)
-    u = SB2Element(t, t * (a.z1 * a.z3.conjugate() + a.z2 * a.z4.conjugate()))
-    g = _trusted(SU2Element, t * a.z4.conjugate(), t * a.z3)
+    """Factor a = u*g with u in SB(2,C), g in SU(2): iwasawa_ug_kernel's parts as elements."""
+    u, g = object.__new__(SB2Element), object.__new__(SU2Element)
+    u.r, u.gamma, g.alpha, g.nu = iwasawa_ug_kernel(a.z1, a.z2, a.z3, a.z4)
     return u, g
 
 

@@ -18,10 +18,13 @@ from .groups import (
     SB2Element,
     SU2Element,
     _algebra_defect,
+    _sb2_entries,
+    _su2_defect,
+    _su2_entries,
     exp_group,
     gu_products,
-    iwasawa_gu,
-    iwasawa_ug,
+    iwasawa_gu_kernel,
+    iwasawa_ug_kernel,
     mul2,
     random_element,
     random_elements,
@@ -176,17 +179,18 @@ BLOCK = 1000
 def _decompose_block(rng, n):
     """(rec_gu, rec_ug, member, uniq) of n draws; each recomposition is one stacked product."""
     azs = random_elements("sl2c", n, rng)
-    gus, ugs = [iwasawa_gu(a) for a in azs], [iwasawa_ug(a) for a in azs]
-    member = max(max(a.membership_defect(), g.membership_defect(), g2.membership_defect())
-                 for a, (g, _), (_, g2) in zip(azs, gus, ugs))
-    gu_rows = gu_products([g for g, _ in gus], [u for _, u in gus])
-    ug_rows = mul2([u.entries() for u, _ in ugs], [g.entries() for _, g in ugs])
+    gus = [iwasawa_gu_kernel(a.z1, a.z2, a.z3, a.z4) for a in azs]  # (alpha, nu, r, gamma)
+    ugs = [iwasawa_ug_kernel(a.z1, a.z2, a.z3, a.z4) for a in azs]  # (r, gamma, alpha, nu)
+    member = max(max(a.membership_defect(), _su2_defect(gu[0], gu[1]), _su2_defect(ug[2], ug[3]))
+                 for a, gu, ug in zip(azs, gus, ugs))
+    gu_rows = mul2([_su2_entries(gu[0], gu[1]) for gu in gus], [_sb2_entries(gu[2], gu[3]) for gu in gus])
+    ug_rows = mul2([_sb2_entries(ug[0], ug[1]) for ug in ugs], [_su2_entries(ug[2], ug[3]) for ug in ugs])
     uniq = 0.0
-    for gu, (g, u) in zip(gu_rows, gus):
+    for row, (alpha, nu, r, gamma) in zip(gu_rows, gus):
         # uniqueness: refactorizing the product returns the factors
-        g3, u3 = iwasawa_gu(dyn.SL2Element(*gu))
-        uniq = max(uniq, abs(g3.alpha - g.alpha), abs(g3.nu - g.nu),
-                   abs(u3.r - u.r), abs(u3.gamma - u.gamma))
+        b = dyn.SL2Element(*row)
+        alpha3, nu3, r3, gamma3 = iwasawa_gu_kernel(b.z1, b.z2, b.z3, b.z4)
+        uniq = max(uniq, abs(alpha3 - alpha), abs(nu3 - nu), abs(r3 - r), abs(gamma3 - gamma))
     az = np.array([(a.z1, a.z2, a.z3, a.z4) for a in azs])
     rec_gu, rec_ug = (float(np.abs(np.array(rows) - az).max()) for rows in (gu_rows, ug_rows))
     return rec_gu, rec_ug, member, uniq

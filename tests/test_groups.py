@@ -13,15 +13,20 @@ from doubleflow.groups import (
     SB2Element,
     SL2Element,
     SU2Element,
+    _inverse_norm,
+    _trusted,
     check_finite,
     exp_group,
     exp_sb2,
     expm2_kernel,
     gu_products,
     iwasawa_gu,
+    iwasawa_gu_kernel,
     iwasawa_ug,
+    iwasawa_ug_kernel,
     mul2,
     random_element,
+    random_elements,
     sinhc,
 )
 
@@ -169,6 +174,90 @@ def test_iwasawa_on_triangular_and_unitary_inputs():
 def test_arithmetic_past_the_floats_is_a_value_error(call):
     with pytest.raises(ValueError, match="^non-finite matrix entry$"):
         call()
+
+
+def ref_iwasawa_gu(a):
+    """iwasawa_gu as it was, through the element constructors: (alpha, nu, r, gamma)."""
+    s = _inverse_norm(a.z1, a.z3)
+    g = _trusted(SU2Element, s * a.z1, s * a.z3)
+    u = SB2Element(1.0 / s, s * (a.z1.conjugate() * a.z2 + a.z3.conjugate() * a.z4))
+    return g.alpha, g.nu, u.r, u.gamma
+
+
+def ref_iwasawa_ug(a):
+    """iwasawa_ug as it was, through the element constructors: (r, gamma, alpha, nu)."""
+    t = _inverse_norm(a.z3, a.z4)
+    u = SB2Element(t, t * (a.z1 * a.z3.conjugate() + a.z2 * a.z4.conjugate()))
+    g = _trusted(SU2Element, t * a.z4.conjugate(), t * a.z3)
+    return u.r, u.gamma, g.alpha, g.nu
+
+
+def unchecked_sl2(z1, z2, z3, z4):
+    """An SL2Element holding the four entries as given, without the det check."""
+    a = object.__new__(SL2Element)
+    a.z1, a.z2, a.z3, a.z4 = complex(z1), complex(z2), complex(z3), complex(z4)
+    return a
+
+
+def iwasawa_outcomes(a):
+    """repr of the parts of both factorizations of a, as each kernel, its element wrapper and
+    its reference gives them, or of the type and message of what each raises."""
+    def parts(f, *args):
+        try:
+            return repr(tuple(f(*args)))
+        except Exception as e:  # noqa: BLE001 - the type and message are the comparison
+            return repr((type(e), str(e)))
+
+    def gu_elements(a):
+        g, u = iwasawa_gu(a)
+        return g.alpha, g.nu, u.r, u.gamma
+
+    def ug_elements(a):
+        u, g = iwasawa_ug(a)
+        return u.r, u.gamma, g.alpha, g.nu
+
+    z = (a.z1, a.z2, a.z3, a.z4)
+    return ([parts(iwasawa_gu_kernel, *z), parts(gu_elements, a), parts(ref_iwasawa_gu, a)],
+            [parts(iwasawa_ug_kernel, *z), parts(ug_elements, a), parts(ref_iwasawa_ug, a)])
+
+
+def test_iwasawa_kernels_bitwise_match_the_constructor_path():
+    # seeded draws, and entries from 1e-200 to 1e200 with exact zeros of either
+    # sign: both factorizations in all three forms agree to the zero's sign,
+    # or raise the same exception with the same message
+    rng = np.random.default_rng(35)
+    draws = [(a.z1, a.z2, a.z3, a.z4) for a in random_elements("sl2c", 500, rng)]
+    for _ in range(3000):
+        parts = rng.standard_normal(8) * 10.0 ** rng.uniform(-200, 200, 8)
+        parts[rng.random(8) < 0.3] = 0.0
+        parts = (parts * rng.choice([1.0, -1.0], 8)).tolist()  # a zero of either sign
+        draws.append([complex(parts[2 * i], parts[2 * i + 1]) for i in range(4)])
+    seen = set()
+    for z in draws:
+        for forms in iwasawa_outcomes(unchecked_sl2(*z)):
+            assert forms[0] == forms[1] == forms[2], z
+            seen.add(forms[0].split(",")[0] if forms[0].startswith("(<class") else "parts")
+    # the draws reach the parts and both exception types
+    assert seen == {"parts", "(<class 'ValueError'>", "(<class 'doubleflow.groups.MembershipError'>"}
+
+
+@pytest.mark.parametrize("z, gu_error, ug_error", [
+    # |z1|^2 + |z3|^2 and |z3|^2 + |z4|^2 overflow
+    ((1e200, 0, 1e200, 1e200), (ValueError, "non-finite matrix entry"), (ValueError, "non-finite matrix entry")),
+    # ... or underflow to 0
+    ((1e-170, 1, 1e-170, 1e-170), (ValueError, "non-finite matrix entry"), (ValueError, "non-finite matrix entry")),
+    # gamma past the floats; the other factorization's |z4|^2 or |z1|^2 overflows
+    ((1, 1e308, 1, 1e308), (MembershipError, "non-finite gamma"), (ValueError, "non-finite matrix entry")),
+    ((1e308, 1e308, 1, 1), (ValueError, "non-finite matrix entry"), (MembershipError, "non-finite gamma")),
+    # a subnormal |z1|^2 or |z4|^2: the SU(2) factor misses its norm by 3e-5
+    ((1.234e-160, 0, 0, 1), (MembershipError, "|alpha|^2 + |nu|^2 = 1.00002999882293 is not 1"), None),
+    ((1, 0, 0, 1.234e-160), None, (MembershipError, "|alpha|^2 + |nu|^2 = 1.00002999882293 is not 1")),
+], ids=["norm_overflows", "norm_underflows", "gu_gamma_overflows", "ug_gamma_overflows",
+        "gu_norm_off_by_3e-5", "ug_norm_off_by_3e-5"])
+def test_iwasawa_kernels_raise_what_the_constructors_raise(z, gu_error, ug_error):
+    for forms, error in zip(iwasawa_outcomes(unchecked_sl2(*z)), (gu_error, ug_error)):
+        assert forms[0] == forms[1] == forms[2]
+        assert forms[0] == repr(error) if error else not forms[0].startswith("(<class")
 
 
 def test_algebra_element_validation():

@@ -3,18 +3,21 @@ legendre_map against their per-sample forms, kept verbatim below as bit referenc
 
 The suites draw a block of samples with one generator call, take its 2x2
 products as one stacked np.matmul and reduce each residual once per block
-with numpy, and legendre_map skips AlgebraElement's su2 check; none of that
-may move a bit of a draw, a value or a report.
+with numpy; the decompositions suite factors each sample on Python scalars,
+and legendre_map forms its entries on them and skips AlgebraElement's su2
+check.  None of that may move a bit of a draw, a value or a report.
 """
 
 import math
 import tracemalloc
+from collections import Counter
 from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from doubleflow import dynamics as dyn
+from doubleflow import groups as grp
 from doubleflow import poisson as poi
 from doubleflow import verify as ver
 from doubleflow.groups import (
@@ -181,6 +184,51 @@ def test_suites_hold_one_block_of_samples(suite):
     assert peaks[1] < 1.25 * peaks[0]
 
 
+def test_suite_decompositions_builds_no_element_per_factor(monkeypatch):
+    # 2,000 samples cross the block boundary; the draws build one SU2Element and
+    # one SB2Element each, and the Iwasawa factors stay Python scalars
+    made = Counter()
+
+    def counted(owner, name, key):
+        f = getattr(owner, name)
+
+        def wrapper(*args):
+            made[key] += 1
+            return f(*args)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(SU2Element, "_set", "SU2Element")  # __init__ and _trusted both set through it
+    counted(SB2Element, "__init__", "SB2Element")
+    for module in (grp, ver):
+        for name in ("iwasawa_gu", "iwasawa_ug"):
+            if hasattr(module, name):
+                counted(module, name, name)
+    ver.suite_decompositions(0, 2000)
+    assert made == {"SU2Element": 2000, "SB2Element": 2000}
+
+
+def test_suite_legendre_makes_no_array_check_per_map(monkeypatch):
+    # each of the 4,000 maps forms its four entries on Python scalars
+    made = Counter()
+    check_finite = grp.check_finite
+
+    def counted_check(a):
+        made["check_finite"] += 1
+        return check_finite(a)
+
+    class CountedErrstate(np.errstate):
+        def __enter__(self):
+            made["errstate"] += 1
+            return super().__enter__()
+
+    for module in (grp, dyn, ver):
+        if hasattr(module, "check_finite"):
+            monkeypatch.setattr(module, "check_finite", counted_check)
+    monkeypatch.setattr(np, "errstate", CountedErrstate)
+    ver.suite_legendre(0, 2000)
+    assert made == {}
+
+
 def element_bits(x):
     return repr([getattr(x, name) for name in type(x).__slots__])
 
@@ -285,3 +333,15 @@ def test_legendre_map_matches_reference_and_lands_exactly_in_su2(r, gamma, F):
     assert got == outcome(ref_legendre_map, u, F)
     if got[0] == "su2":
         assert _algebra_defect("su2", dyn.legendre_map(u, F).value) == 0.0
+
+
+@pytest.mark.parametrize("F, gamma, want", [
+    (1.0, 0.0, "[[-0.9375j, 0j], [-0j, 0.9375j]]"),
+    (-1.0, 0.0, "[[0.9375j, 0j], [0j, (-0-0.9375j)]]"),
+    (1.0, 0.5 - 0.25j, "[[-1.015625j, (-0.0625-0.125j)], [(0.0625-0.125j), 1.015625j]]"),
+    (-1.0, 0.5 - 0.25j, "[[1.015625j, (0.0625+0.125j)], [(-0.0625+0.125j), (-0-1.015625j)]]"),
+])
+def test_legendre_map_zero_signs_are_pinned(F, gamma, want):
+    # c = complex(0.0, -F/4) times each entry, complex x complex: the zero signs of
+    # numpy's array product, whatever a Python version does with a float times a complex
+    assert repr(dyn.legendre_map(SB2Element(2.0, gamma), F).value.tolist()) == want
