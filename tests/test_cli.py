@@ -16,6 +16,7 @@ from doubleflow import cli
 from doubleflow import dynamics as dyn
 from doubleflow import verify as ver
 from doubleflow.cli import MAX_ROWS, _write_csv, main
+from doubleflow.quadrature import MAX_STRAIGHT_DIM
 from test_dynamics import NoNumpy
 
 
@@ -77,18 +78,16 @@ STIFF_CASIMIR = {"system": "casimir_sl2c", "params": {"u0": {"r": 3.0, "gamma": 
 def test_missed_oracle_bound_estimates_the_oracles_own_error(tmp_path, capsys):
     # at F = 10 the closed form is right and RK4 at h = 1e-3 is not: the
     # step-doubling estimate of RK4's own error at the worst row is within
-    # 10% of the deviation; the CSV bytes are those of a run that passes
+    # 10% of the deviation (the README's example, its line byte for byte);
+    # the CSV bytes are those of a run that passes
     code, out = run_config(tmp_path, STIFF_CASIMIR, extra=["--oracle"])
     assert code == 3
-    err = capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "oracle deviation 1.682912e-05 exceeds max-dev 1.000000e-05; at its worst row, "
+        "t = 0.98999999999999999, the oracle's own error is about 1.680620e-05 by step "
+        "doubling\n")
     devs = [r[-1] for r in read_csv(out)[1]]
-    worst = max(devs)
-    t = cli._fmt(0.01 * devs.index(worst))
-    assert err.startswith(f"oracle deviation {worst:.6e} exceeds max-dev 1.000000e-05; "
-                          f"at its worst row, t = {t}, the oracle's own error is about ")
-    assert err.endswith(" by step doubling\n") and err.count("\n") == 1
-    estimate = float(err.split("is about ")[1].split()[0])
-    assert abs(estimate - worst) < 0.1 * worst
+    assert f"{max(devs):.6e}" == "1.682912e-05" and devs.index(max(devs)) == 99
     code, passing = run_config(tmp_path, STIFF_CASIMIR, name="pass.csv",
                                extra=["--oracle", "--max-dev", "1e-4"])
     assert code == 0 and capsys.readouterr().err == ""
@@ -534,10 +533,15 @@ def test_simulate_caps_oracle_steps_before_building_anything(tmp_path, monkeypat
         run_config(tmp_path, {**doc, "t1": MAX_ROWS * 1e-3}, name="never.csv")
 
 
-# every registered system, action_angle in both of its variants
+# every registered system, action_angle in both of its variants, and a fiber
+# whose 2n flat floats pass MAX_STRAIGHT_DIM, so RK4 runs its general loop
+_N = MAX_STRAIGHT_DIM // 2 + 1
 REGISTRY_CASES = [(name, {}) for name in dyn.SYSTEMS if name != "action_angle"] + [
     ("action_angle", {"I0": [0.5, 1.5], "phi0": [0.1, 6.0], "freq": [1.0, -0.75]}),
     ("action_angle", {"I0": [1.0], "phi0": [1.0, 0.5], "matrix": [[0.1, -1.0], [1.3, 0.2]]}),
+    ("action_angle", {"I0": [1.0] * _N, "phi0": [0.5] * _N,
+                      "matrix": [[0.3 * (i == j) - 0.1 * (i == j + 1) for j in range(_N)]
+                                 for i in range(_N)]}),
 ]
 
 
@@ -770,8 +774,19 @@ def test_legendre_map_subcommand(capsys):
     assert float(out["v11_im"]) == pytest.approx(-15 / 16)
     assert float(out["v12_re"]) == 0.0
     assert float(out["roundtrip_residual"]) < 1e-12
+    # a subnormal F and an F of -0.0 print each zero's sign
+    for argv, negative in [(["--r", "2", "--f", "5e-324"], "v21_im"),
+                           (["--r", "2", "--gamma", "0.5,-0.25", "--f=-0.0"], "v22_re")]:
+        assert main(["legendre", "map", *argv]) == 0
+        assert capsys.readouterr().out == "".join(
+            f"{k} = {'-0' if k == negative else '0'}\n" for k in
+            [f"v{ij}_{part}" for ij in (11, 12, 21, 22) for part in ("re", "im")]
+            + ["roundtrip_residual"])
     assert main(["legendre", "map", "--r", "-1"]) == 2
     assert "error" in capsys.readouterr().err
+    assert main(["legendre", "map", "--r", "10", "--f", "1e308"]) == 2
+    assert capsys.readouterr().err == ("error: --f is out of range: the Legendre map or its "
+                                       "round trip overflows or underflows\n")
 
 
 def test_legendre_invert_subcommand(capsys):
@@ -816,7 +831,7 @@ def test_legendre_rejects_flags(argv, flag, capsys):
     (["legendre", "invert"], ["--s", "-1e10"], 2),
     (["legendre", "invert", "--s", "1"], ["--w", "-0.5,0.25"], 0),
     (["legendre", "map", "--r", "2"], ["--gamma", "-1e-3,0.5"], 0),
-    (["legendre", "map", "--r", "2"], ["--f", "-1e3"], 0),
+    (["legendre", "map", "--r", "2", "--gamma", "-1e-3,0.5"], ["--f", "-1e3"], 0),
     (["simulate", "--config", "{cfg}"], ["--max-dev", "-1e-5"], 2),
 ])
 def test_negative_flag_values_read_as_their_equals_form(tmp_path, argv, flag, code, capsys):

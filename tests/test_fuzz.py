@@ -1,4 +1,4 @@
-"""Property test: `simulate` on generated configs of every system."""
+"""Property tests: `simulate` on generated configs, `legendre` on generated flags."""
 
 import contextlib
 import io
@@ -94,3 +94,38 @@ def test_simulate_config_fuzz(doc):
             with open(out) as f:
                 values = [float(v) for line in f.read().splitlines()[1:] for v in line.split(",")]
             assert values and all(map(math.isfinite, values))
+
+
+# legendre flag values: the numbers above and the non-finite ones, as text;
+# --gamma and --w take RE or RE,IM, and each optional flag may be left out
+VALUE = st.one_of(NUMBER, st.sampled_from([math.nan, math.inf, -math.inf])).map(repr)
+PAIR = st.one_of(VALUE, st.tuples(VALUE, VALUE).map(",".join))
+
+
+def optional(flag, values):
+    return st.one_of(st.just([]), values.map(lambda v: [flag, v]))
+
+
+LEGENDRE_ARGVS = st.one_of(
+    st.tuples(st.just(["map", "--r"]), VALUE.map(lambda v: [v]), optional("--gamma", PAIR),
+              optional("--f", VALUE)),
+    st.tuples(st.just(["invert", "--s"]), VALUE.map(lambda v: [v]), optional("--w", PAIR),
+              st.sampled_from([[], ["--unreduced"]])),
+).map(lambda parts: sum(parts, []))
+
+
+# legendre map and invert on generated flags: exit 0 with finite values, or
+# exit 2 with one error line that names a flag that was passed
+@hypothesis.settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@hypothesis.given(argv=LEGENDRE_ARGVS)
+def test_legendre_argv_fuzz(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["legendre", *argv])
+    assert code in (0, 2), err.getvalue()
+    if code == 2:
+        assert out.getvalue() == "" and err.getvalue().count("\n") == 1
+        assert err.getvalue().split()[:2] in [["error:", a] for a in argv if a[:2] == "--"]
+    else:
+        values = [float(line.split(" = ")[1]) for line in out.getvalue().splitlines()]
+        assert values and all(map(math.isfinite, values))

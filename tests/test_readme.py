@@ -51,3 +51,17 @@ def test_readme_verify_line_runs(capsys):
     assert line == "doubleflow verify --suite all --seed 0 --samples 100"
     assert cli.main(shlex.split(line)[1:]) == 0
     assert json.loads(capsys.readouterr().out)["all_pass"] is True
+
+
+def test_readme_exit_3_figures_are_what_the_run_prints(monkeypatch, capsys):
+    # the simulate section's exit-3 example: the step-doubling estimate
+    # against the deviation, at the README's rounding
+    figures = re.search(r"`casimir_sl2c` run at F = 10 from u0 = \{r 3, gamma \[2, 1\]\} to "
+                        r"t1 = 1 \((\S+)\s+against (\S+)\)", TEXT).groups()
+    config = {"system": "casimir_sl2c", "t1": 1,
+              "params": {"F": 10, "u0": {"r": 3, "gamma": [2, 1]}}}
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(config)))
+    assert cli.main(["simulate", "--oracle"]) == 3
+    deviation, estimate = re.fullmatch(r"oracle deviation (\S+) .* about (\S+) by step doubling\n",
+                                       capsys.readouterr().err).groups()
+    assert [float(x) for x in figures] == [float(f"{float(v):.3e}") for v in (estimate, deviation)]
