@@ -11,9 +11,11 @@ builds a block's CSV rows from the same values, with no FlowState per row
 (see System).  The rotator's and action_angle's body is a block of t, and
 at(t) is a block of one.
 
-The SU(2) rows exponentiate with groups.expm2_kernel on Python complex
-scalars, as legendre_map forms its entries; a block of casimir rows takes its
-g·u in one groups.gu_products call, and H0 and det from the entries it returns.
+A block's rows take the groups kernels on coordinate tuples, and only at(t)'s
+FlowState holds elements.  The SU(2) rows exponentiate with groups.expm2_kernel
+on Python complex scalars, as legendre_map_kernel forms its entries; a block of
+casimir rows takes its g·u in one groups.gu_products call, and H0 and det from
+the entries it returns.
 
 A *_flat_field takes a flat state's coordinates as positional floats,
 field(*y), as quadrature.rk4_integrate passes them.  None calls numpy per
@@ -44,13 +46,18 @@ from .groups import (
     SL2Element,
     SU2Element,
     _finite_complex,
-    _trusted,
+    _wrap,
     check_finite,
     exp_group,
     exp_sb2,
     expm2_kernel,
     gu_products,
     random_element,
+    random_parts,
+    sb2_parts,
+    sb2_product,
+    su2_product,
+    su2_project,
 )
 from .quadrature import simpson_rule
 
@@ -156,6 +163,20 @@ def sl2c_flat_field(F_value: float):
     return field
 
 
+def legendre_map_kernel(r, g, F_value: float) -> tuple:
+    """legendre_map's value at u = (r, g), as its entries ((m00, m01), (m10, m11))."""
+    try:
+        d = r * r - 1.0 / (r * r) + abs(g) ** 2
+    except (ZeroDivisionError, OverflowError):  # r^2 underflows or |gamma|^2 overflows
+        raise ValueError("non-finite matrix entry") from None
+    off = complex(2.0, 0.0) * g / complex(r, 0.0)
+    c = complex(0.0, -0.25 * float(F_value))
+    m = ((c * complex(d), c * off), (c * off.conjugate(), c * complex(-d)))
+    if not all(map(cmath.isfinite, m[0] + m[1])):
+        raise ValueError("non-finite matrix entry")
+    return m
+
+
 def legendre_map(u: SB2Element, F_value: float) -> AlgebraElement:
     """Velocity in su(2) assigned to the momentum u by η = F·dH0.
 
@@ -164,19 +185,25 @@ def legendre_map(u: SB2Element, F_value: float) -> AlgebraElement:
     membership: an entry past the floats is ValueError("non-finite matrix entry").
     Each entry is one complex x complex product of Python scalars, with numpy's bits.
     """
-    r, g = u.r, u.gamma
+    return _wrap(AlgebraElement, "su2", np.array(legendre_map_kernel(u.r, u.gamma, F_value), complex))
+
+
+def legendre_invert_kernel(m00, m01, unreduced=False) -> tuple:
+    """legendre_invert's (r, gamma), checked as SB2Element checks them, from v's first row (m00, m01)."""
+    # v = -(i/2) [[s, w], [conj(w), -s]], on Python scalars: an overflow is inf, not a warning
+    s = (2j * m00).real
+    w = 2j * m01
     try:
-        d = r * r - 1.0 / (r * r) + abs(g) ** 2
-    except (ZeroDivisionError, OverflowError):  # r^2 underflows or |gamma|^2 overflows
-        raise ValueError("non-finite matrix entry") from None
-    off = 2.0 * g / r
-    c = complex(0.0, -0.25 * float(F_value))
-    m = ((c * complex(d), c * off), (c * off.conjugate(), c * complex(-d)))
-    if not all(map(cmath.isfinite, m[0] + m[1])):
+        disc = math.sqrt(s * s + abs(w) ** 2 + 1.0)
+    except OverflowError:  # |w|^2 overflows
+        disc = math.inf
+    if disc == math.inf:
         raise ValueError("non-finite matrix entry")
-    v = object.__new__(AlgebraElement)
-    v.kind, v.value = "su2", np.array(m, complex)
-    return v
+    if unreduced:
+        r = s + disc
+    else:
+        r = math.sqrt((s + disc) / (1.0 + abs(w) ** 2))
+    return sb2_parts(r, r * w)
 
 
 def legendre_invert(v: AlgebraElement, unreduced=False) -> SB2Element:
@@ -190,28 +217,15 @@ def legendre_invert(v: AlgebraElement, unreduced=False) -> SB2Element:
     """
     if not isinstance(v, AlgebraElement) or v.kind != "su2":
         raise MembershipError("legendre_invert needs an su2 AlgebraElement")
-    # v = -(i/2) [[s, w], [conj(w), -s]], on Python scalars: an overflow is inf, not a warning
-    s = (2j * complex(v.value[0, 0])).real
-    w = 2j * complex(v.value[0, 1])
-    try:
-        disc = math.sqrt(s * s + abs(w) ** 2 + 1.0)
-    except OverflowError:  # |w|^2 overflows
-        disc = math.inf
-    if disc == math.inf:
-        raise ValueError("non-finite matrix entry")
-    if unreduced:
-        r = s + disc
-    else:
-        r = math.sqrt((s + disc) / (1.0 + abs(w) ** 2))
-    return SB2Element(r, r * w)
+    return _wrap(SB2Element, *legendre_invert_kernel(*v.value.tolist()[0], unreduced))
 
 
 def _su2_exp(m):
-    """s -> exp(s·m) in SU(2), for an m whose multiples s·m are in su(2).
+    """s -> SU2Element's projected parts (alpha, nu) of exp(s·m), for an m whose multiples s·m are in su(2).
 
     That holds for every real s when m + m* and tr m are exactly 0, as for a
     legendre_map value or the perturbed X, and exp(s·m) then has the SU(2)
-    form to round-off.  Per s only the column the element keeps is checked
+    form to round-off.  Per s only the column of the parts is checked
     finite: an s·m past the floats makes it inf or NaN, or makes
     expm2_kernel raise the same ValueError("non-finite matrix entry").
     """
@@ -222,7 +236,7 @@ def _su2_exp(m):
         alpha, _, nu, _ = expm2_kernel(s * m00, s * m01, s * m10, s * m11)
         if not (cmath.isfinite(alpha) and cmath.isfinite(nu)):
             raise ValueError("non-finite matrix entry")
-        return _trusted(SU2Element, alpha, nu)
+        return su2_project(alpha, nu)
 
     return at
 
@@ -262,10 +276,11 @@ def _flow(block, state, rows):
 
 def casimir_flow(g0: SU2Element, u0: SB2Element, F) -> Callable:
     """Frozen-momenta flow: u stays at u0, g(t) = g0·exp(t·L_η(u0)), η = F·dH0."""
-    exp_tl = _su2_exp(legendre_map(u0, F).value)
-    return _flow(_each(lambda t: g0 @ exp_tl(t)), lambda t, g: FlowState(time=t, g=g, u=u0),
+    exp_tl, a0, n0, r0, gamma0 = _su2_exp(legendre_map(u0, F).value), g0.alpha, g0.nu, u0.r, u0.gamma
+    return _flow(_each(lambda t: su2_product(a0, n0, *exp_tl(t))),
+                 lambda t, g: FlowState(time=t, g=_wrap(SU2Element, *g), u=u0),
                  lambda gs: [z_to_flat(*z) + _casimir_invariants(*z)
-                             for z in gu_products(gs, [u0] * len(gs))])
+                             for z in gu_products([(a, n, r0, gamma0) for a, n in gs])])
 
 
 def hat3(p) -> np.ndarray:
@@ -379,14 +394,14 @@ def momenta_su2_flow(u0: SB2Element, alpha, nu, F) -> Callable:
         d, y = (ct * l00).real, ct * l01
         if not (math.isfinite(d) and cmath.isfinite(y)):
             raise ValueError("non-finite matrix entry")
-        try:
-            return exp_sb2(d, y) @ u0
+        try:  # exp_sb2 past the floats is a ValueError, not a MembershipError
+            return sb2_product(*exp_sb2(d, y), u0.r, u0.gamma)
         except MembershipError:  # the product's r underflows or its gamma overflows
             raise ValueError("the flow leaves the finite floats") from None
 
     h = abs(alpha) ** 2 + abs(nu) ** 2
-    return _flow(_each(u), lambda t, v: FlowState(time=t, u=v, alpha=alpha, nu=nu),
-                 lambda us: [[v.r, v.gamma.real, v.gamma.imag, h] for v in us])
+    return _flow(_each(u), lambda t, v: FlowState(time=t, u=_wrap(SB2Element, *v), alpha=alpha, nu=nu),
+                 lambda us: [[r, gamma.real, gamma.imag, h] for r, gamma in us])
 
 
 def momenta_su2_flat_field(alpha, nu, F):
@@ -480,9 +495,10 @@ def perturbed_flow(g0: SU2Element, u0: SB2Element, F, lam: float) -> Callable:
         return g, _finite_complex(gamma_t, "gamma")  # SB2Element's check
 
     r = u0.r
-    return _flow(_each(body), lambda t, v: FlowState(time=t, g=v[0], u=SB2Element(r, v[1])),
-                 lambda vs: [[g.alpha.real, g.alpha.imag, g.nu.real, g.nu.imag,
-                              r, gm.real, gm.imag, abs(gm)] for g, gm in vs])
+    return _flow(_each(body),
+                 lambda t, v: FlowState(time=t, g=_wrap(SU2Element, *v[0]), u=SB2Element(r, v[1])),
+                 lambda vs: [[a.real, a.imag, n.real, n.imag, r, gm.real, gm.imag, abs(gm)]
+                             for (a, n), gm in vs])
 
 
 def perturbed_velocity(u0: SB2Element, F, lam: float, t: float) -> np.ndarray:
@@ -523,9 +539,9 @@ def perturbed_flat_field(F, lam: float):
 
 
 def _rotating_frame(g0, x_plus_a0, X):
-    """t -> g0·exp(t(X+A0))·exp(-tX) for X + A0 and X in su(2), to round-off (see _su2_exp)."""
-    exp_xa, exp_x = _su2_exp(x_plus_a0), _su2_exp(X)
-    return lambda t: g0 @ exp_xa(t) @ exp_x(-t)
+    """t -> the parts of g0·exp(t(X+A0))·exp(-tX) for X + A0 and X in su(2), to round-off (see _su2_exp)."""
+    exp_xa, exp_x, (a0, n0) = _su2_exp(x_plus_a0), _su2_exp(X), (g0.alpha, g0.nu)
+    return lambda t: su2_product(*su2_product(a0, n0, *exp_xa(t)), *exp_x(-t))
 
 
 def interaction_picture_flow(g0: SU2Element, X: AlgebraElement, A0: AlgebraElement) -> Callable:
@@ -538,7 +554,8 @@ def interaction_picture_flow(g0: SU2Element, X: AlgebraElement, A0: AlgebraEleme
             raise MembershipError(f"{name} must be an su2 AlgebraElement")
     with np.errstate(over="ignore"):  # an entry past the floats is rejected next
         x_plus_a0 = check_finite(X.value + A0.value)
-    return _rotating_frame(g0, x_plus_a0, X.value)
+    frame = _rotating_frame(g0, x_plus_a0, X.value)
+    return lambda t: _wrap(SU2Element, *frame(t))
 
 
 def _commutator_guard(mats, nodes, tol):
@@ -718,8 +735,7 @@ def _action_angle_columns(p):
 
 
 def _unit_pair(rng):
-    g = random_element("su2", rng)
-    return g.alpha, g.nu
+    return random_parts("su2", 1, rng)[0]
 
 
 _G0 = ("g0", "su2", SU2Element.identity())

@@ -3,14 +3,16 @@
 Elements store minimal coordinates (alpha, nu) / (r, gamma) / (z1..z4) rather
 than raw matrices, so membership invariants are checkable and small drift is
 renormalizable.  Constructors project inputs that violate the invariant by at
-most ``PROJECT_TOL`` and reject anything worse.  The SU(2) projection, SB(2,C)'s checks and
-the Iwasawa factorizations are scalar forms on Python complex numbers (su2_project, sb2_parts,
-iwasawa_gu_kernel, iwasawa_ug_kernel) that the elements wrap and a per-sample loop calls
-directly.  An e^|d| or y·sinhc(d) in exp_sb2 or an Iwasawa norm that leaves the floats is
+most ``PROJECT_TOL`` and reject anything worse.  Each formula is a scalar kernel that
+takes and returns parts on Python numbers: su2_project, su2_product, sb2_parts, sb2_product,
+exp_sb2, sl2_normalize, the Iwasawa factorizations and the seeded draw random_parts.  The
+elements wrap them for the API, and a per-row or per-sample loop calls them on coordinate
+tuples; checked, projected parts are wrapped as they are (_wrap), not projected again.  An
+e^|d| or y·sinhc(d) in exp_sb2 or an Iwasawa norm that leaves the floats is
 ValueError("non-finite matrix entry"), not the OverflowError or ZeroDivisionError of the
 scalar arithmetic.  Every numeric 2x2 complex product goes through `mul2`, one np.matmul on
 (n, 2, 2) arrays, with ndarray.dot's bits pair by pair.  The product a = g·u of SL(2,C) =
-SU(2)·SB(2,C) has one numeric home: `gu_products` of paired elements, or `mul2` of their rows.
+SU(2)·SB(2,C) has one numeric home: `gu_products` of (alpha, nu, r, gamma) parts.
 
 The exponentials are closed form.  The 2x2 one, `expm2_kernel`, uses the
 explicit eigenstructure of a 2x2 matrix instead of scaling-and-squaring, so
@@ -56,9 +58,9 @@ def mul2(xs, ys) -> list:
         return np.matmul(a.reshape(-1, 2, 2), b.reshape(-1, 2, 2)).reshape(-1, 4).tolist()
 
 
-def gu_products(gs, us) -> list:
-    """[z1, z2, z3, z4] of each product g·u of paired SU2Elements gs and SB2Elements us, row by row."""
-    return mul2([_su2_entries(g.alpha, g.nu) for g in gs], [_sb2_entries(u.r, u.gamma) for u in us])
+def gu_products(parts) -> list:
+    """[z1, z2, z3, z4] of each product g·u of paired parts, rows (alpha, nu, r, gamma)."""
+    return mul2([_su2_entries(a, n) for a, n, _, _ in parts], [_sb2_entries(r, g) for _, _, r, g in parts])
 
 
 def check_finite(a) -> np.ndarray:
@@ -76,14 +78,11 @@ def _finite_complex(z, name) -> complex:
     return z
 
 
-def _trusted(cls, *parts):
-    """cls(*parts) for parts already known to be finite Python complex numbers.
-
-    Only the finiteness checks are skipped: the membership test and the
-    normalization are the constructor's, so the element has the same bits.
-    """
+def _wrap(cls, *parts):
+    """An element of cls holding parts that a kernel has checked and projected, as they are."""
     x = object.__new__(cls)
-    x._set(*parts)
+    for name, v in zip(cls.__slots__, parts):
+        setattr(x, name, v)
     return x
 
 
@@ -97,6 +96,11 @@ def su2_project(alpha, nu) -> tuple:
         raise MembershipError(f"|alpha|^2 + |nu|^2 = {norm2!r} is not 1")
     s = math.sqrt(norm2)
     return alpha / s, nu / s
+
+
+def su2_product(a1, n1, a2, n2) -> tuple:
+    """The projected parts of (a1, n1)·(a2, n2) in SU(2)."""
+    return su2_project(a1 * a2 - n1.conjugate() * n2, n1 * a2 + a1.conjugate() * n2)
 
 
 def _su2_entries(alpha, nu) -> list:
@@ -115,6 +119,11 @@ def sb2_parts(r, gamma) -> tuple:
     return r, _finite_complex(gamma, "gamma")
 
 
+def sb2_product(r1, g1, r2, g2) -> tuple:
+    """The parts of (r1, g1)·(r2, g2) in SB(2,C), checked as SB2Element checks them."""
+    return sb2_parts(r1 * r2, r1 * g2 + g1 / r2)
+
+
 def _sb2_entries(r, gamma) -> list:
     return [r, gamma, 0.0, 1.0 / r]
 
@@ -125,10 +134,7 @@ class SU2Element:
     __slots__ = ("alpha", "nu")
 
     def __init__(self, alpha, nu):
-        self._set(_finite_complex(alpha, "alpha"), _finite_complex(nu, "nu"))
-
-    def _set(self, alpha, nu):
-        self.alpha, self.nu = su2_project(alpha, nu)
+        self.alpha, self.nu = su2_project(_finite_complex(alpha, "alpha"), _finite_complex(nu, "nu"))
 
     @classmethod
     def identity(cls):
@@ -146,12 +152,10 @@ class SU2Element:
         return np.array(_su2_entries(self.alpha, self.nu), dtype=complex).reshape(2, 2)
 
     def inverse(self) -> "SU2Element":
-        return _trusted(SU2Element, self.alpha.conjugate(), -self.nu)
+        return _wrap(SU2Element, *su2_project(self.alpha.conjugate(), -self.nu))
 
     def __matmul__(self, other: "SU2Element") -> "SU2Element":
-        a = self.alpha * other.alpha - self.nu.conjugate() * other.nu
-        n = self.nu * other.alpha + self.alpha.conjugate() * other.nu
-        return _trusted(SU2Element, a, n)
+        return _wrap(SU2Element, *su2_product(self.alpha, self.nu, other.alpha, other.nu))
 
     def membership_defect(self) -> float:
         return _su2_defect(self.alpha, self.nu)
@@ -189,10 +193,23 @@ class SB2Element:
         return SB2Element(1.0 / self.r, -self.gamma)
 
     def __matmul__(self, other: "SB2Element") -> "SB2Element":
-        return SB2Element(self.r * other.r, self.r * other.gamma + self.gamma / other.r)
+        return _wrap(SB2Element, *sb2_product(self.r, self.gamma, other.r, other.gamma))
 
     def __repr__(self):
         return f"SB2Element(r={self.r!r}, gamma={self.gamma!r})"
+
+
+def sl2_normalize(z1, z2, z3, z4) -> tuple:
+    """SL2Element's normalization (z1, z2, z3, z4)/sqrt(det), on Python complex scalars."""
+    d = z1 * z4 - z2 * z3
+    if abs(d - 1.0) > PROJECT_TOL:
+        raise MembershipError(f"det = {d!r} is not 1")
+    s = cmath.sqrt(d)
+    return z1 / s, z2 / s, z3 / s, z4 / s
+
+
+def _sl2_defect(z1, z2, z3, z4) -> float:
+    return abs(z1 * z4 - z2 * z3 - 1.0)
 
 
 class SL2Element:
@@ -201,14 +218,8 @@ class SL2Element:
     __slots__ = ("z1", "z2", "z3", "z4")
 
     def __init__(self, z1, z2, z3, z4):
-        self._set(*map(_finite_complex, (z1, z2, z3, z4), ("z1", "z2", "z3", "z4")))
-
-    def _set(self, z1, z2, z3, z4):
-        d = z1 * z4 - z2 * z3
-        if abs(d - 1.0) > PROJECT_TOL:
-            raise MembershipError(f"det = {d!r} is not 1")
-        s = cmath.sqrt(d)
-        self.z1, self.z2, self.z3, self.z4 = z1 / s, z2 / s, z3 / s, z4 / s
+        self.z1, self.z2, self.z3, self.z4 = sl2_normalize(
+            *map(_finite_complex, (z1, z2, z3, z4), ("z1", "z2", "z3", "z4")))
 
     @classmethod
     def identity(cls):
@@ -223,14 +234,14 @@ class SL2Element:
         return np.array([[self.z1, self.z2], [self.z3, self.z4]], dtype=complex)
 
     def inverse(self) -> "SL2Element":
-        return _trusted(SL2Element, self.z4, -self.z2, -self.z3, self.z1)
+        return _wrap(SL2Element, *sl2_normalize(self.z4, -self.z2, -self.z3, self.z1))
 
     def __matmul__(self, other: "SL2Element") -> "SL2Element":
         ab = mul2([[self.z1, self.z2, self.z3, self.z4]], [[other.z1, other.z2, other.z3, other.z4]])
         return SL2Element.from_matrix(np.reshape(ab, (2, 2)))
 
     def membership_defect(self) -> float:
-        return abs(self.z1 * self.z4 - self.z2 * self.z3 - 1.0)
+        return _sl2_defect(self.z1, self.z2, self.z3, self.z4)
 
     def __repr__(self):
         return f"SL2Element({self.z1!r}, {self.z2!r}, {self.z3!r}, {self.z4!r})"
@@ -302,16 +313,14 @@ def iwasawa_ug_kernel(z1, z2, z3, z4) -> tuple:
 
 def iwasawa_gu(a: SL2Element):
     """Factor a = g*u with g in SU(2), u in SB(2,C): iwasawa_gu_kernel's parts as elements."""
-    g, u = object.__new__(SU2Element), object.__new__(SB2Element)
-    g.alpha, g.nu, u.r, u.gamma = iwasawa_gu_kernel(a.z1, a.z2, a.z3, a.z4)
-    return g, u
+    alpha, nu, r, gamma = iwasawa_gu_kernel(a.z1, a.z2, a.z3, a.z4)
+    return _wrap(SU2Element, alpha, nu), _wrap(SB2Element, r, gamma)
 
 
 def iwasawa_ug(a: SL2Element):
     """Factor a = u*g with u in SB(2,C), g in SU(2): iwasawa_ug_kernel's parts as elements."""
-    u, g = object.__new__(SB2Element), object.__new__(SU2Element)
-    u.r, u.gamma, g.alpha, g.nu = iwasawa_ug_kernel(a.z1, a.z2, a.z3, a.z4)
-    return u, g
+    r, gamma, alpha, nu = iwasawa_ug_kernel(a.z1, a.z2, a.z3, a.z4)
+    return _wrap(SB2Element, r, gamma), _wrap(SU2Element, alpha, nu)
 
 
 def sinhc(delta: complex) -> complex:
@@ -363,13 +372,13 @@ def exp_group(x: AlgebraElement):
     if x.kind == "su2":
         exp = expm2_kernel(*x.value.ravel().tolist())
         return SU2Element.from_matrix(np.array(exp).reshape(2, 2))
-    return exp_sb2(complex(x.value[0, 0]).real, complex(x.value[0, 1]))
+    return _wrap(SB2Element, *exp_sb2(complex(x.value[0, 0]).real, complex(x.value[0, 1])))
 
 
-def exp_sb2(d: float, y: complex) -> SB2Element:
-    """exp([[d, y], [0, -d]]) = [[e^d, y*sinhc(d)], [0, e^-d]] for real d."""
+def exp_sb2(d: float, y: complex) -> tuple:
+    """The parts (r, gamma) = (e^d, y*sinhc(d)) of exp([[d, y], [0, -d]]) for real d."""
     try:
-        return SB2Element(math.exp(d), y * sinhc(d))
+        return sb2_parts(math.exp(d), y * sinhc(d))
     except (OverflowError, MembershipError):  # e^|d| or y*sinhc(d) past the floats
         raise ValueError("non-finite matrix entry") from None
 
@@ -380,30 +389,37 @@ def _as_rng(seed):
     return np.random.default_rng(seed)
 
 
-def random_elements(kind: str, n: int, seed) -> list:
-    """n seeded random elements of kind "su2", "sb2" or "sl2c" from one standard_normal((n, k)) call.
+def random_parts(kind: str, n: int, seed) -> list:
+    """The parts (alpha, nu), (r, gamma), (z1, z2, z3, z4) or (alpha, nu, r, gamma) of n seeded random
+    elements of kind "su2", "sb2", "sl2c" or "double" (a (g, u) pair), from one standard_normal((n, k)).
 
     SU(2) is sampled uniformly (normalized 4-component Gaussian; sqrt(v.dot(v)) is np.linalg.norm's
-    formula and bits), SB(2,C) with log-normal r (sigma = 0.5) and complex-Gaussian gamma, SL(2,C)
-    as g·u through gu_products, g drawn first, and kind "double" as the (g, u) pairs themselves;
-    bits and generator state are those of n single draws.
+    formula and bits, the block's dots one stacked matmul of 1x4·4x1 pairs, each the same BLAS dot),
+    SB(2,C) with log-normal r (sigma = 0.5) and complex-Gaussian gamma, and SL(2,C) as g·u through
+    gu_products, g drawn first; bits and generator state are those of n single draws.
     """
     k = {"su2": 4, "sb2": 3, "sl2c": 7, "double": 7}.get(kind)  # normals per draw; g takes the first four
     if k is None:
         raise MembershipError(f"unknown group kind {kind!r}")
     x = _as_rng(seed).standard_normal((n, k))
-    gs, us = [], []
+    gs = us = [()] * n
     if kind != "sb2":
         g4 = x[:, :4]
-        for i, (x0, x1, x2, x3) in enumerate(g4.tolist()):
-            s = math.sqrt(g4[i].dot(g4[i]))
-            gs.append(_trusted(SU2Element, complex(x0 / s, x1 / s), complex(x2 / s, x3 / s)))
-    if kind != "su2":
-        us = [SB2Element(math.exp(0.5 * r), complex(re, im) / math.sqrt(2.0))
-              for r, re, im in x[:, -3:].tolist()]
-    if kind == "sl2c":
-        return [_trusted(SL2Element, *z) for z in gu_products(gs, us)]
-    return list(zip(gs, us)) if kind == "double" else gs or us
+        units = (g4 / np.sqrt(np.matmul(g4[:, None, :], g4[:, :, None])[:, 0])).tolist()
+        gs = [su2_project(complex(x0, x1), complex(x2, x3)) for x0, x1, x2, x3 in units]
+    if kind != "su2":  # r > 0 and gamma finite, as SB2Element checks them
+        root2 = complex(math.sqrt(2.0), 0.0)
+        us = [(math.exp(0.5 * r), complex(re, im) / root2) for r, re, im in x[:, -3:].tolist()]
+    parts = [g + u for g, u in zip(gs, us)]
+    return [sl2_normalize(*z) for z in gu_products(parts)] if kind == "sl2c" else parts
+
+
+def random_elements(kind: str, n: int, seed) -> list:
+    """random_parts' draws as elements; kind "double" as (SU2Element, SB2Element) pairs."""
+    parts = random_parts(kind, n, seed)
+    if kind == "double":
+        return [(_wrap(SU2Element, *p[:2]), _wrap(SB2Element, *p[2:])) for p in parts]
+    return [_wrap({"su2": SU2Element, "sb2": SB2Element, "sl2c": SL2Element}[kind], *p) for p in parts]
 
 
 def random_element(kind: str, seed):

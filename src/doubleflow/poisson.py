@@ -24,7 +24,7 @@ import itertools
 import json
 import math
 
-from .groups import SB2Element, SL2Element, SU2Element, _as_rng, random_elements
+from .groups import SB2Element, SL2Element, SU2Element, _as_rng, random_parts
 
 __all__ = [
     "CoordinateSystem",
@@ -554,9 +554,10 @@ def random_points(system: str, n: int, seed, on_surface=True) -> list:
     if system not in COORD_SYSTEMS:
         raise KeyError(f"unknown bracket system {system!r}")
     rng = _as_rng(seed)
-    if on_surface:
-        draws = random_elements(system, n, rng)
-        return [point_of_element(*x) if system == "double" else point_of_element(x) for x in draws]
+    if on_surface:  # the draw's parts, named as point_of_element names an element's
+        names = {"sl2c": SL2Element.__slots__, "su2": SU2Element.__slots__,
+                 "sb2": SB2Element.__slots__}.get(system, SU2Element.__slots__ + SB2Element.__slots__)
+        return [_with_conjugates(system, dict(zip(names, x))) for x in random_parts(system, n, rng)]
     if system != "sl2c":
         raise ValueError(f"on_surface=False is defined only for sl2c, not {system!r}")
     x = rng.standard_normal((n, 8))

@@ -19,6 +19,7 @@ from .groups import (
     SU2Element,
     _algebra_defect,
     _sb2_entries,
+    _sl2_defect,
     _su2_defect,
     _su2_entries,
     exp_group,
@@ -27,7 +28,8 @@ from .groups import (
     iwasawa_ug_kernel,
     mul2,
     random_element,
-    random_elements,
+    random_parts,
+    sl2_normalize,
 )
 from .quadrature import drift_report, rk4_integrate
 
@@ -177,21 +179,20 @@ BLOCK = 1000
 
 
 def _decompose_block(rng, n):
-    """(rec_gu, rec_ug, member, uniq) of n draws; each recomposition is one stacked product."""
-    azs = random_elements("sl2c", n, rng)
-    gus = [iwasawa_gu_kernel(a.z1, a.z2, a.z3, a.z4) for a in azs]  # (alpha, nu, r, gamma)
-    ugs = [iwasawa_ug_kernel(a.z1, a.z2, a.z3, a.z4) for a in azs]  # (r, gamma, alpha, nu)
-    member = max(max(a.membership_defect(), _su2_defect(gu[0], gu[1]), _su2_defect(ug[2], ug[3]))
+    """(rec_gu, rec_ug, member, uniq) of n draws' parts; each recomposition is one stacked product."""
+    azs = random_parts("sl2c", n, rng)  # (z1, z2, z3, z4)
+    gus = [iwasawa_gu_kernel(*a) for a in azs]  # (alpha, nu, r, gamma)
+    ugs = [iwasawa_ug_kernel(*a) for a in azs]  # (r, gamma, alpha, nu)
+    member = max(max(_sl2_defect(*a), _su2_defect(gu[0], gu[1]), _su2_defect(ug[2], ug[3]))
                  for a, gu, ug in zip(azs, gus, ugs))
-    gu_rows = mul2([_su2_entries(gu[0], gu[1]) for gu in gus], [_sb2_entries(gu[2], gu[3]) for gu in gus])
+    gu_rows = gu_products(gus)
     ug_rows = mul2([_sb2_entries(ug[0], ug[1]) for ug in ugs], [_su2_entries(ug[2], ug[3]) for ug in ugs])
     uniq = 0.0
     for row, (alpha, nu, r, gamma) in zip(gu_rows, gus):
         # uniqueness: refactorizing the product returns the factors
-        b = dyn.SL2Element(*row)
-        alpha3, nu3, r3, gamma3 = iwasawa_gu_kernel(b.z1, b.z2, b.z3, b.z4)
+        alpha3, nu3, r3, gamma3 = iwasawa_gu_kernel(*sl2_normalize(*row))
         uniq = max(uniq, abs(alpha3 - alpha), abs(nu3 - nu), abs(r3 - r), abs(gamma3 - gamma))
-    az = np.array([(a.z1, a.z2, a.z3, a.z4) for a in azs])
+    az = np.array(azs)
     rec_gu, rec_ug = (float(np.abs(np.array(rows) - az).max()) for rows in (gu_rows, ug_rows))
     return rec_gu, rec_ug, member, uniq
 
@@ -212,14 +213,13 @@ def suite_legendre(seed, samples):
     rng = np.random.default_rng(seed)
     in_su2 = round_trip = unreduced_hits = 0.0
     for start in range(0, samples, BLOCK):
-        ms, m3s = [], []  # each sample's map and the map of its unreduced inverse
-        for u in random_elements("sb2", min(BLOCK, samples - start), rng):
-            v = dyn.legendre_map(u, 1.0)
-            u2 = dyn.legendre_invert(v)
-            round_trip = max(round_trip, abs(u2.r - u.r), abs(u2.gamma - u.gamma))
-            u3 = dyn.legendre_invert(v, unreduced=True)
-            ms.append(v.value)
-            m3s.append(dyn.legendre_map(u3, 1.0).value)
+        ms, m3s = [], []  # each sample's map and the map of its unreduced inverse, as entries
+        for r, gamma in random_parts("sb2", min(BLOCK, samples - start), rng):
+            m = dyn.legendre_map_kernel(r, gamma, 1.0)
+            r2, gamma2 = dyn.legendre_invert_kernel(m[0][0], m[0][1])
+            round_trip = max(round_trip, abs(r2 - r), abs(gamma2 - gamma))
+            ms.append(m)
+            m3s.append(dyn.legendre_map_kernel(*dyn.legendre_invert_kernel(m[0][0], m[0][1], True), 1.0))
         stack = np.array(ms)
         in_su2 = max(in_su2, _algebra_defect("su2", stack))
         unreduced_hits += float((np.abs(np.array(m3s) - stack).max(axis=(1, 2)) < 1e-8).sum())
@@ -257,7 +257,7 @@ def suite_flows(seed, samples):
     for _ in range(starts):
         g0 = random_element("su2", rng)
         u0 = random_element("sb2", rng)
-        a0 = dyn.SL2Element(*gu_products([g0], [u0])[0])
+        a0 = dyn.SL2Element(*gu_products([(g0.alpha, g0.nu, u0.r, u0.gamma)])[0])
         y0 = dyn.z_to_flat(a0.z1, a0.z2, a0.z3, a0.z4)
         traj = rk4_integrate(dyn.sl2c_flat_field(1.0), y0, 0.0, 5.0, 1e-3, 500)
         rows, _ = sample({"g0": g0, "u0": u0, "F": 1.0})(traj.times)

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from doubleflow import dynamics as dyn
 from doubleflow import verify as ver
 from doubleflow.cli import MAX_ROWS, _write_csv, main
 from doubleflow.quadrature import MAX_STRAIGHT_DIM
-from test_dynamics import NoNumpy
+from test_dynamics import NoNumpy, count_element_builds
 
 
 def run_config(tmp_path, doc, name="run.csv", extra=()):
@@ -568,19 +569,26 @@ def test_registry_system_simulates_with_oracle(tmp_path, system, params, capsys)
 @pytest.mark.parametrize("system, params", REGISTRY_CASES)
 def test_simulate_builds_no_flow_state_per_row(tmp_path, monkeypatch, system, params):
     # 1,001 rows cross the 1,000-row block boundary; a block builds its rows
-    # from the flow's values, and a FlowState is only for callers of at(t)
-    made = []
+    # from the flow's values on coordinate tuples, and a FlowState and its
+    # group elements are only for callers of at(t): a run builds the elements
+    # of its config, as many at 1,001 rows as at 2
+    made = Counter()
 
     class Counted(dyn.FlowState):
         def __init__(self, *args, **kwargs):
-            made.append(1)
+            made["FlowState"] += 1
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(dyn, "FlowState", Counted)
-    code, out = run_config(tmp_path, {"system": system, "params": params, "t1": 10.0,
-                                      "dt": 0.01, "seed": 4})
-    assert code == 0 and len(read_csv(out)[1]) == 1001
-    assert len(made) == 0
+    count_element_builds(monkeypatch, made)
+    builds = []
+    for t1 in (0.01, 10.0):
+        made.clear()
+        code, out = run_config(tmp_path, {"system": system, "params": params, "t1": t1,
+                                          "dt": 0.01, "seed": 4})
+        assert code == 0 and len(read_csv(out)[1]) == round(t1 / 0.01) + 1
+        builds.append(dict(made))
+    assert builds[1] == builds[0] and "FlowState" not in builds[1]
 
 
 def test_csv_rows_pass_membership_on_reingestion(tmp_path):

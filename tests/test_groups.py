@@ -14,7 +14,6 @@ from doubleflow.groups import (
     SL2Element,
     SU2Element,
     _inverse_norm,
-    _trusted,
     check_finite,
     exp_group,
     exp_sb2,
@@ -179,7 +178,7 @@ def test_arithmetic_past_the_floats_is_a_value_error(call):
 def ref_iwasawa_gu(a):
     """iwasawa_gu as it was, through the element constructors: (alpha, nu, r, gamma)."""
     s = _inverse_norm(a.z1, a.z3)
-    g = _trusted(SU2Element, s * a.z1, s * a.z3)
+    g = SU2Element(s * a.z1, s * a.z3)
     u = SB2Element(1.0 / s, s * (a.z1.conjugate() * a.z2 + a.z3.conjugate() * a.z4))
     return g.alpha, g.nu, u.r, u.gamma
 
@@ -188,7 +187,7 @@ def ref_iwasawa_ug(a):
     """iwasawa_ug as it was, through the element constructors: (r, gamma, alpha, nu)."""
     t = _inverse_norm(a.z3, a.z4)
     u = SB2Element(t, t * (a.z1 * a.z3.conjugate() + a.z2 * a.z4.conjugate()))
-    g = _trusted(SU2Element, t * a.z4.conjugate(), t * a.z3)
+    g = SU2Element(t * a.z4.conjugate(), t * a.z3)
     return u.r, u.gamma, g.alpha, g.nu
 
 
@@ -320,10 +319,11 @@ def test_gu_products_pinned_bitwise_matches_matmul():
         u = SB2Element(10.0 ** rng.uniform(-8.0, 8.0), complex(gamma[0], gamma[1]))
         gs.append(g)
         us.append(u)
-        got.append(gu_products([g], [u])[0])
+        got.append(gu_products([(g.alpha, g.nu, u.r, u.gamma)])[0])
         want.append((g.as_matrix() @ u.as_matrix()).ravel())
     assert np.array(got).tobytes() == np.array(want).tobytes()
-    assert np.array(gu_products(gs, us)).tobytes() == np.array(want).tobytes()
+    parts = [(g.alpha, g.nu, u.r, u.gamma) for g, u in zip(gs, us)]
+    assert np.array(gu_products(parts)).tobytes() == np.array(want).tobytes()
 
 
 def exp2x2(m):

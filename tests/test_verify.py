@@ -3,9 +3,10 @@ legendre_map against their per-sample forms, kept verbatim below as bit referenc
 
 The suites draw a block of samples with one generator call, take its 2x2
 products as one stacked np.matmul and reduce each residual once per block
-with numpy; the decompositions suite factors each sample on Python scalars,
-and legendre_map forms its entries on them and skips AlgebraElement's su2
-check.  None of that may move a bit of a draw, a value or a report.
+with numpy; both suites work on the draw's coordinate tuples through the
+scalar kernels, with no element per sample, and legendre_map forms its
+entries on Python scalars and skips AlgebraElement's su2 check.  None of
+that may move a bit of a draw, a value or a report.
 """
 
 import math
@@ -27,15 +28,16 @@ from doubleflow.groups import (
     SU2Element,
     _algebra_defect,
     _as_rng,
-    _trusted,
     gu_products,
     iwasawa_gu,
     iwasawa_ug,
     mul2,
     random_element,
     random_elements,
+    random_parts,
 )
 from doubleflow.verify import _check
+from test_dynamics import count_element_builds
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -47,7 +49,7 @@ def ref_random_element(kind: str, seed):
     if kind == "su2":
         v = rng.standard_normal(4)
         v = v / np.linalg.norm(v)
-        return _trusted(SU2Element, complex(v[0], v[1]), complex(v[2], v[3]))
+        return SU2Element(complex(v[0], v[1]), complex(v[2], v[3]))
     if kind == "sb2":
         r = math.exp(0.5 * rng.standard_normal())
         gamma = complex(rng.standard_normal(), rng.standard_normal()) / math.sqrt(2.0)
@@ -55,7 +57,7 @@ def ref_random_element(kind: str, seed):
     if kind == "sl2c":
         g = ref_random_element("su2", rng)
         u = ref_random_element("sb2", rng)
-        return _trusted(SL2Element, *(g.as_matrix() @ u.as_matrix()).ravel().tolist())
+        return SL2Element(*(g.as_matrix() @ u.as_matrix()).ravel().tolist())
 
 
 def ref_random_point(system: str, rng, on_surface=True) -> dict:
@@ -186,31 +188,21 @@ def test_suites_hold_one_block_of_samples(suite):
 
 
 def test_suite_decompositions_builds_no_element_per_factor(monkeypatch):
-    # 2,000 samples cross the block boundary; the draws build one SU2Element and
-    # one SB2Element each, and the Iwasawa factors stay Python scalars
+    # 2,000 samples cross the block boundary; the draws, the Iwasawa factors and
+    # the refactorized products stay Python scalars
     made = Counter()
-
-    def counted(owner, name, key):
-        f = getattr(owner, name)
-
-        def wrapper(*args):
-            made[key] += 1
-            return f(*args)
-        monkeypatch.setattr(owner, name, wrapper)
-
-    counted(SU2Element, "_set", "SU2Element")  # __init__ and _trusted both set through it
-    counted(SB2Element, "__init__", "SB2Element")
-    for module in (grp, ver):
-        for name in ("iwasawa_gu", "iwasawa_ug"):
-            if hasattr(module, name):
-                counted(module, name, name)
+    count_element_builds(monkeypatch, made, *[(module, name) for module in (grp, ver)
+                                               for name in ("iwasawa_gu", "iwasawa_ug")
+                                               if hasattr(module, name)])
     ver.suite_decompositions(0, 2000)
-    assert made == {"SU2Element": 2000, "SB2Element": 2000}
+    assert made == {}
 
 
 def test_suite_legendre_makes_no_array_check_per_map(monkeypatch):
-    # each of the 4,000 maps forms its four entries on Python scalars
+    # each of the 4,000 maps forms its four entries on Python scalars, and
+    # no sample builds an SB2Element or an AlgebraElement
     made = Counter()
+    count_element_builds(monkeypatch, made)
     check_finite = grp.check_finite
 
     def counted_check(a):
@@ -230,8 +222,9 @@ def test_suite_legendre_makes_no_array_check_per_map(monkeypatch):
     assert made == {}
 
 
-def element_bits(x):
-    return repr([getattr(x, name) for name in type(x).__slots__])
+def element_bits(*elements):
+    """The parts of elements, in order, as one repr."""
+    return repr([getattr(x, name) for x in elements for name in type(x).__slots__])
 
 
 @pytest.mark.parametrize("kind", ["su2", "sb2", "sl2c"])
@@ -282,13 +275,18 @@ def test_block_products_and_draws_pinned_bitwise_match_one_at_a_time(n):
     for xs, ys in [(ms[:n], ms[n:]), gu, gu[::-1]]:
         got = mul2([x.ravel().tolist() for x in xs], [y.ravel().tolist() for y in ys])
         assert np.array(got).tobytes() == np.array([x.dot(y).ravel() for x, y in zip(xs, ys)]).tobytes()
-    assert np.array(gu_products(gs, us)).tobytes() == np.array([x @ y for x, y in zip(*gu)]).tobytes()
-    # a block of n draws against n single draws, generator state included
-    for kind in ("su2", "sb2", "sl2c"):
-        rng, ref = np.random.default_rng(n), np.random.default_rng(n)
-        got = [element_bits(x) for x in random_elements(kind, n, rng)]
-        assert got == [element_bits(random_element(kind, ref)) for _ in range(n)], kind
-        assert rng.bit_generator.state == ref.bit_generator.state
+    parts = [(g.alpha, g.nu, u.r, u.gamma) for g, u in zip(gs, us)]
+    assert np.array(gu_products(parts)).tobytes() == np.array([x @ y for x, y in zip(*gu)]).tobytes()
+    # a block of n draws as parts (its SU(2) dots one stacked matmul) and as elements,
+    # against n single draws, generator state included
+    for kind in ("su2", "sb2", "sl2c", "double"):
+        rng, wrapped, ref = (np.random.default_rng(n) for _ in range(3))
+        got = [repr(list(p)) for p in random_parts(kind, n, rng)]
+        kinds = ("su2", "sb2") if kind == "double" else (kind,)
+        assert got == [element_bits(*(x if kind == "double" else (x,)))
+                       for x in random_elements(kind, n, wrapped)], kind
+        assert got == [element_bits(*(random_element(k, ref) for k in kinds)) for _ in range(n)], kind
+        assert rng.bit_generator.state == wrapped.bit_generator.state == ref.bit_generator.state
     for system, on_surface in POINT_KINDS:
         rng, ref = np.random.default_rng(n), np.random.default_rng(n)
         got = [list(p.items()) for p in poi.random_points(system, n, rng, on_surface)]
@@ -339,10 +337,17 @@ def test_legendre_map_matches_reference_and_lands_exactly_in_su2(r, gamma, F):
 @pytest.mark.parametrize("F, gamma, want", [
     (1.0, 0.0, "[[-0.9375j, 0j], [-0j, 0.9375j]]"),
     (-1.0, 0.0, "[[0.9375j, 0j], [0j, (-0-0.9375j)]]"),
+    (1.0, complex(-0.0, 0.0), "[[-0.9375j, 0j], [-0j, 0.9375j]]"),
+    (-1.0, complex(-0.0, 0.0), "[[0.9375j, 0j], [0j, (-0-0.9375j)]]"),
+    (1.0, complex(0.0, -0.0), "[[-0.9375j, 0j], [-0j, 0.9375j]]"),
+    (-1.0, complex(0.0, -0.0), "[[0.9375j, 0j], [0j, (-0-0.9375j)]]"),
+    (1.0, complex(-0.0, -0.0), "[[-0.9375j, -0j], [0j, 0.9375j]]"),
+    (-1.0, complex(-0.0, -0.0), "[[0.9375j, 0j], [0j, (-0-0.9375j)]]"),
     (1.0, 0.5 - 0.25j, "[[-1.015625j, (-0.0625-0.125j)], [(0.0625-0.125j), 1.015625j]]"),
     (-1.0, 0.5 - 0.25j, "[[1.015625j, (0.0625+0.125j)], [(-0.0625+0.125j), (-0-1.015625j)]]"),
 ])
 def test_legendre_map_zero_signs_are_pinned(F, gamma, want):
-    # c = complex(0.0, -F/4) times each entry, complex x complex: the zero signs of
-    # numpy's array product, whatever a Python version does with a float times a complex
+    # c = complex(0.0, -F/4) times each entry, and off = complex(2, 0)·gamma/complex(r, 0),
+    # complex x complex: the zero signs of numpy's array product, whatever a Python
+    # version does with a float times or over a complex
     assert repr(dyn.legendre_map(SB2Element(2.0, gamma), F).value.tolist()) == want
