@@ -149,16 +149,14 @@ def flat_to_z(y):
 def sl2c_flat_field(F_value: float):
     """Bracket field of F·dH0 at the 8 reals of a flattened z-state, field(x1, y1, ..., y4)."""
     c = -0.5 * float(F_value)
+    nc = -c
 
     def field(x1, y1, x2, y2, x3, y3, x4, y4):
         h0 = 0.5 * (abs(complex(x1, y1)) ** 2 + abs(complex(x2, y2)) ** 2
                     + abs(complex(x3, y3)) ** 2 + abs(complex(x4, y4)) ** 2)
-        # (u, v) = h0·z ∓ z̄', and ż = i·c·(u + iv)
-        u1, v1 = h0 * x1 - x4, h0 * y1 + y4
-        u2, v2 = h0 * x2 + x3, h0 * y2 - y3
-        u3, v3 = h0 * x3 + x2, h0 * y3 - y2
-        u4, v4 = h0 * x4 - x1, h0 * y4 + y1
-        return (-c * v1, c * u1, -c * v2, c * u2, -c * v3, c * u3, -c * v4, c * u4)
+        # ż = i·c·(u + iv) for (u, v) = h0·z ∓ z̄': the rates (-c·v, c·u)
+        return (nc * (h0 * y1 + y4), c * (h0 * x1 - x4), nc * (h0 * y2 - y3), c * (h0 * x2 + x3),
+                nc * (h0 * y3 - y2), c * (h0 * x3 + x2), nc * (h0 * y4 + y1), c * (h0 * x4 - x1))
 
     return field
 
@@ -558,24 +556,37 @@ def interaction_picture_flow(g0: SU2Element, X: AlgebraElement, A0: AlgebraEleme
     return lambda t: _wrap(SU2Element, *frame(t))
 
 
-def _commutator_guard(mats, nodes, tol):
-    """Raise CommutativityError unless every pairwise commutator norm is <= tol.
+def _cross_sq(x, y, xj, yj):
+    """|x_i y_j - x_j y_i|² of complex x, y given as (real, imaginary) parts at rows i and columns j."""
+    (xr, xi), (yr, yi), (xrj, xij), (yrj, yij) = x, y, xj, yj
+    re = (xr * yrj - xi * yij) - (xrj * yr - xij * yi)
+    im = (xr * yij + xi * yrj) - (xrj * yi + xij * yr)
+    return re * re + im * im
 
-    Row i takes its products with the samples after it from one batched
-    matmul, m[i] @ m[i+1:] - m[i+1:] @ m[i], so each norm is the one a
-    pairwise loop computes and memory grows linearly in S.  The reported
-    pair is the first worst one in (i, j), i < j order; a NaN norm is never
-    the worst, as with a pairwise loop over `nrm > worst`.
+
+def _commutator_guard(mats, nodes, tol):
+    """Raise CommutativityError unless every pairwise commutator norm of 2x2 samples is <= tol.
+
+    For X = [[a, b], [c, d]] and e = d - a, ‖[X_i, X_j]‖² = 2|b_i c_j - b_j c_i|² + |b_i e_j -
+    b_j e_i|² + |c_i e_j - c_j e_i|², on float arrays of the real and imaginary parts, 16 rows at a
+    time against the samples after the first, so memory grows linearly in S.  The reported pair is
+    the first worst one in (i, j), i < j order; a NaN norm is never the worst, as with a pairwise
+    loop over `nrm > worst`.  A stack that is not 2x2 is ValueError.
     """
-    m = np.array(mats)
-    worst, pair = -math.inf, None
-    for i in range(len(m) - 1):
-        comm = m[i] @ m[i + 1:] - m[i + 1:] @ m[i]
-        norms = np.sqrt(np.sum(np.abs(comm) ** 2, axis=(1, 2)))
-        norms[np.isnan(norms)] = 0.0
-        k = int(np.argmax(norms))
-        if norms[k] > worst:
-            worst, pair = norms[k], (nodes[i], nodes[i + 1 + k])
+    m = np.array(mats, dtype=complex)
+    if m.ndim != 3 or m.shape[1:] != (2, 2):
+        raise ValueError("the commutator guard takes a stack of 2x2 matrices")
+    block, worst, pair = 16, -math.inf, None
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is an inf or NaN norm
+        parts = np.array([(z.real, z.imag) for z in (m[:, 0, 1], m[:, 1, 0], m[:, 1, 1] - m[:, 0, 0])])
+        for i0 in range(0, len(m) - 1, block):
+            # j <= i is 0 or NaN at j = i, else an earlier row's (j, i) norm bit for bit: never a first max
+            (b, c, e), (bj, cj, ej) = parts[:, :, i0:i0 + block, None], parts[:, :, i0 + 1:]
+            norms = np.sqrt(2.0 * _cross_sq(b, c, bj, cj) + _cross_sq(b, e, bj, ej) + _cross_sq(c, e, cj, ej))
+            norms[np.isnan(norms)] = -math.inf
+            r, k = divmod(int(np.argmax(norms)), norms.shape[1])
+            if norms[r, k] > worst:
+                worst, pair = norms[r, k], (nodes[i0 + r], nodes[i0 + 1 + k])
     if worst > tol:
         raise CommutativityError(worst, pair)
 

@@ -191,7 +191,8 @@ def drift_report(traj: Trajectory, names, invariants) -> dict:
     value per name; a row of the wrong length is a ValueError.  A NaN deviation
     is never the max, and the time is that of the first state to reach it.
     """
-    values = np.array([invariants(y.tolist()) for y in traj.states], dtype=float)
+    values = np.array([invariants(y) for k in range(0, len(traj), 1024)  # a block at a time bounds the peak
+                       for y in traj.states[k:k + 1024].tolist()], dtype=float)
     if values.shape != (len(traj), len(names)):
         raise ValueError(f"invariants must return {len(names)} values per state")
     with np.errstate(invalid="ignore"):  # inf - inf is a NaN deviation

@@ -149,10 +149,13 @@ def suite_brackets(seed, samples):
 
     # product coordinates: the double table pushed through a = g*u
     # reproduces the sl2c table
-    zpolys = {k: poi.named_function("double", k) for k in ("z1", "z2", "z3", "z4")}
-    zpolys.update({k + "c": v.conj() for k, v in list(zpolys.items())})
-    pairs = [(tables["double"].poly_bracket(zpolys[a], zpolys[b]), tz.entry(a, b))
-             for a, b in itertools.combinations(tz.cs.coords, 2)]
+    def product_brackets():  # they do not depend on the point, so the double table keeps them
+        zpolys = {k: poi.named_function("double", k) for k in ("z1", "z2", "z3", "z4")}
+        zpolys.update({k + "c": v.conj() for k, v in list(zpolys.items())})
+        return zpolys, [(tables["double"].poly_bracket(zpolys[a], zpolys[b]), tz.entry(a, b))
+                        for a, b in itertools.combinations(tz.cs.coords, 2)]
+
+    zpolys, pairs = tables["double"]._memo("product_coordinates", product_brackets)
     worst = 0.0
     for p in pts["double"][: min(samples, 20)]:
         zp = {k: v.evaluate(p) for k, v in zpolys.items()}
@@ -353,7 +356,7 @@ def suite_flows(seed, samples):
 
     # RK4 order: step halving shrinks the endpoint error 16x (within [14, 18])
     def efield(y0, y1):
-        return np.array([-y1, y0])
+        return (-y1, y0)
 
     def endpoint_error(h):
         traj = rk4_integrate(efield, np.array([1.0, 0.0]), 0.0, 1.0, h)

@@ -684,15 +684,27 @@ def test_commuting_quadrature_constant_path():
     assert np.max(np.abs(got.as_matrix() - want.as_matrix())) < 1e-10
 
 
-def frobenius(m):
-    return float(np.sqrt(np.sum(np.abs(np.asarray(m)) ** 2)))
+def commutator_sq(x, y):
+    """|x_i y_j - x_j y_i|² on Python floats, for x = (x_i, x_j) and y = (y_i, y_j) complex."""
+    (xi, xj), (yi, yj) = x, y
+    re = (xi.real * yj.real - xi.imag * yj.imag) - (xj.real * yi.real - xj.imag * yi.imag)
+    im = (xi.real * yj.imag + xi.imag * yj.real) - (xj.real * yi.imag + xj.imag * yi.real)
+    return re * re + im * im
+
+
+def closed_form_norm(x, y):
+    """‖[x, y]‖ of 2x2 matrices from the entries b, c and e = d - a, pair by pair on Python floats."""
+    (a1, b1), (c1, d1) = np.asarray(x, dtype=complex).tolist()
+    (a2, b2), (c2, d2) = np.asarray(y, dtype=complex).tolist()
+    b, c, e = (b1, b2), (c1, c2), (d1 - a1, d2 - a2)
+    return math.sqrt(2.0 * commutator_sq(b, c) + commutator_sq(b, e) + commutator_sq(c, e))
 
 
 def brute_force_guard(mats, nodes):
     worst, pair = 0.0, (0.0, 0.0)
     for i in range(len(mats)):
         for j in range(i + 1, len(mats)):
-            nrm = frobenius(mats[i] @ mats[j] - mats[j] @ mats[i])
+            nrm = closed_form_norm(mats[i], mats[j])
             if nrm > worst:
                 worst, pair = nrm, (nodes[i], nodes[j])
     return worst, pair
@@ -735,30 +747,57 @@ def test_commutator_guard_matches_brute_force_loop():
     tied = [0.7 * np.eye(2, dtype=complex), a, b, a, b]
     assert brute_force_guard(tied, nodes[:5])[1] == (nodes[1], nodes[2])
     assert_guard_matches_brute_force(tied, nodes[:5])
+    # the guard takes 16 rows at a time: a tie recurring in later blocks, and
+    # a first worst pair in the second block after 20 rows of exact zeros
+    assert_guard_matches_brute_force([a, b] * 20, np.linspace(0.0, 3.0, 40))
+    tied = [0.7 * np.eye(2, dtype=complex)] * 20 + [a, b, a, b]
+    assert brute_force_guard(tied, nodes[:24])[1] == (nodes[20], nodes[21])
+    assert_guard_matches_brute_force(tied, nodes[:24])
     # entries near 1e200: products of two big samples overflow to a NaN norm,
     # so row 0 mixes NaN with finite norms and row 4 is all NaN
-    big = [1e200 * twisted(s) for s in nodes[:3]]
-    small = [1e-195 * twisted(s) for s in nodes[3:5]]
+    big = [1e200 * twisted(s) for s in nodes[1:4]]
+    small = [1e-195 * twisted(s) for s in nodes[4:6]]
     stack = [big[0], big[1], *small, big[2], 1e200 * b]
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert math.isnan(frobenius(stack[0] @ stack[1] - stack[1] @ stack[0]))
-        assert math.isnan(frobenius(stack[4] @ stack[5] - stack[5] @ stack[4]))
-        assert_guard_matches_brute_force(stack, nodes[:6])
+    assert math.isnan(closed_form_norm(stack[0], stack[1]))
+    assert math.isnan(closed_form_norm(stack[4], stack[5]))
+    assert_guard_matches_brute_force(stack, nodes[:6])
+    assert_guard_matches_brute_force([np.zeros((2, 2))] * 14 + stack, nodes[:20])  # across two blocks
     # stacks of 1 and 2 samples
     assert_guard_matches_brute_force(mats[:1], nodes[:1])
     assert_guard_matches_brute_force(mats[:2], nodes[:2])
     assert_guard_matches_brute_force([a, a], nodes[:2])
-    # commuting samples (real 3x3)
-    _commutator_guard([k * np.eye(3) for k in range(5)], nodes[:5], 0.0)
-    # 33 copies of one real matrix, as a constant action-angle fiber matrix
-    # gives: every commutator is exactly 0 (or NaN past overflow) at any scale,
-    # so action_angle_flow skips the guard
+    # commuting samples: multiples of one matrix, and of the identity
+    _commutator_guard([k * a for k in range(5)], nodes[:5], 0.0)
+    _commutator_guard([k * np.eye(2) for k in range(5)], nodes[:5], 0.0)
+    # 33 copies of one real matrix: every commutator is exactly 0 (or NaN
+    # past overflow) at any scale
     rng = np.random.default_rng(9)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for dim in (1, 2, 3):
-            for scale in np.logspace(-300, 200, 50):
-                for _ in range(16):
-                    _commutator_guard([scale * rng.standard_normal((dim, dim))] * 33, nodes, 0.0)
+    for scale in np.logspace(-300, 200, 50):
+        for _ in range(16):
+            _commutator_guard([scale * rng.standard_normal((2, 2))] * 33, nodes, 0.0)
+
+
+@pytest.mark.parametrize("kind", ["su2", "sb2"])
+def test_commutator_guard_norm_is_the_commutators_frobenius_norm(kind):
+    # an independent check of the closed form: 200 seeded pairs of each algebra
+    rng = np.random.default_rng(38)
+    for _ in range(200):
+        x, y = rng.standard_normal((2, 3))
+        if kind == "su2":  # [[i·p, q], [-conj q, -i·p]]
+            m = [np.array([[1j * v[0], complex(v[1], v[2])], [complex(-v[1], v[2]), -1j * v[0]]]) for v in (x, y)]
+        else:  # [[s, w], [0, -s]], s real
+            m = [np.array([[v[0], complex(v[1], v[2])], [0.0, -v[0]]]) for v in (x, y)]
+        with pytest.raises(CommutativityError) as err:
+            _commutator_guard(m, (0.0, 1.0), 0.0)
+        want = np.linalg.norm(m[0] @ m[1] - m[1] @ m[0])
+        assert err.value.max_norm == pytest.approx(want, rel=1e-14, abs=0.0)
+
+
+def test_commutator_guard_rejects_a_stack_that_is_not_2x2():
+    nodes = np.linspace(0.0, 1.0, 5)
+    for mats in ([np.eye(3)] * 5, [np.eye(1)] * 5, np.zeros((5, 2, 3)), np.zeros(5)):
+        with pytest.raises(ValueError, match="2x2"):
+            _commutator_guard(mats, nodes, 0.0)
 
 
 def test_commutator_guard_memory_grows_linearly_in_samples():

@@ -406,9 +406,18 @@ def test_hoisted_product_coordinates_check_matches_per_point_recomputation():
 def test_brackets_report_is_the_same_with_cold_and_warm_caches(monkeypatch):
     monkeypatch.setattr(poisson, "_TABLES", {})
     cold = verify.report_doc("brackets", 3, 30)
+    # every bracket the suite takes, the 28 of the product coordinates
+    # included, is point-independent: a warm run builds none of them
+    bracket, calls = BracketTable.poly_bracket, []
+    monkeypatch.setattr(BracketTable, "poly_bracket", lambda *a: calls.append(a) or bracket(*a))
     warm = verify.report_doc("brackets", 3, 30)
     assert poisson._TABLES
     assert cold == warm
+    assert calls == []
+    td, tz, zp = get_table("double"), get_table("sl2c"), _zpolys()
+    kept = td._cache["product_coordinates"][1]
+    assert [(lhs.terms, rhs.terms) for lhs, rhs in kept] == [
+        (bracket(td, zp[a], zp[b]).terms, tz.entry(a, b).terms) for a, b in itertools.combinations(tz.cs.coords, 2)]
 
 
 # sha256 of get_table(name).to_json() as the tables were first pinned; the

@@ -557,15 +557,17 @@ def _ref_drift_report(traj, names, invariants):
 
 
 def test_drift_report_calls_the_invariants_once_per_state():
-    traj = rk4_integrate(rotation_field, np.array([1.0, 0.0]), 0.0, 2.0, 1e-2)
+    # 2,501 states: drift_report lists them a block of 1,024 at a time
+    traj = rk4_integrate(rotation_field, np.array([1.0, 0.0]), 0.0, 25.0, 1e-2)
     calls = []
 
     def invariants(y):
-        calls.append(type(y))
+        calls.append(y)
         return dyn._casimir_invariants(*dyn.flat_to_z([*y, 0.5, -0.25, 2.0, 1.0, 0.0, 0.3]))
 
     rep = drift_report(traj, ("H0", "det_re", "det_im"), invariants)
-    assert calls == [list] * len(traj)  # each state as a list of floats
+    assert [type(y) for y in calls] == [list] * len(traj)  # each state as a list of floats
+    assert calls == traj.states.tolist()
     assert rep == _ref_drift_report(traj, ("H0", "det_re", "det_im"), invariants)
 
 
