@@ -205,7 +205,7 @@ def test_9_reproducibility(tmp_path, capsys):
     doc = {"system": "casimir_sl2c", "t1": 1.0, "dt": 0.02,
            "seed": 123, "oracle": True}
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(doc))
+    cfg.write_text(json.dumps(doc), encoding="utf-8")
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
     assert main(["simulate", "--config", str(cfg), "--out", str(out1)]) == 0
     assert main(["simulate", "--config", str(cfg), "--out", str(out2)]) == 0

@@ -23,14 +23,21 @@ from test_dynamics import NoNumpy, count_element_builds
 
 def run_config(tmp_path, doc, name="run.csv", extra=()):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(doc))
+    cfg.write_text(json.dumps(doc), encoding="utf-8")
     out = tmp_path / name
     code = main(["simulate", "--config", str(cfg), "--out", str(out), *extra])
     return code, out
 
 
+def subprocess_env():
+    """os.environ with this package's source directory first on PYTHONPATH."""
+    src = os.path.dirname(os.path.dirname(doubleflow.__file__))
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+
+
 def read_csv(path):
-    lines = path.read_text().splitlines()
+    lines = path.read_text(encoding="utf-8").splitlines()
     header = lines[0].split(",")
     rows = [list(map(float, ln.split(","))) for ln in lines[1:]]
     return header, rows
@@ -219,9 +226,37 @@ def test_write_csv_streams_rows_to_a_file(tmp_path):
         tracemalloc.stop()
     size = out.stat().st_size
     assert peak < size / 10, (peak, size)
-    lines = out.read_text().split("\n")
+    lines = out.read_text(encoding="utf-8").split("\n")
     assert lines[0] == ",".join(header) and lines[-1] == "" and len(lines) == 20_002
     assert lines[-2] == ",".join(format(x, ".17g") for x in rows[-1])
+
+
+# tables whose columns are constant, or nearly so, across 64-row write
+# chunks: a column of one nonzero value in every row is formatted once
+WRITER_TABLES = {
+    "negative-zero-column": [[j * 0.5, -0.0, 1.5 + j] for j in range(200)],
+    # equal to 0.0 == -0.0 in every row, but written with its own sign in each
+    "mixed-zeros-column": [[j * 0.5, -0.0 if j % 2 else 0.0, 2.0] for j in range(201)],
+    "denormal-column": [[j, 5e-324, j * j] for j in range(200)],
+    "equal-across-types": [[j, np.float64(0.1) if j % 2 else 0.1, 3 if j % 3 else 3.0]
+                           for j in range(200)],
+    "equal-ends-not-middle": [[j, 7.5 if j == 100 else 7.25, -1.0] for j in range(200)],
+    "one-row": [[0.25, 1.0, -0.0]],
+    "no-rows": [],
+    "all-but-first-constant": [[j * 0.1, 2.5, -3.0, 1e300, 5e-324] for j in range(200)],
+    "every-column-constant": [[1.5, 2.5, 2**60]] * 3,
+}
+
+
+@pytest.mark.parametrize("rows", WRITER_TABLES.values(), ids=WRITER_TABLES.keys())
+def test_write_csv_matches_the_plain_per_row_format(tmp_path, capsys, rows):
+    header = [f"c{i}" for i in range(len(rows[0]) if rows else 3)]
+    want = "".join(line + "\n" for line in [",".join(header), *(
+        ",".join(format(float(x), ".17g") for x in row) for row in rows)])
+    _write_csv(None, header, rows)
+    assert capsys.readouterr().out == want
+    _write_csv(str(tmp_path / "run.csv"), header, rows)
+    assert (tmp_path / "run.csv").read_bytes() == want.encode()
 
 
 _MOMENTA_DOC = {"system": "momenta_su2", "t1": 10.0, "dt": 0.1,
@@ -262,14 +297,12 @@ def test_simulate_oracle_memory_grows_with_rows_not_rk4_steps(tmp_path, doc, n_r
 def test_simulate_into_a_pipe_closed_after_the_header(tmp_path):
     # a reader that stops early ends the run with exit 0 and nothing on stderr
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"system": "noncasimir_h", "t1": 100.0, "dt": 0.01}))
-    src = os.path.dirname(os.path.dirname(doubleflow.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    cfg.write_text(json.dumps({"system": "noncasimir_h", "t1": 100.0, "dt": 0.01}),
+                   encoding="utf-8")
     with open(tmp_path / "err.txt", "wb") as err:
         proc = subprocess.Popen([sys.executable, "-W", "error", "-m", "doubleflow", "simulate",
                                  "--config", str(cfg)], stdout=subprocess.PIPE, stderr=err,
-                                env=env)
+                                env=subprocess_env())
         try:
             header = proc.stdout.readline()
             proc.stdout.close()
@@ -280,10 +313,22 @@ def test_simulate_into_a_pipe_closed_after_the_header(tmp_path):
     assert code == 0 and (tmp_path / "err.txt").read_bytes() == b""
 
 
+def test_simulate_out_names_its_encoding(tmp_path):
+    # under warn_default_encoding a text open without an encoding warns, and
+    # -W error made that an EncodingWarning traceback with exit 1
+    cfg, out = tmp_path / "cfg.json", tmp_path / "run.csv"
+    cfg.write_text(json.dumps({"system": "rotator", "t1": 0.2, "dt": 0.1}), encoding="utf-8")
+    proc = subprocess.run([sys.executable, "-X", "warn_default_encoding", "-W", "error", "-m",
+                           "doubleflow", "simulate", "--config", str(cfg), "--out", str(out)],
+                          env=subprocess_env(), capture_output=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert out.read_bytes().startswith(b"t,g11,")
+
+
 def test_simulate_flag_overrides_config_out(tmp_path):
     doc = {"system": "rotator", "t1": 0.2, "dt": 0.1, "out": str(tmp_path / "cfg_out.csv")}
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(doc))
+    cfg.write_text(json.dumps(doc), encoding="utf-8")
     assert main(["simulate", "--config", str(cfg)]) == 0
     assert (tmp_path / "cfg_out.csv").exists()
     out2 = tmp_path / "flag_out.csv"
@@ -491,7 +536,8 @@ def test_simulate_exits_2_with_one_error_line(tmp_path, runs, doc, message, caps
     cfg = tmp_path / "cfg.json"
     if doc is not None:
         cfg.write_text(doc if isinstance(doc, str) else
-                       json.dumps(doc).replace("{tmp}", str(tmp_path)))
+                       json.dumps(doc).replace("{tmp}", str(tmp_path)),
+                       encoding="utf-8")
     out = [] if isinstance(doc, dict) and "out" in doc else ["--out", str(tmp_path / "never.csv")]
     for extra in runs:
         assert main(["simulate", "--config", str(cfg), *out, *extra]) == 2
@@ -844,7 +890,7 @@ def test_legendre_rejects_flags(argv, flag, capsys):
 ])
 def test_negative_flag_values_read_as_their_equals_form(tmp_path, argv, flag, code, capsys):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"system": "rotator", "t1": 0.1}))
+    cfg.write_text(json.dumps({"system": "rotator", "t1": 0.1}), encoding="utf-8")
     argv = [str(cfg) if a == "{cfg}" else a for a in argv]
     assert main([*argv, "=".join(flag)]) == code
     joined = capsys.readouterr()
@@ -853,16 +899,20 @@ def test_negative_flag_values_read_as_their_equals_form(tmp_path, argv, flag, co
 
 
 def test_simulate_names_the_first_non_finite_row(tmp_path, monkeypatch, capsys):
-    # a sampler whose row at t = 0 is NaN and whose next t raises: the NaN row
-    # is the one named, as a block's rows are checked before its sampler's error
-    def block(times):
-        return [[math.nan] * 9 + [0.0] * 4], ValueError("a later row")
+    # a sampler whose first rows are finite, whose later rows are NaN and inf,
+    # and whose next t raises: the first NaN row is the one named, as a block's
+    # rows are checked in order before its sampler's error
+    for finite, named in [(0, "0"), (3, "1.5")]:
+        def block(times):
+            rows = [[0.5] * 13] * finite + [[math.nan] * 9 + [0.0] * 4, [math.inf] * 13]
+            return rows, ValueError("a later row")
 
-    rotator = dataclasses.replace(dyn.SYSTEMS["rotator"], sample=lambda p: block)
-    monkeypatch.setitem(dyn.SYSTEMS, "rotator", rotator)
-    code, _ = run_config(tmp_path, {"system": "rotator", "t1": 1.0, "dt": 0.5}, name="never.csv")
-    assert code == 2
-    assert capsys.readouterr().err == "error: params: the flow leaves the finite floats at t = 0\n"
+        rotator = dataclasses.replace(dyn.SYSTEMS["rotator"], sample=lambda p: block)
+        monkeypatch.setitem(dyn.SYSTEMS, "rotator", rotator)
+        doc = {"system": "rotator", "t1": 3.0, "dt": 0.5}
+        assert run_config(tmp_path, doc, name="never.csv")[0] == 2
+        assert capsys.readouterr().err == ("error: params: the flow leaves the finite floats "
+                                           f"at t = {named}\n")
 
 
 def test_unknown_command_exits_two():
@@ -876,8 +926,10 @@ def test_import_and_given_param_runs_leave_scipy_and_numpy_random_unloaded(tmp_p
     # drawn param imports numpy.random
     given, drawn = tmp_path / "given.json", tmp_path / "drawn.json"
     given.write_text(json.dumps({"system": "action_angle", "t1": 0.1, "dt": 0.05,
-                                 "params": {"I0": [1.0], "phi0": [0.0], "freq": [1.0]}}))
-    drawn.write_text(json.dumps({"system": "casimir_sl2c", "t1": 0.1, "dt": 0.05}))
+                                 "params": {"I0": [1.0], "phi0": [0.0], "freq": [1.0]}}),
+                     encoding="utf-8")
+    drawn.write_text(json.dumps({"system": "casimir_sl2c", "t1": 0.1, "dt": 0.05}),
+                     encoding="utf-8")
     out = str(tmp_path / "run.csv")
     script = (
         "import sys\n"
@@ -894,9 +946,6 @@ def test_import_and_given_param_runs_leave_scipy_and_numpy_random_unloaded(tmp_p
         f"run('simulate', '--config', {str(drawn)!r}, '--out', {out!r})\n"
         "assert 'numpy.random' in sys.modules, 'drawn'\n"
     )
-    src = os.path.dirname(os.path.dirname(doubleflow.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
-    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                          text=True, timeout=120)
+    proc = subprocess.run([sys.executable, "-c", script], env=subprocess_env(),
+                          capture_output=True, text=True, encoding="utf-8", timeout=120)
     assert proc.returncode == 0, proc.stderr

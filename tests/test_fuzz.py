@@ -82,7 +82,7 @@ CONFIGS = st.sampled_from(list(dyn.SYSTEMS)).flatmap(lambda system: st.builds(
 def test_simulate_config_fuzz(doc):
     with tempfile.TemporaryDirectory() as d:
         cfg, out = os.path.join(d, "cfg.json"), os.path.join(d, "run.csv")
-        with open(cfg, "w") as f:
+        with open(cfg, "w", encoding="utf-8") as f:
             json.dump(doc, f)
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
@@ -91,7 +91,7 @@ def test_simulate_config_fuzz(doc):
         if code == 2:
             assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
         else:
-            with open(out) as f:
+            with open(out, encoding="utf-8") as f:
                 values = [float(v) for line in f.read().splitlines()[1:] for v in line.split(",")]
             assert values and all(map(math.isfinite, values))
 

@@ -25,5 +25,5 @@ def test_package_import_leaves_cli_and_scipy_unloaded():
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import doubleflow; "
             "print(sorted(m for m in ('doubleflow.cli', 'scipy') if m in sys.modules))")
     out = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True,
-                         check=True).stdout
+                         encoding="utf-8", check=True).stdout
     assert out == "[]\n"

@@ -325,7 +325,7 @@ def test_rk4_compiles_a_step_only_for_a_length_it_integrates():
             "rk4_integrate(lambda *y: [0.0] * 3, [1.0] * 3, 0.0, 1.0, 0.5); "
             "sizes.append(_straight_run.cache_info().currsize); print(sizes)")
     out = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True,
-                         check=True).stdout
+                         encoding="utf-8", check=True).stdout
     assert out == "[0, 0, 1]\n"
 
 

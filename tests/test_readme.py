@@ -9,6 +9,7 @@ import sys
 import pytest
 
 from doubleflow import cli
+from doubleflow import dynamics as dyn
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 TEXT = README.read_text(encoding="utf-8")
@@ -43,6 +44,41 @@ def test_readme_simulate_example_runs(monkeypatch, capsys):
     zs = ",".join(f"z{i}_{part}" for i in range(1, 5) for part in ("re", "im"))
     assert out[0] == columns.replace("z1_re..z4_im", zs) + ",oracle_dev"
     assert len(out) == 22  # t = 0, 0.1, ..., 2.0
+
+
+def expand_columns(documented, columns):
+    """The README's column list read against columns: a..b is the contiguous
+    run of columns from a to b, and a.. the run from a of the names that share
+    a's prefix (a without its trailing digits)."""
+    out = []
+    for item in documented.split(","):
+        first, dots, last = item.partition("..")
+        if not dots:
+            out.append(item)
+            continue
+        i = j = columns.index(first)
+        if last:
+            j = columns.index(last, i)
+        else:
+            prefix = first.rstrip("0123456789")
+            while j + 1 < len(columns) and columns[j + 1].startswith(prefix):
+                j += 1
+        out += columns[i:j + 1]
+    return out
+
+
+@pytest.mark.parametrize("system, params", [
+    *((system, {}) for system in dyn.SYSTEMS if system != "action_angle"),
+    ("action_angle", {"I0": [1.0, 2.0], "phi0": [0.5, 0.25], "freq": [1.0, 0.5]}),
+    ("action_angle", {"I0": [1.0], "phi0": [0.5, 0.25, 0.0], "matrix": [[0.0, 1.0, 0.0]] * 3}),
+], ids=[*(s for s in dyn.SYSTEMS if s != "action_angle"), "action_angle-freq",
+        "action_angle-matrix"])
+def test_readme_column_lists_match_the_systems(system, params):
+    # the systems table's CSV columns are the ones simulate writes
+    documented = re.search(rf"\| `{system}` \| .* \| `(.*)` \|", TEXT).group(1)
+    flat, invariants = dyn.SYSTEMS[system].columns(cli._parse_params(system, params, 7))
+    columns = ["t", *flat, *invariants]
+    assert expand_columns(documented, columns) == columns
 
 
 def test_readme_verify_line_runs(capsys):
